@@ -223,7 +223,7 @@ fn socket_phase(workers: usize, requests: usize, smoke: bool) -> SocketPhase {
         let listener = NetListener::bind(&NetAddr::parse("127.0.0.1:0").expect("addr"))
             .expect("bind loopback");
         let sock = SocketServer::start(Arc::clone(&plan), listener, NetConfig::default());
-        let mut proxy = pdw_serve::ChaosProxy::start(sock.local_addr(), Some(spec));
+        let mut proxy = pdw_serve::ChaosProxy::start(sock.local_addr(), vec![spec]);
         let r = run_socket_load(
             &proxy.local_addr(),
             &pool,

@@ -722,9 +722,15 @@ fn cmd_serve_listen(args: &[String]) -> Result<(), CliError> {
     sock.drain();
     let ns = sock.stats();
     println!(
-        "pdw serve: drained — {} connection(s) accepted, {} solve(s), {} ping(s), \
-         {} bad request(s), {} idle-evicted, {} refused during drain",
-        ns.accepted, ns.solves, ns.pings, ns.bad_requests, ns.idle_evicted, ns.drain_refused
+        "pdw serve: drained — {} connection(s) accepted, {} solve(s) ({} answered by key), \
+         {} ping(s), {} bad request(s), {} idle-evicted, {} refused during drain",
+        ns.accepted,
+        ns.solves,
+        ns.key_hits,
+        ns.pings,
+        ns.bad_requests,
+        ns.idle_evicted,
+        ns.drain_refused
     );
     let stats = server.stats();
     println!(

@@ -395,13 +395,24 @@ pub fn canonical_digest<T: Serialize + ?Sized>(value: &T) -> u64 {
 /// Encodes `value` into a self-describing frame: `MAGIC`, version, type
 /// tag, length-prefixed canonical payload, FNV-1a digest trailer.
 pub fn encode_frame<T: Serialize + ?Sized>(ty: FrameType, value: &T) -> Vec<u8> {
-    let payload = canonical_bytes(value);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + DIGEST_LEN);
+    frame_payload(ty, &[&canonical_bytes(value)])
+}
+
+/// Frames a canonical payload given as consecutive byte slices — for
+/// callers that splice cached canonical bytes of a value's parts instead
+/// of re-encoding the whole value. The result is byte-identical to
+/// [`encode_frame`] of the value whose canonical encoding is the
+/// concatenation of `parts`.
+pub fn frame_payload(ty: FrameType, parts: &[&[u8]]) -> Vec<u8> {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let mut out = Vec::with_capacity(HEADER_LEN + len + DIGEST_LEN);
     out.extend_from_slice(&MAGIC);
     out.push(SCHEMA_VERSION);
     out.push(ty as u8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    for part in parts {
+        out.extend_from_slice(part);
+    }
     let mut h = Fnv64::new();
     h.write(&out);
     out.extend_from_slice(&h.finish().to_le_bytes());
@@ -625,8 +636,8 @@ impl FrameAccumulator {
                     self.buf.clear();
                     return Err(CodecError::BadMagic { found });
                 }
-                let len =
-                    u32::from_le_bytes(self.buf[6..10].try_into().expect("length checked")) as usize;
+                let len = u32::from_le_bytes(self.buf[6..10].try_into().expect("length checked"))
+                    as usize;
                 if len > self.cap {
                     self.buf.clear();
                     return Err(CodecError::FrameTooLarge { len, cap: self.cap });
@@ -686,13 +697,26 @@ impl PlanArtifact {
     /// reproduce both certificate digests. Returns a human-readable reason
     /// on any failure.
     pub fn verify(&self, bench: &Benchmark, synthesis: &Synthesis) -> Result<(), String> {
+        self.verify_hashed(instance_hash(bench, synthesis), bench, synthesis)
+    }
+
+    /// [`verify`](Self::verify) for a caller that already holds the
+    /// instance's canonical hash: `expect_instance` must be
+    /// [`instance_hash`]`(bench, synthesis)`. Everything else — validator,
+    /// oracle replay, both digests — still runs against `bench` and
+    /// `synthesis`.
+    pub fn verify_hashed(
+        &self,
+        expect_instance: u64,
+        bench: &Benchmark,
+        synthesis: &Synthesis,
+    ) -> Result<(), String> {
         if self.codec_version != SCHEMA_VERSION {
             return Err(format!(
                 "artifact codec v{} does not match build v{SCHEMA_VERSION}",
                 self.codec_version
             ));
         }
-        let expect_instance = instance_hash(bench, synthesis);
         if self.instance_hash != expect_instance {
             return Err(format!(
                 "artifact instance hash {:#018x} does not match requested {expect_instance:#018x}",

@@ -41,7 +41,7 @@ use std::time::Duration;
 
 use pdw_biochip::ScratchPool;
 use pdw_sched::Schedule;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::codec::{self, CodecError, FrameType, PlanArtifact, SCHEMA_VERSION};
 use crate::groups::WashGroup;
@@ -557,9 +557,9 @@ pub fn decode_net<T: Deserialize>(ty: FrameType, frame: &[u8]) -> Result<T, Tran
 
 /// What a plan client may send a `pdw serve --listen` endpoint. The
 /// first frame on every connection must be `Hello`; after
-/// the `HelloAck`, `Ping` and `Solve` interleave freely. Repairs are
-/// deliberately absent (see the module docs): only idempotent work rides
-/// the wire.
+/// the `HelloAck`, `Ping`, `SolveKey` and `Solve` interleave freely.
+/// Repairs are deliberately absent (see the module docs): only idempotent
+/// work rides the wire.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum NetRequest {
     /// Handshake: the client announces its codec version. The frame
@@ -586,6 +586,25 @@ pub enum NetRequest {
         /// The instance + config to solve.
         solve: Box<SolveRequest>,
     },
+    /// A key-first solve: the memo key's two halves instead of the
+    /// instance. A server that holds a certified plan under that key
+    /// answers `Plan` at once; otherwise it answers `NeedInstance` and the
+    /// client follows up with the full `Solve`. The server never memoizes
+    /// under a key a client claims — only `Solve`, which it hashes itself,
+    /// writes the memo. Sent only to servers whose `HelloAck` sets
+    /// `key_first`.
+    SolveKey {
+        /// Client-chosen id echoed in the response.
+        id: u64,
+        /// Remaining client budget in microseconds, as for `Solve`.
+        budget_us: Option<u64>,
+        /// [`instance_hash`](crate::instance_hash) of the client's
+        /// instance.
+        instance_hash: u64,
+        /// [`config_fingerprint`](crate::config_fingerprint) of the
+        /// client's planner config.
+        config_fp: u64,
+    },
     /// Administrative: begin a graceful drain (stop accepting, finish
     /// in-flight, answer the rest `ShuttingDown`).
     Drain,
@@ -603,6 +622,10 @@ pub enum NetResponse {
         /// The heartbeat cadence the server expects (it evicts
         /// connections idle for several multiples of this).
         heartbeat_ms: u64,
+        /// `Some(true)` when the server answers `SolveKey`. Builds that
+        /// predate the key-first exchange leave the field out (it decodes
+        /// as `None`), and clients then send full `Solve`s.
+        key_first: Option<bool>,
     },
     /// Heartbeat echo.
     Pong {
@@ -619,6 +642,12 @@ pub enum NetResponse {
         degraded: bool,
         /// The certified plan artifact.
         artifact: Box<PlanArtifact>,
+    },
+    /// The answer to a `SolveKey` the server holds no certified plan for:
+    /// the client must send the full `Solve`.
+    NeedInstance {
+        /// The `SolveKey` id this answers.
+        id: u64,
     },
     /// A typed serve-side failure for one request.
     Error {
@@ -715,6 +744,31 @@ pub fn send_response(
 ) -> Result<(), TransportError> {
     let frame = codec::encode_frame(FrameType::NetResponse, resp);
     send_frame(stream, &frame, timeout)
+}
+
+/// Encodes a [`NetResponse::Plan`] frame around an artifact's cached
+/// canonical bytes ([`codec::canonical_bytes`] of the [`PlanArtifact`]),
+/// byte-identical to [`send_response`]'s encoding of the same response
+/// but without re-encoding the artifact. The variant encodes as
+/// `Object[("Plan", Object[("id", ..), ("memo_hit", ..), ("degraded",
+/// ..), ("artifact", ..)])]`: the artifact is the last value, so its
+/// bytes follow the encoded prefix directly.
+pub fn encode_plan_frame(id: u64, memo_hit: bool, degraded: bool, artifact: &[u8]) -> Vec<u8> {
+    let head = Value::Object(vec![(
+        "Plan".to_string(),
+        Value::Object(vec![
+            ("id".to_string(), id.to_value()),
+            ("memo_hit".to_string(), memo_hit.to_value()),
+            ("degraded".to_string(), degraded.to_value()),
+            ("artifact".to_string(), Value::Null),
+        ]),
+    )]);
+    let mut prefix = Vec::new();
+    codec::encode_value(&head, &mut prefix);
+    // Drop the one-byte `Null` placeholder: the artifact's bytes take its
+    // place.
+    prefix.pop();
+    codec::frame_payload(FrameType::NetResponse, &[&prefix, artifact])
 }
 
 /// Receives and decodes one [`NetResponse`] (`Ok(None)` = clean EOF).
@@ -1039,6 +1093,12 @@ mod tests {
         let reqs = [
             hello(),
             NetRequest::Ping { nonce: 0xfeed },
+            NetRequest::SolveKey {
+                id: 3,
+                budget_us: Some(0),
+                instance_hash: 0xabcd,
+                config_fp: 0x1234,
+            },
             NetRequest::Drain,
         ];
         for req in &reqs {
@@ -1055,7 +1115,9 @@ mod tests {
                 codec_version: SCHEMA_VERSION,
                 max_frame_len: codec::DEFAULT_MAX_FRAME_LEN as u64,
                 heartbeat_ms: 1000,
+                key_first: Some(true),
             },
+            NetResponse::NeedInstance { id: 9 },
             NetResponse::Pong { nonce: 0xfeed },
             NetResponse::Error {
                 id: 7,
@@ -1071,6 +1133,24 @@ mod tests {
                 codec::canonical_bytes(resp),
                 "response drifted"
             );
+        }
+    }
+
+    #[test]
+    fn hello_ack_without_key_first_decodes_as_absent() {
+        // A `HelloAck` as builds before the key-first exchange encode it.
+        let old = Value::Object(vec![(
+            "HelloAck".to_string(),
+            Value::Object(vec![
+                ("codec_version".to_string(), SCHEMA_VERSION.to_value()),
+                ("max_frame_len".to_string(), 1024u64.to_value()),
+                ("heartbeat_ms".to_string(), 1000u64.to_value()),
+            ]),
+        )]);
+        let frame = codec::encode_frame(FrameType::NetResponse, &old);
+        match codec::decode_frame(FrameType::NetResponse, &frame) {
+            Ok(NetResponse::HelloAck { key_first, .. }) => assert_eq!(key_first, None),
+            other => panic!("expected a HelloAck, got {other:?}"),
         }
     }
 

@@ -31,11 +31,11 @@
 //! (always instance-independent) before handing it out.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
-use pathdriver_wash::{ContextParts, RungKind, WashResult};
+use pathdriver_wash::codec::canonical_bytes;
+use pathdriver_wash::{ContextParts, PlanArtifact, RungKind, WashResult};
 
 /// A memoized, oracle-verified plan as served to requesters.
 #[derive(Debug, Clone)]
@@ -44,6 +44,59 @@ pub struct ServedPlan {
     pub result: WashResult,
     /// The degradation-ladder rung that produced it.
     pub rung: RungKind,
+    /// The plan's certified artifact, filled the first time the plan
+    /// leaves the process (a socket response or the persistent store) and
+    /// shared by every later one — in-process callers never pay for it.
+    certified: OnceLock<CertifiedPlan>,
+}
+
+impl ServedPlan {
+    /// A plan with no certified artifact yet.
+    pub fn new(result: WashResult, rung: RungKind) -> Self {
+        ServedPlan {
+            result,
+            rung,
+            certified: OnceLock::new(),
+        }
+    }
+
+    /// The certified artifact, if the plan has been certified.
+    pub fn certified(&self) -> Option<&CertifiedPlan> {
+        self.certified.get()
+    }
+
+    /// The certified artifact, running `certify` only if the plan has none
+    /// yet: concurrent callers share one certification.
+    pub fn certify_with(&self, certify: impl FnOnce() -> Arc<PlanArtifact>) -> &CertifiedPlan {
+        self.certified.get_or_init(|| CertifiedPlan::new(certify()))
+    }
+}
+
+/// A certified [`PlanArtifact`] together with its canonical bytes, so a
+/// response can splice the bytes instead of re-encoding the artifact.
+#[derive(Debug, Clone)]
+pub struct CertifiedPlan {
+    artifact: Arc<PlanArtifact>,
+    bytes: Vec<u8>,
+}
+
+impl CertifiedPlan {
+    /// Wraps an artifact, encoding its canonical bytes once.
+    pub fn new(artifact: Arc<PlanArtifact>) -> Self {
+        let bytes = canonical_bytes(&*artifact);
+        CertifiedPlan { artifact, bytes }
+    }
+
+    /// The artifact (shared with the persistent store).
+    pub fn artifact(&self) -> &Arc<PlanArtifact> {
+        &self.artifact
+    }
+
+    /// The artifact's canonical encoding
+    /// ([`canonical_bytes`]).
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
 }
 
 enum MemoEntry {
@@ -344,10 +397,7 @@ mod tests {
         // A second claimant with an expired budget gives up instead of
         // deadlocking on the in-flight marker.
         assert!(matches!(memo.claim(7, || true), MemoClaim::Expired));
-        let plan = Arc::new(ServedPlan {
-            result: dummy_result(),
-            rung: RungKind::Dawo,
-        });
+        let plan = Arc::new(ServedPlan::new(dummy_result(), RungKind::Dawo));
         lead.fulfill(Arc::clone(&plan));
         match memo.claim(7, || false) {
             MemoClaim::Hit(got) => assert!(Arc::ptr_eq(&got, &plan)),

@@ -41,7 +41,7 @@ pub mod proxy;
 mod server;
 pub mod store;
 
-pub use cache::ServedPlan;
+pub use cache::{CertifiedPlan, ServedPlan};
 pub use clock::{Clock, ManualClock, WallClock};
 pub use harness::{materialize, run_open_loop, LoadReport, LoadRun, Submission, TimedRequest};
 pub use net::{

@@ -23,27 +23,37 @@
 //!   and releases the listener so the same address can be rebound;
 //! - **plans are re-verified at the edge** — the server ships certified
 //!   [`PlanArtifact`]s and the client re-runs the verification certificate
-//!   against its own copy of the instance before accepting one.
+//!   against its own copy of the instance before accepting one;
+//! - **a memo hit is a lookup plus a byte copy** — the client asks by
+//!   memo key first ([`NetRequest::SolveKey`]) and sends the instance only
+//!   when told to ([`NetResponse::NeedInstance`]); a memo entry is
+//!   certified at most once and its artifact's canonical bytes are spliced
+//!   into every later response ([`encode_plan_frame`]);
+//! - **no thread per request** — each connection has one reader and one
+//!   writer thread; an admitted solve's ticket hands its outcome to the
+//!   writer through a completion callback.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pathdriver_wash::codec::DEFAULT_MAX_FRAME_LEN;
+use pathdriver_wash::codec::{encode_frame, FrameType, DEFAULT_MAX_FRAME_LEN};
 use pathdriver_wash::transport::{
-    hello, recv_response, send_request, send_response, FrameReader,
+    encode_plan_frame, hello, recv_response, send_frame, send_request, send_response, FrameReader,
 };
 use pathdriver_wash::{
-    config_fingerprint, NetAddr, NetListener, NetRequest, NetResponse, NetStream, PdwConfig,
-    PlanArtifact, SolveRequest, TransportError, WireError, SCHEMA_VERSION,
+    config_fingerprint, instance_hash, NetAddr, NetListener, NetRequest, NetResponse, NetStream,
+    PdwConfig, PlanArtifact, SolveRequest, TransportError, WireError, SCHEMA_VERSION,
 };
 use pdw_assay::benchmarks::Benchmark;
 use pdw_synth::Synthesis;
 
+use crate::cache::ServedPlan;
 use crate::harness::percentile;
-use crate::server::{Instance, PlanServer, Rejected, ServeError, ServeRequest};
+use crate::server::{Instance, PlanServer, Rejected, Response, ServeError, ServeRequest};
 
 /// Socket-side configuration of a [`SocketServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,8 +102,15 @@ pub struct NetServeStats {
     pub handshake_failures: u64,
     /// Heartbeat pings answered.
     pub pings: u64,
-    /// Solve requests admitted to the plan server.
+    /// Solves answered with a plan or admitted to the plan server: full
+    /// `Solve`s admitted plus key-path hits.
     pub solves: u64,
+    /// `SolveKey`s answered straight from the memo (no instance sent, no
+    /// worker time, no certification).
+    pub key_hits: u64,
+    /// `SolveKey`s answered `NeedInstance` (no certified plan under the
+    /// key yet); the client follows up with the full `Solve`.
+    pub need_instance: u64,
     /// Protocol-level refusals answered ([`WireError::BadRequest`]).
     pub bad_requests: u64,
     /// Connections evicted for idling past the timeout.
@@ -109,6 +126,8 @@ struct NetCounters {
     handshake_failures: AtomicU64,
     pings: AtomicU64,
     solves: AtomicU64,
+    key_hits: AtomicU64,
+    need_instance: AtomicU64,
     bad_requests: AtomicU64,
     idle_evicted: AtomicU64,
     drain_refused: AtomicU64,
@@ -132,12 +151,14 @@ impl NetShared {
     }
 }
 
-/// The socket front end: an accept loop plus one reader thread per
-/// connection, all feeding the shared [`PlanServer`]. Solves run on the
-/// plan server's worker pool; each in-flight request parks a small waiter
-/// thread that writes the response (or its typed error) back under the
-/// connection's write lock, so heartbeats and pipelined requests keep
-/// flowing while a solve is in progress.
+/// The socket front end: an accept loop plus, per connection, one reader
+/// thread and one writer thread, all feeding the shared [`PlanServer`].
+/// The reader answers pings and key-path memo hits itself and admits full
+/// solves to the plan server's worker pool; a solve's ticket completion
+/// callback only queues the outcome for the connection's writer, so no
+/// thread is parked per request, a slow client never blocks a serve
+/// worker, and heartbeats and pipelined requests keep flowing while a
+/// solve is in progress.
 pub struct SocketServer {
     shared: Arc<NetShared>,
     local: NetAddr,
@@ -206,6 +227,8 @@ impl SocketServer {
             handshake_failures: c.handshake_failures.load(Ordering::Relaxed),
             pings: c.pings.load(Ordering::Relaxed),
             solves: c.solves.load(Ordering::Relaxed),
+            key_hits: c.key_hits.load(Ordering::Relaxed),
+            need_instance: c.need_instance.load(Ordering::Relaxed),
             bad_requests: c.bad_requests.load(Ordering::Relaxed),
             idle_evicted: c.idle_evicted.load(Ordering::Relaxed),
             drain_refused: c.drain_refused.load(Ordering::Relaxed),
@@ -308,14 +331,95 @@ fn accept_loop(shared: &Arc<NetShared>, listener: NetListener) {
     }
 }
 
+/// The per-connection state the reader and the writer thread share.
+struct Conn {
+    /// Solves answered on this connection whose responses are not yet
+    /// written.
+    in_flight: AtomicUsize,
+    /// When the connection last showed life: a request arrived, frame
+    /// bytes trickled in, or a response went out. Refreshed on writes so
+    /// a connection whose solve outlived the idle timeout gets a full idle
+    /// window to send its next request, not an instant eviction.
+    last_activity: Mutex<Instant>,
+}
+
+impl Conn {
+    fn touch(&self) {
+        *self.last_activity.lock().unwrap() = Instant::now();
+    }
+}
+
+/// One response for a connection's writer thread, in the order the
+/// connection must send them.
+enum Outgoing {
+    /// A small response, encoded by the writer.
+    Reply(NetResponse),
+    /// A key-path memo hit: the entry is already certified, so the
+    /// response splices its cached artifact bytes.
+    KeyHit { id: u64, plan: Arc<ServedPlan> },
+    /// An admitted solve's outcome, sent by its ticket's completion
+    /// callback.
+    Solved {
+        id: u64,
+        instance: Arc<Instance>,
+        response: Response,
+    },
+}
+
+/// Writes one connection's responses until every sender is gone: the
+/// reader's, and those held by pending tickets' callbacks. After a failed
+/// write it shuts the stream (so the reader stops) and keeps draining the
+/// channel without writing, so in-flight accounting stays exact.
+fn write_loop(shared: &NetShared, conn: &Conn, mut stream: NetStream, rx: Receiver<Outgoing>) {
+    let mut broken = false;
+    for out in rx {
+        let answers_solve = !matches!(out, Outgoing::Reply(_));
+        if !broken {
+            let frame = match out {
+                Outgoing::Reply(resp) => encode_frame(FrameType::NetResponse, &resp),
+                Outgoing::KeyHit { id, plan } => {
+                    let cert = plan.certified().expect("key-path hits are certified");
+                    encode_plan_frame(id, true, false, cert.bytes())
+                }
+                Outgoing::Solved {
+                    id,
+                    instance,
+                    response: Ok(served),
+                } => {
+                    let cert = shared.plan.certify(&instance, &served.plan);
+                    encode_plan_frame(id, served.memo_hit, served.degraded, cert.bytes())
+                }
+                Outgoing::Solved {
+                    id,
+                    response: Err(e),
+                    ..
+                } => encode_frame(
+                    FrameType::NetResponse,
+                    &NetResponse::Error {
+                        id,
+                        error: wire_error(e),
+                    },
+                ),
+            };
+            if send_frame(&mut stream, &frame, shared.cfg.write_timeout).is_err() {
+                broken = true;
+                stream.shutdown();
+            }
+            // The idle clock restarts when an answer goes out.
+            conn.touch();
+        }
+        if answers_solve {
+            conn.in_flight.fetch_sub(1, Ordering::SeqCst);
+            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
 /// Answers one connection until EOF, a protocol fault, idle eviction, or
-/// shutdown. The first frame must be a `Hello`.
-fn conn_loop(shared: &Arc<NetShared>, _conn_id: u64, mut stream: NetStream) {
+/// shutdown. The first frame must be a `Hello`; after the handshake one
+/// writer thread sends every response, fed by a channel.
+fn conn_loop(shared: &Arc<NetShared>, conn_id: u64, mut stream: NetStream) {
     let cfg = &shared.cfg;
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
-    };
     // One resumable frame reader for the connection's whole life:
     // partially received bytes survive read ticks, so a frame trickling
     // in across many ticks is assembled, never torn.
@@ -323,84 +427,76 @@ fn conn_loop(shared: &Arc<NetShared>, _conn_id: u64, mut stream: NetStream) {
     // Handshake: require Hello, answer HelloAck with this build's
     // parameters. A peer speaking a different codec version fails frame
     // decode right here — typed, before any work is admitted.
-    match reader.poll_request(&mut stream, cfg.handshake_timeout) {
+    let refusal = match reader.poll_request(&mut stream, cfg.handshake_timeout) {
         Ok(Some(NetRequest::Hello { codec_version })) if codec_version == SCHEMA_VERSION => {
             let ack = NetResponse::HelloAck {
                 codec_version: SCHEMA_VERSION,
                 max_frame_len: cfg.max_frame_len as u64,
                 heartbeat_ms: cfg.heartbeat_ms,
+                key_first: Some(true),
             };
-            let mut w = writer.lock().unwrap();
-            if send_response(&mut w, &ack, cfg.write_timeout).is_err() {
-                shared
-                    .counters
-                    .handshake_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                return;
+            if send_response(&mut stream, &ack, cfg.write_timeout).is_ok() {
+                None
+            } else {
+                Some(None)
             }
         }
-        Ok(Some(NetRequest::Hello { codec_version })) => {
-            reply_error(
-                &writer,
-                cfg,
-                0,
-                WireError::BadRequest(format!(
-                    "codec version mismatch: client v{codec_version}, server v{SCHEMA_VERSION}"
-                )),
-            );
-            shared
-                .counters
-                .handshake_failures
-                .fetch_add(1, Ordering::Relaxed);
-            return;
+        Ok(Some(NetRequest::Hello { codec_version })) => Some(Some(format!(
+            "codec version mismatch: client v{codec_version}, server v{SCHEMA_VERSION}"
+        ))),
+        Ok(Some(_)) => Some(Some("first frame must be Hello".to_string())),
+        // Envelope-level skew: answer typed before closing. The skewed
+        // peer's decode of this frame fails as its own (non-retryable)
+        // `VersionSkew`, so it fails fast instead of burning its whole
+        // retry budget on "server closed during handshake".
+        Err(TransportError::VersionSkew { found, expected }) => Some(Some(format!(
+            "codec version skew: client frame v{found}, server v{expected}"
+        ))),
+        Ok(None) | Err(_) => Some(None),
+    };
+    if let Some(reply) = refusal {
+        // Counted before the refusal goes out, so a peer that reads the
+        // refusal also sees the failure in the stats.
+        shared
+            .counters
+            .handshake_failures
+            .fetch_add(1, Ordering::Relaxed);
+        if let Some(msg) = reply {
+            let refusal = NetResponse::Error {
+                id: 0,
+                error: WireError::BadRequest(msg),
+            };
+            let _ = send_response(&mut stream, &refusal, cfg.write_timeout);
         }
-        Ok(Some(_)) => {
-            reply_error(
-                &writer,
-                cfg,
-                0,
-                WireError::BadRequest("first frame must be Hello".to_string()),
-            );
-            shared
-                .counters
-                .handshake_failures
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        Err(TransportError::VersionSkew { found, expected }) => {
-            // Envelope-level skew: answer typed before closing. The skewed
-            // peer's decode of this frame fails as its own (non-retryable)
-            // `VersionSkew`, so it fails fast instead of burning its whole
-            // retry budget on "server closed during handshake".
-            reply_error(
-                &writer,
-                cfg,
-                0,
-                WireError::BadRequest(format!(
-                    "codec version skew: client frame v{found}, server v{expected}"
-                )),
-            );
-            shared
-                .counters
-                .handshake_failures
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        Ok(None) | Err(_) => {
-            shared
-                .counters
-                .handshake_failures
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        }
+        return;
     }
 
-    let conn_in_flight = Arc::new(AtomicUsize::new(0));
-    let mut waiters: Vec<JoinHandle<()>> = Vec::new();
-    // Shared so waiter threads refresh it when they write a response: a
-    // connection whose solve outlived the idle timeout gets a full idle
-    // window to send its next request, not an instant eviction.
-    let last_activity = Arc::new(Mutex::new(Instant::now()));
+    let conn = Arc::new(Conn {
+        in_flight: AtomicUsize::new(0),
+        last_activity: Mutex::new(Instant::now()),
+    });
+    let (tx, rx) = mpsc::channel();
+    let writer = match stream.try_clone() {
+        Ok(w) => w,
+        Err(_) => return,
+    };
+    let writer = {
+        let shared = Arc::clone(shared);
+        let conn = Arc::clone(&conn);
+        std::thread::Builder::new()
+            .name(format!("pdw-net-write-{conn_id}"))
+            .spawn(move || write_loop(&shared, &conn, writer, rx))
+            .expect("spawn connection writer")
+    };
+    let reply = |resp: NetResponse| {
+        let _ = tx.send(Outgoing::Reply(resp));
+    };
+    let bad_request = |id: u64, msg: String| {
+        reply(NetResponse::Error {
+            id,
+            error: WireError::BadRequest(msg),
+        })
+    };
     loop {
         let buffered_before = reader.buffered();
         match reader.poll_request(&mut stream, cfg.read_tick) {
@@ -408,13 +504,13 @@ fn conn_loop(shared: &Arc<NetShared>, _conn_id: u64, mut stream: NetStream) {
                 // A tick that delivered part of a frame is a slow peer
                 // still talking, not an idle one.
                 if reader.buffered() > buffered_before {
-                    *last_activity.lock().unwrap() = Instant::now();
+                    conn.touch();
                 }
                 // Quiet tick: check idle eviction (never while work is in
                 // flight — a client silently awaiting a long solve is not
                 // idle) and drain progress.
-                if conn_in_flight.load(Ordering::SeqCst) == 0
-                    && last_activity.lock().unwrap().elapsed() > cfg.idle_timeout
+                if conn.in_flight.load(Ordering::SeqCst) == 0
+                    && conn.last_activity.lock().unwrap().elapsed() > cfg.idle_timeout
                 {
                     shared.counters.idle_evicted.fetch_add(1, Ordering::Relaxed);
                     break;
@@ -422,120 +518,142 @@ fn conn_loop(shared: &Arc<NetShared>, _conn_id: u64, mut stream: NetStream) {
             }
             Ok(None) => break,
             Err(TransportError::VersionSkew { found, expected }) => {
-                reply_error(
-                    &writer,
-                    cfg,
+                bad_request(
                     0,
-                    WireError::BadRequest(format!(
-                        "codec version skew: frame v{found}, server v{expected}"
-                    )),
+                    format!("codec version skew: frame v{found}, server v{expected}"),
                 );
                 break;
             }
             Err(TransportError::TornFrame(e)) => {
-                reply_error(
-                    &writer,
-                    cfg,
-                    0,
-                    WireError::BadRequest(format!("torn frame: {e}")),
-                );
+                bad_request(0, format!("torn frame: {e}"));
                 break;
             }
             Err(_) => break,
             Ok(Some(req)) => {
-                *last_activity.lock().unwrap() = Instant::now();
+                conn.touch();
                 match req {
                     NetRequest::Hello { .. } => {
                         shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                        reply_error(
-                            &writer,
-                            cfg,
-                            0,
-                            WireError::BadRequest("duplicate Hello".to_string()),
-                        );
+                        bad_request(0, "duplicate Hello".to_string());
                     }
                     NetRequest::Ping { nonce } => {
                         shared.counters.pings.fetch_add(1, Ordering::Relaxed);
-                        let mut w = writer.lock().unwrap();
-                        if send_response(&mut w, &NetResponse::Pong { nonce }, cfg.write_timeout)
-                            .is_err()
-                        {
-                            break;
-                        }
+                        reply(NetResponse::Pong { nonce });
                     }
                     NetRequest::Drain => {
                         shared.begin_drain();
-                        let ack = NetResponse::DrainAck {
+                        reply(NetResponse::DrainAck {
                             in_flight: shared.in_flight.load(Ordering::SeqCst) as u64,
-                        };
-                        let mut w = writer.lock().unwrap();
-                        let _ = send_response(&mut w, &ack, cfg.write_timeout);
+                        });
                     }
+                    NetRequest::SolveKey {
+                        id,
+                        budget_us,
+                        instance_hash,
+                        config_fp,
+                    } => match solve_key(shared, id, budget_us, instance_hash, config_fp) {
+                        Ok(plan) => {
+                            begin_answer(shared, &conn);
+                            let _ = tx.send(Outgoing::KeyHit { id, plan });
+                        }
+                        Err(resp) => reply(resp),
+                    },
                     NetRequest::Solve {
                         id,
                         budget_us,
                         solve,
                     } => {
-                        handle_solve(
-                            shared,
-                            &writer,
-                            &conn_in_flight,
-                            &last_activity,
-                            &mut waiters,
-                            id,
-                            budget_us,
-                            *solve,
-                        );
+                        if let Err(resp) = handle_solve(shared, &conn, &tx, id, budget_us, *solve) {
+                            reply(resp);
+                        }
                     }
                 }
             }
         }
     }
-    for h in waiters {
-        let _ = h.join();
-    }
+    // The writer exits once this sender and every pending ticket's
+    // callback are gone: in-flight solves still get their answers.
+    drop(tx);
+    let _ = writer.join();
     stream.shutdown();
 }
 
-/// Admits one solve to the plan server and parks a waiter thread on its
-/// ticket; refusals are answered inline.
-#[allow(clippy::too_many_arguments)]
-fn handle_solve(
-    shared: &Arc<NetShared>,
-    writer: &Arc<Mutex<NetStream>>,
-    conn_in_flight: &Arc<AtomicUsize>,
-    last_activity: &Arc<Mutex<Instant>>,
-    waiters: &mut Vec<JoinHandle<()>>,
-    id: u64,
-    budget_us: Option<u64>,
-    solve: SolveRequest,
-) {
-    let cfg = &shared.cfg;
+/// Counts one solve answer queued for a connection's writer.
+fn begin_answer(shared: &NetShared, conn: &Conn) {
+    shared.counters.solves.fetch_add(1, Ordering::Relaxed);
+    shared.in_flight.fetch_add(1, Ordering::SeqCst);
+    conn.in_flight.fetch_add(1, Ordering::SeqCst);
+}
+
+/// The checks every solve passes before any lookup: the server is not
+/// draining, and the request's planner config is the server's. The memo
+/// key is (instance_hash, server config fingerprint): serving a request
+/// that asked for a *different* planner config would be a silently wrong
+/// plan, so a mismatch is a typed refusal instead.
+fn admit(shared: &NetShared, id: u64, config_fp: u64) -> Result<(), NetResponse> {
+    let refuse = |error| Err(NetResponse::Error { id, error });
     if shared.draining.load(Ordering::SeqCst) {
         shared
             .counters
             .drain_refused
             .fetch_add(1, Ordering::Relaxed);
-        reply_error(writer, cfg, id, WireError::ShuttingDown);
-        return;
+        return refuse(WireError::ShuttingDown);
     }
-    // The memo key is (instance_hash, server config fingerprint): serving
-    // a request that asked for a *different* planner config would be a
-    // silently wrong plan, so a mismatch is a typed refusal instead.
-    let req_fp = config_fingerprint(&solve.config);
-    if req_fp != shared.config_fp {
+    if config_fp != shared.config_fp {
         shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-        reply_error(
-            writer,
-            cfg,
-            id,
-            WireError::BadRequest(format!(
-                "planner config fingerprint {req_fp:#x} does not match the server's {:#x}",
-                shared.config_fp
-            )),
-        );
-        return;
+        return refuse(WireError::BadRequest(format!(
+            "planner config fingerprint {config_fp:#x} does not match the server's {:#x}",
+            shared.config_fp
+        )));
     }
+    Ok(())
+}
+
+/// Answers a `SolveKey` on the connection thread: a certified memo hit,
+/// or the reply to send instead (`NeedInstance`, or a typed refusal). No
+/// worker time is spent, so key-path hits are never shed; a budget that
+/// expired in transit is refused before the lookup.
+fn solve_key(
+    shared: &NetShared,
+    id: u64,
+    budget_us: Option<u64>,
+    instance_hash: u64,
+    config_fp: u64,
+) -> Result<Arc<ServedPlan>, NetResponse> {
+    admit(shared, id, config_fp)?;
+    if budget_us == Some(0) {
+        return Err(NetResponse::Error {
+            id,
+            error: WireError::DeadlineExpired { waited_us: 0 },
+        });
+    }
+    match shared.plan.certified_hit(instance_hash) {
+        Some(plan) => {
+            shared.counters.key_hits.fetch_add(1, Ordering::Relaxed);
+            Ok(plan)
+        }
+        None => {
+            shared
+                .counters
+                .need_instance
+                .fetch_add(1, Ordering::Relaxed);
+            Err(NetResponse::NeedInstance { id })
+        }
+    }
+}
+
+/// Admits one full solve to the plan server; its ticket's completion
+/// callback hands the outcome to the connection's writer. A refusal is
+/// returned for the caller to answer inline.
+fn handle_solve(
+    shared: &NetShared,
+    conn: &Conn,
+    tx: &Sender<Outgoing>,
+    id: u64,
+    budget_us: Option<u64>,
+    solve: SolveRequest,
+) -> Result<(), NetResponse> {
+    admit(shared, id, config_fingerprint(&solve.config))?;
     let instance = Arc::new(Instance::new(solve.bench, solve.synthesis));
     let budget = budget_us.map(Duration::from_micros);
     let submitted = shared.plan.submit_with_budget(
@@ -544,85 +662,37 @@ fn handle_solve(
         },
         budget,
     );
-    let ticket = match submitted {
-        Ok(ticket) => ticket,
+    let error = match submitted {
+        Ok(ticket) => {
+            begin_answer(shared, conn);
+            let tx = tx.clone();
+            ticket.on_complete(move |response| {
+                let _ = tx.send(Outgoing::Solved {
+                    id,
+                    instance,
+                    response,
+                });
+            });
+            return Ok(());
+        }
         Err(Rejected::ShuttingDown) => {
             shared
                 .counters
                 .drain_refused
                 .fetch_add(1, Ordering::Relaxed);
-            reply_error(writer, cfg, id, WireError::ShuttingDown);
-            return;
+            WireError::ShuttingDown
         }
         Err(Rejected::Saturated {
             queued_cost,
             cost,
             budget,
-        }) => {
-            reply_error(
-                writer,
-                cfg,
-                id,
-                WireError::Saturated {
-                    queued_cost,
-                    cost,
-                    budget,
-                },
-            );
-            return;
-        }
+        }) => WireError::Saturated {
+            queued_cost,
+            cost,
+            budget,
+        },
     };
-    shared.counters.solves.fetch_add(1, Ordering::Relaxed);
-    shared.in_flight.fetch_add(1, Ordering::SeqCst);
-    conn_in_flight.fetch_add(1, Ordering::SeqCst);
-    let waiter_shared = Arc::clone(shared);
-    let waiter_writer = Arc::clone(writer);
-    let waiter_conn_in_flight = Arc::clone(conn_in_flight);
-    let waiter_last_activity = Arc::clone(last_activity);
-    let handle = std::thread::Builder::new()
-        .name(format!("pdw-net-wait-{id}"))
-        .spawn(move || {
-            let response = ticket.wait();
-            let resp = match response {
-                Ok(served) => {
-                    let artifact = PlanArtifact::certified(
-                        instance.instance_hash(),
-                        waiter_shared.config_fp,
-                        served.plan.rung,
-                        instance.bench(),
-                        instance.synthesis(),
-                        served.plan.result.clone(),
-                    );
-                    NetResponse::Plan {
-                        id,
-                        memo_hit: served.memo_hit,
-                        degraded: served.degraded,
-                        artifact: Box::new(artifact),
-                    }
-                }
-                Err(e) => NetResponse::Error {
-                    id,
-                    error: wire_error(e),
-                },
-            };
-            {
-                let mut w = waiter_writer.lock().unwrap();
-                let _ = send_response(&mut w, &resp, waiter_shared.cfg.write_timeout);
-            }
-            // The idle clock restarts when the answer goes out: a client
-            // whose solve outlived the idle timeout still gets a full
-            // window to send its next request.
-            *waiter_last_activity.lock().unwrap() = Instant::now();
-            waiter_conn_in_flight.fetch_sub(1, Ordering::SeqCst);
-            waiter_shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        })
-        .expect("spawn waiter thread");
-    waiters.push(handle);
-}
-
-fn reply_error(writer: &Arc<Mutex<NetStream>>, cfg: &NetConfig, id: u64, error: WireError) {
-    let mut w = writer.lock().unwrap();
-    let _ = send_response(&mut w, &NetResponse::Error { id, error }, cfg.write_timeout);
+    Err(NetResponse::Error { id, error })
 }
 
 /// Maps an admitted request's serve-side failure onto the wire.
@@ -646,7 +716,8 @@ fn wire_error(e: ServeError) -> WireError {
 /// Client-side configuration of a [`PlanClient`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientConfig {
-    /// Deadline for dialing the server.
+    /// Deadline for dialing the server, and for each exchange the server
+    /// answers without solving: the handshake, a ping, a key lookup.
     pub connect_timeout: Duration,
     /// Deadline for one response read (covers the whole solve).
     pub request_timeout: Duration,
@@ -728,6 +799,8 @@ pub struct PlanClient {
     addr: NetAddr,
     cfg: ClientConfig,
     conn: Option<NetStream>,
+    /// The connected server answers `SolveKey`.
+    server_key_first: bool,
     rtt: Option<Duration>,
     next_id: u64,
     rng: u64,
@@ -741,6 +814,7 @@ impl PlanClient {
             addr,
             cfg,
             conn: None,
+            server_key_first: false,
             rtt: None,
             next_id: 1,
             rng: cfg.jitter_seed | 1,
@@ -800,7 +874,11 @@ impl PlanClient {
             self.cfg.max_frame_len,
             self.cfg.connect_timeout,
         )? {
-            Some(NetResponse::HelloAck { codec_version, .. }) => {
+            Some(NetResponse::HelloAck {
+                codec_version,
+                key_first,
+                ..
+            }) => {
                 if codec_version != SCHEMA_VERSION {
                     return Err(TransportError::VersionSkew {
                         found: codec_version,
@@ -808,6 +886,7 @@ impl PlanClient {
                     });
                 }
                 self.rtt = Some(t.elapsed());
+                self.server_key_first = key_first == Some(true);
                 self.conn = Some(stream);
                 Ok(())
             }
@@ -876,6 +955,13 @@ impl PlanClient {
     /// Solves an instance remotely under an optional deadline budget,
     /// with bounded retries on retryable transport faults.
     ///
+    /// The exchange is key-first when the server offers it: a `SolveKey`
+    /// carrying the instance hash (computed once per call) and the config
+    /// fingerprint, answered with the server's certified plan on a memo
+    /// hit; otherwise the server answers `NeedInstance` and the full
+    /// `Solve` follows. Either way a served artifact is verified against
+    /// this instance before it is accepted ([`ClientConfig::verify`]).
+    ///
     /// Deadline propagation: the client subtracts half its observed RTT
     /// (the forward-transit estimate) from the budget before sending, so
     /// the server sees the time that is genuinely left. A budget smaller
@@ -898,21 +984,15 @@ impl PlanClient {
     ) -> Result<RemotePlan, ClientError> {
         let start = Instant::now();
         let deadline = budget.map(|b| start + b);
+        let hash = instance_hash(bench, synthesis);
         let mut attempt = 0u32;
         loop {
-            let remaining = match deadline {
-                Some(d) => {
-                    let left = d.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Err(ClientError::Serve(WireError::DeadlineExpired {
-                            waited_us: start.elapsed().as_micros() as u64,
-                        }));
-                    }
-                    Some(left)
-                }
-                None => None,
-            };
-            match self.solve_once(bench, synthesis, config, remaining) {
+            if deadline.is_some_and(|d| d <= Instant::now()) {
+                return Err(ClientError::Serve(WireError::DeadlineExpired {
+                    waited_us: start.elapsed().as_micros() as u64,
+                }));
+            }
+            match self.solve_once(hash, bench, synthesis, config, deadline) {
                 Ok(mut plan) => {
                     plan.retries = attempt;
                     return Ok(plan);
@@ -932,28 +1012,32 @@ impl PlanClient {
         }
     }
 
+    /// One attempt: the key-first exchange when the server offers it,
+    /// then (on `NeedInstance`, or straight away) the full `Solve`.
     fn solve_once(
         &mut self,
+        hash: u64,
         bench: &Benchmark,
         synthesis: &Synthesis,
         config: &PdwConfig,
-        budget: Option<Duration>,
+        deadline: Option<Instant>,
     ) -> Result<RemotePlan, ClientError> {
         self.ensure_connected().map_err(ClientError::Transport)?;
-        let transit = self.rtt.unwrap_or_default() / 2;
-        let budget_us = budget.map(|b| b.saturating_sub(transit).as_micros() as u64);
-        // Bound the response wait by the budget (plus the return transit
-        // and a small grace for the server's typed expiry to arrive): a
-        // dead transport must not hold the caller past its deadline.
-        let read_timeout = match budget {
-            Some(b) => self
-                .cfg
-                .request_timeout
-                .min(b + transit + Duration::from_millis(100)),
-            None => self.cfg.request_timeout,
-        };
-        let id = self.next_id;
-        self.next_id += 1;
+        if self.server_key_first {
+            let (budget_us, read_timeout) = self.request_budget(deadline, self.cfg.connect_timeout);
+            let id = self.take_id();
+            let req = NetRequest::SolveKey {
+                id,
+                budget_us,
+                instance_hash: hash,
+                config_fp: config_fingerprint(config),
+            };
+            if let Some(served) = self.exchange(&req, id, read_timeout)? {
+                return self.accept(served, hash, bench, synthesis);
+            }
+        }
+        let (budget_us, read_timeout) = self.request_budget(deadline, self.cfg.request_timeout);
+        let id = self.take_id();
         let req = NetRequest::Solve {
             id,
             budget_us,
@@ -963,12 +1047,57 @@ impl PlanClient {
                 config: config.clone(),
             }),
         };
+        match self.exchange(&req, id, read_timeout)? {
+            Some(served) => self.accept(served, hash, bench, synthesis),
+            None => {
+                self.disconnect();
+                Err(ClientError::Transport(TransportError::Protocol(
+                    "NeedInstance in answer to a full Solve".to_string(),
+                )))
+            }
+        }
+    }
+
+    fn take_id(&mut self) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        id
+    }
+
+    /// The budget to send with a request sent now, and how long to wait
+    /// for its answer: at most `cap`, and — under a deadline — no longer
+    /// than the budget plus the return transit and a small grace for the
+    /// server's typed expiry to arrive, so a dead transport cannot hold
+    /// the caller past its deadline.
+    fn request_budget(&self, deadline: Option<Instant>, cap: Duration) -> (Option<u64>, Duration) {
+        let transit = self.rtt.unwrap_or_default() / 2;
+        match deadline {
+            None => (None, cap),
+            Some(d) => {
+                let left = d.saturating_duration_since(Instant::now());
+                (
+                    Some(left.saturating_sub(transit).as_micros() as u64),
+                    cap.min(left + transit + Duration::from_millis(100)),
+                )
+            }
+        }
+    }
+
+    /// Sends `req` and reads its answer: `Some` plan, or `None` for
+    /// `NeedInstance`. Every other outcome is a typed error; transport
+    /// faults and protocol violations drop the connection.
+    fn exchange(
+        &mut self,
+        req: &NetRequest,
+        id: u64,
+        read_timeout: Duration,
+    ) -> Result<Option<ServedResponse>, ClientError> {
         let conn = self.conn.as_mut().expect("connected above");
-        if let Err(e) = send_request(conn, &req, self.cfg.write_timeout) {
+        if let Err(e) = send_request(conn, req, self.cfg.write_timeout) {
             self.disconnect();
             return Err(ClientError::Transport(e));
         }
-        loop {
+        let outcome = loop {
             match recv_response(conn, self.cfg.max_frame_len, read_timeout) {
                 // A stale Pong from an earlier ping is not this answer.
                 Ok(Some(NetResponse::Pong { .. })) => continue,
@@ -978,49 +1107,65 @@ impl PlanClient {
                     degraded,
                     artifact,
                 })) if rid == id => {
-                    if self.cfg.verify {
-                        if let Err(msg) = artifact.verify(bench, synthesis) {
-                            self.disconnect();
-                            return Err(ClientError::Transport(TransportError::Protocol(format!(
-                                "served artifact failed its certificate: {msg}"
-                            ))));
-                        }
-                    }
-                    return Ok(RemotePlan {
-                        artifact: *artifact,
+                    return Ok(Some(ServedResponse {
                         memo_hit,
                         degraded,
-                        retries: 0,
-                    });
+                        artifact,
+                    }))
                 }
+                Ok(Some(NetResponse::NeedInstance { id: rid })) if rid == id => return Ok(None),
                 Ok(Some(NetResponse::Error { id: rid, error })) if rid == id || rid == 0 => {
                     // A draining server is typed at the transport level so
                     // the retry loop knows to stop.
-                    if error == WireError::ShuttingDown {
-                        self.disconnect();
-                        return Err(ClientError::Transport(TransportError::ServerDraining));
+                    if error != WireError::ShuttingDown {
+                        return Err(ClientError::Serve(error));
                     }
-                    return Err(ClientError::Serve(error));
+                    break TransportError::ServerDraining;
                 }
                 Ok(Some(_)) => {
-                    self.disconnect();
-                    return Err(ClientError::Transport(TransportError::Protocol(
+                    break TransportError::Protocol(
                         "response for a different request id".to_string(),
-                    )));
+                    )
                 }
-                Ok(None) => {
-                    self.disconnect();
-                    return Err(ClientError::Transport(TransportError::Io(
-                        "server closed mid-request".to_string(),
-                    )));
-                }
-                Err(e) => {
-                    self.disconnect();
-                    return Err(ClientError::Transport(e));
-                }
+                Ok(None) => break TransportError::Io("server closed mid-request".to_string()),
+                Err(e) => break e,
+            }
+        };
+        self.disconnect();
+        Err(ClientError::Transport(outcome))
+    }
+
+    /// Accepts a served plan after verifying its certificate against this
+    /// instance (when [`ClientConfig::verify`] is on).
+    fn accept(
+        &mut self,
+        served: ServedResponse,
+        hash: u64,
+        bench: &Benchmark,
+        synthesis: &Synthesis,
+    ) -> Result<RemotePlan, ClientError> {
+        if self.cfg.verify {
+            if let Err(msg) = served.artifact.verify_hashed(hash, bench, synthesis) {
+                self.disconnect();
+                return Err(ClientError::Transport(TransportError::Protocol(format!(
+                    "served artifact failed its certificate: {msg}"
+                ))));
             }
         }
+        Ok(RemotePlan {
+            artifact: *served.artifact,
+            memo_hit: served.memo_hit,
+            degraded: served.degraded,
+            retries: 0,
+        })
     }
+}
+
+/// A `Plan` answer as received, before verification.
+struct ServedResponse {
+    memo_hit: bool,
+    degraded: bool,
+    artifact: Box<PlanArtifact>,
 }
 
 // ---------------------------------------------------------------------------

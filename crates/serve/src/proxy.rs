@@ -21,6 +21,14 @@
 //! | `corrupt:N` | flip one byte in the first response chunk (digest breaks, frame torn) |
 //! | `blackhole:N` | swallow the response entirely and hold the connection open (client read times out) |
 //! | `disconnect:N` | close both ends the moment the response starts |
+//!
+//! A parsed spec faults the connection from its first server→client
+//! byte. Setting [`ChaosSpec::frame`] to `F` moves the fault to the start
+//! of the connection's frame `F` (0-based; frame 0 is the `HelloAck`):
+//! frames before it are forwarded whole. On a fresh key-first connection
+//! frame 1 answers the first `SolveKey` (a `NeedInstance` when the key is
+//! cold) and frame 2 answers the follow-up `Solve`. `Drop` with `F > 0`
+//! closes both ends when frame `F` starts.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -29,6 +37,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use pathdriver_wash::codec::{CodecError, FrameAccumulator, DEFAULT_MAX_FRAME_LEN};
 use pathdriver_wash::NetAddr;
 
 /// What to do to a faulted connection's bytes.
@@ -56,6 +65,9 @@ pub struct ChaosSpec {
     /// The 1-based index of the accepted connection to fault (all others
     /// are forwarded verbatim).
     pub nth: usize,
+    /// The 0-based server→client frame on that connection where the fault
+    /// starts; earlier frames pass verbatim.
+    pub frame: usize,
 }
 
 impl ChaosSpec {
@@ -95,7 +107,11 @@ impl ChaosSpec {
         if param.is_some() && !matches!(mode, ChaosMode::Delay(_) | ChaosMode::Truncate(_)) {
             return Err(format!("chaos spec '{s}': mode takes no parameter"));
         }
-        Ok(ChaosSpec { mode, nth })
+        Ok(ChaosSpec {
+            mode,
+            nth,
+            frame: 0,
+        })
     }
 
     /// Every mode, faulting connection `nth` — the sweep used by the
@@ -105,26 +121,32 @@ impl ChaosSpec {
             ChaosSpec {
                 mode: ChaosMode::Drop,
                 nth,
+                frame: 0,
             },
             ChaosSpec {
                 mode: ChaosMode::Delay(50),
                 nth,
+                frame: 0,
             },
             ChaosSpec {
                 mode: ChaosMode::Truncate(16),
                 nth,
+                frame: 0,
             },
             ChaosSpec {
                 mode: ChaosMode::Corrupt,
                 nth,
+                frame: 0,
             },
             ChaosSpec {
                 mode: ChaosMode::BlackHole,
                 nth,
+                frame: 0,
             },
             ChaosSpec {
                 mode: ChaosMode::Disconnect,
                 nth,
+                frame: 0,
             },
         ]
     }
@@ -144,9 +166,9 @@ impl std::fmt::Display for ChaosSpec {
 }
 
 /// The proxy: listens on an ephemeral loopback port, forwards every
-/// connection to `upstream`, and misbehaves exactly once — on the
-/// connection the spec names. `None` for the spec makes it a faithful
-/// (but still counting) forwarder.
+/// connection to `upstream`, and misbehaves exactly once per spec — on
+/// the connection each spec names. No spec makes it a faithful (but
+/// still counting) forwarder.
 pub struct ChaosProxy {
     local: NetAddr,
     accepted: Arc<AtomicUsize>,
@@ -155,8 +177,10 @@ pub struct ChaosProxy {
 }
 
 impl ChaosProxy {
-    /// Starts the proxy in front of `upstream`.
-    pub fn start(upstream: NetAddr, spec: Option<ChaosSpec>) -> Self {
+    /// Starts the proxy in front of `upstream` with one fault per spec,
+    /// each on the connection it names (the first spec naming a
+    /// connection wins).
+    pub fn start(upstream: NetAddr, specs: Vec<ChaosSpec>) -> Self {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind chaos proxy");
         let local = NetAddr::Tcp(listener.local_addr().expect("proxy local addr").to_string());
         listener
@@ -173,9 +197,15 @@ impl ChaosProxy {
                 while !t_stop.load(Ordering::SeqCst) {
                     match listener.accept() {
                         Ok((client, _)) => {
+                            // Forward each chunk at once, as the endpoints
+                            // do: Nagle's algorithm would hold small
+                            // frames back for a delayed ACK, a latency no
+                            // fault asked for.
+                            let _ = client.set_nodelay(true);
                             let k = t_accepted.fetch_add(1, Ordering::SeqCst) + 1;
-                            let fault = spec.filter(|s| s.nth == k).map(|s| s.mode);
-                            if fault == Some(ChaosMode::Drop) {
+                            let fault = specs.iter().find(|s| s.nth == k).copied();
+                            if matches!(fault, Some(s) if s.mode == ChaosMode::Drop && s.frame == 0)
+                            {
                                 drop(client);
                                 continue;
                             }
@@ -234,7 +264,7 @@ impl Drop for ChaosProxy {
 
 /// Forwards one connection, applying the fault (if any) to the
 /// server→client direction — the one that breaks a response mid-frame.
-fn proxy_conn(client: TcpStream, upstream: &NetAddr, fault: Option<ChaosMode>, stop: &AtomicBool) {
+fn proxy_conn(client: TcpStream, upstream: &NetAddr, fault: Option<ChaosSpec>, stop: &AtomicBool) {
     let server = match upstream.connect(Duration::from_secs(2)) {
         Ok(s) => s,
         Err(_) => return, // client sees EOF: a typed Io/TornFrame fault
@@ -255,7 +285,9 @@ fn proxy_conn(client: TcpStream, upstream: &NetAddr, fault: Option<ChaosMode>, s
         // client → server: always verbatim (requests are never the fault
         // target; response-path faults are what retries must survive).
         let c2s = scope.spawn(move || pump(c2s_client, server, stop, conn_stop));
-        let s2c_fault = fault;
+        let s2c_fault = fault.map(|s| s.mode);
+        let mut passing = fault.map_or(0, |s| s.frame);
+        let mut frames = FrameAccumulator::new(DEFAULT_MAX_FRAME_LEN);
         let mut client_w = client;
         let s2c = scope.spawn(move || {
             let mut first = true;
@@ -265,6 +297,26 @@ fn proxy_conn(client: TcpStream, upstream: &NetAddr, fault: Option<ChaosMode>, s
             loop {
                 if stop.load(Ordering::SeqCst) || conn_stop.load(Ordering::SeqCst) {
                     break;
+                }
+                if passing > 0 {
+                    // Frames before the faulted one pass whole; a read
+                    // tick leaves a partial frame buffered.
+                    match frames.read_from(&mut s2c_server) {
+                        Ok(Some(frame)) => {
+                            if client_w
+                                .write_all(&frame)
+                                .and_then(|()| client_w.flush())
+                                .is_err()
+                            {
+                                break;
+                            }
+                            passing -= 1;
+                        }
+                        Ok(None) => break,
+                        Err(CodecError::Io(_)) => {}
+                        Err(_) => break,
+                    }
+                    continue;
                 }
                 let n = match s2c_server.read(&mut buf) {
                     Ok(0) => break,
@@ -284,7 +336,7 @@ fn proxy_conn(client: TcpStream, upstream: &NetAddr, fault: Option<ChaosMode>, s
                         // is stuck waiting and must hit its read timeout.
                         continue;
                     }
-                    Some(ChaosMode::Disconnect) => {
+                    Some(ChaosMode::Disconnect | ChaosMode::Drop) => {
                         conn_stop.store(true, Ordering::SeqCst);
                         let _ = client_w.shutdown(std::net::Shutdown::Both);
                         s2c_server.shutdown();

@@ -22,7 +22,9 @@
 //!    certificate re-verifies against the requester's instance
 //!    ([`PlanArtifact::verify`]) — then promoted into the in-memory memo.
 //!    Fresh non-degraded solves are certified and written back, so the
-//!    store survives restarts;
+//!    store survives restarts. A plan is certified at most once: the
+//!    [`CertifiedPlan`] lives on its memo entry, and the socket front end
+//!    and the store share it ([`PlanServer::certify`]);
 //! 3. **the ladder** — cache misses run
 //!    [`plan_resilient_ctx`] under the request's remaining budget mapped
 //!    onto `pipeline_budget`, so a tight deadline degrades the solve
@@ -62,7 +64,7 @@ use pathdriver_wash::{
 use pdw_assay::benchmarks::Benchmark;
 use pdw_synth::Synthesis;
 
-use crate::cache::{ContextCheckout, ContextLru, MemoCache, MemoClaim, ServedPlan};
+use crate::cache::{CertifiedPlan, ContextCheckout, ContextLru, MemoCache, MemoClaim, ServedPlan};
 use crate::clock::{Clock, WallClock};
 use crate::store::{FileMemoStore, MemoStore};
 
@@ -231,10 +233,14 @@ pub struct Served {
 /// What a request resolves to once admitted.
 pub type Response = Result<Served, ServeError>;
 
+/// A completion callback registered with [`Ticket::on_complete`].
+type OnComplete = Box<dyn FnOnce(Response) + Send>;
+
 #[derive(Default)]
 struct SlotState {
     response: Option<Response>,
     latency: Option<Duration>,
+    on_complete: Option<OnComplete>,
 }
 
 #[derive(Default)]
@@ -245,11 +251,16 @@ struct Slot {
 
 impl Slot {
     fn complete(&self, response: Response, latency: Duration) {
-        let mut state = self.state.lock().unwrap();
-        state.response = Some(response);
-        state.latency = Some(latency);
-        drop(state);
+        let on_complete = {
+            let mut state = self.state.lock().unwrap();
+            state.response = Some(response.clone());
+            state.latency = Some(latency);
+            state.on_complete.take()
+        };
         self.done.notify_all();
+        if let Some(callback) = on_complete {
+            callback(response);
+        }
     }
 }
 
@@ -273,6 +284,22 @@ impl Ticket {
                 return response.clone();
             }
             state = self.slot.done.wait(state).unwrap();
+        }
+    }
+
+    /// Runs `callback` with the response once it is ready — on the serve
+    /// worker that completes the request, or right here if it already
+    /// completed — instead of parking a thread in [`wait`](Self::wait).
+    /// The callback runs on a worker, so it must not block.
+    pub fn on_complete(self, callback: impl FnOnce(Response) + Send + 'static) {
+        let mut state = self.slot.state.lock().unwrap();
+        match &state.response {
+            Some(response) => {
+                let response = response.clone();
+                drop(state);
+                callback(response);
+            }
+            None => state.on_complete = Some(Box::new(callback)),
         }
     }
 
@@ -382,6 +409,12 @@ pub struct ServeStats {
     pub persist_rejected: u64,
     /// Live entries in the persistent memo store (0 without one).
     pub persist_entries: u64,
+    /// Appends to the persistent memo store that failed; those entries
+    /// serve this process but may not survive a restart.
+    pub persist_write_failures: u64,
+    /// Certified artifacts built ([`PlanServer::certify`]): at most one
+    /// per memo entry, plus one per deadline-degraded plan sent out.
+    pub certifications: u64,
 }
 
 #[derive(Default)]
@@ -398,6 +431,8 @@ struct Counters {
     rejected_deltas: AtomicU64,
     persist_hits: AtomicU64,
     persist_rejected: AtomicU64,
+    persist_write_failures: AtomicU64,
+    certifications: AtomicU64,
 }
 
 struct QueuedRequest {
@@ -601,7 +636,30 @@ impl PlanServer {
             persist_hits: c.persist_hits.load(Ordering::Relaxed),
             persist_rejected: c.persist_rejected.load(Ordering::Relaxed),
             persist_entries: self.inner.store.as_ref().map_or(0, |s| s.len() as u64),
+            persist_write_failures: c.persist_write_failures.load(Ordering::Relaxed),
+            certifications: c.certifications.load(Ordering::Relaxed),
         }
+    }
+
+    /// The memoized plan for `instance_hash` under this server's config,
+    /// if one is ready *and* already certified — a lookup that never
+    /// queues, never waits on a leader, and never certifies, so a caller
+    /// holding only the memo key can serve the cached artifact bytes.
+    /// A hit counts as served and as a memo hit.
+    pub fn certified_hit(&self, instance_hash: u64) -> Option<Arc<ServedPlan>> {
+        let key = memo_key(instance_hash, self.inner.config_fp);
+        let plan = self.inner.memo.peek(key)?;
+        plan.certified()?;
+        let c = &self.inner.counters;
+        c.served.fetch_add(1, Ordering::Relaxed);
+        c.memo_hits.fetch_add(1, Ordering::Relaxed);
+        Some(plan)
+    }
+
+    /// `plan`'s certified artifact for `instance` (the instance it was
+    /// served for), built on first use and shared from then on.
+    pub fn certify<'p>(&self, instance: &Instance, plan: &'p ServedPlan) -> &'p CertifiedPlan {
+        self.inner.certify(instance, plan)
     }
 
     /// The current state of `instance`'s repair session, if one exists:
@@ -760,14 +818,14 @@ impl Inner {
                 let matches = artifact.instance_hash == instance.instance_hash
                     && artifact.config_fingerprint == self.config_fp
                     && artifact
-                        .verify(&instance.bench, &instance.synthesis)
+                        .verify_hashed(instance.instance_hash, &instance.bench, &instance.synthesis)
                         .is_ok();
                 if matches {
                     self.counters.persist_hits.fetch_add(1, Ordering::Relaxed);
-                    let plan = Arc::new(ServedPlan {
-                        result: artifact.result,
-                        rung: artifact.rung,
-                    });
+                    // The stored artifact was just re-verified: it is the
+                    // entry's certified artifact, shared with the store.
+                    let plan = Arc::new(ServedPlan::new(artifact.result.clone(), artifact.rung));
+                    plan.certify_with(|| artifact);
                     // Promote into the in-memory memo: later requests hit
                     // without touching the store again.
                     lead.fulfill(Arc::clone(&plan));
@@ -830,26 +888,20 @@ impl Inner {
                 // part of the memo key and memoizes normally.
                 let degraded = tightened && deadline_marked;
                 let rung = outcome.rung.expect("served implies a rung");
-                // Certify-and-persist mirrors memoization: degraded plans
-                // are served to their requester but never durable.
-                let artifact = match (&self.store, degraded) {
-                    (Some(_), false) => Some(PlanArtifact::certified(
-                        instance.instance_hash,
-                        self.config_fp,
-                        rung,
-                        &instance.bench,
-                        &instance.synthesis,
-                        result.clone(),
-                    )),
-                    _ => None,
-                };
-                let plan = Arc::new(ServedPlan { result, rung });
+                let plan = Arc::new(ServedPlan::new(result, rung));
                 if degraded {
                     lead.abandon();
                 } else {
                     lead.fulfill(Arc::clone(&plan));
-                    if let (Some(store), Some(artifact)) = (&self.store, artifact) {
-                        store.put(key, &artifact);
+                    // Persisting mirrors memoization: degraded plans are
+                    // served to their requester but never durable.
+                    if let Some(store) = &self.store {
+                        let artifact = Arc::clone(self.certify(instance, &plan).artifact());
+                        if store.put(key, artifact).is_err() {
+                            self.counters
+                                .persist_write_failures
+                                .fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 }
                 Ok(Served {
@@ -866,6 +918,20 @@ impl Inner {
                 Err(ServeError::Unservable(rejection_summary(&outcome)))
             }
         }
+    }
+
+    fn certify<'p>(&self, instance: &Instance, plan: &'p ServedPlan) -> &'p CertifiedPlan {
+        plan.certify_with(|| {
+            self.counters.certifications.fetch_add(1, Ordering::Relaxed);
+            Arc::new(PlanArtifact::certified(
+                instance.instance_hash,
+                self.config_fp,
+                plan.rung,
+                &instance.bench,
+                &instance.synthesis,
+                plan.result.clone(),
+            ))
+        })
     }
 
     fn repair(&self, req: &QueuedRequest, instance: &Arc<Instance>, delta: &PlanDelta) -> Response {
@@ -898,10 +964,10 @@ impl Inner {
         let _ = req; // deadlines are only enforced at dequeue for repairs
         match outcome.served {
             Some(result) => Ok(Served {
-                plan: Arc::new(ServedPlan {
+                plan: Arc::new(ServedPlan::new(
                     result,
-                    rung: outcome.rung.expect("served implies a rung"),
-                }),
+                    outcome.rung.expect("served implies a rung"),
+                )),
                 memo_hit: false,
                 repaired: true,
                 degraded: false,

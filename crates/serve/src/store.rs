@@ -13,6 +13,12 @@
 //! them. A stale-version entry is therefore *evicted, never served* — it
 //! cannot even be loaded.
 //!
+//! Appends are checked: [`MemoStore::put`] reports a failed write, the
+//! server counts it (`ServeStats::persist_write_failures`), and a log
+//! whose append failed takes no further appends — records after a torn
+//! one would be dropped by the next open's replay anyway. The entry keeps
+//! serving from memory for the life of the process.
+//!
 //! Trust model: the store holds [`PlanArtifact`]s, not bare plans. The
 //! server re-verifies an artifact's certificate against the requester's
 //! concrete instance before serving it ([`PlanArtifact::verify`]); a
@@ -24,19 +30,31 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use pathdriver_wash::codec::{self, CodecError, FrameType};
 use pathdriver_wash::PlanArtifact;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// One persisted memo entry: the versioned memo key and its artifact.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
 struct MemoRecord {
     key: u64,
     artifact: PlanArtifact,
+}
+
+impl MemoRecord {
+    /// The record's frame, encoded from a borrowed artifact (the same
+    /// bytes as `encode_frame(FrameType::MemoRecord, &MemoRecord { .. })`).
+    fn frame(key: u64, artifact: &PlanArtifact) -> Vec<u8> {
+        let record = Value::Object(vec![
+            ("key".to_string(), key.to_value()),
+            ("artifact".to_string(), artifact.to_value()),
+        ]);
+        codec::encode_frame(FrameType::MemoRecord, &record)
+    }
 }
 
 /// A durable map from memo key to verified [`PlanArtifact`].
@@ -44,13 +62,15 @@ struct MemoRecord {
 /// Implementations must be safe to call from several server workers at
 /// once. `get` returns whatever was last `put` for the key — the *server*
 /// owns certificate re-verification; the store only owns integrity of the
-/// bytes (which the codec frames enforce).
+/// bytes (which the codec frames enforce). Artifacts are shared, not
+/// copied: the server's memo entry and the store hold the same `Arc`.
 pub trait MemoStore: Send + Sync {
     /// The stored artifact for `key`, if any.
-    fn get(&self, key: u64) -> Option<PlanArtifact>;
+    fn get(&self, key: u64) -> Option<Arc<PlanArtifact>>;
 
-    /// Stores (or overwrites) `key`'s artifact.
-    fn put(&self, key: u64, artifact: &PlanArtifact);
+    /// Stores (or overwrites) `key`'s artifact. An error means the entry
+    /// may not survive a restart; `get` still returns it until then.
+    fn put(&self, key: u64, artifact: Arc<PlanArtifact>) -> io::Result<()>;
 
     /// Number of live entries.
     fn len(&self) -> usize;
@@ -65,7 +85,7 @@ pub trait MemoStore: Send + Sync {
 /// implementation, useful for tests and for serving without persistence.
 #[derive(Default)]
 pub struct InMemoryMemoStore {
-    entries: Mutex<HashMap<u64, PlanArtifact>>,
+    entries: Mutex<HashMap<u64, Arc<PlanArtifact>>>,
 }
 
 impl InMemoryMemoStore {
@@ -76,12 +96,13 @@ impl InMemoryMemoStore {
 }
 
 impl MemoStore for InMemoryMemoStore {
-    fn get(&self, key: u64) -> Option<PlanArtifact> {
+    fn get(&self, key: u64) -> Option<Arc<PlanArtifact>> {
         self.entries.lock().unwrap().get(&key).cloned()
     }
 
-    fn put(&self, key: u64, artifact: &PlanArtifact) {
-        self.entries.lock().unwrap().insert(key, artifact.clone());
+    fn put(&self, key: u64, artifact: Arc<PlanArtifact>) -> io::Result<()> {
+        self.entries.lock().unwrap().insert(key, artifact);
+        Ok(())
     }
 
     fn len(&self) -> usize {
@@ -113,8 +134,11 @@ impl StoreLoadReport {
 }
 
 struct FileState {
-    entries: HashMap<u64, PlanArtifact>,
-    writer: BufWriter<File>,
+    entries: HashMap<u64, Arc<PlanArtifact>>,
+    writer: BufWriter<Box<dyn Write + Send>>,
+    /// Set by the first failed append: the log may end in a torn record,
+    /// so later appends would be lost at replay and are refused instead.
+    torn: bool,
 }
 
 /// An append-only, self-compacting file-backed [`MemoStore`] (see the
@@ -174,22 +198,26 @@ impl FileMemoStore {
                 let mut keys: Vec<u64> = entries.keys().copied().collect();
                 keys.sort_unstable();
                 for key in keys {
-                    let record = MemoRecord {
-                        key,
-                        artifact: entries[&key].clone(),
-                    };
-                    let frame = codec::encode_frame(FrameType::MemoRecord, &record);
-                    w.write_all(&frame)?;
+                    w.write_all(&MemoRecord::frame(key, &entries[&key]))?;
                 }
                 w.flush()?;
             }
             std::fs::rename(&tmp, &path)?;
         }
-        let writer = BufWriter::new(OpenOptions::new().create(true).append(true).open(&path)?);
+        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let writer = BufWriter::new(Box::new(file) as Box<dyn Write + Send>);
+        let entries = entries
+            .into_iter()
+            .map(|(key, artifact)| (key, Arc::new(artifact)))
+            .collect();
         Ok((
             FileMemoStore {
                 path,
-                state: Mutex::new(FileState { entries, writer }),
+                state: Mutex::new(FileState {
+                    entries,
+                    writer,
+                    torn: false,
+                }),
             },
             report,
         ))
@@ -202,23 +230,26 @@ impl FileMemoStore {
 }
 
 impl MemoStore for FileMemoStore {
-    fn get(&self, key: u64) -> Option<PlanArtifact> {
+    fn get(&self, key: u64) -> Option<Arc<PlanArtifact>> {
         self.state.lock().unwrap().entries.get(&key).cloned()
     }
 
-    fn put(&self, key: u64, artifact: &PlanArtifact) {
+    fn put(&self, key: u64, artifact: Arc<PlanArtifact>) -> io::Result<()> {
+        let frame = MemoRecord::frame(key, &artifact);
         let mut state = self.state.lock().unwrap();
-        let record = MemoRecord {
-            key,
-            artifact: artifact.clone(),
-        };
-        let frame = codec::encode_frame(FrameType::MemoRecord, &record);
-        // Best-effort durability: an append failure leaves the in-memory
-        // entry serving this process; the next clean open just sees fewer
-        // records.
-        let _ = state.writer.write_all(&frame);
-        let _ = state.writer.flush();
-        state.entries.insert(key, artifact.clone());
+        // The entry serves this process whether or not the append lands.
+        state.entries.insert(key, artifact);
+        if state.torn {
+            return Err(io::Error::other(
+                "memo log is torn by an earlier failed append",
+            ));
+        }
+        let written = state
+            .writer
+            .write_all(&frame)
+            .and_then(|()| state.writer.flush());
+        state.torn = written.is_err();
+        written
     }
 
     fn len(&self) -> usize {
@@ -240,7 +271,7 @@ mod tests {
         p
     }
 
-    fn demo_artifact() -> (PlanArtifact, u64) {
+    fn demo_artifact() -> (Arc<PlanArtifact>, u64) {
         let bench = benchmarks::demo();
         let s = synthesize(&bench).unwrap();
         let config = PdwConfig {
@@ -258,7 +289,7 @@ mod tests {
             &s,
             outcome.served.unwrap(),
         );
-        (artifact, memo_key(ih, fp))
+        (Arc::new(artifact), memo_key(ih, fp))
     }
 
     #[test]
@@ -269,7 +300,7 @@ mod tests {
             let (store, report) = FileMemoStore::open(&path).unwrap();
             assert_eq!(report, StoreLoadReport::default());
             assert!(store.is_empty());
-            store.put(key, &artifact);
+            store.put(key, Arc::clone(&artifact)).unwrap();
             assert_eq!(store.len(), 1);
         }
         let (store, report) = FileMemoStore::open(&path).unwrap();
@@ -290,9 +321,9 @@ mod tests {
         let (artifact, key) = demo_artifact();
         {
             let (store, _) = FileMemoStore::open(&path).unwrap();
-            store.put(key, &artifact);
-            store.put(key, &artifact); // superseded duplicate
-            store.put(key ^ 1, &artifact);
+            store.put(key, Arc::clone(&artifact)).unwrap();
+            store.put(key, Arc::clone(&artifact)).unwrap(); // superseded duplicate
+            store.put(key ^ 1, Arc::clone(&artifact)).unwrap();
         }
         let grown = std::fs::metadata(&path).unwrap().len();
         let (store, report) = FileMemoStore::open(&path).unwrap();
@@ -327,7 +358,7 @@ mod tests {
         let (artifact, key) = demo_artifact();
         {
             let (store, _) = FileMemoStore::open(&path).unwrap();
-            store.put(key, &artifact);
+            store.put(key, Arc::clone(&artifact)).unwrap();
         }
         // Rewrite the lone record as a version-skewed one.
         let bytes = std::fs::read(&path).unwrap();
@@ -349,13 +380,13 @@ mod tests {
         let (artifact, key) = demo_artifact();
         {
             let (store, _) = FileMemoStore::open(&path).unwrap();
-            store.put(key, &artifact);
+            store.put(key, Arc::clone(&artifact)).unwrap();
         }
         let whole = std::fs::metadata(&path).unwrap().len();
         // Append a second record, then tear it mid-frame.
         {
             let (store, _) = FileMemoStore::open(&path).unwrap();
-            store.put(key ^ 1, &artifact);
+            store.put(key ^ 1, Arc::clone(&artifact)).unwrap();
         }
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..whole as usize + 11]).unwrap();
@@ -367,12 +398,47 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A writer whose every write fails, like a full or unplugged disk.
+    struct FailingWriter;
+
+    impl Write for FailingWriter {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::other("disk full"))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::Error::other("disk full"))
+        }
+    }
+
+    #[test]
+    fn failed_appends_are_reported_and_stop_further_appends() {
+        let path = temp_path("failing");
+        let (artifact, key) = demo_artifact();
+        let (store, _) = FileMemoStore::open(&path).unwrap();
+        store.state.lock().unwrap().writer = BufWriter::new(Box::new(FailingWriter));
+        let err = store.put(key, Arc::clone(&artifact)).unwrap_err();
+        assert!(err.to_string().contains("disk full"), "got: {err}");
+        // The entry still serves this process, as the same shared artifact.
+        assert!(Arc::ptr_eq(&store.get(key).unwrap(), &artifact));
+        // A second put is refused without touching the torn log.
+        let err = store.put(key ^ 1, Arc::clone(&artifact)).unwrap_err();
+        assert!(err.to_string().contains("torn"), "got: {err}");
+        assert_eq!(store.len(), 2);
+        drop(store);
+        // Nothing reached the file: a reopen finds an empty, clean log.
+        let (store, report) = FileMemoStore::open(&path).unwrap();
+        assert_eq!(report, StoreLoadReport::default());
+        assert!(store.is_empty());
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn in_memory_store_round_trips() {
         let (artifact, key) = demo_artifact();
         let store = InMemoryMemoStore::new();
         assert!(store.is_empty());
-        store.put(key, &artifact);
+        store.put(key, Arc::clone(&artifact)).unwrap();
         assert_eq!(store.len(), 1);
         assert_eq!(
             store.get(key).unwrap().result.schedule,

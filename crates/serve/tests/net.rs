@@ -1,25 +1,28 @@
 //! Integration tests of the socket transport: TCP and Unix round trips
 //! bit-identical to in-process solves, typed version skew and frame-cap
 //! refusals, deadline expiry in transit, graceful drain under load with
-//! post-drain address reuse, and the chaos-proxy sweep — every fault mode
-//! must end in a typed outcome, never a panic, a hang, or a wrong plan.
+//! post-drain address reuse, the key-first exchange (certify once, spliced
+//! responses, mixed clients, lying keys), and the chaos-proxy sweep —
+//! every fault mode must end in a typed outcome, never a panic, a hang,
+//! or a wrong plan.
 
 use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pathdriver_wash::codec::{encode_frame, FrameType};
-use pathdriver_wash::transport::{hello, recv_response, send_request};
+use pathdriver_wash::codec::{decode_frame, encode_frame, read_frame, write_frame, FrameType};
+use pathdriver_wash::transport::{encode_plan_frame, hello, recv_response, send_request};
 use pathdriver_wash::{
-    plan_resilient, NetAddr, NetListener, NetRequest, NetResponse, TransportError, WireError,
-    SCHEMA_VERSION,
+    config_fingerprint, instance_hash, plan_resilient, NetAddr, NetListener, NetRequest,
+    NetResponse, TransportError, WireError, SCHEMA_VERSION,
 };
 use pdw_assay::benchmarks::{self, Benchmark};
 use pdw_serve::{
-    run_socket_load, ChaosMode, ChaosProxy, ChaosSpec, ClientConfig, ClientError, NetConfig,
-    PlanClient, PlanServer, ServeConfig, SocketJob, SocketServer,
+    run_socket_load, ChaosMode, ChaosProxy, ChaosSpec, ClientConfig, ClientError, Instance,
+    NetConfig, PlanClient, PlanServer, ServeConfig, ServeRequest, SocketJob, SocketServer,
 };
 use pdw_synth::{synthesize, Synthesis};
+use serde::{Serialize, Value};
 
 /// A pool of `n` instances on distinct chips (pristine demo + faulted
 /// variants), as plain pairs for the wire.
@@ -59,11 +62,14 @@ fn tcp_server() -> (Arc<PlanServer>, SocketServer) {
 }
 
 /// A fast-failing client config for fault tests: short timeouts, short
-/// backoff, so a chaos sweep finishes in seconds instead of minutes.
+/// backoff, so a chaos sweep finishes in seconds instead of minutes. The
+/// request timeout still leaves a cold solve of a `wire_pool` instance
+/// (well under a second, even unoptimized) ample room; it bounds how long
+/// a black-holed `Solve` answer stalls the sweep.
 fn fast_client() -> ClientConfig {
     ClientConfig {
         connect_timeout: Duration::from_millis(500),
-        request_timeout: Duration::from_secs(30),
+        request_timeout: Duration::from_secs(5),
         backoff_base: Duration::from_millis(5),
         backoff_max: Duration::from_millis(50),
         ..ClientConfig::default()
@@ -112,6 +118,9 @@ fn tcp_and_unix_roundtrips_are_bit_identical_to_in_process() {
         assert_eq!(plan.stats().solves, 1, "{addr}: one ladder run for both");
         let ns = sock.stats();
         assert_eq!(ns.solves, 2);
+        // The cold solve asked by key, was told to send the instance, and
+        // the second solve hit by key alone.
+        assert_eq!((ns.need_instance, ns.key_hits), (1, 1), "{addr}");
         assert_eq!(ns.handshake_failures, 0);
         sock.drain();
         plan.shutdown();
@@ -212,7 +221,10 @@ fn deadline_smaller_than_transit_expires_typed_without_a_solve() {
 }
 
 /// The chaos sweep: every fault mode against the first proxied connection,
-/// with retries on. Every request must end typed — served (verified,
+/// with retries on, landing on each step of the key-first exchange: the
+/// `HelloAck` (frame 0), the `NeedInstance` answering the first, cold
+/// `SolveKey` (frame 1), and the plan answering the follow-up `Solve`
+/// (frame 2). Every request must end typed — served (verified,
 /// bit-identical) or a typed error — and the server must do exactly one
 /// ladder run per unique instance regardless of retries (retry safety via
 /// the memo key).
@@ -226,9 +238,15 @@ fn chaos_sweep_has_zero_untyped_errors_and_no_duplicate_solves() {
             budget: None,
         })
         .collect();
-    for spec in ChaosSpec::all_modes(1) {
+    let specs = (0..3).flat_map(|frame| {
+        ChaosSpec::all_modes(1)
+            .into_iter()
+            .map(move |spec| ChaosSpec { frame, ..spec })
+    });
+    for spec in specs {
         let (plan, sock) = tcp_server();
-        let mut proxy = ChaosProxy::start(sock.local_addr(), Some(spec));
+        let mut proxy = ChaosProxy::start(sock.local_addr(), vec![spec]);
+        let label = format!("{spec} at frame {}", spec.frame);
         let report = run_socket_load(
             &proxy.local_addr(),
             &pool,
@@ -242,42 +260,45 @@ fn chaos_sweep_has_zero_untyped_errors_and_no_duplicate_solves() {
         assert_eq!(
             report.served + report.transport_errors + report.serve_errors,
             report.requests,
-            "{spec}: some request ended untyped"
+            "{label}: some request ended untyped"
         );
         for line in &report.errors {
             assert!(
                 line.starts_with("transport: ") || line.starts_with("serve: "),
-                "{spec}: untyped error line: {line}"
+                "{label}: untyped error line: {line}"
             );
         }
         // With retries on, a single faulted connection never costs a plan.
         assert_eq!(
             report.served, report.requests,
-            "{spec}: retries absorb the fault; errors: {:?}",
+            "{label}: retries absorb the fault; errors: {:?}",
             report.errors
         );
         if !matches!(spec.mode, ChaosMode::Delay(_)) {
             assert!(
                 report.retries >= 1,
-                "{spec}: the faulted connection forced a retry"
+                "{label}: the faulted connection forced a retry"
             );
         }
         // Retry safety: solves == unique memo keys, retries included.
         assert_eq!(
             plan.stats().solves,
             pool.len() as u64,
-            "{spec}: duplicate ladder runs under retry"
+            "{label}: duplicate ladder runs under retry"
         );
-        assert!(proxy.accepted() >= 1, "{spec}: traffic went via the proxy");
+        assert!(proxy.accepted() >= 1, "{label}: traffic went via the proxy");
         proxy.stop();
         sock.shutdown();
         plan.shutdown();
     }
 }
 
-/// The 1k-request open-loop soak through a chaos proxy (first connection
-/// torn mid-handshake) at client counts {1, 8}: all served, all verified,
-/// solve count still equals the unique-instance count.
+/// The 1k-request open-loop soak through a chaos proxy at client counts
+/// {1, 8}: the first connection is torn at the handshake, the second at
+/// the answer to its first `SolveKey` (with one client, the cold key's
+/// `NeedInstance`), the third at its frame 2 (with one client, the plan
+/// answering the follow-up `Solve`). All served, all verified, solve
+/// count still equals the unique-instance count.
 #[test]
 fn socket_soak_1k_requests_through_the_chaos_proxy() {
     let pool = wire_pool(4);
@@ -290,13 +311,14 @@ fn socket_soak_1k_requests_through_the_chaos_proxy() {
         .collect();
     for clients in [1usize, 8] {
         let (plan, sock) = tcp_server();
-        let mut proxy = ChaosProxy::start(
-            sock.local_addr(),
-            Some(ChaosSpec {
+        let specs = (0..3)
+            .map(|frame| ChaosSpec {
                 mode: ChaosMode::Disconnect,
-                nth: 1,
-            }),
-        );
+                nth: frame + 1,
+                frame,
+            })
+            .collect();
+        let mut proxy = ChaosProxy::start(sock.local_addr(), specs);
         let report = run_socket_load(
             &proxy.local_addr(),
             &pool,
@@ -317,8 +339,8 @@ fn socket_soak_1k_requests_through_the_chaos_proxy() {
             "clients={clients}: everything after the cold solves hits the memo"
         );
         assert!(
-            report.retries >= 1,
-            "clients={clients}: the torn first connection was retried"
+            report.retries >= 3,
+            "clients={clients}: each torn connection was retried"
         );
         assert_eq!(
             plan.stats().solves,
@@ -593,6 +615,346 @@ fn finished_connection_threads_are_reaped() {
         0,
         "finished handles reaped before shutdown"
     );
+    sock.drain();
+    plan.shutdown();
+}
+
+/// The nine bundled instances (Table II plus the demo), solved through an
+/// in-process server.
+fn bundled_served(plan: &PlanServer) -> Vec<(Arc<Instance>, Arc<pdw_serve::ServedPlan>)> {
+    benchmarks::suite()
+        .into_iter()
+        .chain([benchmarks::demo()])
+        .map(|bench| {
+            let synthesis = synthesize(&bench).expect("bundled benchmark synthesizes");
+            let instance = Arc::new(Instance::new(bench, synthesis));
+            let served = plan
+                .submit(ServeRequest::Solve {
+                    instance: Arc::clone(&instance),
+                })
+                .expect("admitted")
+                .wait()
+                .expect("bundled benchmark serves");
+            (instance, served.plan)
+        })
+        .collect()
+}
+
+/// A `Plan` response spliced from an entry's cached artifact bytes is the
+/// exact frame the codec produces for the same response, for every
+/// bundled instance and every `memo_hit`/`degraded` combination.
+#[test]
+fn spliced_plan_frames_are_byte_identical_to_encoded_responses() {
+    let plan = PlanServer::start(ServeConfig::default());
+    let served = bundled_served(&plan);
+    assert_eq!(served.len(), 9);
+    for (i, (instance, entry)) in served.iter().enumerate() {
+        let cert = plan.certify(instance, entry);
+        for (memo_hit, degraded) in [(false, false), (false, true), (true, false), (true, true)] {
+            let id = 0x0123_4567_89ab_cdef ^ i as u64;
+            let response = NetResponse::Plan {
+                id,
+                memo_hit,
+                degraded,
+                artifact: Box::new((**cert.artifact()).clone()),
+            };
+            assert!(
+                encode_plan_frame(id, memo_hit, degraded, cert.bytes())
+                    == encode_frame(FrameType::NetResponse, &response),
+                "{}: spliced frame differs (memo_hit {memo_hit}, degraded {degraded})",
+                instance.bench().name
+            );
+        }
+    }
+    assert_eq!(plan.stats().certifications, 9, "one certification each");
+    plan.shutdown();
+}
+
+/// 100 socket solves of one instance certify its memo entry once: the
+/// first (cold) solve certifies, the 99 key-path hits splice the cached
+/// bytes — and every one of them is still verified by the client.
+#[test]
+fn a_memo_entry_is_certified_once_across_100_hits() {
+    let (plan, sock) = tcp_server();
+    let (bench, synthesis) = wire_pool(1).swap_remove(0);
+    let mut client = PlanClient::new(sock.local_addr(), ClientConfig::default());
+    let first = client
+        .solve(&bench, &synthesis, &wire_config(), None)
+        .expect("cold solve");
+    for _ in 1..100 {
+        let hit = client
+            .solve(&bench, &synthesis, &wire_config(), None)
+            .expect("hit");
+        assert!(hit.memo_hit);
+        assert_eq!(hit.artifact.result.schedule, first.artifact.result.schedule);
+        assert_eq!(hit.artifact.certificate, first.artifact.certificate);
+    }
+    let stats = plan.stats();
+    assert_eq!(stats.certifications, 1, "certified at most once");
+    assert_eq!(stats.solves, 1);
+    assert_eq!(stats.served, 100);
+    assert_eq!(stats.memo_hits, 99);
+    let ns = sock.stats();
+    assert_eq!((ns.need_instance, ns.key_hits, ns.solves), (1, 99, 100));
+    sock.drain();
+    plan.shutdown();
+}
+
+/// A full `Solve` sent the way builds without the key-first exchange
+/// send it, on a raw connection; returns the served plan, verified.
+fn full_solve(
+    raw: &mut pathdriver_wash::NetStream,
+    id: u64,
+    bench: &Benchmark,
+    synthesis: &Synthesis,
+) -> (bool, pathdriver_wash::PlanArtifact) {
+    let solve = NetRequest::Solve {
+        id,
+        budget_us: None,
+        solve: Box::new(pathdriver_wash::SolveRequest {
+            bench: bench.clone(),
+            synthesis: synthesis.clone(),
+            config: wire_config(),
+        }),
+    };
+    send_request(raw, &solve, Duration::from_secs(2)).unwrap();
+    match recv_response(raw, 1 << 26, Duration::from_secs(30)) {
+        Ok(Some(NetResponse::Plan {
+            id: rid,
+            memo_hit,
+            artifact,
+            ..
+        })) if rid == id => {
+            artifact
+                .verify(bench, synthesis)
+                .expect("served plan verifies");
+            (memo_hit, *artifact)
+        }
+        other => panic!("expected a plan, got {other:?}"),
+    }
+}
+
+/// A client sending full `Solve`s and a key-first client share one
+/// server: both get verified, bit-identical plans, the memo is shared, and
+/// each unique instance costs one ladder run and one certification.
+#[test]
+fn full_solve_and_key_first_clients_share_one_server() {
+    let (plan, sock) = tcp_server();
+    let pool = wire_pool(3);
+    let mut full = sock.local_addr().connect(Duration::from_secs(2)).unwrap();
+    send_request(&mut full, &hello(), Duration::from_secs(2)).unwrap();
+    assert!(matches!(
+        recv_response(&mut full, 1 << 20, Duration::from_secs(2)),
+        Ok(Some(NetResponse::HelloAck { .. }))
+    ));
+    let mut keyed = PlanClient::new(sock.local_addr(), ClientConfig::default());
+    let mut id = 0;
+    for round in 0..3 {
+        for (i, (bench, synthesis)) in pool.iter().enumerate() {
+            id += 1;
+            // Alternate which client meets each instance first.
+            let full_first = (round + i) % 2 == 0;
+            let mut keyed_solve = || {
+                keyed
+                    .solve(bench, synthesis, &wire_config(), None)
+                    .expect("key-first solve")
+            };
+            let (by_full, by_key) = if full_first {
+                let (_, artifact) = full_solve(&mut full, id, bench, synthesis);
+                let keyed = keyed_solve();
+                assert!(keyed.memo_hit, "the second asker hits the shared memo");
+                (artifact, keyed.artifact)
+            } else {
+                let keyed = keyed_solve();
+                let (memo_hit, artifact) = full_solve(&mut full, id, bench, synthesis);
+                assert!(memo_hit, "the second asker hits the shared memo");
+                (artifact, keyed.artifact)
+            };
+            assert_eq!(by_full.result.schedule, by_key.result.schedule);
+            assert_eq!(by_full.certificate, by_key.certificate);
+        }
+    }
+    let stats = plan.stats();
+    assert_eq!(
+        stats.solves,
+        pool.len() as u64,
+        "one ladder run per instance"
+    );
+    assert_eq!(stats.certifications, pool.len() as u64);
+    let ns = sock.stats();
+    assert_eq!(ns.solves, 2 * 3 * pool.len() as u64);
+    // The key-first client asked 9 times; it only had to send the
+    // instance when it met an instance before anyone had solved it.
+    assert_eq!(ns.key_hits + ns.need_instance, 3 * pool.len() as u64);
+    assert!(ns.key_hits >= 2 * pool.len() as u64);
+    sock.drain();
+    plan.shutdown();
+}
+
+/// A client that claims instance A's key while holding instance B is
+/// served A's plan, and that plan fails verification against B: a lying
+/// key can never yield an accepted plan for B. The server, which never
+/// memoizes under a claimed key, is left unchanged: an honest client
+/// holding B is told to send it and gets B's own plan.
+#[test]
+fn a_lying_key_is_served_a_plan_that_fails_verification() {
+    let (plan, sock) = tcp_server();
+    let (bench_a, synth_a) = wire_pool(1).swap_remove(0);
+    let bench_b = benchmarks::suite().swap_remove(0);
+    let synth_b = synthesize(&bench_b).unwrap();
+    let mut client = PlanClient::new(sock.local_addr(), ClientConfig::default());
+    client
+        .solve(&bench_a, &synth_a, &wire_config(), None)
+        .expect("A solves honestly");
+    let mut raw = sock.local_addr().connect(Duration::from_secs(2)).unwrap();
+    send_request(&mut raw, &hello(), Duration::from_secs(2)).unwrap();
+    match recv_response(&mut raw, 1 << 20, Duration::from_secs(2)) {
+        Ok(Some(NetResponse::HelloAck { key_first, .. })) => assert_eq!(key_first, Some(true)),
+        other => panic!("expected HelloAck, got {other:?}"),
+    }
+    let lie = NetRequest::SolveKey {
+        id: 3,
+        budget_us: None,
+        instance_hash: instance_hash(&bench_a, &synth_a),
+        config_fp: config_fingerprint(&wire_config()),
+    };
+    send_request(&mut raw, &lie, Duration::from_secs(2)).unwrap();
+    match recv_response(&mut raw, 1 << 26, Duration::from_secs(2)) {
+        Ok(Some(NetResponse::Plan {
+            id: 3, artifact, ..
+        })) => {
+            let err = artifact
+                .verify(&bench_b, &synth_b)
+                .expect_err("A's plan must not verify as B's");
+            assert!(err.contains("instance hash"), "got: {err}");
+            artifact
+                .verify(&bench_a, &synth_a)
+                .expect("the served plan is A's");
+        }
+        other => panic!("expected A's plan, got {other:?}"),
+    }
+    assert_eq!(sock.stats().key_hits, 1);
+    assert_eq!(plan.stats().solves, 1, "B was never solved under A's key");
+    let served = client
+        .solve(&bench_b, &synth_b, &wire_config(), None)
+        .expect("B solves honestly");
+    assert!(
+        !served.memo_hit,
+        "nothing was memoized under the claimed key"
+    );
+    assert_eq!(sock.stats().need_instance, 2, "A's and B's cold keys");
+    sock.drain();
+    plan.shutdown();
+}
+
+/// Against a server that predates the key-first exchange (its `HelloAck`
+/// has no `key_first` field), the client never sends a `SolveKey`: its
+/// requests are full `Solve`s, which such a server can decode.
+#[test]
+fn a_server_without_key_first_gets_full_solves() {
+    let (bench, synthesis) = wire_pool(1).swap_remove(0);
+    let plan = PlanServer::start(ServeConfig::default());
+    let instance = Arc::new(Instance::new(bench.clone(), synthesis.clone()));
+    let served = plan
+        .submit(ServeRequest::Solve {
+            instance: Arc::clone(&instance),
+        })
+        .expect("admitted")
+        .wait()
+        .expect("serves");
+    let artifact = (**plan.certify(&instance, &served.plan).artifact()).clone();
+    plan.shutdown();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = NetAddr::Tcp(listener.local_addr().unwrap().to_string());
+    let (seen_tx, seen) = std::sync::mpsc::channel();
+    let certificate = artifact.certificate;
+    let stub = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let hello = read_frame(&mut conn).unwrap().unwrap();
+        let _: NetRequest = decode_frame(FrameType::NetRequest, &hello).unwrap();
+        // A `HelloAck` as builds before the key-first exchange encode it.
+        let old_ack = Value::Object(vec![(
+            "HelloAck".to_string(),
+            Value::Object(vec![
+                ("codec_version".to_string(), SCHEMA_VERSION.to_value()),
+                ("max_frame_len".to_string(), (1u64 << 26).to_value()),
+                ("heartbeat_ms".to_string(), 1000u64.to_value()),
+            ]),
+        )]);
+        write_frame(&mut conn, &encode_frame(FrameType::NetResponse, &old_ack)).unwrap();
+        for _ in 0..2 {
+            let frame = read_frame(&mut conn).unwrap().unwrap();
+            let req: NetRequest = decode_frame(FrameType::NetRequest, &frame).unwrap();
+            let NetRequest::Solve { id, .. } = req else {
+                seen_tx.send(req).unwrap();
+                return;
+            };
+            seen_tx.send(req).unwrap();
+            let answer = NetResponse::Plan {
+                id,
+                memo_hit: false,
+                degraded: false,
+                artifact: Box::new(artifact.clone()),
+            };
+            write_frame(&mut conn, &encode_frame(FrameType::NetResponse, &answer)).unwrap();
+        }
+    });
+    let mut client = PlanClient::new(addr, ClientConfig::default());
+    for _ in 0..2 {
+        let remote = client
+            .solve(&bench, &synthesis, &wire_config(), None)
+            .expect("the old server serves");
+        assert_eq!(remote.artifact.certificate, certificate);
+    }
+    for _ in 0..2 {
+        match seen.recv().unwrap() {
+            NetRequest::Solve { solve, .. } => {
+                let sent = instance_hash(&solve.bench, &solve.synthesis);
+                assert_eq!(sent, instance_hash(&bench, &synthesis));
+            }
+            other => panic!("expected a full Solve, got {other:?}"),
+        }
+    }
+    stub.join().unwrap();
+}
+
+/// A `SolveKey` whose budget expired in transit (`budget_us = 0`) comes
+/// back as a typed `DeadlineExpired` without touching the memo, even when
+/// the memo holds a certified plan for the key.
+#[test]
+fn an_expired_solve_key_is_refused_before_the_lookup() {
+    let (plan, sock) = tcp_server();
+    let (bench, synthesis) = wire_pool(1).swap_remove(0);
+    let mut client = PlanClient::new(sock.local_addr(), ClientConfig::default());
+    client
+        .solve(&bench, &synthesis, &wire_config(), None)
+        .expect("warm the memo");
+    let before = (plan.stats(), sock.stats());
+    let mut raw = sock.local_addr().connect(Duration::from_secs(2)).unwrap();
+    send_request(&mut raw, &hello(), Duration::from_secs(2)).unwrap();
+    match recv_response(&mut raw, 1 << 20, Duration::from_secs(2)) {
+        Ok(Some(NetResponse::HelloAck { key_first, .. })) => assert_eq!(key_first, Some(true)),
+        other => panic!("expected HelloAck, got {other:?}"),
+    }
+    let expired = NetRequest::SolveKey {
+        id: 7,
+        budget_us: Some(0),
+        instance_hash: instance_hash(&bench, &synthesis),
+        config_fp: config_fingerprint(&wire_config()),
+    };
+    send_request(&mut raw, &expired, Duration::from_secs(2)).unwrap();
+    match recv_response(&mut raw, 1 << 20, Duration::from_secs(2)) {
+        Ok(Some(NetResponse::Error {
+            id: 7,
+            error: WireError::DeadlineExpired { .. },
+        })) => {}
+        other => panic!("expected a typed in-transit expiry, got {other:?}"),
+    }
+    let after = (plan.stats(), sock.stats());
+    assert_eq!(after.0.memo_hits, before.0.memo_hits, "no lookup");
+    assert_eq!(after.0.served, before.0.served);
+    assert_eq!(after.1.key_hits, before.1.key_hits);
+    assert_eq!(after.1.need_instance, before.1.need_instance);
     sock.drain();
     plan.shutdown();
 }

@@ -9,12 +9,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use pathdriver_wash::{plan_resilient, PlanDelta, RepairSession};
+use pathdriver_wash::{memo_key, plan_resilient, PlanArtifact, PlanDelta, RepairSession};
 use pdw_assay::benchmarks;
 use pdw_gen::{request_stream, StreamOptions};
 use pdw_serve::{
-    materialize, run_open_loop, HookPoint, Instance, ManualClock, PlanServer, Rejected,
-    ServeConfig, ServeError, ServeRequest, Submission,
+    materialize, run_open_loop, HookPoint, InMemoryMemoStore, Instance, ManualClock, MemoStore,
+    PlanServer, Rejected, ServeConfig, ServeError, ServeRequest, Submission, WallClock,
 };
 use pdw_synth::synthesize;
 
@@ -445,4 +445,54 @@ fn warm_restart_serves_persisted_artifacts() {
     assert_eq!(stats.persist_entries, 1);
     server.shutdown();
     let _ = std::fs::remove_file(&path);
+}
+
+/// A store whose appends all fail after keeping the entry in memory, like
+/// a log on a full disk.
+struct FullDiskStore(InMemoryMemoStore);
+
+impl MemoStore for FullDiskStore {
+    fn get(&self, key: u64) -> Option<Arc<PlanArtifact>> {
+        self.0.get(key)
+    }
+
+    fn put(&self, key: u64, artifact: Arc<PlanArtifact>) -> std::io::Result<()> {
+        self.0.put(key, artifact)?;
+        Err(std::io::Error::other("disk full"))
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// Persisting a fresh solve shares the memo entry's certified artifact
+/// with the store (one certification, one `Arc`), and a failed append is
+/// counted, not swallowed — the plan still serves.
+#[test]
+fn persisting_shares_the_certified_artifact_and_counts_failed_writes() {
+    let store = Arc::new(FullDiskStore(InMemoryMemoStore::new()));
+    let server = PlanServer::start_with_store(
+        ServeConfig::default(),
+        Arc::new(WallClock::new()),
+        None,
+        Some(Arc::clone(&store) as Arc<dyn MemoStore>),
+    );
+    let instance = demo_instance();
+    let served = server
+        .submit(solve(&instance))
+        .expect("admitted")
+        .wait()
+        .expect("served despite the failed append");
+    let stats = server.stats();
+    assert_eq!(stats.persist_write_failures, 1);
+    assert_eq!(stats.certifications, 1);
+    let key = memo_key(instance.instance_hash(), server.config_fingerprint());
+    let stored = store.get(key).expect("the store kept the entry");
+    let cert = served.plan.certified().expect("persisting certified it");
+    assert!(Arc::ptr_eq(&stored, cert.artifact()), "one shared artifact");
+    // Certifying again (as a socket response would) reuses it.
+    assert!(std::ptr::eq(server.certify(&instance, &served.plan), cert));
+    assert_eq!(server.stats().certifications, 1);
+    server.shutdown();
 }
