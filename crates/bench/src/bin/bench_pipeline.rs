@@ -26,9 +26,8 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use pathdriver_wash::{
-    build_groups, dawo, insert_washes_protected, merge_groups, pdw, plan_batch,
-    split_into_spot_clusters, CandidatePolicy, DawoPlanner, GreedyPlanner, PdwConfig, Planner,
-    WashResult,
+    dawo, insert_washes_protected, merge_groups, pdw, plan_batch, spot_cluster_groups,
+    CandidatePolicy, DawoPlanner, GreedyPlanner, PdwConfig, Planner, WashResult,
 };
 use pdw_assay::benchmarks::{self, Benchmark};
 use pdw_biochip::routing_counters;
@@ -80,19 +79,10 @@ fn measure(bench: &Benchmark, s: &Synthesis, threads: usize, repeats: usize) -> 
         let necessity_s = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
-        let groups = build_groups(
+        let groups = spot_cluster_groups(
             &s.chip,
             &s.schedule,
             &a.requirements,
-            CandidatePolicy::Shortest,
-            3,
-            threads,
-        );
-        let groups = split_into_spot_clusters(
-            &s.chip,
-            &s.schedule,
-            groups,
-            4,
             CandidatePolicy::Shortest,
             3,
             threads,

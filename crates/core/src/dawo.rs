@@ -20,7 +20,7 @@ use pdw_synth::Synthesis;
 use crate::config::CandidatePolicy;
 use crate::context::{FrontEndKey, PlanContext};
 use crate::greedy::insert_washes;
-use crate::groups::{build_groups_pooled, split_into_spot_clusters_pooled};
+use crate::groups::spot_cluster_groups_pooled;
 use crate::pdw::{PdwError, SolverReport, WashResult};
 use crate::stats::StageTimer;
 
@@ -70,23 +70,13 @@ pub(crate) fn run_dawo(ctx: &mut PlanContext<'_>) -> Result<WashResult, PdwError
             let groups = timer.stage(
                 |s| &mut s.grouping_s,
                 || {
-                    let groups = build_groups_pooled(
-                        &synthesis.chip,
-                        &synthesis.schedule,
-                        &analysis.requirements,
-                        CandidatePolicy::Nearest,
-                        1,
-                        0,
-                        pool,
-                    );
                     // DAWO introduces washes per contaminated spot cluster
                     // and constructs each path independently — no resource
                     // sharing across clusters.
-                    split_into_spot_clusters_pooled(
+                    spot_cluster_groups_pooled(
                         &synthesis.chip,
                         &synthesis.schedule,
-                        groups,
-                        4,
+                        &analysis.requirements,
                         CandidatePolicy::Nearest,
                         1,
                         0,

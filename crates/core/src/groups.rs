@@ -141,14 +141,15 @@ pub(crate) fn use_start(schedule: &Schedule, s: Source) -> Time {
 /// Current `[ready, deadline]` window of a group.
 pub(crate) fn window(schedule: &Schedule, g: &WashGroup) -> (Time, Time) {
     let ready = g
-        .ready_refs()
+        .parts
         .iter()
-        .map(|&s| source_end(schedule, s))
+        .map(|p| source_end(schedule, p.ready))
         .max()
         .unwrap_or(0);
     let deadline = g
-        .deadline_refs()
+        .parts
         .iter()
+        .flat_map(|p| p.cell_deadlines.iter().flatten())
         .map(|&s| use_start(schedule, s))
         .min()
         .unwrap_or(Time::MAX);
@@ -185,6 +186,51 @@ fn enumerate_with(
     target_seqs: &[Vec<Coord>],
     k: usize,
 ) -> Vec<Candidate> {
+    let mut found: Vec<FlowPath> = Vec::new();
+    route_washes(
+        chip,
+        scratch,
+        target_seqs,
+        |_, _| false,
+        |path| {
+            if !found.contains(&path) {
+                found.push(path);
+            }
+            false
+        },
+    );
+    found.sort_by_key(|p| p.len());
+    found.truncate(k.max(1));
+    found.into_iter().map(Candidate::from_path).collect()
+}
+
+/// Whether any wash path covers `seq` — [`enumerate_with`] is nonempty —
+/// stopping at the first path found.
+fn coverable(chip: &Chip, scratch: &mut RouteScratch, seq: &[Coord]) -> bool {
+    let mut any = false;
+    route_washes(
+        chip,
+        scratch,
+        &[seq.to_vec()],
+        |_, _| false,
+        |_| {
+            any = true;
+            true
+        },
+    );
+    any
+}
+
+/// Routes a wash through the target sequences for every flow/waste port
+/// pair in turn but those `skip` names, handing each path found to `stop`
+/// until it returns `true`.
+fn route_washes(
+    chip: &Chip,
+    scratch: &mut RouteScratch,
+    target_seqs: &[Vec<Coord>],
+    skip: impl Fn(Coord, Coord) -> bool,
+    mut stop: impl FnMut(FlowPath) -> bool,
+) {
     let targets: CellSet = target_seqs.iter().flatten().copied().collect();
     // Hopeless-query pruning: `route_via` greedily routes port-free legs, so
     // a target cell unreachable from a port with *no* blocking can never lie
@@ -193,12 +239,11 @@ fn enumerate_with(
     // any one (the via legs chain them into one port-free component).
     let reach = chip.port_reach();
     if targets.iter().any(|c| !reach.washable(c)) {
-        return Vec::new();
+        return;
     }
     let blocked = wash_blocked(chip, &targets);
     scratch.load_blocked(blocked);
 
-    let mut found: Vec<FlowPath> = Vec::new();
     for (pi, fp) in chip.flow_ports().enumerate() {
         if targets.iter().any(|c| !reach.flow_reaches(pi, c)) {
             continue;
@@ -219,20 +264,17 @@ fn enumerate_with(
             via.extend(seq);
         }
         for (wi, wp) in chip.waste_ports().enumerate() {
-            if targets.iter().any(|c| !reach.waste_reaches(wi, c)) {
+            if skip(fp, wp) || targets.iter().any(|c| !reach.waste_reaches(wi, c)) {
                 continue;
             }
             if let Some(cells) = chip.route_via_with(scratch, fp, &via, wp) {
                 let path = FlowPath::new(cells).expect("route_via returns a simple path");
-                if !found.contains(&path) {
-                    found.push(path);
+                if stop(path) {
+                    return;
                 }
             }
         }
     }
-    found.sort_by_key(|p| p.len());
-    found.truncate(k.max(1));
-    found.into_iter().map(Candidate::from_path).collect()
 }
 
 /// Builds the initial wash groups from the requirements: one group per
@@ -253,13 +295,70 @@ pub fn build_groups(
     threads: usize,
 ) -> Vec<WashGroup> {
     let pool = ScratchPool::new();
-    build_groups_pooled(chip, schedule, requirements, policy, k, threads, &pool)
+    let parts = source_parts(schedule, requirements);
+    let nested = par_map_ctx(
+        &parts,
+        threads,
+        || pool.checkout(chip),
+        |scratch, _, part| {
+            let scratch: &mut RouteScratch = scratch;
+            let k = build_k(policy, k);
+            let cands = enumerate_with(chip, scratch, std::slice::from_ref(&part.seq), k);
+            let pieces = if cands.is_empty() {
+                uncoverable_pieces(chip, scratch, schedule, part, k)
+            } else {
+                vec![(part.clone(), cands)]
+            };
+            pieces
+                .into_iter()
+                .map(|(piece, cands)| piece_group(chip, scratch, piece, cands, policy))
+                .collect::<Vec<_>>()
+        },
+    );
+    nested.into_iter().flatten().collect()
 }
 
-/// [`build_groups`] drawing worker scratches from a caller-held pool, so a
-/// context-carrying caller reuses warm buffers across calls (and across
-/// instances). Output is identical to [`build_groups`].
-pub(crate) fn build_groups_pooled(
+/// Candidates the build stage keeps per piece: `k`, or one for
+/// [`CandidatePolicy::Nearest`], which replaces them with its own path.
+fn build_k(policy: CandidatePolicy, k: usize) -> usize {
+    match policy {
+        CandidatePolicy::Shortest => k,
+        CandidatePolicy::Nearest => 1,
+    }
+}
+
+/// Gap, in source-path steps, below which dirty cells share a spot cluster.
+const SPOT_CLUSTER_GAP: usize = 4;
+
+/// The planners' grouping stage: [`build_groups`], then one group per
+/// contaminated *spot cluster* of every piece (the DAWO baseline's
+/// behaviour: wash operations are introduced per contaminated spot region
+/// and their paths constructed independently — no resource sharing). Dirty
+/// cells closer than four steps along the source path fall into the same
+/// cluster; the clean cells bridging them are flushed along (wastefully,
+/// but that is the baseline). PDW then lets merging coarsen the clusters
+/// only where it pays off.
+///
+/// Both steps run under one policy and one `k`, so a piece the cluster
+/// split returns unchanged keeps the candidates the build step routed for
+/// it instead of routing the same sequence again. Fan-out and output order
+/// are as in [`build_groups`].
+pub fn spot_cluster_groups(
+    chip: &Chip,
+    schedule: &Schedule,
+    requirements: &[WashRequirement],
+    policy: CandidatePolicy,
+    k: usize,
+    threads: usize,
+) -> Vec<WashGroup> {
+    let pool = ScratchPool::new();
+    spot_cluster_groups_pooled(chip, schedule, requirements, policy, k, threads, &pool)
+}
+
+/// [`spot_cluster_groups`] drawing worker scratches from a caller-held pool,
+/// so a context-carrying caller reuses warm buffers across calls (and
+/// across instances). Output is identical to [`spot_cluster_groups`].
+pub(crate) fn spot_cluster_groups_pooled(
     chip: &Chip,
     schedule: &Schedule,
     requirements: &[WashRequirement],
@@ -268,7 +367,48 @@ pub(crate) fn build_groups_pooled(
     threads: usize,
     pool: &ScratchPool,
 ) -> Vec<WashGroup> {
-    // One part per source.
+    let parts = source_parts(schedule, requirements);
+    let nested = par_map_ctx(
+        &parts,
+        threads,
+        || pool.checkout(chip),
+        |scratch, _, part| {
+            let scratch: &mut RouteScratch = scratch;
+            let mut out: Vec<WashGroup> = Vec::new();
+            let clusters = split_runs_gapped(schedule, part, SPOT_CLUSTER_GAP);
+            if clusters.len() == 1 && clusters[0] == *part {
+                // One cluster: the build step's candidates are its own.
+                let seq = std::slice::from_ref(&part.seq);
+                let cands = enumerate_with(chip, scratch, seq, build_k(policy, k));
+                if !cands.is_empty() {
+                    return vec![piece_group(chip, scratch, part.clone(), cands, policy)];
+                }
+            } else if coverable(chip, scratch, &part.seq) {
+                // The whole part is the one piece, and its clusters are
+                // known already: only its coverage needs routing.
+                spot_cluster_runs(chip, scratch, clusters, policy, k, &mut out);
+                return out;
+            }
+            // No single path covers the part: split it as `build_groups`
+            // does, then cluster each piece, reusing what the split routed.
+            let pieces = uncoverable_pieces(chip, scratch, schedule, part, build_k(policy, k));
+            for (piece, cands) in pieces {
+                let runs = split_runs_gapped(schedule, &piece, SPOT_CLUSTER_GAP);
+                if runs.len() == 1 && runs[0] == piece {
+                    out.push(piece_group(chip, scratch, piece, cands, policy));
+                } else {
+                    spot_cluster_runs(chip, scratch, runs, policy, k, &mut out);
+                }
+            }
+            out
+        },
+    );
+    nested.into_iter().flatten().collect()
+}
+
+/// One part per contaminating source, each part's cells ordered along its
+/// source path.
+fn source_parts(schedule: &Schedule, requirements: &[WashRequirement]) -> Vec<WashPart> {
     let mut parts: Vec<WashPart> = Vec::new();
     for r in requirements {
         if let Some(p) = parts.iter_mut().find(|p| p.ready == r.source) {
@@ -303,63 +443,52 @@ pub(crate) fn build_groups_pooled(
         p.seq = order.iter().map(|&i| p.seq[i]).collect();
         p.cell_deadlines = order.iter().map(|&i| p.cell_deadlines[i].clone()).collect();
     }
-
-    let k_eff = match policy {
-        CandidatePolicy::Shortest => k,
-        CandidatePolicy::Nearest => 1,
-    };
-    let nested = par_map_ctx(
-        &parts,
-        threads,
-        || pool.checkout(chip),
-        |scratch, _, part| {
-            let scratch: &mut RouteScratch = scratch;
-            let mut out: Vec<WashGroup> = Vec::new();
-            for piece in coverable_pieces(chip, scratch, schedule, part.clone(), k_eff) {
-                let mut g = WashGroup {
-                    candidates: enumerate_with(
-                        chip,
-                        scratch,
-                        std::slice::from_ref(&piece.seq),
-                        k_eff,
-                    ),
-                    parts: vec![piece],
-                };
-                assert!(
-                    !g.candidates.is_empty(),
-                    "no wash path reaches {:?}; chip layout is broken",
-                    g.targets()
-                );
-                if policy == CandidatePolicy::Nearest {
-                    nearest_candidate(chip, scratch, &mut g);
-                }
-                out.push(g);
-            }
-            out
-        },
-    );
-    nested.into_iter().flatten().collect()
+    parts
 }
 
-/// Splits a part into pieces that a single device-avoiding path can cover:
-/// the whole part if possible, else maximal source-path runs, else cells.
-fn coverable_pieces(
+/// The group for one piece, from the candidates routed for it.
+fn piece_group(
+    chip: &Chip,
+    scratch: &mut RouteScratch,
+    piece: WashPart,
+    candidates: Vec<Candidate>,
+    policy: CandidatePolicy,
+) -> WashGroup {
+    assert!(
+        !candidates.is_empty(),
+        "no wash path reaches {:?}; chip layout is broken",
+        piece.seq
+    );
+    let mut g = WashGroup {
+        parts: vec![piece],
+        candidates,
+    };
+    if policy == CandidatePolicy::Nearest {
+        nearest_candidate(chip, scratch, &mut g);
+    }
+    g
+}
+
+/// Splits a part no single device-avoiding path covers into pieces that one
+/// path can cover: its maximal source-path runs, else their cells. Each
+/// piece comes with its enumerated candidates.
+fn uncoverable_pieces(
     chip: &Chip,
     scratch: &mut RouteScratch,
     schedule: &Schedule,
-    part: WashPart,
+    part: &WashPart,
     k: usize,
-) -> Vec<WashPart> {
-    if !enumerate_with(chip, scratch, std::slice::from_ref(&part.seq), k).is_empty() {
-        return vec![part];
-    }
-    let runs = split_runs(schedule, &part);
+) -> Vec<(WashPart, Vec<Candidate>)> {
     let mut out = Vec::new();
-    for run in runs {
-        if enumerate_with(chip, scratch, std::slice::from_ref(&run.seq), k).is_empty() {
-            out.extend(run.split_cells());
+    for run in split_runs(schedule, part) {
+        let cands = enumerate_with(chip, scratch, std::slice::from_ref(&run.seq), k);
+        if cands.is_empty() {
+            for cell in run.split_cells() {
+                let cands = enumerate_with(chip, scratch, std::slice::from_ref(&cell.seq), k);
+                out.push((cell, cands));
+            }
         } else {
-            out.push(run);
+            out.push((run, cands));
         }
     }
     out
@@ -461,86 +590,29 @@ fn nearest_candidate(chip: &Chip, scratch: &mut RouteScratch, g: &mut WashGroup)
     g.candidates.truncate(1);
 }
 
-/// Splits every group into one group per contaminated *spot cluster* (the
-/// DAWO baseline's behaviour: wash operations are introduced per
-/// contaminated spot region and their paths constructed independently — no
-/// resource sharing). Dirty cells closer than `gap` steps along the source
-/// path fall into the same cluster; the clean cells bridging them are
-/// flushed along (wastefully, but that is the baseline).
-pub fn split_into_spot_clusters(
+/// Appends one group per run to `out`, routed independently; a run no
+/// single path covers is washed cell by cell.
+fn spot_cluster_runs(
     chip: &Chip,
-    schedule: &Schedule,
-    groups: Vec<WashGroup>,
-    gap: usize,
+    scratch: &mut RouteScratch,
+    runs: Vec<WashPart>,
     policy: CandidatePolicy,
     k: usize,
-    threads: usize,
-) -> Vec<WashGroup> {
-    let pool = ScratchPool::new();
-    split_into_spot_clusters_pooled(chip, schedule, groups, gap, policy, k, threads, &pool)
-}
-
-/// [`split_into_spot_clusters`] drawing worker scratches from a caller-held
-/// pool. Output is identical to [`split_into_spot_clusters`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn split_into_spot_clusters_pooled(
-    chip: &Chip,
-    schedule: &Schedule,
-    groups: Vec<WashGroup>,
-    gap: usize,
-    policy: CandidatePolicy,
-    k: usize,
-    threads: usize,
-    pool: &ScratchPool,
-) -> Vec<WashGroup> {
-    let nested = par_map_ctx(
-        &groups,
-        threads,
-        || pool.checkout(chip),
-        |scratch, _, g| {
-            let scratch: &mut RouteScratch = scratch;
-            let mut out: Vec<WashGroup> = Vec::new();
-            for part in &g.parts {
-                for run in split_runs_gapped(schedule, part, gap) {
-                    let mut sub = WashGroup {
-                        candidates: enumerate_with(
-                            chip,
-                            scratch,
-                            std::slice::from_ref(&run.seq),
-                            k,
-                        ),
-                        parts: vec![run],
-                    };
-                    if sub.candidates.is_empty() {
-                        // Unreachable as one flush: wash cell by cell.
-                        for piece in sub.parts[0].split_cells() {
-                            let mut cellg = WashGroup {
-                                candidates: enumerate_with(
-                                    chip,
-                                    scratch,
-                                    std::slice::from_ref(&piece.seq),
-                                    k,
-                                ),
-                                parts: vec![piece],
-                            };
-                            assert!(!cellg.candidates.is_empty(), "unreachable channel cell");
-                            if policy == CandidatePolicy::Nearest {
-                                nearest_candidate(chip, scratch, &mut cellg);
-                            }
-                            out.push(cellg);
-                        }
-                        continue;
-                    }
-                    if policy == CandidatePolicy::Nearest {
-                        nearest_candidate(chip, scratch, &mut sub);
-                    }
-                    out.push(sub);
-                }
-            }
-            out
-        },
-    );
-    nested.into_iter().flatten().collect()
+    out: &mut Vec<WashGroup>,
+) {
+    for run in runs {
+        let cands = enumerate_with(chip, scratch, std::slice::from_ref(&run.seq), k);
+        if !cands.is_empty() {
+            out.push(piece_group(chip, scratch, run, cands, policy));
+            continue;
+        }
+        // Unreachable as one flush: wash cell by cell.
+        for cell in run.split_cells() {
+            let cands = enumerate_with(chip, scratch, std::slice::from_ref(&cell.seq), k);
+            assert!(!cands.is_empty(), "unreachable channel cell");
+            out.push(piece_group(chip, scratch, cell, cands, policy));
+        }
+    }
 }
 
 /// Greedily merges compatible groups: overlapping time windows, a routable
@@ -556,132 +628,183 @@ pub fn merge_groups(
     k: usize,
 ) -> Vec<WashGroup> {
     let pool = ScratchPool::new();
-    merge_groups_pooled(chip, schedule, groups, k, &pool)
+    merge_groups_pooled(chip, schedule, groups, k, false, &pool)
 }
 
 /// [`merge_groups`] drawing its scratch from a caller-held pool. Output is
-/// identical to [`merge_groups`].
+/// identical to [`merge_groups`] when `overlapping_only` is off.
+///
+/// With `overlapping_only`, only pairs whose current best candidate paths
+/// share at least one cell are tried. That is the partitioned pipeline's
+/// cross-bucket cleanup pass: in-bucket merging already consolidated
+/// whatever shares a span view, and across buckets a profitable merge all
+/// but requires the two washes to traverse common channels — disjoint best
+/// paths would make the combined path longer than the separate ones.
+///
+/// Each scan merges the lexicographically first acceptable pair and starts
+/// over. A pair's verdict depends only on its two groups (the schedule, the
+/// timeline and `k` are fixed for the call), so a rejected pair is recorded
+/// under the groups' ids and never routed again; a merged group takes a
+/// fresh id, which makes every verdict involving it new.
 pub(crate) fn merge_groups_pooled(
     chip: &Chip,
     schedule: &Schedule,
     mut groups: Vec<WashGroup>,
     k: usize,
+    overlapping_only: bool,
     pool: &ScratchPool,
 ) -> Vec<WashGroup> {
     let timeline = Timeline::new(chip, schedule);
     let mut scratch = pool.checkout(chip);
     let scratch: &mut RouteScratch = &mut scratch;
-    let mut merged = true;
-    while merged {
-        merged = false;
-        'pairs: for i in 0..groups.len() {
+    let mut ids: Vec<usize> = (0..groups.len()).collect();
+    let mut windows: Vec<(Time, Time)> = groups.iter().map(|g| window(schedule, g)).collect();
+    let mut rejected = PairSet::new(2 * groups.len());
+    let mut next_id = groups.len();
+    'scan: loop {
+        for i in 0..groups.len() {
+            let (ri, di) = windows[i];
             for j in i + 1..groups.len() {
-                if groups[i].parts.len() + groups[j].parts.len() > 6 {
-                    continue; // keep waypoint ordering tractable
+                if rejected.contains(ids[i], ids[j]) {
+                    continue;
                 }
-                let (ri, di) = window(schedule, &groups[i]);
-                let (rj, dj) = window(schedule, &groups[j]);
+                let (rj, dj) = windows[j];
+                let (gi, gj) = (&groups[i], &groups[j]);
                 let ready = ri.max(rj);
                 let deadline = di.min(dj);
-                if ready >= deadline {
+                let Some(cands) = merged_candidates(
+                    chip,
+                    scratch,
+                    &timeline,
+                    (gi, gj),
+                    (ready, deadline),
+                    k,
+                    overlapping_only,
+                ) else {
+                    rejected.insert(ids[i], ids[j]);
                     continue;
-                }
-                let mut seqs = groups[i].target_seqs();
-                seqs.extend(groups[j].target_seqs());
-                let cands = enumerate_with(chip, &mut *scratch, &seqs, k);
-                let Some(best) = cands.first() else { continue };
-                if ready + best.duration > deadline {
-                    continue;
-                }
-                let sep_len =
-                    groups[i].candidates[0].path.len() + groups[j].candidates[0].path.len();
-                if best.path.len() > sep_len {
-                    continue; // merging would lengthen L_wash more than α saves
-                }
-                // The combined wash must actually fit in the window now.
-                if timeline
-                    .earliest_fit(best.path.mask(), ready, best.duration, Some(deadline))
-                    .is_none()
-                {
-                    continue;
-                }
+                };
                 let gj = groups.remove(j);
-                let gi = &mut groups[i];
-                gi.parts.extend(gj.parts);
-                gi.candidates = cands;
-                merged = true;
-                break 'pairs;
+                ids.remove(j);
+                windows.remove(j);
+                groups[i].parts.extend(gj.parts);
+                groups[i].candidates = cands;
+                ids[i] = next_id;
+                next_id += 1;
+                windows[i] = (ready, deadline);
+                continue 'scan;
             }
         }
+        return groups;
     }
-    groups
 }
 
-/// [`merge_groups_pooled`] restricted to pairs whose current best candidate
-/// paths share at least one cell. The partitioned pipeline's cross-bucket
-/// cleanup pass: in-bucket merging already consolidated whatever shares a
-/// span view, and across buckets a profitable merge all but requires the
-/// two washes to traverse common channels — disjoint best paths would make
-/// the combined path longer than the separate ones. The mask-intersection
-/// gate skips the expensive combined enumeration for exactly those pairs,
-/// keeping this pass far below the full merge's quadratic enumeration cost.
-pub(crate) fn merge_groups_overlapping_pooled(
+/// The candidates of the merged group `a ∪ b` if the merge is acceptable,
+/// the combined window being `[ready, deadline]`.
+fn merged_candidates(
     chip: &Chip,
-    schedule: &Schedule,
-    mut groups: Vec<WashGroup>,
+    scratch: &mut RouteScratch,
+    timeline: &Timeline,
+    (a, b): (&WashGroup, &WashGroup),
+    (ready, deadline): (Time, Time),
     k: usize,
-    pool: &ScratchPool,
-) -> Vec<WashGroup> {
-    let timeline = Timeline::new(chip, schedule);
-    let mut scratch = pool.checkout(chip);
-    let scratch: &mut RouteScratch = &mut scratch;
-    let mut merged = true;
-    while merged {
-        merged = false;
-        'pairs: for i in 0..groups.len() {
-            for j in i + 1..groups.len() {
-                if groups[i].parts.len() + groups[j].parts.len() > 6 {
-                    continue; // keep waypoint ordering tractable
-                }
-                let (pi, pj) = (&groups[i].candidates[0].path, &groups[j].candidates[0].path);
-                if !pi.mask().intersects(pj.mask()) {
-                    continue; // disjoint paths: a merge cannot shorten L_wash
-                }
-                let (ri, di) = window(schedule, &groups[i]);
-                let (rj, dj) = window(schedule, &groups[j]);
-                let ready = ri.max(rj);
-                let deadline = di.min(dj);
-                if ready >= deadline {
-                    continue;
-                }
-                let mut seqs = groups[i].target_seqs();
-                seqs.extend(groups[j].target_seqs());
-                let cands = enumerate_with(chip, &mut *scratch, &seqs, k);
-                let Some(best) = cands.first() else { continue };
-                if ready + best.duration > deadline {
-                    continue;
-                }
-                let sep_len =
-                    groups[i].candidates[0].path.len() + groups[j].candidates[0].path.len();
-                if best.path.len() > sep_len {
-                    continue;
-                }
-                if timeline
-                    .earliest_fit(best.path.mask(), ready, best.duration, Some(deadline))
-                    .is_none()
-                {
-                    continue;
-                }
-                let gj = groups.remove(j);
-                let gi = &mut groups[i];
-                gi.parts.extend(gj.parts);
-                gi.candidates = cands;
-                merged = true;
-                break 'pairs;
-            }
-        }
+    overlapping_only: bool,
+) -> Option<Vec<Candidate>> {
+    if a.parts.len() + b.parts.len() > 6 {
+        return None; // keep waypoint ordering tractable
     }
-    groups
+    let (pa, pb) = (&a.candidates[0].path, &b.candidates[0].path);
+    if overlapping_only && !pa.mask().intersects(pb.mask()) {
+        return None; // disjoint paths: a merge cannot shorten L_wash
+    }
+    if ready >= deadline {
+        return None;
+    }
+    // The verdict turns on the shortest candidate alone, and no candidate
+    // is shorter than the bound of its port pair (see `wash_len_bound`). A
+    // pair whose bound already fails the length or duration check cannot
+    // yield a passing shortest path, so only the other pairs are routed;
+    // none left, or the targets alone finding no slot for the shortest
+    // flush, rejects outright.
+    let mut seqs = a.target_seqs();
+    seqs.extend(b.target_seqs());
+    let targets: CellSet = seqs.iter().flatten().copied().collect();
+    let (walk, between) = wash_len_bound(&targets);
+    let passes = |len: usize| {
+        // Merging must not lengthen L_wash more than α saves.
+        len <= pa.len() + pb.len() && ready + flow_duration(len) + DISSOLUTION_S <= deadline
+    };
+    let entry = chip.flow_ports().map(&walk).min().unwrap_or(0);
+    let exit = chip.waste_ports().map(&walk).min().unwrap_or(0);
+    if !passes(entry + between + exit) {
+        return None;
+    }
+    let least = flow_duration(entry + between + exit) + DISSOLUTION_S;
+    timeline.earliest_fit(&targets, ready, least, Some(deadline))?;
+    let mut best: Option<FlowPath> = None;
+    let skip = |fp, wp| !passes(walk(fp) + between + walk(wp));
+    route_washes(chip, scratch, &seqs, skip, |path| {
+        if best.as_ref().is_none_or(|b| path.len() < b.len()) {
+            best = Some(path);
+        }
+        false
+    });
+    let best = Candidate::from_path(best?);
+    if !passes(best.path.len()) {
+        return None;
+    }
+    // The combined wash must actually fit in the window now.
+    timeline.earliest_fit(best.path.mask(), ready, best.duration, Some(deadline))?;
+    Some(enumerate_with(chip, scratch, &seqs, k))
+}
+
+/// Lower bounds on the cells of a wash path covering `targets` from flow
+/// port `f` to waste port `w`: `walk(f) + between + walk(w)`. The cells
+/// before the path's first target walk there from `f`, the cells after its
+/// last walk on to `w`, and the cells in between hold every target and span
+/// the targets' Manhattan diameter.
+fn wash_len_bound(targets: &CellSet) -> (impl Fn(Coord) -> usize + '_, usize) {
+    let walk = |port: Coord| {
+        let d = targets.iter().map(|c| c.manhattan(port)).min();
+        d.unwrap_or(0) as usize
+    };
+    // The Manhattan diameter is the wider spread of x + y and of x − y.
+    let spread = |f: fn(Coord) -> i32| {
+        let (lo, hi) = targets
+            .iter()
+            .map(f)
+            .fold((i32::MAX, i32::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
+        (hi - lo).max(0) as usize
+    };
+    let diameter = spread(|c| c.x as i32 + c.y as i32).max(spread(|c| c.x as i32 - c.y as i32));
+    (walk, targets.len().max(diameter + 1))
+}
+
+/// A set of unordered pairs of distinct ids below a fixed bound, as a flat
+/// triangular bit matrix.
+struct PairSet(Vec<u64>);
+
+impl PairSet {
+    fn new(ids: usize) -> Self {
+        Self(vec![0; (ids * ids / 2).div_ceil(64)])
+    }
+
+    /// The word and mask of the pair's bit.
+    fn bit(a: usize, b: usize) -> (usize, u64) {
+        let (lo, hi) = (a.min(b), a.max(b));
+        let i = hi * (hi - 1) / 2 + lo;
+        (i / 64, 1 << (i % 64))
+    }
+
+    fn contains(&self, a: usize, b: usize) -> bool {
+        let (word, mask) = Self::bit(a, b);
+        self.0[word] & mask != 0
+    }
+
+    fn insert(&mut self, a: usize, b: usize) {
+        let (word, mask) = Self::bit(a, b);
+        self.0[word] |= mask;
+    }
 }
 
 #[cfg(test)]

@@ -90,8 +90,8 @@ pub use deadline::Deadline;
 pub use exact_path::exact_wash_path;
 pub use greedy::{insert_washes, insert_washes_protected, GreedyOutcome, Placement};
 pub use groups::{
-    build_groups, enumerate_candidates, merge_groups, split_into_spot_clusters, Candidate,
-    WashGroup, WashPart,
+    build_groups, enumerate_candidates, merge_groups, spot_cluster_groups, Candidate, WashGroup,
+    WashPart,
 };
 pub use partition::{
     plan_partitioned, plan_partitioned_ctx, plan_partitioned_ctx_with, plan_partitioned_with,

@@ -695,7 +695,7 @@ mod tests {
     use super::*;
     use crate::config::{CandidatePolicy, PdwConfig};
     use crate::greedy::insert_washes;
-    use crate::groups::{build_groups, merge_groups};
+    use crate::groups::{merge_groups, spot_cluster_groups};
     use pdw_assay::benchmarks;
     use pdw_contam::{analyze, NecessityOptions};
     use pdw_sim::Metrics;
@@ -744,19 +744,10 @@ mod tests {
             ilp_budget: std::time::Duration::from_secs(3),
             ..PdwConfig::default()
         };
-        let groups = build_groups(
+        let groups = spot_cluster_groups(
             &s.chip,
             &s.schedule,
             &a.requirements,
-            CandidatePolicy::Shortest,
-            config.candidates,
-            0,
-        );
-        let groups = crate::groups::split_into_spot_clusters(
-            &s.chip,
-            &s.schedule,
-            groups,
-            4,
             CandidatePolicy::Shortest,
             config.candidates,
             0,

@@ -58,9 +58,7 @@ use crate::config::{CandidatePolicy, PdwConfig};
 use crate::context::PlanContext;
 use crate::deadline::Deadline;
 use crate::greedy::insert_washes_protected;
-use crate::groups::{
-    build_groups_pooled, merge_groups_pooled, split_into_spot_clusters_pooled, WashGroup,
-};
+use crate::groups::{merge_groups_pooled, spot_cluster_groups_pooled, WashGroup};
 use crate::par::{panic_message, resolve_threads, try_par_map_ctx};
 use crate::pdw::{finish, run_pipeline, PdwError, SolverReport, WashResult};
 use crate::planner::Planner;
@@ -219,38 +217,29 @@ pub trait RegionExecutor: Sync {
     }
 }
 
-/// The serial front end for one region job: grouping, spot-cluster
-/// splitting, and (optionally) in-bucket merging, all single-threaded —
-/// the parallelism lives across jobs, never inside one.
+/// The front end for one region job or the seam set: grouping,
+/// spot-cluster splitting, and (optionally) merging. Region jobs run it
+/// single-threaded — the parallelism lives across jobs, never inside one.
 pub(crate) fn region_front_end(
     chip: &Chip,
     schedule: &Schedule,
     requirements: &[WashRequirement],
     candidates: usize,
     merging: bool,
+    threads: usize,
     pool: &ScratchPool,
 ) -> Vec<WashGroup> {
-    let groups = build_groups_pooled(
+    let groups = spot_cluster_groups_pooled(
         chip,
         schedule,
         requirements,
         CandidatePolicy::Shortest,
         candidates,
-        1,
-        pool,
-    );
-    let groups = split_into_spot_clusters_pooled(
-        chip,
-        schedule,
-        groups,
-        4,
-        CandidatePolicy::Shortest,
-        candidates,
-        1,
+        threads,
         pool,
     );
     if merging {
-        merge_groups_pooled(chip, schedule, groups, candidates, pool)
+        merge_groups_pooled(chip, schedule, groups, candidates, false, pool)
     } else {
         groups
     }
@@ -282,6 +271,7 @@ impl RegionExecutor for InProcessExecutor {
                 job.requirements,
                 candidates,
                 merging,
+                1,
                 pool,
             )
         })
@@ -568,6 +558,7 @@ pub(crate) fn fallback_front_end(
             job.requirements,
             candidates,
             merging,
+            1,
             pool,
         )
     }))
@@ -882,31 +873,15 @@ fn run_partitioned_pipeline(
             if seam.is_empty() {
                 Vec::new()
             } else {
-                let pool = ctx.scratch_pool();
-                let g = build_groups_pooled(
+                region_front_end(
                     &synthesis.chip,
                     &synthesis.schedule,
                     &seam,
-                    CandidatePolicy::Shortest,
                     candidates,
+                    merging,
                     config.threads,
-                    pool,
-                );
-                let g = split_into_spot_clusters_pooled(
-                    &synthesis.chip,
-                    &synthesis.schedule,
-                    g,
-                    4,
-                    CandidatePolicy::Shortest,
-                    candidates,
-                    config.threads,
-                    pool,
-                );
-                if merging {
-                    merge_groups_pooled(&synthesis.chip, &synthesis.schedule, g, candidates, pool)
-                } else {
-                    g
-                }
+                    ctx.scratch_pool(),
+                )
             }
         },
     );
@@ -923,11 +898,12 @@ fn run_partitioned_pipeline(
         all_groups = timer.stage(
             |s| &mut s.merge_s,
             || {
-                crate::groups::merge_groups_overlapping_pooled(
+                merge_groups_pooled(
                     &synthesis.chip,
                     &synthesis.schedule,
                     all_groups,
                     candidates,
+                    true,
                     ctx.scratch_pool(),
                 )
             },

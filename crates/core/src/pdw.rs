@@ -12,7 +12,7 @@ use crate::config::{CandidatePolicy, PdwConfig};
 use crate::context::{FrontEndKey, PlanContext};
 use crate::deadline::Deadline;
 use crate::greedy::insert_washes_protected;
-use crate::groups::{build_groups_pooled, merge_groups_pooled, split_into_spot_clusters_pooled};
+use crate::groups::{merge_groups_pooled, spot_cluster_groups_pooled};
 use crate::model::refine_with_ilp;
 use crate::par::par_map_ctx;
 use crate::stats::{PipelineStats, StageTimer};
@@ -205,23 +205,13 @@ pub(crate) fn run_pipeline(
             let groups = timer.stage(
                 |s| &mut s.grouping_s,
                 || {
-                    let groups = build_groups_pooled(
-                        &synthesis.chip,
-                        &synthesis.schedule,
-                        &analysis.requirements,
-                        CandidatePolicy::Shortest,
-                        candidates,
-                        config.threads,
-                        pool,
-                    );
                     // Work at spot-cluster granularity (fine washes schedule
                     // concurrently far more easily), then let merging coarsen
                     // only where it pays off.
-                    split_into_spot_clusters_pooled(
+                    spot_cluster_groups_pooled(
                         &synthesis.chip,
                         &synthesis.schedule,
-                        groups,
-                        4,
+                        &analysis.requirements,
                         CandidatePolicy::Shortest,
                         candidates,
                         config.threads,
@@ -238,6 +228,7 @@ pub(crate) fn run_pipeline(
                             &synthesis.schedule,
                             groups,
                             candidates,
+                            false,
                             pool,
                         )
                     } else {

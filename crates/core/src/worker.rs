@@ -174,6 +174,7 @@ fn handle(request: WorkerRequest) -> WorkerResponse {
                 &r.requirements,
                 r.candidates,
                 r.merging,
+                1,
                 &pool,
             ))
         }
@@ -278,7 +279,7 @@ mod tests {
             panic!("expected groups, got {:?}", responses[0]);
         };
         let pool = ScratchPool::new();
-        let direct = region_front_end(&s.chip, &s.schedule, &reqs, 3, true, &pool);
+        let direct = region_front_end(&s.chip, &s.schedule, &reqs, 3, true, 1, &pool);
         assert_eq!(groups.len(), direct.len());
         for (a, b) in groups.iter().zip(&direct) {
             assert_eq!(a.parts, b.parts);

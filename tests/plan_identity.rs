@@ -1,0 +1,169 @@
+//! Pinned plan digests: the front end must reproduce, bit for bit, the
+//! groups and schedules recorded before the merge memo and candidate reuse
+//! went in.
+//!
+//! For every bundled benchmark and the `pdw-gen` seeds 0–31, each row holds
+//! the canonical-codec digests of
+//! - the merged PDW front-end groups (Shortest policy, parts and candidate
+//!   paths) and the greedy PDW schedule;
+//! - the DAWO front-end groups (Nearest policy) and the DAWO schedule.
+//!
+//! One partitioned `mega` plan (K = 4) covers the overlap-gated cleanup
+//! merge. A performance change to routing, grouping or merging must leave
+//! every digest unchanged; a deliberate plan change re-pins the table from
+//! the `actual` listing the failure prints.
+
+use pathdriver_wash::codec::canonical_digest;
+use pathdriver_wash::{
+    plan_partitioned, CandidatePolicy, DawoPlanner, FrontEndKey, GreedyPlanner, PdwConfig,
+    PlanContext, Planner, RungKind,
+};
+use pdw_assay::benchmarks::{self, Benchmark};
+use pdw_contam::NecessityOptions;
+use pdw_synth::{synthesize, Synthesis};
+
+/// `(instance, PDW groups, PDW schedule, DAWO groups, DAWO schedule)`.
+type Row = (String, u64, u64, u64, u64);
+
+fn config() -> PdwConfig {
+    PdwConfig {
+        ilp: false,
+        ..PdwConfig::default()
+    }
+}
+
+fn instances() -> Vec<(String, Benchmark, Synthesis)> {
+    let mut out = Vec::new();
+    for bench in std::iter::once(benchmarks::demo()).chain(benchmarks::suite()) {
+        let s = synthesize(&bench).expect("bundled benchmark synthesizes");
+        out.push((bench.name.clone(), bench, s));
+    }
+    for seed in 0..32 {
+        // Specs that do not synthesize are skipped; the skip set is part of
+        // the pinned table (a row appears only for a synthesized seed).
+        if let Ok((bench, s)) = pdw_gen::instance(&pdw_gen::spec_from_seed(seed)) {
+            out.push((format!("seed-{seed}"), bench, s));
+        }
+    }
+    out
+}
+
+fn front_end_digest(ctx: &PlanContext<'_>, key: FrontEndKey) -> u64 {
+    canonical_digest(
+        ctx.front_end(key)
+            .expect("the planner cached its front end"),
+    )
+}
+
+fn row(name: String, bench: &Benchmark, s: &Synthesis) -> Row {
+    let config = config();
+    let mut ctx = PlanContext::new(bench, s);
+    let pdw = GreedyPlanner::new(config.clone())
+        .plan(&mut ctx)
+        .expect("greedy PDW plans");
+    let pdw_groups = front_end_digest(
+        &ctx,
+        FrontEndKey {
+            necessity: NecessityOptions::full(),
+            policy: CandidatePolicy::Shortest,
+            candidates: config.candidates,
+            merged: true,
+        },
+    );
+    let dawo = DawoPlanner.plan(&mut ctx).expect("DAWO plans");
+    let dawo_groups = front_end_digest(
+        &ctx,
+        FrontEndKey {
+            necessity: NecessityOptions::reuse_only(),
+            policy: CandidatePolicy::Nearest,
+            candidates: 1,
+            merged: false,
+        },
+    );
+    (
+        name,
+        pdw_groups,
+        canonical_digest(&pdw.schedule),
+        dawo_groups,
+        canonical_digest(&dawo.schedule),
+    )
+}
+
+#[rustfmt::skip]
+const PINNED: &[(&str, u64, u64, u64, u64)] = &[
+    ("demo", 0x28450f8ad4822dd6, 0x485d1ba13b3ee4f5, 0x92918503c15a7785, 0x168f973b694e036e),
+    ("PCR", 0x3b36c0c5bc81980a, 0x8492b7202b1df0de, 0xe21df8c870133a54, 0xe49dbb1b160d5feb),
+    ("IVD", 0x8661d83f22792f3c, 0xbd5f858de0276755, 0xb0a088edbb90d5e2, 0x442c00d0d315c0d4),
+    ("ProteinSplit", 0x621ff32d423809b4, 0xd3930c84b271073e, 0x78cf85348ae1909e, 0x54837743cdd4ba49),
+    ("Kinase act-1", 0x4c16dec28c84de1a, 0xbbb81340d624b18c, 0x4752478216e82c88, 0x54db7001d1c5bd94),
+    ("Kinase act-2", 0xfb6db1322949710a, 0x32ad2a30429251dc, 0x887573abb7f966d1, 0x17c5fcea53ba6d30),
+    ("Synthetic1", 0xe92477fca2b2c436, 0x96bfa975b06711c7, 0x753cfc2fa5e45a9c, 0xc1c2d060d0c40388),
+    ("Synthetic2", 0xf0ffedd9057a0d0e, 0x6ceca7c17592195b, 0x1dc9f8dc8cc5b994, 0x0f937c8a48ef528d),
+    ("Synthetic3", 0x3b078ba355671d1f, 0x83562eb88e0adcd9, 0x44f2e84f3459f9c1, 0x45f9fcffdebfc9a6),
+    ("seed-0", 0x99cf2455db83f039, 0xb6ed751a144bd417, 0x125dc33bfa60ee16, 0xff3f3a76a55a534f),
+    ("seed-1", 0x0f7f40b08e3105d7, 0x761682c5116ecfc6, 0xb3c86e70f7e873d1, 0x320c57d9029318eb),
+    ("seed-2", 0xfecbca2b9015300d, 0x52969cd8206654c9, 0xe51e5cfcb969dd64, 0xd831b926f6d85594),
+    ("seed-3", 0x3337ee50ea53795e, 0x2b71dd707d48eadd, 0x7d3b3c507f0d9e66, 0xfdb2a1310d059647),
+    ("seed-4", 0x2cf08aa958c5c9b1, 0x558a644fc6ec602e, 0xee9ae2d0185d8d8b, 0xe1d86cb251e4b972),
+    ("seed-5", 0xeffe5061a3f87f31, 0x18a78d7f02eebb5a, 0x8ac505173da00052, 0xb5ef35c77248e894),
+    ("seed-6", 0x5bf3673a74673349, 0xe7903e3203907403, 0xea91014d81c94778, 0xaa927213caf5afc7),
+    ("seed-7", 0xb285c1c3846fd39d, 0x3164876f010faea3, 0x8673075ebfdaa788, 0xe161fffd3dc2cc0e),
+    ("seed-8", 0x79fb40dde2675840, 0x2401e01f68cbb080, 0xb418918b29995abc, 0xb9eafb40a39b5d8e),
+    ("seed-9", 0x3753b95bf70fbd30, 0xf153de211b224cda, 0xc55668c258c53a39, 0xc66156a836398fa1),
+    ("seed-10", 0xee1938fb872c1bbf, 0x8bae49f6b457c0ff, 0xbeb68afa285ebc2d, 0x9780ae53163c60c5),
+    ("seed-11", 0x248d249ddba5fc01, 0xef3391f08bbc8d68, 0x06ea48d594177244, 0xb09df13c91b26a86),
+    ("seed-12", 0x117709ed6730aa9c, 0x2c171a385b851cf5, 0xad5d744097f47a6d, 0x11c9bffd4652cfbb),
+    ("seed-13", 0xe1902a7a396b08a8, 0xc9dfb969c2b81665, 0x53b78a262cbf65bd, 0xabd1ddfcb0a1ccfc),
+    ("seed-14", 0x4ba68b0ee8c469d1, 0xfaaeb04d2ae63677, 0x0bc081229b1f3c08, 0x294fa3aaaecbb307),
+    ("seed-15", 0x18f428cdee54d04d, 0xf46f6fd385cdb334, 0x0340c60392ec0d39, 0x478712e21f6243c9),
+    ("seed-16", 0xbaa4057ff753ed77, 0xba6cc007e2188998, 0xfa54fcce889d467d, 0xde745bde2609f766),
+    ("seed-17", 0x91dc2a6f98b0d800, 0x725b16534cf983c7, 0x4aee5f75480ca236, 0x0f82385dcdf3cd1a),
+    ("seed-18", 0xef7070f406616980, 0x02dd068ddc2c32c9, 0x641ae764394656fd, 0x29f88d300b72e41f),
+    ("seed-19", 0x058d03701dd74626, 0xe54722bb4bdc6259, 0xb35400e6356b2066, 0x5b39277ea1d9a689),
+    ("seed-20", 0x5b4bb899083f3f12, 0xa7d63652438a3bdb, 0xa119e9f44a10dd00, 0x21b3d770cc2a39d3),
+    ("seed-21", 0x757c1296e6f2ac6c, 0xcf296fd9feacab0a, 0xd99eecc9e048cfd5, 0x87b1843ce49d9f49),
+    ("seed-22", 0xadea24d33de191c4, 0xb98f99489767e6a6, 0x2c3df951acb920ab, 0x4f09bf20d99ee019),
+    ("seed-23", 0xc4a68b3f3b6add21, 0x934ce61267bfaa3d, 0x37775b4e566c5c00, 0xfb26211333b297b2),
+    ("seed-24", 0xb2a45ee44f46beee, 0x35cfd687c0065236, 0x63550952b53f57f2, 0x0fc63002818882bd),
+    ("seed-25", 0x94497aa534106988, 0xe50da4dab4badf0c, 0xb5e44a139ef5ab6c, 0x75e128830456c285),
+    ("seed-26", 0x8f89546f5bfe9a69, 0x51a4fa0af520e0bb, 0x77a78ba27c2e9e65, 0xdf8e316c8612dac2),
+    ("seed-27", 0x9fc0ea8a6be697e3, 0xe65d6ab3f05a44dc, 0x47ffe922e92b0aec, 0x1c1c5c69aa25988e),
+    ("seed-28", 0xae7edeae5ee72ae1, 0xd71d35cf2225bbf8, 0xfedf97837105e937, 0x6db651d340f40e62),
+    ("seed-29", 0x3a327ec1d3015114, 0xddfe14e99042acf8, 0xc20cbacd475dc4e1, 0xf5ff390592b75d33),
+    ("seed-30", 0x7bc253251ff96d72, 0x609d74cdbbc75f8e, 0x58424412355529b0, 0xb71f5598f44cbf4d),
+    ("seed-31", 0x8d1a93f18680f778, 0xdc05fcc6031aa80c, 0x5f854b2cf493f657, 0xd663726bc5f70ee4),
+];
+
+#[test]
+fn front_end_groups_and_schedules_match_the_pinned_digests() {
+    let actual: Vec<Row> = instances()
+        .into_iter()
+        .map(|(name, bench, s)| row(name, &bench, &s))
+        .collect();
+    let pinned: Vec<Row> = PINNED
+        .iter()
+        .map(|&(n, a, b, c, d)| (n.to_string(), a, b, c, d))
+        .collect();
+    if actual != pinned {
+        let listing: String = actual
+            .iter()
+            .map(|(n, a, b, c, d)| {
+                format!("    ({n:?}, {a:#018x}, {b:#018x}, {c:#018x}, {d:#018x}),\n")
+            })
+            .collect();
+        panic!("plan digests moved; actual:\n{listing}");
+    }
+}
+
+const PINNED_MEGA_SCHEDULE: u64 = 0xd228e662c22d7d64;
+
+#[test]
+fn partitioned_mega_schedule_matches_the_pinned_digest() {
+    let spec = pdw_gen::mega_spec(41, 10, 1);
+    let (bench, s) = pdw_gen::mega_instance(&spec).expect("mega instance synthesizes");
+    let outcome = plan_partitioned(&bench, &s, &config(), 4);
+    assert_eq!(outcome.rung, Some(RungKind::Partitioned), "{outcome}");
+    let served = outcome.served.expect("partitioned plan served");
+    let digest = canonical_digest(&served.schedule);
+    assert_eq!(digest, PINNED_MEGA_SCHEDULE, "actual: {digest:#018x}");
+}

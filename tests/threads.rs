@@ -1,15 +1,13 @@
 //! Thread-count invariance of the parallel front end.
 //!
-//! The candidate-enumeration fan-out (`build_groups` /
-//! `split_into_spot_clusters`) distributes work over scoped workers but
+//! The candidate-enumeration fan-out (`spot_cluster_groups`) distributes work over scoped workers but
 //! merges results in input order, so the groups — and everything downstream
 //! of them: placements and the final objective — must be bit-identical at
 //! any thread count.
 
 use pathdriver_wash::{
-    build_groups, dawo, pdw, plan_batch, plan_partitioned, plan_resilient,
-    split_into_spot_clusters, CandidatePolicy, DawoPlanner, GreedyPlanner, PdwConfig, PlanContext,
-    Planner, WashGroup,
+    dawo, pdw, plan_batch, plan_partitioned, plan_resilient, spot_cluster_groups, CandidatePolicy,
+    DawoPlanner, GreedyPlanner, PdwConfig, PlanContext, Planner, WashGroup,
 };
 use pdw_assay::benchmarks;
 use pdw_contam::{analyze, NecessityOptions};
@@ -18,19 +16,10 @@ use pdw_synth::synthesize;
 fn front_end_groups(bench: &pdw_assay::benchmarks::Benchmark, threads: usize) -> Vec<WashGroup> {
     let s = synthesize(bench).expect("benchmark synthesizes");
     let a = analyze(&s.chip, &bench.graph, &s.schedule, NecessityOptions::full());
-    let groups = build_groups(
+    spot_cluster_groups(
         &s.chip,
         &s.schedule,
         &a.requirements,
-        CandidatePolicy::Shortest,
-        3,
-        threads,
-    );
-    split_into_spot_clusters(
-        &s.chip,
-        &s.schedule,
-        groups,
-        4,
         CandidatePolicy::Shortest,
         3,
         threads,
