@@ -29,8 +29,7 @@
 use std::time::Instant;
 
 use pathdriver_wash::{
-    plan_partitioned, plan_partitioned_with, PdwConfig, RegionExecutor, RungKind,
-    SubprocessExecutor, Weights,
+    plan_partitioned_with, PdwConfig, RungKind, StreamExecutor, Weights, WorkerChaos,
 };
 use pdw_assay::benchmarks::Benchmark;
 use pdw_synth::Synthesis;
@@ -101,7 +100,7 @@ fn solve(
     s: &Synthesis,
     partitions: usize,
     threads: usize,
-    executor: Option<&SubprocessExecutor>,
+    executor: Option<&StreamExecutor>,
 ) -> (Point, pdw_sched::Schedule) {
     let config = PdwConfig {
         ilp: false,
@@ -109,21 +108,17 @@ fn solve(
         ..PdwConfig::default()
     };
     let t0 = Instant::now();
-    let outcome = match executor {
-        Some(exec) => plan_partitioned_with(bench, s, &config, partitions, exec),
-        None => plan_partitioned(bench, s, &config, partitions),
-    };
+    let outcome = plan_partitioned_with(bench, s, &config, partitions, executor);
     let wall_s = t0.elapsed().as_secs_f64();
-    let (subprocess_jobs, subprocess_fallbacks) =
-        executor.map_or((0, 0), RegionExecutor::subprocess_counters);
+    let report = executor.map(StreamExecutor::report).unwrap_or_default();
     let r = outcome.served.expect("mega instance serves a plan");
     let schedule = r.schedule.clone();
     let point = Point {
         partitions,
         threads,
-        executor: executor.map_or("in-process", RegionExecutor::name).into(),
-        subprocess_jobs,
-        subprocess_fallbacks,
+        executor: executor.map_or("in-process", StreamExecutor::name).into(),
+        subprocess_jobs: report.remote_jobs,
+        subprocess_fallbacks: report.fallbacks,
         wall_s,
         objective: r.objective(&Weights::default()),
         n_wash: r.metrics.n_wash,
@@ -160,7 +155,8 @@ fn main() {
         // stdin/stdout, exactly like `pdw worker`.
         let stdin = std::io::stdin();
         let stdout = std::io::stdout();
-        pathdriver_wash::run_worker(&mut stdin.lock(), &mut stdout.lock())
+        let chaos = WorkerChaos::from_env().expect("PDW_WORKER_CHAOS parses");
+        pathdriver_wash::run_worker(&mut stdin.lock(), &mut stdout.lock(), chaos)
             .expect("worker protocol");
         return;
     }
@@ -199,7 +195,7 @@ fn main() {
             // The --subprocess column: same point, front ends in worker
             // processes, schedule asserted bit-identical.
             if subprocess && k >= 2 {
-                let executor = SubprocessExecutor::new(worker_cmd.clone(), threads);
+                let executor = StreamExecutor::spawn(worker_cmd.clone(), threads);
                 let (sp, sp_schedule) = solve(&bench, &s, k, threads, Some(&executor));
                 print_point(&sp);
                 assert_eq!(

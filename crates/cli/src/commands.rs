@@ -4,9 +4,8 @@ use std::fmt;
 use std::time::Duration;
 
 use pathdriver_wash::{
-    plan_partitioned, plan_partitioned_with, verify, DawoPlanner, NetAddr, NetListener, PdwConfig,
-    PdwPlanner, PlanContext, Planner, RegionExecutor, SocketExecutor, SubprocessExecutor,
-    SCHEMA_VERSION,
+    plan_partitioned_with, verify, DawoPlanner, NetAddr, NetListener, PdwConfig, PdwPlanner,
+    PlanContext, Planner, StreamExecutor, WorkerChaos, SCHEMA_VERSION,
 };
 use pdw_assay::benchmarks::{self, Benchmark};
 use pdw_sim::Metrics;
@@ -592,11 +591,12 @@ fn cmd_repair(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Region/solve worker mode: a framed request/response loop, spawned by
-/// [`pathdriver_wash::SubprocessExecutor`] (stdin/stdout) or dialed by
-/// [`SocketExecutor`] (`--listen`). The protocol is identical — only the
-/// byte stream differs. Over stdin the loop runs until EOF; over a socket
-/// each accepted connection gets its own loop until the peer hangs up.
+/// Region/solve worker mode: a framed request/response loop that a
+/// [`StreamExecutor`] spawns (stdin/stdout) or dials (`--listen`). The
+/// protocol is identical — only the byte stream differs. Over stdin the
+/// loop runs until EOF; over a socket each accepted connection gets its
+/// own loop until the peer hangs up. A malformed `PDW_WORKER_CHAOS` exits
+/// 2 with a one-line error before any frame is read.
 fn cmd_worker(args: &[String]) -> Result<(), CliError> {
     let mut listen: Option<String> = None;
     let mut it = args.iter();
@@ -612,10 +612,14 @@ fn cmd_worker(args: &[String]) -> Result<(), CliError> {
             other => return err(format!("unknown option `{other}`")),
         }
     }
+    let chaos = WorkerChaos::from_env().unwrap_or_else(|e| {
+        eprintln!("pdw worker: {e}");
+        std::process::exit(2)
+    });
     let Some(listen) = listen else {
         let stdin = std::io::stdin();
         let stdout = std::io::stdout();
-        return pathdriver_wash::run_worker(&mut stdin.lock(), &mut stdout.lock())
+        return pathdriver_wash::run_worker(&mut stdin.lock(), &mut stdout.lock(), chaos)
             .map_err(|e| CliError(format!("worker protocol error: {e}")));
     };
     let addr = NetAddr::parse(&listen).map_err(CliError)?;
@@ -632,8 +636,8 @@ fn cmd_worker(args: &[String]) -> Result<(), CliError> {
                 return;
             };
             // A torn connection ends this loop; the listener keeps going —
-            // the dialing executor reconnects under its respawn policy.
-            if let Err(e) = pathdriver_wash::run_worker(&mut reader, &mut writer) {
+            // the dialing executor redials within its respawn budget.
+            if let Err(e) = pathdriver_wash::run_worker(&mut reader, &mut writer, chaos) {
                 eprintln!("pdw worker: connection ended: {e}");
             }
         });
@@ -952,35 +956,36 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         .plan(&mut ctx)
         .map_err(|e| CliError(format!("dawo failed: {e}")))?;
     let p = if opts.partitions > 1 {
-        let outcome = if let Some(list) = &opts.socket_workers {
+        let executor = if let Some(list) = &opts.socket_workers {
             let addrs = list
                 .split(',')
                 .map(NetAddr::parse)
                 .collect::<Result<Vec<_>, _>>()
                 .map_err(CliError)?;
-            let executor = SocketExecutor::new(addrs);
-            let outcome = plan_partitioned_with(bench, &s, &config, opts.partitions, &executor);
-            let (jobs, fallbacks) = executor.subprocess_counters();
-            println!("socket workers: {jobs} region job(s) remote, {fallbacks} fallback(s)");
-            for event in executor.events() {
-                println!("  {event:?}");
-            }
-            outcome
+            Some(StreamExecutor::dial(addrs))
         } else if let Some(workers) = opts.subprocess {
             let exe = std::env::current_exe()
                 .map_err(|e| CliError(format!("cannot locate pdw binary: {e}")))?;
-            let executor =
-                SubprocessExecutor::new(vec![exe.display().to_string(), "worker".into()], workers);
-            let outcome = plan_partitioned_with(bench, &s, &config, opts.partitions, &executor);
-            let (jobs, fallbacks) = executor.subprocess_counters();
-            println!("subprocess: {jobs} region job(s) remote, {fallbacks} fallback(s)");
-            for event in executor.events() {
+            let argv = vec![exe.display().to_string(), "worker".into()];
+            Some(StreamExecutor::spawn(argv, workers))
+        } else {
+            None
+        };
+        let outcome = plan_partitioned_with(bench, &s, &config, opts.partitions, executor.as_ref());
+        if let Some(executor) = &executor {
+            let report = executor.report();
+            let label = match executor.name() {
+                "socket" => "socket workers",
+                name => name,
+            };
+            println!(
+                "{label}: {} region job(s) remote, {} fallback(s)",
+                report.remote_jobs, report.fallbacks
+            );
+            for event in report.events {
                 println!("  {event:?}");
             }
-            outcome
-        } else {
-            plan_partitioned(bench, &s, &config, opts.partitions)
-        };
+        }
         // Every rung reports its wall time, the Partitioned one included.
         print_ladder(&outcome);
         let rungs: Vec<String> = outcome

@@ -93,11 +93,7 @@ pub use groups::{
     build_groups, enumerate_candidates, merge_groups, spot_cluster_groups, Candidate, WashGroup,
     WashPart,
 };
-pub use partition::{
-    plan_partitioned, plan_partitioned_ctx, plan_partitioned_ctx_with, plan_partitioned_with,
-    ExecutorEvent, InProcessExecutor, PartitionedPlanner, RegionExecutor, RegionJob, RespawnPolicy,
-    SubprocessExecutor,
-};
+pub use partition::{plan_partitioned, plan_partitioned_ctx, plan_partitioned_with};
 pub use pdw::{pdw, PdwError, SolverReport, WashResult};
 pub use pdw_ilp::{IncumbentEvent, SolverStats};
 pub use planner::{plan_batch, DawoPlanner, GreedyPlanner, PdwPlanner, Planner};
@@ -108,7 +104,9 @@ pub use resilient::{
 };
 pub use stats::PipelineStats;
 pub use transport::{
-    NetAddr, NetListener, NetRequest, NetResponse, NetStream, SocketExecutor, SocketTimeouts,
-    TransportError, WireError,
+    NetAddr, NetListener, NetRequest, NetResponse, NetStream, TransportError, WireError,
 };
-pub use worker::{run_worker, RegionRequest, SolveRequest, WorkerRequest, WorkerResponse};
+pub use worker::{
+    run_worker, ExecutorEvent, ExecutorReport, RegionRequest, SolveRequest, StreamExecutor,
+    WorkerChaos, WorkerRequest, WorkerResponse,
+};

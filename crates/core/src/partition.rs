@@ -39,10 +39,6 @@
 //! with the remaining budget.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::panic::AssertUnwindSafe;
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use pdw_assay::benchmarks::Benchmark;
@@ -53,168 +49,29 @@ use pdw_ilp::{solve, Model, Relation, SolveOptions, SolveStatus, VarId};
 use pdw_sched::Schedule;
 use pdw_synth::Synthesis;
 
-use crate::codec::{self, FrameType};
 use crate::config::{CandidatePolicy, PdwConfig};
 use crate::context::PlanContext;
 use crate::deadline::Deadline;
 use crate::greedy::insert_washes_protected;
 use crate::groups::{merge_groups_pooled, spot_cluster_groups_pooled, WashGroup};
-use crate::par::{panic_message, resolve_threads, try_par_map_ctx};
+use crate::par::try_par_map_ctx;
 use crate::pdw::{finish, run_pipeline, PdwError, SolverReport, WashResult};
 use crate::planner::Planner;
 use crate::resilient::RungRejection;
 use crate::resilient::{attempt_rung, plan_resilient_ctx, PlanOutcome, RungAttempt, RungKind};
 use crate::stats::StageTimer;
-use crate::worker::{RegionRequest, WorkerRequest, WorkerResponse};
-
-/// A [`Planner`] that runs the partitioned pipeline with a fixed region
-/// count. With `partitions ≤ 1` it is the unpartitioned pipeline.
-pub struct PartitionedPlanner {
-    config: PdwConfig,
-    partitions: usize,
-}
-
-impl PartitionedPlanner {
-    /// A partitioned planner cutting the chip into (up to) `partitions`
-    /// regions; `config` shapes each region's front end.
-    pub fn new(config: PdwConfig, partitions: usize) -> Self {
-        Self { config, partitions }
-    }
-}
-
-impl Planner for PartitionedPlanner {
-    fn name(&self) -> &'static str {
-        "partitioned"
-    }
-
-    fn plan(&self, ctx: &mut PlanContext<'_>) -> Result<WashResult, PdwError> {
-        if self.partitions <= 1 {
-            run_pipeline(ctx, &self.config)
-        } else {
-            run_partitioned_pipeline(ctx, &self.config, self.partitions, &InProcessExecutor)
-        }
-    }
-}
+use crate::worker::StreamExecutor;
 
 /// One region front-end job: a carved view's chip plus the requirements it
 /// plans. Region views preserve the parent grid's coordinates and ids, so
-/// the job is self-contained — an executor may plan it on another thread or
-/// in another process and the groups come back directly valid.
+/// the job is self-contained — it may be planned on another thread or in a
+/// `pdw worker` process and the groups come back directly valid.
 #[derive(Debug)]
-pub struct RegionJob<'a> {
+pub(crate) struct RegionJob<'a> {
     /// The carved view's chip (parent dimensions, band faults applied).
-    pub chip: &'a Chip,
+    pub(crate) chip: &'a Chip,
     /// The wash requirements this job's front end plans.
-    pub requirements: &'a [WashRequirement],
-}
-
-/// A typed record of something the subprocess transport had to do — where
-/// planning happened changed, what was planned did not.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ExecutorEvent {
-    /// A worker process failed mid-job (died, closed its pipe, or returned
-    /// a corrupt frame); the job was replanned in-process.
-    WorkerFailed {
-        /// The executor lane whose worker failed.
-        worker: usize,
-        /// The job index (input order) that hit the failure.
-        job: usize,
-        /// What the transport observed.
-        detail: String,
-    },
-    /// A lane respawned its worker process after a failure.
-    WorkerRespawned {
-        /// The executor lane that respawned.
-        worker: usize,
-    },
-    /// A lane burned its whole per-run respawn budget and stopped
-    /// respawning; its remaining jobs degrade to in-process planning.
-    RespawnBudgetExhausted {
-        /// The executor lane that gave up on its worker.
-        worker: usize,
-        /// The respawn budget that was exhausted.
-        budget: usize,
-    },
-}
-
-/// Bounds on worker respawning for one executor run. After a lane's
-/// worker fails, the lane waits `base_backoff · 2^(k−1)` before its k-th
-/// consecutive respawn attempt (capped at `max_backoff`), and stops
-/// respawning entirely once it has burned `budget` respawns this run —
-/// a persistently dying worker (`PDW_WORKER_CHAOS=die:1`) degrades the
-/// lane to in-process planning instead of hot-looping spawn/die forever.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RespawnPolicy {
-    /// Respawns allowed per lane per run (the initial spawn is free).
-    pub budget: usize,
-    /// Backoff before the first respawn; doubles per consecutive failure.
-    pub base_backoff: Duration,
-    /// Ceiling on the exponential backoff.
-    pub max_backoff: Duration,
-}
-
-impl Default for RespawnPolicy {
-    fn default() -> Self {
-        RespawnPolicy {
-            budget: 3,
-            base_backoff: Duration::from_millis(25),
-            max_backoff: Duration::from_secs(1),
-        }
-    }
-}
-
-impl RespawnPolicy {
-    /// The delay before a respawn attempt following `consecutive_failures`
-    /// back-to-back failures (≥ 1).
-    pub fn backoff(&self, consecutive_failures: u32) -> Duration {
-        let exp = consecutive_failures.saturating_sub(1).min(16);
-        self.base_backoff
-            .saturating_mul(1u32 << exp)
-            .min(self.max_backoff)
-    }
-}
-
-/// Where region front ends run. The partitioned pipeline is generic over
-/// this seam: [`InProcessExecutor`] plans on scoped threads (the classic
-/// path), [`SubprocessExecutor`] ships each job to a `pdw worker` process
-/// over the canonical codec. Both are bit-identical by construction — the
-/// front end is a pure function of `(chip, schedule, requirements,
-/// candidates, merging)` and the codec round-trips chips exactly.
-pub trait RegionExecutor: Sync {
-    /// Human-readable executor name (for logs and stats).
-    fn name(&self) -> &'static str;
-
-    /// Plans every job's front end; results come back in job order. A
-    /// refused job — a front-end panic, in any process — is its
-    /// `Err(message)`; the pipeline replans refusals as whole-chip seam
-    /// work, exactly as before this seam existed.
-    fn run(
-        &self,
-        jobs: &[RegionJob<'_>],
-        schedule: &Schedule,
-        candidates: usize,
-        merging: bool,
-        threads: usize,
-    ) -> Vec<Result<Vec<WashGroup>, String>>;
-
-    /// Transport events recorded by the most recent [`run`](Self::run)
-    /// (always empty for in-process execution).
-    fn events(&self) -> Vec<ExecutorEvent> {
-        Vec::new()
-    }
-
-    /// `(jobs answered by a subprocess worker, jobs that fell back
-    /// in-process after a transport failure)` for the most recent run.
-    fn subprocess_counters(&self) -> (usize, usize) {
-        (0, 0)
-    }
-
-    /// Lanes that exhausted their per-run respawn budget during the most
-    /// recent run and degraded to in-process planning.
-    fn exhausted_lanes(&self) -> usize {
-        0
-    }
+    pub(crate) requirements: &'a [WashRequirement],
 }
 
 /// The front end for one region job or the seam set: grouping,
@@ -245,326 +102,6 @@ pub(crate) fn region_front_end(
     }
 }
 
-/// Plans region jobs on scoped threads in this process: one worker-held
-/// scratch pool per thread, one serial front end per job, panic isolation
-/// per job ([`try_par_map_ctx`]).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct InProcessExecutor;
-
-impl RegionExecutor for InProcessExecutor {
-    fn name(&self) -> &'static str {
-        "in-process"
-    }
-
-    fn run(
-        &self,
-        jobs: &[RegionJob<'_>],
-        schedule: &Schedule,
-        candidates: usize,
-        merging: bool,
-        threads: usize,
-    ) -> Vec<Result<Vec<WashGroup>, String>> {
-        try_par_map_ctx(jobs, threads, ScratchPool::new, |pool, _, job| {
-            region_front_end(
-                job.chip,
-                schedule,
-                job.requirements,
-                candidates,
-                merging,
-                1,
-                pool,
-            )
-        })
-    }
-}
-
-/// One live `pdw worker` child process with framed stdin/stdout.
-struct WorkerProc {
-    child: Child,
-    stdin: ChildStdin,
-    stdout: ChildStdout,
-}
-
-impl WorkerProc {
-    fn spawn(cmd: &[String]) -> Result<Self, String> {
-        let mut child = Command::new(&cmd[0])
-            .args(&cmd[1..])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .map_err(|e| format!("spawn {}: {e}", cmd[0]))?;
-        let stdin = child.stdin.take().expect("stdin was piped");
-        let stdout = child.stdout.take().expect("stdout was piped");
-        Ok(WorkerProc {
-            child,
-            stdin,
-            stdout,
-        })
-    }
-
-    /// One framed round trip. Any failure — pipe error, EOF, corrupt or
-    /// stale frame — comes back as a transport error message.
-    fn call(&mut self, req: &WorkerRequest) -> Result<WorkerResponse, String> {
-        let frame = codec::encode_frame(FrameType::WorkerRequest, req);
-        codec::write_frame(&mut self.stdin, &frame).map_err(|e| e.to_string())?;
-        let frame = codec::read_frame(&mut self.stdout)
-            .map_err(|e| e.to_string())?
-            .ok_or_else(|| "worker closed its stdout".to_string())?;
-        codec::decode_frame(FrameType::WorkerResponse, &frame).map_err(|e| e.to_string())
-    }
-}
-
-impl Drop for WorkerProc {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Plans region jobs in out-of-process `pdw worker` children: `workers`
-/// lanes, each owning one persistent child, jobs dealt round-robin by
-/// input index. A lane whose worker fails mid-job records a typed
-/// [`ExecutorEvent::WorkerFailed`], replans that job in-process (the same
-/// pure front end — the plan is unchanged), and respawns the child for its
-/// next job under the lane's [`RespawnPolicy`]: exponential backoff
-/// between consecutive failures, and a hard per-run respawn budget after
-/// which the lane degrades to in-process planning
-/// ([`ExecutorEvent::RespawnBudgetExhausted`]). Results are bit-identical
-/// to [`InProcessExecutor`] under any combination of failures.
-pub struct SubprocessExecutor {
-    cmd: Vec<String>,
-    workers: usize,
-    policy: RespawnPolicy,
-    events: Mutex<Vec<ExecutorEvent>>,
-    remote_jobs: AtomicUsize,
-    fallbacks: AtomicUsize,
-    exhausted: AtomicUsize,
-}
-
-impl SubprocessExecutor {
-    /// An executor launching `workers` children (0 = all cores) with the
-    /// given argv, e.g. `["/path/to/pdw", "worker"]`, under the default
-    /// [`RespawnPolicy`].
-    ///
-    /// # Panics
-    /// Panics if `cmd` is empty.
-    pub fn new(cmd: Vec<String>, workers: usize) -> Self {
-        assert!(!cmd.is_empty(), "subprocess executor needs an argv");
-        Self {
-            cmd,
-            workers,
-            policy: RespawnPolicy::default(),
-            events: Mutex::new(Vec::new()),
-            remote_jobs: AtomicUsize::new(0),
-            fallbacks: AtomicUsize::new(0),
-            exhausted: AtomicUsize::new(0),
-        }
-    }
-
-    /// Replaces the respawn policy (budget and backoff curve).
-    pub fn with_respawn_policy(mut self, policy: RespawnPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    fn record(&self, event: ExecutorEvent) {
-        self.events
-            .lock()
-            .expect("executor event log poisoned")
-            .push(event);
-    }
-}
-
-/// One job's result slot, filled by whichever executor lane planned it.
-type JobSlot = Mutex<Option<Result<Vec<WashGroup>, String>>>;
-
-impl RegionExecutor for SubprocessExecutor {
-    fn name(&self) -> &'static str {
-        "subprocess"
-    }
-
-    fn run(
-        &self,
-        jobs: &[RegionJob<'_>],
-        schedule: &Schedule,
-        candidates: usize,
-        merging: bool,
-        _threads: usize,
-    ) -> Vec<Result<Vec<WashGroup>, String>> {
-        self.events
-            .lock()
-            .expect("executor event log poisoned")
-            .clear();
-        self.remote_jobs.store(0, Ordering::Relaxed);
-        self.fallbacks.store(0, Ordering::Relaxed);
-        self.exhausted.store(0, Ordering::Relaxed);
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let lanes = resolve_threads(self.workers).min(jobs.len()).max(1);
-        let slots: Vec<JobSlot> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for lane in 0..lanes {
-                let slots = &slots;
-                scope.spawn(move || {
-                    let pool = ScratchPool::new();
-                    let mut proc: Option<WorkerProc> = None;
-                    let mut failed_before = false;
-                    let mut respawns_used = 0usize;
-                    let mut consecutive = 0u32;
-                    let mut exhausted = false;
-                    for i in (lane..jobs.len()).step_by(lanes) {
-                        let job = &jobs[i];
-                        if proc.is_none() && !exhausted && failed_before {
-                            // A (re)spawn after a failure draws on the
-                            // lane's budget and waits out the backoff; a
-                            // burned-out lane stops spawning for good.
-                            if respawns_used >= self.policy.budget {
-                                exhausted = true;
-                                self.exhausted.fetch_add(1, Ordering::Relaxed);
-                                self.record(ExecutorEvent::RespawnBudgetExhausted {
-                                    worker: lane,
-                                    budget: self.policy.budget,
-                                });
-                            } else {
-                                std::thread::sleep(self.policy.backoff(consecutive));
-                                respawns_used += 1;
-                            }
-                        }
-                        if !exhausted && proc.is_none() {
-                            match WorkerProc::spawn(&self.cmd) {
-                                Ok(p) => {
-                                    proc = Some(p);
-                                    if failed_before {
-                                        self.record(ExecutorEvent::WorkerRespawned {
-                                            worker: lane,
-                                        });
-                                    }
-                                }
-                                Err(e) => {
-                                    // Spawn failures fall through to the
-                                    // per-job fallback below.
-                                    failed_before = true;
-                                    consecutive += 1;
-                                    self.record(ExecutorEvent::WorkerFailed {
-                                        worker: lane,
-                                        job: i,
-                                        detail: e.clone(),
-                                    });
-                                }
-                            }
-                        }
-                        let Some(worker) = proc.as_mut() else {
-                            let out = fallback_front_end(job, schedule, candidates, merging, &pool);
-                            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                            *slots[i].lock().expect("slot poisoned") = Some(out);
-                            continue;
-                        };
-                        let req = WorkerRequest::Region(Box::new(RegionRequest {
-                            chip: job.chip.clone(),
-                            schedule: schedule.clone(),
-                            requirements: job.requirements.to_vec(),
-                            candidates,
-                            merging,
-                        }));
-                        let out = match worker.call(&req) {
-                            Ok(WorkerResponse::Groups(g)) => {
-                                self.remote_jobs.fetch_add(1, Ordering::Relaxed);
-                                consecutive = 0;
-                                Ok(g)
-                            }
-                            // The worker's front end panicked — the same
-                            // refusal an in-process panic would be. The
-                            // worker itself is still healthy.
-                            Ok(WorkerResponse::Error(msg)) => {
-                                self.remote_jobs.fetch_add(1, Ordering::Relaxed);
-                                consecutive = 0;
-                                Err(msg)
-                            }
-                            Ok(_) => {
-                                proc = None;
-                                failed_before = true;
-                                consecutive += 1;
-                                self.record(ExecutorEvent::WorkerFailed {
-                                    worker: lane,
-                                    job: i,
-                                    detail: "unexpected response kind".to_string(),
-                                });
-                                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                                fallback_front_end(job, schedule, candidates, merging, &pool)
-                            }
-                            Err(detail) => {
-                                proc = None;
-                                failed_before = true;
-                                consecutive += 1;
-                                self.record(ExecutorEvent::WorkerFailed {
-                                    worker: lane,
-                                    job: i,
-                                    detail,
-                                });
-                                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                                fallback_front_end(job, schedule, candidates, merging, &pool)
-                            }
-                        };
-                        *slots[i].lock().expect("slot poisoned") = Some(out);
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("slot poisoned")
-                    .expect("every job slot filled")
-            })
-            .collect()
-    }
-
-    fn events(&self) -> Vec<ExecutorEvent> {
-        self.events
-            .lock()
-            .expect("executor event log poisoned")
-            .clone()
-    }
-
-    fn subprocess_counters(&self) -> (usize, usize) {
-        (
-            self.remote_jobs.load(Ordering::Relaxed),
-            self.fallbacks.load(Ordering::Relaxed),
-        )
-    }
-
-    fn exhausted_lanes(&self) -> usize {
-        self.exhausted.load(Ordering::Relaxed)
-    }
-}
-
-/// In-process replanning of one job after a transport failure: the same
-/// pure front end the worker would have run, with the same panic-refusal
-/// semantics as [`InProcessExecutor`].
-pub(crate) fn fallback_front_end(
-    job: &RegionJob<'_>,
-    schedule: &Schedule,
-    candidates: usize,
-    merging: bool,
-    pool: &ScratchPool,
-) -> Result<Vec<WashGroup>, String> {
-    std::panic::catch_unwind(AssertUnwindSafe(|| {
-        region_front_end(
-            job.chip,
-            schedule,
-            job.requirements,
-            candidates,
-            merging,
-            1,
-            pool,
-        )
-    }))
-    .map_err(panic_message)
-}
-
 /// Solves the context's instance with the partitioned ladder: the
 /// partitioned rung first (for `partitions ≥ 2`), then the standard
 /// degradation ladder on any rejection. `partitions ≤ 1` delegates verbatim
@@ -575,16 +112,42 @@ pub fn plan_partitioned_ctx(
     config: &PdwConfig,
     partitions: usize,
 ) -> PlanOutcome {
-    plan_partitioned_ctx_with(ctx, config, partitions, &InProcessExecutor)
+    partitioned_ladder(ctx, config, partitions, None)
 }
 
-/// An internal [`Planner`] shim binding a region executor to the
-/// partitioned pipeline so [`attempt_rung`]'s panic isolation and timing
-/// apply unchanged.
+/// One-shot wrapper for [`plan_partitioned_ctx`]: builds a throwaway
+/// [`PlanContext`] for the instance. Never panics.
+pub fn plan_partitioned(
+    bench: &Benchmark,
+    synthesis: &Synthesis,
+    config: &PdwConfig,
+    partitions: usize,
+) -> PlanOutcome {
+    let mut ctx = PlanContext::new(bench, synthesis);
+    plan_partitioned_ctx(&mut ctx, config, partitions)
+}
+
+/// [`plan_partitioned`] with region front ends planned by `executor` in
+/// `pdw worker` processes (`None` plans them on scoped threads here). The
+/// executor only changes *where* region front ends run; the served plan is
+/// bit-identical either way. Never panics.
+pub fn plan_partitioned_with(
+    bench: &Benchmark,
+    synthesis: &Synthesis,
+    config: &PdwConfig,
+    partitions: usize,
+    executor: Option<&StreamExecutor>,
+) -> PlanOutcome {
+    let mut ctx = PlanContext::new(bench, synthesis);
+    partitioned_ladder(&mut ctx, config, partitions, executor)
+}
+
+/// The partitioned pipeline as a [`Planner`], so [`attempt_rung`]'s panic
+/// isolation and timing apply unchanged.
 struct ExecutorPlanner<'e> {
     config: PdwConfig,
     partitions: usize,
-    executor: &'e dyn RegionExecutor,
+    executor: Option<&'e StreamExecutor>,
 }
 
 impl Planner for ExecutorPlanner<'_> {
@@ -601,14 +164,12 @@ impl Planner for ExecutorPlanner<'_> {
     }
 }
 
-/// [`plan_partitioned_ctx`] with an explicit [`RegionExecutor`] — the seam
-/// `pdw worker` plugs into. The executor only changes *where* region front
-/// ends run; the served plan is bit-identical across executors.
-pub fn plan_partitioned_ctx_with(
+/// The partitioned rung, then the standard ladder on any rejection.
+fn partitioned_ladder(
     ctx: &mut PlanContext<'_>,
     config: &PdwConfig,
     partitions: usize,
-    executor: &dyn RegionExecutor,
+    executor: Option<&StreamExecutor>,
 ) -> PlanOutcome {
     if partitions <= 1 {
         return plan_resilient_ctx(ctx, config);
@@ -658,30 +219,6 @@ pub fn plan_partitioned_ctx_with(
     outcome
 }
 
-/// One-shot wrapper for [`plan_partitioned_ctx`]: builds a throwaway
-/// [`PlanContext`] for the instance. Never panics.
-pub fn plan_partitioned(
-    bench: &Benchmark,
-    synthesis: &Synthesis,
-    config: &PdwConfig,
-    partitions: usize,
-) -> PlanOutcome {
-    let mut ctx = PlanContext::new(bench, synthesis);
-    plan_partitioned_ctx(&mut ctx, config, partitions)
-}
-
-/// One-shot wrapper for [`plan_partitioned_ctx_with`]. Never panics.
-pub fn plan_partitioned_with(
-    bench: &Benchmark,
-    synthesis: &Synthesis,
-    config: &PdwConfig,
-    partitions: usize,
-    executor: &dyn RegionExecutor,
-) -> PlanOutcome {
-    let mut ctx = PlanContext::new(bench, synthesis);
-    plan_partitioned_ctx_with(&mut ctx, config, partitions, executor)
-}
-
 /// The partitioned pipeline proper (see the [module docs](self)). Requires
 /// `partitions ≥ 2`; a partition that clamps to a single region falls back
 /// to the unpartitioned [`run_pipeline`].
@@ -689,7 +226,7 @@ fn run_partitioned_pipeline(
     ctx: &mut PlanContext<'_>,
     config: &PdwConfig,
     partitions: usize,
-    executor: &dyn RegionExecutor,
+    executor: Option<&StreamExecutor>,
 ) -> Result<WashResult, PdwError> {
     let bench = ctx.bench();
     let synthesis = ctx.synthesis();
@@ -818,9 +355,9 @@ fn run_partitioned_pipeline(
     // — no reachability fields, no routing, no candidate enumeration.
     timer.stats.regions_skipped = band_live.iter().filter(|live| !**live).count();
 
-    // Plan every live bucket's front end through the region executor —
-    // scoped threads in-process, or `pdw worker` children out-of-process;
-    // either way one serial front end per bucket (the parallelism is across
+    // Plan every live bucket's front end — on scoped threads here, or in
+    // `pdw worker` processes through the executor; either way one serial
+    // front end per bucket (the parallelism is across
     // buckets). A bucket that panics — e.g. a cluster-split bridge cell
     // landing outside its view — refuses: its requirements are replanned on
     // the whole chip as seam work.
@@ -833,20 +370,27 @@ fn run_partitioned_pipeline(
         .collect();
     let fronts = timer.stage(
         |s| &mut s.grouping_s,
-        || {
-            executor.run(
-                &jobs,
-                &synthesis.schedule,
-                candidates,
-                merging,
-                config.threads,
-            )
+        || match executor {
+            Some(executor) => executor.run(&jobs, &synthesis.schedule, candidates, merging),
+            None => try_par_map_ctx(&jobs, config.threads, ScratchPool::new, |pool, _, job| {
+                region_front_end(
+                    job.chip,
+                    &synthesis.schedule,
+                    job.requirements,
+                    candidates,
+                    merging,
+                    1,
+                    pool,
+                )
+            }),
         },
     );
-    let (remote_jobs, remote_fallbacks) = executor.subprocess_counters();
-    timer.stats.subprocess_jobs = remote_jobs;
-    timer.stats.subprocess_fallbacks = remote_fallbacks;
-    timer.stats.subprocess_exhausted = executor.exhausted_lanes();
+    if let Some(executor) = executor {
+        let report = executor.report();
+        timer.stats.subprocess_jobs = report.remote_jobs;
+        timer.stats.subprocess_fallbacks = report.fallbacks;
+        timer.stats.subprocess_exhausted = report.exhausted_lanes;
+    }
     let mut groups: Vec<WashGroup> = Vec::new();
     let mut cross_groups: Vec<WashGroup> = Vec::new();
     for (front, (key, _, reqs)) in fronts.into_iter().zip(&work) {

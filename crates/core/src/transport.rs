@@ -24,31 +24,22 @@
 //!   classifies `WouldBlock`/`TimedOut` as [`TransportError::Timeout`],
 //!   version skew as its own variant, and every other codec failure as a
 //!   torn frame.
-//! - [`SocketExecutor`] — the remote-worker sibling of
-//!   [`SubprocessExecutor`](crate::SubprocessExecutor): region jobs
-//!   framed to `pdw worker --listen` peers, reconnect-with-backoff under
-//!   the same [`RespawnPolicy`], in-process fallback, bit-identical
-//!   plans.
+//!
+//! Region jobs sent to `pdw worker --listen` peers use only [`NetAddr`]
+//! and [`NetStream`] from here; the worker protocol's client and server
+//! both live in [`crate::worker`].
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
-use pdw_biochip::ScratchPool;
-use pdw_sched::Schedule;
 use serde::{Deserialize, Serialize, Value};
 
 use crate::codec::{self, CodecError, FrameType, PlanArtifact, SCHEMA_VERSION};
-use crate::groups::WashGroup;
-use crate::partition::{
-    fallback_front_end, ExecutorEvent, RegionExecutor, RegionJob, RespawnPolicy,
-};
-use crate::worker::{RegionRequest, SolveRequest, WorkerRequest, WorkerResponse};
+use crate::worker::SolveRequest;
 
 /// Typed transport failures — the socket-level mirror of [`CodecError`].
 /// Every variant is something a retry loop can reason about: connect
@@ -787,258 +778,6 @@ pub fn recv_response(
 pub fn hello() -> NetRequest {
     NetRequest::Hello {
         codec_version: SCHEMA_VERSION,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SocketExecutor: remote region workers
-// ---------------------------------------------------------------------------
-
-/// Timeouts for one worker-socket lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SocketTimeouts {
-    /// Deadline for dialing a peer.
-    pub connect: Duration,
-    /// Deadline for one framed request/response round trip's read.
-    pub read: Duration,
-    /// Deadline for writing one request frame.
-    pub write: Duration,
-}
-
-impl Default for SocketTimeouts {
-    fn default() -> Self {
-        SocketTimeouts {
-            connect: Duration::from_secs(2),
-            read: Duration::from_secs(60),
-            write: Duration::from_secs(10),
-        }
-    }
-}
-
-/// Plans region jobs on remote `pdw worker --listen` peers: one lane per
-/// address, each owning one framed connection speaking the *same*
-/// [`WorkerRequest`]/[`WorkerResponse`] protocol the stdin/stdout worker
-/// speaks — the byte stream changed, the frames did not. A lane whose
-/// connection fails records [`ExecutorEvent::WorkerFailed`], replans the
-/// job in-process (bit-identical — the front end is a pure function), and
-/// reconnects with exponential backoff under its [`RespawnPolicy`]; a
-/// lane that burns its whole reconnect budget degrades to in-process for
-/// the rest of the run ([`ExecutorEvent::RespawnBudgetExhausted`]).
-pub struct SocketExecutor {
-    addrs: Vec<NetAddr>,
-    timeouts: SocketTimeouts,
-    policy: RespawnPolicy,
-    events: Mutex<Vec<ExecutorEvent>>,
-    remote_jobs: AtomicUsize,
-    fallbacks: AtomicUsize,
-    exhausted: AtomicUsize,
-}
-
-impl SocketExecutor {
-    /// An executor with one lane per peer address.
-    ///
-    /// # Panics
-    /// Panics if `addrs` is empty.
-    pub fn new(addrs: Vec<NetAddr>) -> Self {
-        assert!(!addrs.is_empty(), "socket executor needs at least one peer");
-        Self {
-            addrs,
-            timeouts: SocketTimeouts::default(),
-            policy: RespawnPolicy::default(),
-            events: Mutex::new(Vec::new()),
-            remote_jobs: AtomicUsize::new(0),
-            fallbacks: AtomicUsize::new(0),
-            exhausted: AtomicUsize::new(0),
-        }
-    }
-
-    /// Replaces the lane timeouts.
-    pub fn with_timeouts(mut self, timeouts: SocketTimeouts) -> Self {
-        self.timeouts = timeouts;
-        self
-    }
-
-    /// Replaces the reconnect policy (budget and backoff curve).
-    pub fn with_respawn_policy(mut self, policy: RespawnPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    fn record(&self, event: ExecutorEvent) {
-        self.events
-            .lock()
-            .expect("executor event log poisoned")
-            .push(event);
-    }
-
-    /// One framed round trip over a live connection.
-    fn call(
-        &self,
-        stream: &mut NetStream,
-        req: &WorkerRequest,
-    ) -> Result<WorkerResponse, TransportError> {
-        let frame = codec::encode_frame(FrameType::WorkerRequest, req);
-        send_frame(stream, &frame, self.timeouts.write)?;
-        let frame = recv_frame(stream, codec::DEFAULT_MAX_FRAME_LEN, self.timeouts.read)?
-            .ok_or_else(|| TransportError::Io("worker closed the connection".to_string()))?;
-        decode_net(FrameType::WorkerResponse, &frame)
-    }
-}
-
-type JobSlot = Mutex<Option<Result<Vec<WashGroup>, String>>>;
-
-impl RegionExecutor for SocketExecutor {
-    fn name(&self) -> &'static str {
-        "socket"
-    }
-
-    fn run(
-        &self,
-        jobs: &[RegionJob<'_>],
-        schedule: &Schedule,
-        candidates: usize,
-        merging: bool,
-        _threads: usize,
-    ) -> Vec<Result<Vec<WashGroup>, String>> {
-        self.events
-            .lock()
-            .expect("executor event log poisoned")
-            .clear();
-        self.remote_jobs.store(0, Ordering::Relaxed);
-        self.fallbacks.store(0, Ordering::Relaxed);
-        self.exhausted.store(0, Ordering::Relaxed);
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let lanes = self.addrs.len().min(jobs.len()).max(1);
-        let slots: Vec<JobSlot> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for lane in 0..lanes {
-                let slots = &slots;
-                scope.spawn(move || {
-                    let pool = ScratchPool::new();
-                    let addr = &self.addrs[lane];
-                    let mut conn: Option<NetStream> = None;
-                    let mut failed_before = false;
-                    let mut reconnects_used = 0usize;
-                    let mut consecutive = 0u32;
-                    let mut exhausted = false;
-                    for i in (lane..jobs.len()).step_by(lanes) {
-                        let job = &jobs[i];
-                        if conn.is_none() && !exhausted && failed_before {
-                            if reconnects_used >= self.policy.budget {
-                                exhausted = true;
-                                self.exhausted.fetch_add(1, Ordering::Relaxed);
-                                self.record(ExecutorEvent::RespawnBudgetExhausted {
-                                    worker: lane,
-                                    budget: self.policy.budget,
-                                });
-                            } else {
-                                std::thread::sleep(self.policy.backoff(consecutive));
-                                reconnects_used += 1;
-                            }
-                        }
-                        if !exhausted && conn.is_none() {
-                            match addr.connect(self.timeouts.connect) {
-                                Ok(s) => {
-                                    conn = Some(s);
-                                    if failed_before {
-                                        self.record(ExecutorEvent::WorkerRespawned {
-                                            worker: lane,
-                                        });
-                                    }
-                                }
-                                Err(e) => {
-                                    failed_before = true;
-                                    consecutive += 1;
-                                    self.record(ExecutorEvent::WorkerFailed {
-                                        worker: lane,
-                                        job: i,
-                                        detail: e.to_string(),
-                                    });
-                                }
-                            }
-                        }
-                        let Some(stream) = conn.as_mut() else {
-                            let out = fallback_front_end(job, schedule, candidates, merging, &pool);
-                            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                            *slots[i].lock().expect("slot poisoned") = Some(out);
-                            continue;
-                        };
-                        let req = WorkerRequest::Region(Box::new(RegionRequest {
-                            chip: job.chip.clone(),
-                            schedule: schedule.clone(),
-                            requirements: job.requirements.to_vec(),
-                            candidates,
-                            merging,
-                        }));
-                        let out = match self.call(stream, &req) {
-                            Ok(WorkerResponse::Groups(g)) => {
-                                self.remote_jobs.fetch_add(1, Ordering::Relaxed);
-                                consecutive = 0;
-                                Ok(g)
-                            }
-                            Ok(WorkerResponse::Error(msg)) => {
-                                self.remote_jobs.fetch_add(1, Ordering::Relaxed);
-                                consecutive = 0;
-                                Err(msg)
-                            }
-                            Ok(_) => {
-                                conn = None;
-                                failed_before = true;
-                                consecutive += 1;
-                                self.record(ExecutorEvent::WorkerFailed {
-                                    worker: lane,
-                                    job: i,
-                                    detail: "unexpected response kind".to_string(),
-                                });
-                                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                                fallback_front_end(job, schedule, candidates, merging, &pool)
-                            }
-                            Err(e) => {
-                                conn = None;
-                                failed_before = true;
-                                consecutive += 1;
-                                self.record(ExecutorEvent::WorkerFailed {
-                                    worker: lane,
-                                    job: i,
-                                    detail: e.to_string(),
-                                });
-                                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                                fallback_front_end(job, schedule, candidates, merging, &pool)
-                            }
-                        };
-                        *slots[i].lock().expect("slot poisoned") = Some(out);
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("slot poisoned")
-                    .expect("every job slot filled")
-            })
-            .collect()
-    }
-
-    fn events(&self) -> Vec<ExecutorEvent> {
-        self.events
-            .lock()
-            .expect("executor event log poisoned")
-            .clone()
-    }
-
-    fn subprocess_counters(&self) -> (usize, usize) {
-        (
-            self.remote_jobs.load(Ordering::Relaxed),
-            self.fallbacks.load(Ordering::Relaxed),
-        )
-    }
-
-    fn exhausted_lanes(&self) -> usize {
-        self.exhausted.load(Ordering::Relaxed)
     }
 }
 

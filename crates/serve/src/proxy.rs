@@ -1,8 +1,8 @@
 //! A deterministic in-repo chaos proxy for socket fault injection.
 //!
 //! [`ChaosProxy`] sits between a [`PlanClient`](crate::net::PlanClient)
-//! (or a [`SocketExecutor`](pathdriver_wash::SocketExecutor)) and a real
-//! endpoint, forwarding bytes verbatim except on the connections its
+//! (or a dialing [`StreamExecutor`](pathdriver_wash::StreamExecutor)) and
+//! a real endpoint, forwarding bytes verbatim except on the connections its
 //! [`ChaosSpec`] names, where it misbehaves in one precisely chosen way.
 //! Faults are keyed to the *n*-th accepted connection — the same
 //! connection-count trigger `PDW_WORKER_CHAOS` uses (`die:N`,
