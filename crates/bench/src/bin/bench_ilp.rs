@@ -11,7 +11,8 @@
 //! Two throughput views are reported per synthetic model:
 //!
 //! - `nodes_per_sec` at 1/2/4 threads (thread scaling; objectives must be
-//!   identical at every thread count), and
+//!   identical at every thread count), with the single-thread run's full
+//!   tableau rebuilds and basis-repair pivots next to it, and
 //! - `node_speedup_vs_cold_lp`: the per-node time of the search divided
 //!   into the time of one standalone cold LP solve (`solve_lp`) of the same
 //!   model — i.e. how much the warm-started, workspace-reusing node path
@@ -147,8 +148,18 @@ fn main() {
     ];
 
     println!(
-        "{:<22} {:>6} {:>6} | {:>9} {:>9} {:>9} | {:>8} {:>8} {:>7}",
-        "model", "rows", "vars", "n/s @1t", "n/s @2t", "n/s @4t", "warm%", "LP ms", "vs cold"
+        "{:<22} {:>6} {:>6} | {:>9} {:>9} {:>9} | {:>8} {:>8} {:>8} {:>8} {:>7}",
+        "model",
+        "rows",
+        "vars",
+        "n/s @1t",
+        "n/s @2t",
+        "n/s @4t",
+        "warm%",
+        "rebuilds",
+        "repair",
+        "LP ms",
+        "vs cold"
     );
     for r in &synthetic_reports {
         let nps: Vec<f64> = r.runs.iter().map(|x| x.stats.nodes_per_sec).collect();
@@ -162,7 +173,7 @@ fn main() {
             }
         };
         println!(
-            "{:<22} {:>6} {:>6} | {:>9.0} {:>9.0} {:>9.0} | {:>7.1}% {:>8.3} {:>6.1}x",
+            "{:<22} {:>6} {:>6} | {:>9.0} {:>9.0} {:>9.0} | {:>7.1}% {:>8} {:>8} {:>8.3} {:>6.1}x",
             r.model,
             r.rows,
             r.vars,
@@ -170,6 +181,8 @@ fn main() {
             nps[1],
             nps[2],
             warm_pct,
+            r.runs[0].stats.refactorizations,
+            r.runs[0].stats.basis_repair_pivots,
             r.cold_lp_ms,
             r.node_speedup_vs_cold_lp
         );
@@ -187,8 +200,16 @@ fn main() {
     for t in &table2 {
         match &t.stats {
             Some(s) => println!(
-                "table2[{}]: {} nodes, {:.0} nodes/s, {} pivots, warm/cold {}/{}",
-                t.benchmark, s.nodes, s.nodes_per_sec, s.lp_pivots, s.warm_lps, s.cold_lps
+                "table2[{}]: {} nodes, {:.0} nodes/s, {} pivots, warm/cold {}/{}, \
+                 {} rebuilds, {} repair pivots",
+                t.benchmark,
+                s.nodes,
+                s.nodes_per_sec,
+                s.lp_pivots,
+                s.warm_lps,
+                s.cold_lps,
+                s.refactorizations,
+                s.basis_repair_pivots
             ),
             None => println!("table2[{}]: ILP refinement not adopted", t.benchmark),
         }

@@ -1087,7 +1087,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     if let Some(st) = &p.solver.stats {
         println!(
             "solver: {} nodes in {:.2}s ({:.0} nodes/s, {} threads), {} pivots, \
-             warm/cold LPs {}/{} ({} fallbacks)",
+             warm/cold LPs {}/{} ({} fallbacks, {} rebuilds, {} repair pivots)",
             st.nodes,
             st.search_time_s,
             st.nodes_per_sec,
@@ -1095,7 +1095,9 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             st.lp_pivots,
             st.warm_lps,
             st.cold_lps,
-            st.warm_start_fallbacks
+            st.warm_start_fallbacks,
+            st.refactorizations,
+            st.basis_repair_pivots
         );
         if let Some(t) = st.time_to_first_incumbent_s {
             println!(

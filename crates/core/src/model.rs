@@ -179,15 +179,17 @@ pub(crate) fn refine_with_ilp(
         }
     }
 
-    // Transitive reduction: drop edges implied by longer paths.
+    // Transitive reduction: drop edges implied by longer paths. Rows are
+    // emitted in variable order, so one instance always builds one model.
     let reduced = transitive_reduce(&edges, &intervals);
-    for ((a, b), w) in &reduced {
+    let mut precedence: Vec<(VarId, VarId, Time)> = reduced
+        .iter()
+        .map(|(&(a, b), &w)| (var_of(a), var_of(b), w))
+        .collect();
+    precedence.sort_unstable();
+    for (a, b, w) in precedence {
         // s_b - s_a >= w
-        m.constraint(
-            [(var_of(*b), 1.0), (var_of(*a), -1.0)],
-            Relation::Ge,
-            *w as f64,
-        );
+        m.constraint([(b, 1.0), (a, -1.0)], Relation::Ge, w as f64);
     }
 
     // Reachability in the precedence DAG, for pruning wash order binaries:
@@ -611,13 +613,14 @@ pub(crate) fn refine_with_ilp(
 
     // ---- Extract: floor the starts (difference constraints with integer
     // offsets stay satisfied under uniform flooring). ----
+    let start_of = |v: VarId| snap_start(sol.value(v));
     let mut schedule = base.clone();
     for op in schedule.ops_mut() {
-        op.start = sol.value(op_var[&op.op]).floor() as Time;
+        op.start = start_of(op_var[&op.op]);
     }
     let ids: Vec<TaskId> = schedule.tasks().map(|(id, _)| id).collect();
     for id in ids {
-        let s = sol.value(task_var[&id]).floor() as Time;
+        let s = start_of(task_var[&id]);
         schedule.task_mut(id).set_start(s);
     }
     for (gi, g) in groups.iter().enumerate() {
@@ -632,7 +635,7 @@ pub(crate) fn refine_with_ilp(
                 targets: g.targets(),
             },
             cand.path.clone(),
-            sol.value(wash_vars[gi].start).floor() as Time,
+            start_of(wash_vars[gi].start),
             cand.duration,
             pdw_assay::FluidType::BUFFER,
         ));
@@ -644,6 +647,14 @@ pub(crate) fn refine_with_ilp(
         nodes: sol.nodes,
         stats: sol.stats,
     })
+}
+
+/// An LP start time as a whole second: floored, after a shift by the
+/// integrality tolerance so a value a hair below an integer (12.9999999)
+/// is not floored a second early. Every start shifts alike, so integer-offset
+/// difference constraints survive the flooring.
+fn snap_start(v: f64) -> Time {
+    (v + pdw_ilp::INT_TOL).floor() as Time
 }
 
 /// Transitive reduction of the precedence edges: an edge `(a, b, w)` is
@@ -700,6 +711,13 @@ mod tests {
     use pdw_contam::{analyze, NecessityOptions};
     use pdw_sim::Metrics;
     use pdw_synth::synthesize;
+
+    #[test]
+    fn snap_start_floors_within_integrality_tolerance() {
+        assert_eq!(snap_start(12.9999999), 13);
+        assert_eq!(snap_start(13.4), 13);
+        assert_eq!(snap_start(0.0), 0);
+    }
 
     #[test]
     fn transitive_reduction_drops_implied_edges() {

@@ -17,8 +17,13 @@
 //!   children ([`Basis`]), so a child LP restarts with the dual simplex
 //!   instead of a cold two-phase solve. Numerical trouble falls back to the
 //!   cold path (counted in [`SolverStats::warm_start_fallbacks`]).
-//! - **Reused workspaces.** Every worker owns one [`Workspace`]; node
-//!   solves are allocation-free apart from the two `Arc`s per branching.
+//! - **A live tableau per worker.** Every worker owns one [`Workspace`]
+//!   whose tableau carries over from node to node: a dive child starts
+//!   from the basis its parent left behind, and a node popped from the heap
+//!   pivots in only the few basis columns it differs by (counted in
+//!   [`SolverStats::basis_repair_pivots`]). Full rebuilds are the exception
+//!   ([`SolverStats::refactorizations`]), and node solves are
+//!   allocation-free apart from the two `Arc`s per branching.
 //!
 //! Pruning is conservative (`bound >= incumbent - 1e-9`, same as the
 //! sequential version), so an exhausted search proves optimality and the
@@ -104,6 +109,12 @@ pub struct SolverStats {
     pub cold_lps: u64,
     /// Warm starts abandoned for the cold path (singular or stalled basis).
     pub warm_start_fallbacks: u64,
+    /// Warm starts that rebuilt the tableau from the raw matrix instead of
+    /// pivoting the live one to the node's basis.
+    pub refactorizations: u64,
+    /// Pivots spent moving the live tableau to a node's basis before its
+    /// dual simplex (not part of [`lp_pivots`](Self::lp_pivots)).
+    pub basis_repair_pivots: u64,
     /// Seconds spent in presolve.
     pub presolve_time_s: f64,
     /// Seconds spent in the tree search.
@@ -256,6 +267,8 @@ struct Search<'a> {
     nodes: AtomicU64,
     next_seq: AtomicU64,
     pivots: AtomicU64,
+    repair_pivots: AtomicU64,
+    refactorizations: AtomicU64,
     warm_lps: AtomicU64,
     cold_lps: AtomicU64,
     fallbacks: AtomicU64,
@@ -321,6 +334,8 @@ pub fn solve(model: &Model, opts: &SolveOptions) -> Result<Solution, MilpError> 
         nodes: AtomicU64::new(0),
         next_seq: AtomicU64::new(1),
         pivots: AtomicU64::new(0),
+        repair_pivots: AtomicU64::new(0),
+        refactorizations: AtomicU64::new(0),
         warm_lps: AtomicU64::new(0),
         cold_lps: AtomicU64::new(0),
         fallbacks: AtomicU64::new(0),
@@ -369,6 +384,8 @@ pub fn solve(model: &Model, opts: &SolveOptions) -> Result<Solution, MilpError> 
         warm_lps: search.warm_lps.load(Ordering::Relaxed),
         cold_lps: search.cold_lps.load(Ordering::Relaxed),
         warm_start_fallbacks: search.fallbacks.load(Ordering::Relaxed),
+        refactorizations: search.refactorizations.load(Ordering::Relaxed),
+        basis_repair_pivots: search.repair_pivots.load(Ordering::Relaxed),
         presolve_time_s: presolve_time.as_secs_f64(),
         search_time_s: search_time.as_secs_f64(),
         time_to_first_incumbent_s: incumbent.timeline.first().map(|e| e.at_s),
@@ -625,6 +642,10 @@ fn worker(s: &Search) {
         s.finish_dive();
     }
     s.pivots.fetch_add(ws.pivots, Ordering::Relaxed);
+    s.repair_pivots
+        .fetch_add(ws.repair_pivots, Ordering::Relaxed);
+    s.refactorizations
+        .fetch_add(ws.refactorizations, Ordering::Relaxed);
 }
 
 fn snap_integers(values: &mut [f64], int_vars: &[usize]) {
@@ -839,6 +860,8 @@ mod tests {
         // Every processed node solves exactly one LP, warm or cold.
         assert_eq!(st.warm_lps + st.cold_lps, st.nodes, "stats: {st:?}");
         assert!(st.warm_lps > 0, "child nodes should warm-start: {st:?}");
+        // Each full tableau rebuild serves one warm LP.
+        assert!(st.refactorizations <= st.warm_lps, "stats: {st:?}");
         assert!(st.lp_pivots > 0);
         assert!(st.threads == 2);
         assert!(st.nodes_per_sec > 0.0);

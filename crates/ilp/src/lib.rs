@@ -12,13 +12,17 @@
 //! - **parallel branch-and-bound** over the integer variables ([`solve`])
 //!   with best-first work sharing, depth-first diving, warm-started node
 //!   LPs, a wall-clock budget, and anytime incumbents — mirroring the
-//!   paper's "15-minute best-effort" solver usage;
+//!   paper's "15-minute best-effort" solver usage. Each worker's tableau
+//!   stays live from node to node and is pivoted to the next node's basis
+//!   rather than rebuilt;
 //! - a [`SolverStats`] report on every solution (node throughput, LP
-//!   pivots, warm-start hit rate, incumbent timeline).
+//!   pivots, warm-start hit rate, basis-repair pivots and full tableau
+//!   rebuilds, incumbent timeline).
 //!
 //! The solver is deterministic: identical models yield identical objectives
 //! regardless of the configured thread count
-//! ([`SolveOptions::threads`]).
+//! ([`SolveOptions::threads`]), and on one thread an identical search
+//! (the same nodes, pivots and solution).
 //!
 //! # Example
 //!

@@ -71,7 +71,9 @@ pub fn presolve_with_stats(model: &Model) -> (Presolved, PresolveStats) {
             // Fold fixed variables into the right-hand side.
             let mut rhs = c.rhs;
             let mut live: Vec<(crate::VarId, f64)> = Vec::new();
-            let mut acc: std::collections::HashMap<usize, f64> = std::collections::HashMap::new();
+            // Terms folded per column in column order, so a model always
+            // presolves to the same rows.
+            let mut acc: std::collections::BTreeMap<usize, f64> = std::collections::BTreeMap::new();
             for &(v, coef) in c.expr.terms() {
                 *acc.entry(v.0).or_insert(0.0) += coef;
             }

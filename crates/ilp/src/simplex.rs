@@ -16,15 +16,27 @@
 //!   costs, pivot row). A branch-and-bound worker keeps one workspace and
 //!   reuses it for every node it processes — zero per-node allocations.
 //! - [`Basis`] snapshots a parent node's optimal basis. A child LP differs
-//!   from its parent by a single variable bound, so the parent basis is
-//!   rebuilt by Gauss-Jordan elimination and reoptimized with the **dual
-//!   simplex** (the basis stays dual feasible under bound changes), skipping
-//!   phase 1 entirely on the hot path.
+//!   from its parent by a single variable bound, so the parent basis stays
+//!   dual feasible and the child is reoptimized with the **dual simplex**,
+//!   skipping phase 1 entirely on the hot path.
+//!
+//! The workspace's tableau stays **live** from one node to the next. Every
+//! row operation is also applied to the unshifted right-hand side, so the
+//! tableau carries `B⁻¹b` and any node's basic values follow from it, the
+//! node's lower bounds and its columns at their upper bound in one
+//! O(m·ncols) pass. A warm solve therefore pivots in only the columns of the
+//! node's basis that the live basis lacks: none for a dive child, which
+//! inherits the basis its parent just left behind, and a few for a node
+//! popped from elsewhere in the tree. The tableau is rebuilt from the raw
+//! matrix (a full Gauss-Jordan elimination) only when a needed pivot is
+//! numerically too small or more than m pivots have accumulated since the
+//! last build, which bounds round-off drift.
 //!
 //! The standalone entry points ([`solve_lp`], [`solve_lp_with_bounds`],
 //! [`solve_lp_with_deadline`]) build a `Prepared`/`Workspace` pair
 //! internally and run the cold two-phase path.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::model::{Model, Relation};
@@ -136,8 +148,11 @@ pub(crate) enum WarmError {
 const RC_TOL: f64 = 1e-9;
 const PIVOT_TOL: f64 = 1e-9;
 const DEGENERATE_STREAK: u32 = 60;
-/// A rebuilt basis whose pivot falls below this is treated as singular.
+/// A basis column whose best pivot falls below this is treated as singular.
 const REBUILD_TOL: f64 = 1e-8;
+
+/// Source of [`Prepared::id`].
+static NEXT_PREPARED_ID: AtomicU64 = AtomicU64::new(1);
 
 /// The canonical constraint matrix of one model, built once and shared by
 /// every node solve (read-only).
@@ -149,6 +164,9 @@ const REBUILD_TOL: f64 = 1e-8;
 /// loaded).
 #[derive(Debug, Clone)]
 pub(crate) struct Prepared {
+    /// Identifies the matrix, so a [`Workspace`] can tell whether its live
+    /// tableau was built from it.
+    id: u64,
     n: usize,
     m: usize,
     ncols: usize,
@@ -206,6 +224,7 @@ impl Prepared {
         }
 
         Prepared {
+            id: NEXT_PREPARED_ID.fetch_add(1, Ordering::Relaxed),
             n,
             m,
             ncols,
@@ -225,21 +244,39 @@ impl Prepared {
 /// Reusable mutable state for node solves. One per worker thread; every
 /// buffer is resized on first use with a given [`Prepared`] and then reused
 /// allocation-free.
+///
+/// Between solves the tableau stays valid for the model it was built from:
+/// column `basis[i]` of `rows` is the `i`-th identity column, and `binv_b`
+/// has seen every row operation `rows` has.
 #[derive(Debug, Default)]
 pub(crate) struct Workspace {
     rows: Vec<f64>,
+    /// The unshifted right-hand side under the tableau's row operations
+    /// (`B⁻¹b`).
+    binv_b: Vec<f64>,
     beta: Vec<f64>,
     basis: Vec<usize>,
     status: Vec<Status>,
     upper: Vec<f64>,
     rc: Vec<f64>,
     pivot_row: Vec<f64>,
+    /// Per-column offset of the basic values from `binv_b` (scratch for
+    /// [`Solver::basic_values`]).
+    shift: Vec<f64>,
     row_of: Vec<usize>,
     degenerate_streak: u32,
+    /// [`Prepared::id`] of the matrix the tableau was built from (0: none).
+    built_from: u64,
+    /// Basis changes since the tableau was last built from the raw matrix.
+    etas: usize,
     /// Total pivots (basis changes and bound flips) performed through this
     /// workspace; the branch-and-bound layer aggregates these into
     /// [`SolverStats`](crate::SolverStats).
     pub(crate) pivots: u64,
+    /// Pivots spent moving the live tableau to a node's basis.
+    pub(crate) repair_pivots: u64,
+    /// Full rebuilds of the tableau for a warm start.
+    pub(crate) refactorizations: u64,
 }
 
 impl Workspace {
@@ -247,9 +284,12 @@ impl Workspace {
         Workspace::default()
     }
 
+    /// Restarts the tableau from the raw matrix of `prep`.
     fn reset(&mut self, prep: &Prepared) {
         self.rows.clear();
         self.rows.extend_from_slice(&prep.a);
+        self.binv_b.clear();
+        self.binv_b.extend_from_slice(&prep.rhs);
         self.beta.clear();
         self.basis.clear();
         self.status.clear();
@@ -260,9 +300,13 @@ impl Workspace {
         self.rc.resize(prep.ncols, 0.0);
         self.pivot_row.clear();
         self.pivot_row.resize(prep.ncols, 0.0);
+        self.shift.clear();
+        self.shift.resize(prep.ncols, 0.0);
         self.row_of.clear();
         self.row_of.resize(prep.ncols, usize::MAX);
         self.degenerate_streak = 0;
+        self.built_from = prep.id;
+        self.etas = 0;
     }
 
     /// Snapshots the current basis (valid after an optimal solve).
@@ -302,8 +346,8 @@ pub(crate) fn solve_cold(
     LpOutcome::Optimal(s.extract(lb))
 }
 
-/// Solves one LP warm-started from a parent basis: rebuilds the tableau by
-/// elimination, restores primal feasibility with the dual simplex, and
+/// Solves one LP warm-started from a parent basis: moves the tableau to
+/// that basis, restores primal feasibility with the dual simplex, and
 /// polishes with primal phase 2. Falls back to the caller on numerical
 /// trouble rather than guessing.
 pub(crate) fn solve_warm(
@@ -322,9 +366,14 @@ pub(crate) fn solve_warm(
     debug_assert_eq!(basis.cols.len(), prep.m);
     debug_assert_eq!(basis.status.len(), prep.ncols);
     let mut s = Solver { prep, ws, deadline };
-    if !s.load_warm(lb, ub, basis) {
+    if !s.load_basis(basis) {
         return Err(WarmError::Singular);
     }
+    s.set_structural_uppers(lb, ub);
+    for j in prep.art0..prep.ncols {
+        s.ws.upper[j] = 0.0;
+    }
+    s.basic_values(lb);
     match s.dual_simplex() {
         Dual::PrimalFeasible => {}
         Dual::Infeasible => return Ok(LpOutcome::Infeasible),
@@ -345,27 +394,6 @@ struct Solver<'a> {
 }
 
 impl Solver<'_> {
-    /// Shifted right-hand side of row `i`: `rhs_i − Σ_j a_ij · lb_j`.
-    fn shifted_rhs(&self, lb: &[f64]) -> Vec<f64> {
-        // Reuses no scratch: called once per load, and the result becomes
-        // `beta` (moved, not copied).
-        let (nc, n) = (self.prep.ncols, self.prep.n);
-        self.prep
-            .rhs
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| {
-                let row = &self.prep.a[i * nc..i * nc + n];
-                r - row
-                    .iter()
-                    .zip(lb)
-                    .filter(|(&a, _)| a != 0.0)
-                    .map(|(&a, &l)| a * l)
-                    .sum::<f64>()
-            })
-            .collect()
-    }
-
     fn set_structural_uppers(&mut self, lb: &[f64], ub: &[f64]) {
         for j in 0..self.prep.n {
             self.ws.upper[j] = ub[j] - lb[j];
@@ -378,29 +406,39 @@ impl Solver<'_> {
         let prep = self.prep;
         self.ws.reset(prep);
         self.set_structural_uppers(lb, ub);
-        let mut rhs = self.shifted_rhs(lb);
         let ws = &mut *self.ws;
         let nc = prep.ncols;
-        for (i, r) in rhs.iter_mut().enumerate() {
+        for i in 0..prep.m {
+            let row = &mut ws.rows[i * nc..(i + 1) * nc];
+            // Shifted right-hand side: rhs_i − Σ_j a_ij · lb_j.
+            let mut r = prep.rhs[i]
+                - row[..prep.n]
+                    .iter()
+                    .zip(lb)
+                    .filter(|(&a, _)| a != 0.0)
+                    .map(|(&a, &l)| a * l)
+                    .sum::<f64>();
             // Normalize rhs >= 0 by flipping the working row (the canonical
             // matrix in `prep` is untouched).
-            if *r < 0.0 {
-                for x in ws.rows[i * nc..(i + 1) * nc].iter_mut() {
+            if r < 0.0 {
+                for x in row.iter_mut() {
                     *x = -*x;
                 }
-                *r = -*r;
+                r = -r;
+                ws.binv_b[i] = -ws.binv_b[i];
             }
             // A +1 slack can start basic; otherwise the row's artificial.
             let basic = match prep.slack_of_row[i] {
-                Some(sj) if ws.rows[i * nc + sj] > 0.0 => sj,
+                Some(sj) if row[sj] > 0.0 => sj,
                 _ => {
                     let aj = prep.art0 + i;
-                    ws.rows[i * nc + aj] = 1.0;
+                    row[aj] = 1.0;
                     aj
                 }
             };
             ws.basis.push(basic);
             ws.status[basic] = Status::Basic;
+            ws.beta.push(r);
         }
         // Artificials not in the basis can never move.
         for j in prep.art0..nc {
@@ -408,88 +446,99 @@ impl Solver<'_> {
                 ws.upper[j] = 0.0;
             }
         }
-        ws.beta = rhs;
     }
 
-    /// Loads the tableau for a parent basis via Gauss-Jordan elimination
-    /// with partial pivoting. Returns `false` if the basis is singular for
-    /// this node's matrix.
-    fn load_warm(&mut self, lb: &[f64], ub: &[f64], basis: &Basis) -> bool {
+    /// Brings the tableau to `basis`. A live tableau of this model that has
+    /// taken at most m basis changes since its last build is pivoted there
+    /// directly; otherwise, or if a pivot is too small, it is rebuilt.
+    /// Returns `false` if the basis is singular for this matrix.
+    fn load_basis(&mut self, basis: &Basis) -> bool {
+        let ws = &mut *self.ws;
+        ws.degenerate_streak = 0;
+        if ws.built_from == self.prep.id && ws.etas <= self.prep.m {
+            let before = ws.etas;
+            let entered = self.enter_basis(basis);
+            self.ws.repair_pivots += (self.ws.etas - before) as u64;
+            if entered {
+                return true;
+            }
+        }
+        self.load_warm(basis)
+    }
+
+    /// Rebuilds the tableau for `basis` from the raw matrix: starting from
+    /// the artificial identity basis, every basic column is pivoted in
+    /// (Gauss-Jordan elimination with partial pivoting).
+    fn load_warm(&mut self, basis: &Basis) -> bool {
         let prep = self.prep;
-        self.ws.reset(prep);
-        self.set_structural_uppers(lb, ub);
-        let mut rhs = self.shifted_rhs(lb);
+        let ws = &mut *self.ws;
+        ws.reset(prep);
+        ws.refactorizations += 1;
+        for i in 0..prep.m {
+            let aj = prep.art0 + i;
+            ws.rows[i * prep.ncols + aj] = 1.0;
+            ws.basis.push(aj);
+            ws.status[aj] = Status::Basic;
+        }
+        let entered = self.enter_basis(basis);
+        self.ws.etas = 0;
+        entered
+    }
+
+    /// Pivots each column of `target` that the tableau's basis lacks into
+    /// the row, among those whose basic column `target` drops, with the
+    /// largest-magnitude entry; then adopts `target`'s nonbasic statuses.
+    /// Returns `false` if some column's best pivot is below
+    /// [`REBUILD_TOL`]; the tableau stays consistent either way.
+    fn enter_basis(&mut self, target: &Basis) -> bool {
+        let prep = self.prep;
         let ws = &mut *self.ws;
         let nc = prep.ncols;
-        // Artificial identity entries (all clamped to zero post-phase-1).
-        for i in 0..prep.m {
-            ws.rows[i * nc + prep.art0 + i] = 1.0;
-        }
-        for j in prep.art0..nc {
-            ws.upper[j] = 0.0;
-        }
-        ws.status.copy_from_slice(&basis.status);
-        ws.basis.extend_from_slice(&basis.cols);
-
-        // Re-eliminate the basic columns: after processing step k, column
-        // basis[k] is the k-th identity column.
-        for k in 0..prep.m {
-            let col = ws.basis[k];
-            // Partial pivoting over the not-yet-assigned rows.
-            let (mut best_row, mut best_abs) = (k, ws.rows[k * nc + col].abs());
-            for r in k + 1..prep.m {
-                let a = ws.rows[r * nc + col].abs();
-                if a > best_abs {
+        for &c in &target.cols {
+            if ws.status[c] == Status::Basic {
+                continue;
+            }
+            let (mut row, mut best_abs) = (0, 0.0);
+            for r in 0..prep.m {
+                let a = ws.rows[r * nc + c].abs();
+                if a > best_abs && target.status[ws.basis[r]] != Status::Basic {
                     best_abs = a;
-                    best_row = r;
+                    row = r;
                 }
             }
             if best_abs < REBUILD_TOL {
                 return false;
             }
-            if best_row != k {
-                // Swap rows (flat storage: swap element-wise) and rhs.
-                for j in 0..nc {
-                    ws.rows.swap(k * nc + j, best_row * nc + j);
-                }
-                rhs.swap(k, best_row);
-            }
-            let inv = 1.0 / ws.rows[k * nc + col];
-            for x in ws.rows[k * nc..(k + 1) * nc].iter_mut() {
-                *x *= inv;
-            }
-            rhs[k] *= inv;
-            ws.pivot_row.copy_from_slice(&ws.rows[k * nc..(k + 1) * nc]);
-            let pivot_rhs = rhs[k];
-            for (i, r) in rhs.iter_mut().enumerate() {
-                if i == k {
-                    continue;
-                }
-                let f = ws.rows[i * nc + col];
-                if f.abs() > 1e-12 {
-                    let row = &mut ws.rows[i * nc..(i + 1) * nc];
-                    for (x, p) in row.iter_mut().zip(&ws.pivot_row) {
-                        *x -= f * p;
-                    }
-                    row[col] = 0.0;
-                    *r -= f * pivot_rhs;
-                }
-            }
+            let leaver = ws.basis[row];
+            ws.status[leaver] = target.status[leaver];
+            Self::eliminate(ws, nc, prep.m, row, c);
+            ws.basis[row] = c;
+            ws.status[c] = Status::Basic;
         }
-
-        // Basic values: beta = B⁻¹b − Σ_{j at upper} (B⁻¹A)_j · u_j.
-        ws.beta.extend_from_slice(&rhs);
-        for j in 0..nc {
-            if ws.status[j] == Status::Upper {
-                let u = ws.upper[j];
-                if u != 0.0 {
-                    for i in 0..prep.m {
-                        ws.beta[i] -= ws.rows[i * nc + j] * u;
-                    }
-                }
-            }
-        }
+        ws.status.copy_from_slice(&target.status);
         true
+    }
+
+    /// Basic values for the node bounds `lb` (and the uppers already in
+    /// the workspace): `beta = B⁻¹b − Σ_j T_j · (lb_j + [j at upper] u_j)`,
+    /// in the shifted space where every structural's lower bound is zero.
+    fn basic_values(&mut self, lb: &[f64]) {
+        let prep = self.prep;
+        let ws = &mut *self.ws;
+        let nc = prep.ncols;
+        for (j, s) in ws.shift.iter_mut().enumerate() {
+            let base = if j < prep.n { lb[j] } else { 0.0 };
+            *s = match ws.status[j] {
+                Status::Upper => base + ws.upper[j],
+                _ => base,
+            };
+        }
+        ws.beta.clear();
+        for (i, &b) in ws.binv_b.iter().enumerate() {
+            let row = &ws.rows[i * nc..(i + 1) * nc];
+            let shifted: f64 = row.iter().zip(&ws.shift).map(|(t, s)| t * s).sum();
+            ws.beta.push(b - shifted);
+        }
     }
 
     /// Reduced costs `rc_j = c_j − c_Bᵀ T_j` into the workspace buffer.
@@ -640,7 +689,8 @@ impl Solver<'_> {
         }
     }
 
-    /// Row-reduces column `q` to the `r`-th identity column.
+    /// Row-reduces column `q` to the `r`-th identity column, carrying
+    /// `B⁻¹b` along.
     fn eliminate(ws: &mut Workspace, nc: usize, m: usize, r: usize, q: usize) {
         let piv = ws.rows[r * nc + q];
         debug_assert!(piv.abs() > PIVOT_TOL, "pivot element too small");
@@ -648,6 +698,8 @@ impl Solver<'_> {
         for x in ws.rows[r * nc..(r + 1) * nc].iter_mut() {
             *x *= inv;
         }
+        ws.binv_b[r] *= inv;
+        let pivot_b = ws.binv_b[r];
         ws.pivot_row.copy_from_slice(&ws.rows[r * nc..(r + 1) * nc]);
         for i in 0..m {
             if i == r {
@@ -660,8 +712,10 @@ impl Solver<'_> {
                     *x -= f * p;
                 }
                 row[q] = 0.0; // clean cancellation
+                ws.binv_b[i] -= f * pivot_b;
             }
         }
+        ws.etas += 1;
     }
 
     fn phase1(&mut self) -> Phase1 {
@@ -731,11 +785,11 @@ impl Solver<'_> {
     }
 
     fn phase2(&mut self) -> Phase2 {
-        let cost = self.prep.cost.clone();
-        let iter_limit = self.prep.iter_limit();
+        let prep = self.prep;
+        let iter_limit = prep.iter_limit();
         let mut iters = 0u64;
         loop {
-            match self.step(&cost, false) {
+            match self.step(&prep.cost, false) {
                 Step::Converged => return Phase2::Optimal,
                 Step::Unbounded => return Phase2::Unbounded,
                 Step::Moved => {}
@@ -883,6 +937,7 @@ impl Solver<'_> {
 mod tests {
     use super::*;
     use crate::model::{Model, Relation};
+    use proptest::prelude::*;
 
     fn assert_opt(outcome: LpOutcome, expected_obj: f64) -> LpSolution {
         match outcome {
@@ -1157,6 +1212,134 @@ mod tests {
                     assert!((s.objective - first).abs() < 1e-9);
                 }
                 o => panic!("unexpected {o:?}"),
+            }
+        }
+    }
+
+    /// A small random LP: bounded variables, integer data.
+    #[derive(Debug, Clone)]
+    struct RandomLp {
+        obj: Vec<i32>,
+        ub: Vec<u8>,
+        rows: Vec<(Vec<i32>, u8, i32)>,
+    }
+
+    fn random_lp() -> impl Strategy<Value = RandomLp> {
+        (2usize..=5).prop_flat_map(|n| {
+            let row = (proptest::collection::vec(-4i32..=4, n), 0u8..3, -6i32..=14);
+            (
+                proptest::collection::vec(-9i32..=9, n),
+                proptest::collection::vec(1u8..=8, n),
+                proptest::collection::vec(row, 1..=4),
+            )
+                .prop_map(|(obj, ub, rows)| RandomLp { obj, ub, rows })
+        })
+    }
+
+    fn build_lp(p: &RandomLp) -> Model {
+        let mut m = Model::new("random");
+        let vars: Vec<_> = p
+            .obj
+            .iter()
+            .zip(&p.ub)
+            .enumerate()
+            .map(|(j, (&c, &u))| m.continuous(&format!("x{j}"), 0.0, u as f64, c as f64))
+            .collect();
+        for (coeffs, rel, rhs) in &p.rows {
+            let rel = match rel {
+                0 => Relation::Le,
+                1 => Relation::Ge,
+                _ => Relation::Eq,
+            };
+            let terms: Vec<_> = vars
+                .iter()
+                .zip(coeffs)
+                .map(|(&v, &a)| (v, a as f64))
+                .collect();
+            m.constraint(terms, rel, *rhs as f64);
+        }
+        m
+    }
+
+    /// An open node: its bounds and the basis of the parent that made it.
+    struct OpenNode {
+        lb: Vec<f64>,
+        ub: Vec<f64>,
+        basis: std::sync::Arc<Basis>,
+    }
+
+    /// Pushes both children of a node split on `var` at the integer nearest
+    /// `percent` of its range; the second pushed is the one a dive takes next.
+    fn push_children(
+        open: &mut Vec<OpenNode>,
+        lb: &[f64],
+        ub: &[f64],
+        basis: Basis,
+        var: usize,
+        percent: u32,
+    ) {
+        let j = var % lb.len();
+        let split = (lb[j] + f64::from(percent) / 100.0 * (ub[j] - lb[j])).floor();
+        let basis = std::sync::Arc::new(basis);
+        let mut down = (lb.to_vec(), ub.to_vec());
+        down.1[j] = down.1[j].min(split);
+        let mut up = (lb.to_vec(), ub.to_vec());
+        up.0[j] = up.0[j].max(split + 1.0);
+        for (lb, ub) in [down, up] {
+            open.push(OpenNode {
+                lb,
+                ub,
+                basis: basis.clone(),
+            });
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Replays a branch-and-bound access pattern through one reused
+        /// workspace — dives onto a fresh child, jumps to an open node
+        /// elsewhere in the tree (a sibling's parent basis), and tightens
+        /// bounds at every step — and checks each warm solve against a
+        /// cold solve of the same node.
+        #[test]
+        fn warm_solves_through_a_live_tableau_match_cold(
+            lp in random_lp(),
+            steps in proptest::collection::vec((0usize..6, 0usize..5, 0u32..100), 1..16),
+        ) {
+            let m = build_lp(&lp);
+            let prep = Prepared::new(&m);
+            let mut ws = Workspace::new();
+            let (lb0, ub0) = bounds_of(&m);
+            if !matches!(solve_cold(&prep, &mut ws, &lb0, &ub0, None), LpOutcome::Optimal(_)) {
+                return Ok(());
+            }
+            let mut open = Vec::new();
+            push_children(&mut open, &lb0, &ub0, ws.snapshot_basis(), steps[0].1, steps[0].2);
+            for &(pick, var, percent) in &steps {
+                if open.is_empty() {
+                    break;
+                }
+                // Every third step dives; the others jump across the tree.
+                let at = if pick % 3 == 0 { open.len() - 1 } else { pick % open.len() };
+                let node = open.remove(at);
+                let warm = solve_warm(&prep, &mut ws, &node.lb, &node.ub, &node.basis, None)
+                    .unwrap_or_else(|_| solve_cold(&prep, &mut ws, &node.lb, &node.ub, None));
+                let cold = solve_cold(&prep, &mut Workspace::new(), &node.lb, &node.ub, None);
+                match (&warm, &cold) {
+                    (LpOutcome::Optimal(w), LpOutcome::Optimal(c)) => {
+                        prop_assert!(
+                            (w.objective - c.objective).abs() < 1e-6,
+                            "warm {} != cold {}", w.objective, c.objective
+                        );
+                        prop_assert!(m.check_feasible(&w.values, 1e-6).is_ok());
+                        prop_assert!(w.values.iter().zip(&node.lb).zip(&node.ub)
+                            .all(|((v, l), u)| *v >= l - 1e-6 && *v <= u + 1e-6));
+                        push_children(&mut open, &node.lb, &node.ub, ws.snapshot_basis(), var, percent);
+                    }
+                    (LpOutcome::Infeasible, LpOutcome::Infeasible) => {}
+                    other => prop_assert!(false, "warm/cold disagree: {other:?}"),
+                }
             }
         }
     }
