@@ -79,37 +79,61 @@ impl PartialEq for Chip {
 // tolerated as absent, so pristine chips keep the pre-fault wire format in
 // both directions.
 impl Serialize for Chip {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("grid".to_string(), self.grid.to_value()),
-            ("devices".to_string(), self.devices.to_value()),
-            ("flow_ports".to_string(), self.flow_ports.to_value()),
-            ("waste_ports".to_string(), self.waste_ports.to_value()),
-            ("labels".to_string(), self.labels.to_value()),
-        ];
-        if !self.faults.is_empty() {
-            fields.push(("faults".to_string(), self.faults.to_value()));
+    fn serialize<S: serde::Sink + ?Sized>(&self, out: &mut S) {
+        let faults = !self.faults.is_empty();
+        out.map(5 + usize::from(faults));
+        out.key("grid");
+        self.grid.serialize(out);
+        out.key("devices");
+        self.devices.serialize(out);
+        out.key("flow_ports");
+        self.flow_ports.serialize(out);
+        out.key("waste_ports");
+        self.waste_ports.serialize(out);
+        out.key("labels");
+        self.labels.serialize(out);
+        if faults {
+            out.key("faults");
+            self.faults.serialize(out);
         }
-        serde::Value::Object(fields)
     }
 }
 
 impl Deserialize for Chip {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected object for Chip"))?;
-        let faults = match obj.iter().find(|(k, _)| k == "faults") {
-            Some((_, v)) => FaultSet::from_value(v)?,
-            None => FaultSet::default(),
-        };
+    fn deserialize<S: serde::Source + ?Sized>(src: &mut S) -> Result<Self, serde::Error> {
+        const FIELDS: [&str; 6] = [
+            "grid",
+            "devices",
+            "flow_ports",
+            "waste_ports",
+            "labels",
+            "faults",
+        ];
+        let len = src.map().map_err(|e| e.context("Chip"))?;
+        let (mut grid, mut devices, mut flow_ports, mut waste_ports, mut labels, mut faults) =
+            (None, None, None, None, None, None);
+        for _ in 0..len {
+            let i = src.field(&FIELDS)?;
+            let at = |e: serde::Error| e.context(format_args!("Chip.{}", FIELDS[i]));
+            match i {
+                0 if grid.is_none() => grid = Some(Grid::deserialize(src).map_err(at)?),
+                1 if devices.is_none() => devices = Some(Vec::deserialize(src).map_err(at)?),
+                2 if flow_ports.is_none() => flow_ports = Some(Vec::deserialize(src).map_err(at)?),
+                3 if waste_ports.is_none() => {
+                    waste_ports = Some(Vec::deserialize(src).map_err(at)?)
+                }
+                4 if labels.is_none() => labels = Some(Deserialize::deserialize(src).map_err(at)?),
+                5 if faults.is_none() => faults = Some(FaultSet::deserialize(src).map_err(at)?),
+                _ => src.skip()?,
+            }
+        }
         Ok(Chip {
-            grid: serde::field(obj, "grid")?,
-            devices: serde::field(obj, "devices")?,
-            flow_ports: serde::field(obj, "flow_ports")?,
-            waste_ports: serde::field(obj, "waste_ports")?,
-            labels: serde::field(obj, "labels")?,
-            faults,
+            grid: grid.map_or_else(|| serde::missing("Chip", "grid"), Ok)?,
+            devices: devices.map_or_else(|| serde::missing("Chip", "devices"), Ok)?,
+            flow_ports: flow_ports.map_or_else(|| serde::missing("Chip", "flow_ports"), Ok)?,
+            waste_ports: waste_ports.map_or_else(|| serde::missing("Chip", "waste_ports"), Ok)?,
+            labels: labels.map_or_else(|| serde::missing("Chip", "labels"), Ok)?,
+            faults: faults.unwrap_or_default(),
             reach: OnceLock::new(),
         })
     }

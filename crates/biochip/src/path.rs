@@ -77,17 +77,26 @@ impl Hash for FlowPath {
 // Manual impls (the derive would serialize the derived `mask`): same wire
 // format as the former derive — an object holding only `cells`.
 impl Serialize for FlowPath {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![("cells".to_string(), self.cells.to_value())])
+    fn serialize<S: serde::Sink + ?Sized>(&self, out: &mut S) {
+        out.map(1);
+        out.key("cells");
+        self.cells.serialize(out);
     }
 }
 
 impl Deserialize for FlowPath {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected object for FlowPath"))?;
-        let cells: Vec<Coord> = serde::field(obj, "cells")?;
+    fn deserialize<S: serde::Source + ?Sized>(src: &mut S) -> Result<Self, serde::Error> {
+        let len = src.map().map_err(|e| e.context("FlowPath"))?;
+        let mut cells: Option<Vec<Coord>> = None;
+        for _ in 0..len {
+            match src.field(&["cells"])? {
+                0 if cells.is_none() => {
+                    cells = Some(Vec::deserialize(src).map_err(|e| e.context("FlowPath.cells"))?)
+                }
+                _ => src.skip()?,
+            }
+        }
+        let cells = cells.map_or_else(|| serde::missing("FlowPath", "cells"), Ok)?;
         FlowPath::new(cells).map_err(serde::Error::custom)
     }
 }

@@ -7,14 +7,16 @@
 //! worked in-process). This module replaces all of that with a single
 //! self-describing binary format:
 //!
-//! - **Canonical value encoding** — the vendored serde data model
-//!   ([`serde::Value`]) rendered to bytes with explicit tags,
-//!   little-endian integers, raw-bit floats (`f64::to_bits`, so round-trips
-//!   are exact and no float-printing ambiguity can creep in), and
-//!   length-prefixed strings/arrays/objects. The vendored serde sorts
-//!   `HashMap` keys and preserves struct field order, so the byte stream is
-//!   a pure function of the value — stable across processes, platforms,
-//!   and thread counts.
+//! - **Canonical value encoding** — the vendored serde data model streamed
+//!   to bytes: a [`serde::Sink`] writes each scalar, length and key with
+//!   explicit tags, little-endian integers, raw-bit floats (`f64::to_bits`,
+//!   so round-trips are exact and no float-printing ambiguity can creep
+//!   in), and length-prefixed strings/arrays/objects, and a
+//!   [`serde::Source`] reads them back. No [`serde::Value`] tree is built
+//!   on either side, and hashing feeds the same stream straight into
+//!   [`Fnv64`]. The vendored serde sorts `HashMap` keys and preserves
+//!   struct field order, so the byte stream is a pure function of the
+//!   value — stable across processes, platforms, and thread counts.
 //! - **Framing** — every artifact that leaves the process is wrapped in a
 //!   frame: magic `"PDWC"`, a schema version byte ([`SCHEMA_VERSION`]), a
 //!   frame-type tag ([`FrameType`]), a length-prefixed payload, and an
@@ -35,7 +37,7 @@
 use pdw_assay::benchmarks::Benchmark;
 use pdw_biochip::Chip;
 use pdw_synth::Synthesis;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::config::PdwConfig;
 use crate::pdw::WashResult;
@@ -82,6 +84,7 @@ impl Fnv64 {
     }
 
     /// Feeds raw bytes.
+    #[inline]
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
@@ -245,7 +248,7 @@ impl std::error::Error for CodecError {}
 // Canonical value encoding
 // ---------------------------------------------------------------------------
 
-// One tag byte per `Value` variant. Floats are encoded as raw IEEE-754
+// One tag byte per kind of value. Floats are encoded as raw IEEE-754
 // bits: exact round-trips, no text formatting, and non-finite values
 // survive (unlike the JSON rendering, which nulls them).
 const TAG_NULL: u8 = 0;
@@ -258,134 +261,304 @@ const TAG_STR: u8 = 6;
 const TAG_ARRAY: u8 = 7;
 const TAG_OBJECT: u8 = 8;
 
-/// Appends the canonical binary encoding of `v` to `out`.
-pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(false) => out.push(TAG_FALSE),
-        Value::Bool(true) => out.push(TAG_TRUE),
-        Value::Int(i) => {
-            out.push(TAG_INT);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::UInt(u) => {
-            out.push(TAG_UINT);
-            out.extend_from_slice(&u.to_le_bytes());
-        }
-        Value::Float(x) => {
-            out.push(TAG_FLOAT);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            encode_len(s.len(), out);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Array(items) => {
-            out.push(TAG_ARRAY);
-            encode_len(items.len(), out);
-            for item in items {
-                encode_value(item, out);
+/// Where the canonical encoder's bytes go: a buffer, or straight into a
+/// hash.
+pub(crate) trait ByteWrite {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl ByteWrite for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl ByteWrite for Fnv64 {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.write(bytes);
+    }
+}
+
+/// The canonical encoder: a [`serde::Sink`] writing the tagged byte
+/// layout. A map key is its length and bytes, with no tag.
+pub(crate) struct Canonical<'a, W>(pub(crate) &'a mut W);
+
+impl<W: ByteWrite> Canonical<'_, W> {
+    fn word(&mut self, tag: u8, word: u64) {
+        let mut b = [tag; 9];
+        b[1..].copy_from_slice(&word.to_le_bytes());
+        self.0.put(&b);
+    }
+
+    fn len(&mut self, tag: u8, len: usize) {
+        let mut b = [tag; 5];
+        b[1..].copy_from_slice(&(len as u32).to_le_bytes());
+        self.0.put(&b);
+    }
+}
+
+impl<W: ByteWrite> serde::Sink for Canonical<'_, W> {
+    fn null(&mut self) {
+        self.0.put(&[TAG_NULL]);
+    }
+    fn bool(&mut self, v: bool) {
+        self.0.put(&[if v { TAG_TRUE } else { TAG_FALSE }]);
+    }
+    fn i64(&mut self, v: i64) {
+        self.word(TAG_INT, v as u64);
+    }
+    fn u64(&mut self, v: u64) {
+        self.word(TAG_UINT, v);
+    }
+    fn f64(&mut self, v: f64) {
+        self.word(TAG_FLOAT, v.to_bits());
+    }
+    fn str(&mut self, v: &str) {
+        self.len(TAG_STR, v.len());
+        self.0.put(v.as_bytes());
+    }
+    fn seq(&mut self, len: usize) {
+        self.len(TAG_ARRAY, len);
+    }
+    fn map(&mut self, len: usize) {
+        self.len(TAG_OBJECT, len);
+    }
+    fn key(&mut self, k: &str) {
+        self.0.put(&(k.len() as u32).to_le_bytes());
+        self.0.put(k.as_bytes());
+    }
+}
+
+/// The canonical decoder: a [`serde::Source`] reading the tagged byte
+/// layout out of a payload. A serde error carries only a message, so a
+/// payload that ends early is remembered here and reported as
+/// [`CodecError::Truncated`]; every other failure is
+/// [`CodecError::Malformed`].
+struct ByteSource<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    truncated: Option<CodecError>,
+}
+
+impl<'a> ByteSource<'a> {
+    #[inline]
+    fn take(&mut self, n: usize) -> Result<&'a [u8], serde::Error> {
+        match self.bytes.get(self.pos..self.pos.saturating_add(n)) {
+            Some(slice) => {
+                self.pos += n;
+                Ok(slice)
             }
+            None => Err(self.ran_out(n)),
         }
-        Value::Object(entries) => {
-            out.push(TAG_OBJECT);
-            encode_len(entries.len(), out);
-            for (k, val) in entries {
-                encode_len(k.len(), out);
-                out.extend_from_slice(k.as_bytes());
-                encode_value(val, out);
+    }
+
+    /// Records that the payload ended `n` bytes short of a value.
+    #[cold]
+    fn ran_out(&mut self, n: usize) -> serde::Error {
+        self.truncated = Some(CodecError::Truncated {
+            needed: self.pos.saturating_add(n),
+            have: self.bytes.len(),
+        });
+        serde::Error::custom("payload ends mid-value")
+    }
+
+    /// The error for a next value that is not `what` (or no value at all).
+    #[cold]
+    fn mismatch(&mut self, what: &str) -> serde::Error {
+        match serde::Source::peek(self) {
+            Ok(found) => serde::Error::expected(what, found),
+            Err(e) => e,
+        }
+    }
+
+    #[inline]
+    fn word(&mut self) -> Result<u64, serde::Error> {
+        let b = self.take(8)?;
+        Ok(u64::from_le_bytes(b.try_into().expect("eight bytes taken")))
+    }
+
+    #[inline]
+    fn len(&mut self) -> Result<usize, serde::Error> {
+        let b = self.take(4)?;
+        Ok(u32::from_le_bytes(b.try_into().expect("four bytes taken")) as usize)
+    }
+
+    #[inline]
+    fn text(&mut self) -> Result<&'a str, serde::Error> {
+        let len = self.len()?;
+        std::str::from_utf8(self.take(len)?)
+            .map_err(|e| serde::Error::custom(format_args!("non-UTF-8 string: {e}")))
+    }
+
+    /// Consumes the tag byte if it is `tag`; otherwise fails naming `what`
+    /// and consumes nothing.
+    #[inline]
+    fn open(&mut self, tag: u8, what: &str) -> Result<(), serde::Error> {
+        if self.bytes.get(self.pos) != Some(&tag) {
+            return Err(self.mismatch(what));
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    fn skip_at(&mut self, depth: usize) -> Result<(), serde::Error> {
+        use serde::Source;
+        match self.peek()? {
+            serde::Tag::Str => self.str().map(drop),
+            serde::Tag::Seq | serde::Tag::Map if depth >= serde::MAX_DEPTH => {
+                Err(serde::Error::custom(format_args!(
+                    "value nests deeper than {} levels",
+                    serde::MAX_DEPTH
+                )))
             }
+            serde::Tag::Seq => {
+                for _ in 0..self.seq()? {
+                    self.skip_at(depth + 1)?;
+                }
+                Ok(())
+            }
+            serde::Tag::Map => {
+                for _ in 0..self.map()? {
+                    self.key()?;
+                    self.skip_at(depth + 1)?;
+                }
+                Ok(())
+            }
+            _ => self.scalar().map(drop),
         }
     }
 }
 
-fn encode_len(len: usize, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(len as u32).to_le_bytes());
-}
+impl serde::Source for ByteSource<'_> {
+    fn peek(&mut self) -> Result<serde::Tag, serde::Error> {
+        let Some(&tag) = self.bytes.get(self.pos) else {
+            return Err(self.ran_out(1));
+        };
+        Ok(match tag {
+            TAG_NULL => serde::Tag::Null,
+            TAG_FALSE | TAG_TRUE => serde::Tag::Bool,
+            TAG_INT => serde::Tag::Int,
+            TAG_UINT => serde::Tag::UInt,
+            TAG_FLOAT => serde::Tag::Float,
+            TAG_STR => serde::Tag::Str,
+            TAG_ARRAY => serde::Tag::Seq,
+            TAG_OBJECT => serde::Tag::Map,
+            other => {
+                return Err(serde::Error::custom(format_args!(
+                    "invalid value tag {other}"
+                )))
+            }
+        })
+    }
 
-/// Decodes one canonical value starting at `*pos`, advancing `*pos` past
-/// it.
-pub fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, CodecError> {
-    let tag = *bytes.get(*pos).ok_or(CodecError::Truncated {
-        needed: *pos + 1,
-        have: bytes.len(),
-    })?;
-    *pos += 1;
-    match tag {
-        TAG_NULL => Ok(Value::Null),
-        TAG_FALSE => Ok(Value::Bool(false)),
-        TAG_TRUE => Ok(Value::Bool(true)),
-        TAG_INT => Ok(Value::Int(i64::from_le_bytes(take::<8>(bytes, pos)?))),
-        TAG_UINT => Ok(Value::UInt(u64::from_le_bytes(take::<8>(bytes, pos)?))),
-        TAG_FLOAT => Ok(Value::Float(f64::from_bits(u64::from_le_bytes(take::<8>(
-            bytes, pos,
-        )?)))),
-        TAG_STR => {
-            let len = decode_len(bytes, pos)?;
-            Ok(Value::Str(take_str(bytes, pos, len)?))
-        }
-        TAG_ARRAY => {
-            let len = decode_len(bytes, pos)?;
-            let mut items = Vec::with_capacity(len.min(4096));
-            for _ in 0..len {
-                items.push(decode_value(bytes, pos)?);
+    #[inline]
+    fn scalar(&mut self) -> Result<serde::Scalar, serde::Error> {
+        let tag = self.bytes.get(self.pos).copied();
+        let scalar = match tag {
+            Some(TAG_NULL) => serde::Scalar::Null,
+            Some(TAG_FALSE) => serde::Scalar::Bool(false),
+            Some(TAG_TRUE) => serde::Scalar::Bool(true),
+            Some(TAG_INT | TAG_UINT | TAG_FLOAT) => {
+                self.pos += 1;
+                let word = self.word()?;
+                return Ok(match tag {
+                    Some(TAG_INT) => serde::Scalar::Int(word as i64),
+                    Some(TAG_UINT) => serde::Scalar::UInt(word),
+                    _ => serde::Scalar::Float(f64::from_bits(word)),
+                });
             }
-            Ok(Value::Array(items))
+            _ => return Err(self.mismatch("a scalar")),
+        };
+        self.pos += 1;
+        Ok(scalar)
+    }
+
+    #[inline]
+    fn str(&mut self) -> Result<&str, serde::Error> {
+        self.open(TAG_STR, "string")?;
+        self.text()
+    }
+
+    #[inline]
+    fn seq(&mut self) -> Result<usize, serde::Error> {
+        self.open(TAG_ARRAY, "array")?;
+        self.len()
+    }
+
+    #[inline]
+    fn map(&mut self) -> Result<usize, serde::Error> {
+        self.open(TAG_OBJECT, "object")?;
+        self.len()
+    }
+
+    #[inline]
+    fn key(&mut self) -> Result<&str, serde::Error> {
+        self.text()
+    }
+
+    /// Matches the key's bytes against `names` first: a key equal to a
+    /// name is valid UTF-8 without a check, and only unknown keys are
+    /// validated.
+    #[inline]
+    fn field(&mut self, names: &[&str]) -> Result<usize, serde::Error> {
+        let len = self.len()?;
+        let raw = self.take(len)?;
+        match names.iter().position(|n| n.as_bytes() == raw) {
+            Some(i) => Ok(i),
+            None => std::str::from_utf8(raw)
+                .map(|_| usize::MAX)
+                .map_err(|e| serde::Error::custom(format_args!("non-UTF-8 string: {e}"))),
         }
-        TAG_OBJECT => {
-            let len = decode_len(bytes, pos)?;
-            let mut entries = Vec::with_capacity(len.min(4096));
-            for _ in 0..len {
-                let klen = decode_len(bytes, pos)?;
-                let key = take_str(bytes, pos, klen)?;
-                let val = decode_value(bytes, pos)?;
-                entries.push((key, val));
-            }
-            Ok(Value::Object(entries))
-        }
-        other => Err(CodecError::Malformed(format!("invalid value tag {other}"))),
+    }
+
+    fn skip(&mut self) -> Result<(), serde::Error> {
+        self.skip_at(0)
     }
 }
 
-fn take<const N: usize>(bytes: &[u8], pos: &mut usize) -> Result<[u8; N], CodecError> {
-    let end = *pos + N;
-    let slice = bytes.get(*pos..end).ok_or(CodecError::Truncated {
-        needed: end,
-        have: bytes.len(),
+/// Decodes a whole canonical payload as `T`; bytes left over after the
+/// value are [`CodecError::Malformed`].
+fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<T, CodecError> {
+    let mut src = ByteSource {
+        bytes: payload,
+        pos: 0,
+        truncated: None,
+    };
+    let value = T::deserialize(&mut src).map_err(|e| {
+        src.truncated
+            .take()
+            .unwrap_or_else(|| CodecError::Malformed(e.to_string()))
     })?;
-    *pos = end;
-    Ok(slice.try_into().expect("slice length checked"))
-}
-
-fn decode_len(bytes: &[u8], pos: &mut usize) -> Result<usize, CodecError> {
-    Ok(u32::from_le_bytes(take::<4>(bytes, pos)?) as usize)
-}
-
-fn take_str(bytes: &[u8], pos: &mut usize, len: usize) -> Result<String, CodecError> {
-    let end = *pos + len;
-    let slice = bytes.get(*pos..end).ok_or(CodecError::Truncated {
-        needed: end,
-        have: bytes.len(),
-    })?;
-    *pos = end;
-    String::from_utf8(slice.to_vec())
-        .map_err(|e| CodecError::Malformed(format!("non-UTF-8 string: {e}")))
+    if src.pos != payload.len() {
+        return Err(CodecError::Malformed(format!(
+            "{} trailing payload bytes",
+            payload.len() - src.pos
+        )));
+    }
+    Ok(value)
 }
 
 /// The canonical binary encoding of any serializable value — the byte
 /// stream every canonical hash is computed over.
 pub fn canonical_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_value(&value.to_value(), &mut out);
+    value.serialize(&mut Canonical(&mut out));
     out
 }
 
-/// FNV-1a digest of a value's canonical binary encoding.
+/// FNV-1a digest of a value's canonical binary encoding, hashed as it is
+/// encoded (no byte buffer is built).
 pub fn canonical_digest<T: Serialize + ?Sized>(value: &T) -> u64 {
     let mut h = Fnv64::new();
-    h.write(&canonical_bytes(value));
+    hash_canonical(&mut h, value);
     h.finish()
+}
+
+/// Feeds a value's canonical binary encoding to `hasher`.
+fn hash_canonical<T: Serialize + ?Sized>(hasher: &mut Fnv64, value: &T) {
+    value.serialize(&mut Canonical(hasher));
 }
 
 // ---------------------------------------------------------------------------
@@ -395,7 +568,9 @@ pub fn canonical_digest<T: Serialize + ?Sized>(value: &T) -> u64 {
 /// Encodes `value` into a self-describing frame: `MAGIC`, version, type
 /// tag, length-prefixed canonical payload, FNV-1a digest trailer.
 pub fn encode_frame<T: Serialize + ?Sized>(ty: FrameType, value: &T) -> Vec<u8> {
-    frame_payload(ty, &[&canonical_bytes(value)])
+    let mut out = frame_header(ty, 256);
+    value.serialize(&mut Canonical(&mut out));
+    seal_frame(out)
 }
 
 /// Frames a canonical payload given as consecutive byte slices — for
@@ -404,15 +579,29 @@ pub fn encode_frame<T: Serialize + ?Sized>(ty: FrameType, value: &T) -> Vec<u8> 
 /// [`encode_frame`] of the value whose canonical encoding is the
 /// concatenation of `parts`.
 pub fn frame_payload(ty: FrameType, parts: &[&[u8]]) -> Vec<u8> {
-    let len: usize = parts.iter().map(|p| p.len()).sum();
-    let mut out = Vec::with_capacity(HEADER_LEN + len + DIGEST_LEN);
-    out.extend_from_slice(&MAGIC);
-    out.push(SCHEMA_VERSION);
-    out.push(ty as u8);
-    out.extend_from_slice(&(len as u32).to_le_bytes());
+    let mut out = frame_header(ty, parts.iter().map(|p| p.len()).sum());
     for part in parts {
         out.extend_from_slice(part);
     }
+    seal_frame(out)
+}
+
+/// A frame's header with its payload length still zero, in a buffer with
+/// room for `payload` more bytes and the trailer.
+fn frame_header(ty: FrameType, payload: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload + DIGEST_LEN);
+    out.extend_from_slice(&MAGIC);
+    out.push(SCHEMA_VERSION);
+    out.push(ty as u8);
+    out.extend_from_slice(&[0; 4]);
+    out
+}
+
+/// Completes a frame whose payload follows [`frame_header`]: writes the
+/// payload length and appends the digest trailer.
+fn seal_frame(mut out: Vec<u8>) -> Vec<u8> {
+    let len = (out.len() - HEADER_LEN) as u32;
+    out[6..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
     let mut h = Fnv64::new();
     h.write(&out);
     out.extend_from_slice(&h.finish().to_le_bytes());
@@ -487,15 +676,7 @@ pub fn decode_frame<T: Deserialize>(ty: FrameType, frame: &[u8]) -> Result<T, Co
             expected: ty as u8,
         });
     }
-    let mut pos = 0;
-    let value = decode_value(payload, &mut pos)?;
-    if pos != payload.len() {
-        return Err(CodecError::Malformed(format!(
-            "{} trailing payload bytes",
-            payload.len() - pos
-        )));
-    }
-    T::from_value(&value).map_err(|e| CodecError::Malformed(e.to_string()))
+    decode_payload(payload)
 }
 
 /// Writes one frame to `w`.
@@ -746,7 +927,7 @@ impl PlanArtifact {
         oracle: &pdw_sim::OracleReport,
     ) -> VerificationCertificate {
         let mut v = Fnv64::new();
-        v.write(&canonical_bytes(&result.schedule));
+        hash_canonical(&mut v, &result.schedule);
         v.write_u64(chip_hash(chip));
         let mut o = Fnv64::new();
         o.write_u64(oracle.violations.len() as u64);
@@ -797,11 +978,6 @@ impl PlanArtifact {
 // ---------------------------------------------------------------------------
 // Canonical hashes (the serve-layer cache keys)
 // ---------------------------------------------------------------------------
-
-/// Hashes a value through its canonical binary encoding.
-fn hash_canonical<T: Serialize + ?Sized>(hasher: &mut Fnv64, value: &T) {
-    hasher.write(&canonical_bytes(value));
-}
 
 /// Canonical hash of a chip's full identity: grid, devices, ports, labels,
 /// and the [`FaultSet`](pdw_biochip::FaultSet) it currently carries. Two
@@ -883,6 +1059,7 @@ mod tests {
     use pdw_assay::benchmarks;
     use pdw_biochip::FaultSet;
     use pdw_synth::synthesize;
+    use serde::Value;
     use std::time::Duration;
 
     #[test]
@@ -987,17 +1164,17 @@ mod tests {
                 "arr".into(),
                 Value::Array(vec![Value::Int(1), Value::Str(String::new())]),
             ),
+            ("empty".into(), Value::Object(Vec::new())),
         ]);
-        let mut bytes = Vec::new();
-        encode_value(&v, &mut bytes);
-        let mut pos = 0;
-        let back = decode_value(&bytes, &mut pos).unwrap();
-        assert_eq!(pos, bytes.len());
+        let bytes = canonical_bytes(&v);
+        let back: Value = decode_payload(&bytes).unwrap();
         // NaN != NaN, so compare via re-encoding: bit-exact floats mean
         // the re-encoded stream is identical.
-        let mut again = Vec::new();
-        encode_value(&back, &mut again);
-        assert_eq!(bytes, again);
+        assert_eq!(canonical_bytes(&back), bytes);
+        // The digest is the hash of those same bytes.
+        let mut h = Fnv64::new();
+        h.write(&bytes);
+        assert_eq!(canonical_digest(&v), h.finish());
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink};
 
 use crate::codec::{self, CodecError, FrameType, PlanArtifact, SCHEMA_VERSION};
 use crate::worker::SolveRequest;
@@ -740,25 +740,22 @@ pub fn send_response(
 /// Encodes a [`NetResponse::Plan`] frame around an artifact's cached
 /// canonical bytes ([`codec::canonical_bytes`] of the [`PlanArtifact`]),
 /// byte-identical to [`send_response`]'s encoding of the same response
-/// but without re-encoding the artifact. The variant encodes as
-/// `Object[("Plan", Object[("id", ..), ("memo_hit", ..), ("degraded",
-/// ..), ("artifact", ..)])]`: the artifact is the last value, so its
-/// bytes follow the encoded prefix directly.
+/// but without re-encoding the artifact. The variant encodes as the map
+/// `{"Plan": {"id", "memo_hit", "degraded", "artifact"}}`: the artifact is
+/// the last value, so its bytes follow the encoded prefix directly.
 pub fn encode_plan_frame(id: u64, memo_hit: bool, degraded: bool, artifact: &[u8]) -> Vec<u8> {
-    let head = Value::Object(vec![(
-        "Plan".to_string(),
-        Value::Object(vec![
-            ("id".to_string(), id.to_value()),
-            ("memo_hit".to_string(), memo_hit.to_value()),
-            ("degraded".to_string(), degraded.to_value()),
-            ("artifact".to_string(), Value::Null),
-        ]),
-    )]);
-    let mut prefix = Vec::new();
-    codec::encode_value(&head, &mut prefix);
-    // Drop the one-byte `Null` placeholder: the artifact's bytes take its
-    // place.
-    prefix.pop();
+    let mut prefix = Vec::with_capacity(64);
+    let out = &mut codec::Canonical(&mut prefix);
+    out.map(1);
+    out.key("Plan");
+    out.map(4);
+    out.key("id");
+    id.serialize(out);
+    out.key("memo_hit");
+    memo_hit.serialize(out);
+    out.key("degraded");
+    degraded.serialize(out);
+    out.key("artifact");
     codec::frame_payload(FrameType::NetResponse, &[&prefix, artifact])
 }
 
@@ -784,6 +781,7 @@ pub fn hello() -> NetRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
     fn addr_grammar_parses_both_families() {

@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex};
 
 use pathdriver_wash::codec::{self, CodecError, FrameType};
 use pathdriver_wash::PlanArtifact;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// One persisted memo entry: the versioned memo key and its artifact.
 #[derive(Debug, Clone, Deserialize)]
@@ -45,15 +45,17 @@ struct MemoRecord {
     artifact: PlanArtifact,
 }
 
+/// A [`MemoRecord`] over a borrowed artifact: it encodes to the same bytes.
+#[derive(Serialize)]
+struct MemoRecordRef<'a> {
+    key: u64,
+    artifact: &'a PlanArtifact,
+}
+
 impl MemoRecord {
-    /// The record's frame, encoded from a borrowed artifact (the same
-    /// bytes as `encode_frame(FrameType::MemoRecord, &MemoRecord { .. })`).
+    /// The record's frame, encoded from a borrowed artifact.
     fn frame(key: u64, artifact: &PlanArtifact) -> Vec<u8> {
-        let record = Value::Object(vec![
-            ("key".to_string(), key.to_value()),
-            ("artifact".to_string(), artifact.to_value()),
-        ]);
-        codec::encode_frame(FrameType::MemoRecord, &record)
+        codec::encode_frame(FrameType::MemoRecord, &MemoRecordRef { key, artifact })
     }
 }
 

@@ -10,7 +10,9 @@ use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pathdriver_wash::codec::{decode_frame, encode_frame, read_frame, write_frame, FrameType};
+use pathdriver_wash::codec::{
+    canonical_bytes, decode_frame, encode_frame, frame_payload, read_frame, write_frame, FrameType,
+};
 use pathdriver_wash::transport::{encode_plan_frame, hello, recv_response, send_request};
 use pathdriver_wash::{
     config_fingerprint, instance_hash, plan_resilient, NetAddr, NetListener, NetRequest,
@@ -501,6 +503,51 @@ fn envelope_version_skew_gets_a_typed_handshake_reply() {
         other => panic!("expected a typed skew refusal, got {other:?}"),
     }
     assert!(sock.stats().handshake_failures >= 1);
+    sock.drain();
+    plan.shutdown();
+}
+
+/// A handshake frame nesting 30,000 arrays deep, bare or as an unknown
+/// field of a `Hello`, is refused typed on its connection thread; the
+/// server keeps serving fresh clients.
+#[test]
+fn a_deeply_nested_handshake_does_not_abort_the_server() {
+    let mut deep = Vec::with_capacity(30_000 * 5 + 1);
+    for _ in 0..30_000 {
+        // Tag 7 (array) and a length of one.
+        deep.extend_from_slice(&[7, 1, 0, 0, 0]);
+    }
+    deep.push(0);
+    let mut head = canonical_bytes(&Value::Object(vec![(
+        "Hello".to_string(),
+        Value::Object(vec![
+            ("codec_version".to_string(), SCHEMA_VERSION.to_value()),
+            ("pad".to_string(), Value::Null),
+        ]),
+    )]));
+    head.pop(); // the `pad` placeholder: the deep value takes its place
+    let frames = [
+        frame_payload(FrameType::NetRequest, &[&deep]),
+        frame_payload(FrameType::NetRequest, &[&head, &deep]),
+    ];
+    let (plan, sock) = tcp_server();
+    for frame in &frames {
+        let mut raw = sock.local_addr().connect(Duration::from_secs(2)).unwrap();
+        raw.write_all(frame).unwrap();
+        raw.flush().unwrap();
+        // The server drops the connection (or the reply is an error):
+        // never a `HelloAck`.
+        assert!(!matches!(
+            recv_response(&mut raw, 1 << 20, Duration::from_secs(5)),
+            Ok(Some(NetResponse::HelloAck { .. }))
+        ));
+    }
+    let (bench, synthesis) = wire_pool(1).swap_remove(0);
+    let mut client = PlanClient::new(sock.local_addr(), ClientConfig::default());
+    client
+        .solve(&bench, &synthesis, &wire_config(), None)
+        .expect("a fresh client is served after the deep frames");
+    assert!(sock.stats().handshake_failures >= 2);
     sock.drain();
     plan.shutdown();
 }

@@ -12,17 +12,19 @@
 use proptest::prelude::*;
 
 use pathdriver_wash::codec::{
-    canonical_bytes, check_frame, check_frame_capped, decode_frame, encode_frame, read_frame,
-    read_frame_capped, FrameType,
+    canonical_bytes, check_frame, check_frame_capped, decode_frame, encode_frame, frame_payload,
+    read_frame, read_frame_capped, FrameType,
 };
+use pathdriver_wash::transport::hello;
 use pathdriver_wash::{
-    chip_hash, config_fingerprint, instance_hash, plan_resilient, CodecError, PdwConfig,
-    PlanArtifact, PlanDelta, Weights,
+    chip_hash, config_fingerprint, instance_hash, plan_resilient, CodecError, NetRequest,
+    PdwConfig, PlanArtifact, PlanDelta, Weights,
 };
 use pdw_assay::OpId;
 use pdw_biochip::Chip;
 use pdw_gen::{instance, spec_strategy, Skip};
 use pdw_synth::Synthesis;
+use serde::{Deserialize, Serialize, Value};
 
 /// Round-trips `value` through a frame of type `ty` and asserts the
 /// decoded value re-encodes to the identical canonical bytes.
@@ -84,6 +86,38 @@ proptest! {
         let faulted = pdw_gen::inject_faults(&s, 7);
         let decoded_faulted: Synthesis = assert_fixed_point(FrameType::Instance, &faulted);
         prop_assert_eq!(chip_hash(&decoded_faulted.chip), chip_hash(&faulted.chip));
+    }
+
+    /// The direct canonical stream of an instance and of its certified
+    /// artifact is byte-identical to the stream of its `Value` tree: the
+    /// typed encoder and the tree-walking one agree.
+    #[test]
+    fn direct_encoding_matches_the_value_tree(spec in spec_strategy()) {
+        let Ok((bench, s)) = instance(&spec) else {
+            prop_assume!(false);
+            unreachable!()
+        };
+        prop_assert_eq!(canonical_bytes(&bench), canonical_bytes(&bench.to_value()));
+        prop_assert_eq!(canonical_bytes(&s), canonical_bytes(&s.to_value()));
+        let config = PdwConfig {
+            ilp: false,
+            ..PdwConfig::default()
+        };
+        let outcome = plan_resilient(&bench, &s, &config);
+        if let (Some(result), Some(rung)) = (outcome.served, outcome.rung) {
+            let artifact = PlanArtifact::certified(
+                instance_hash(&bench, &s),
+                config_fingerprint(&config),
+                rung,
+                &bench,
+                &s,
+                result,
+            );
+            prop_assert_eq!(
+                canonical_bytes(&artifact),
+                canonical_bytes(&artifact.to_value())
+            );
+        }
     }
 
     /// Every mega sub-chip view — a region carved from a partitioned
@@ -366,4 +400,284 @@ fn canonical_bytes_are_insensitive_to_weight_noise_only_when_equal() {
     };
     assert_ne!(canonical_bytes(&base), canonical_bytes(&tweaked));
     assert_ne!(config_fingerprint(&base), config_fingerprint(&tweaked));
+}
+
+/// A struct with a required, an optional and a float field.
+#[derive(Debug, Serialize, Deserialize)]
+struct Probe {
+    a: u32,
+    b: Option<u32>,
+    x: f64,
+}
+
+/// An enum with a unit, a tuple and a named-field variant.
+#[derive(Debug, Serialize, Deserialize)]
+enum Shape {
+    Unit,
+    Pair(u32, u32),
+    Named { w: u32 },
+}
+
+fn obj(entries: &[(&str, Value)]) -> Value {
+    Value::Object(
+        entries
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect(),
+    )
+}
+
+/// Decodes `doc` as `T` from its canonical bytes and from its `Value`
+/// tree (directly, and through JSON text when the text reproduces the
+/// tree), and checks every path agrees with `expect`: `Ok(debug)` for the
+/// decoded value's `Debug` form, `Err(part)` for a byte-path
+/// `Malformed` and a tree-path error whose messages contain `part`.
+fn check_parity<T: Deserialize + std::fmt::Debug>(doc: &Value, expect: Result<&str, &str>) {
+    let frame = encode_frame(FrameType::Config, doc);
+    let bytes = decode_frame::<T>(FrameType::Config, &frame).map_err(|e| match e {
+        CodecError::Malformed(msg) => msg,
+        other => panic!("{doc:?}: expected Malformed, got {other:?}"),
+    });
+    let mut paths = vec![
+        ("bytes", bytes),
+        ("value", T::from_value(doc).map_err(|e| e.to_string())),
+    ];
+    let json = serde_json::to_string(doc).expect("a value renders as JSON");
+    if serde_json::from_str::<Value>(&json).ok().as_ref() == Some(doc) {
+        paths.push((
+            "json",
+            serde_json::from_str::<T>(&json).map_err(|e| e.to_string()),
+        ));
+    }
+    for (path, got) in paths {
+        match (&got, expect) {
+            (Ok(v), Ok(want)) => assert_eq!(format!("{v:?}"), want, "{path}: {doc:?}"),
+            (Err(msg), Err(part)) => {
+                assert!(
+                    msg.contains(part),
+                    "{path}: {doc:?}: {msg:?} lacks {part:?}"
+                )
+            }
+            _ => panic!("{path}: {doc:?}: got {got:?}, expected {expect:?}"),
+        }
+    }
+}
+
+#[test]
+fn decode_semantics_match_across_byte_and_value_sources() {
+    use Value::{Array, Float, Int, Null, Str, UInt};
+    let probes: Vec<(&str, Value, Result<&str, &str>)> = vec![
+        (
+            "missing Option is None, fields in any order",
+            obj(&[("x", Float(1.5)), ("a", Int(1))]),
+            Ok("Probe { a: 1, b: None, x: 1.5 }"),
+        ),
+        (
+            "missing non-Option is an error naming type and field",
+            obj(&[("b", Int(2)), ("x", Float(0.5))]),
+            Err("Probe: missing field `a`"),
+        ),
+        (
+            "unknown field is skipped",
+            obj(&[
+                ("a", Int(1)),
+                ("zz", Array(vec![Int(1), obj(&[("q", Str("r".into()))])])),
+                ("b", Int(2)),
+                ("x", Float(0.5)),
+            ]),
+            Ok("Probe { a: 1, b: Some(2), x: 0.5 }"),
+        ),
+        (
+            "the first duplicate wins, the second is not type-checked",
+            obj(&[("a", Int(1)), ("a", Str("two".into())), ("x", Float(0.0))]),
+            Ok("Probe { a: 1, b: None, x: 0.0 }"),
+        ),
+        (
+            "u32 from UInt",
+            obj(&[("a", UInt(7)), ("x", Float(0.0))]),
+            Ok("Probe { a: 7, b: None, x: 0.0 }"),
+        ),
+        (
+            "u32 from an integral Float",
+            obj(&[("a", Float(3.0)), ("x", Float(0.0))]),
+            Ok("Probe { a: 3, b: None, x: 0.0 }"),
+        ),
+        (
+            "u32 out of range names the field",
+            obj(&[("a", Int(1 << 32)), ("x", Float(0.0))]),
+            Err("Probe.a"),
+        ),
+        (
+            "u32 from a fractional Float names the field",
+            obj(&[("a", Float(2.5)), ("x", Float(0.0))]),
+            Err("Probe.a"),
+        ),
+        (
+            "f64 from Null is NaN",
+            obj(&[("a", Int(1)), ("x", Null)]),
+            Ok("Probe { a: 1, b: None, x: NaN }"),
+        ),
+        (
+            "missing f64 is NaN",
+            obj(&[("a", Int(1))]),
+            Ok("Probe { a: 1, b: None, x: NaN }"),
+        ),
+        ("not an object names the type", Array(vec![]), Err("Probe")),
+    ];
+    for (what, doc, expect) in &probes {
+        eprintln!("probe: {what}");
+        check_parity::<Probe>(doc, *expect);
+    }
+    let shapes: Vec<(&str, Value, Result<&str, &str>)> = vec![
+        ("unit variant as a string", Str("Unit".into()), Ok("Unit")),
+        (
+            "tuple variant as a single-key object",
+            obj(&[("Pair", Array(vec![Int(1), Int(2)]))]),
+            Ok("Pair(1, 2)"),
+        ),
+        (
+            "named variant as a single-key object",
+            obj(&[("Named", obj(&[("w", Int(4))]))]),
+            Ok("Named { w: 4 }"),
+        ),
+        (
+            "wrong tuple arity",
+            obj(&[("Pair", Array(vec![Int(1), Int(2), Int(3)]))]),
+            Err("Shape::Pair"),
+        ),
+        (
+            "unknown data variant",
+            obj(&[("Nope", Int(1))]),
+            Err("unknown variant `Nope` for Shape"),
+        ),
+        (
+            "unknown unit variant",
+            Str("Nope".into()),
+            Err("unknown unit variant `Nope` for Shape"),
+        ),
+        (
+            "a two-key object is no variant",
+            obj(&[("Unit", Null), ("Pair", Null)]),
+            Err("Shape"),
+        ),
+        (
+            "missing field inside a variant",
+            obj(&[("Named", obj(&[]))]),
+            Err("Shape::Named: missing field `w`"),
+        ),
+    ];
+    for (what, doc, expect) in &shapes {
+        eprintln!("shape: {what}");
+        check_parity::<Shape>(doc, *expect);
+    }
+    let tuples: Vec<(&str, Value, Result<&str, &str>)> = vec![
+        ("tuple of two", Array(vec![Int(1), Int(2)]), Ok("(1, 2)")),
+        ("tuple arity", Array(vec![Int(1)]), Err("wrong tuple arity")),
+    ];
+    for (what, doc, expect) in &tuples {
+        eprintln!("tuple: {what}");
+        check_parity::<(u32, u32)>(doc, *expect);
+    }
+
+    // Two failures only bytes can carry. Trailing bytes after the value:
+    let mut payload = canonical_bytes(&obj(&[("a", Int(1)), ("x", Float(0.0))]));
+    payload.push(0);
+    let frame = frame_payload(FrameType::Config, &[&payload]);
+    assert!(matches!(
+        decode_frame::<Probe>(FrameType::Config, &frame),
+        Err(CodecError::Malformed(m)) if m.contains("trailing")
+    ));
+    // And a string that is not UTF-8, as a value and as a key:
+    for doc in [
+        obj(&[("a", Int(1)), ("s", Str("\u{7f}".into()))]),
+        obj(&[("a", Int(1)), ("\u{7f}", Null)]),
+    ] {
+        let mut payload = canonical_bytes(&doc);
+        let at = payload
+            .iter()
+            .rposition(|&b| b == 0x7f)
+            .expect("marker byte");
+        payload[at] = 0xff;
+        let frame = frame_payload(FrameType::Config, &[&payload]);
+        assert!(matches!(
+            decode_frame::<Probe>(FrameType::Config, &frame),
+            Err(CodecError::Malformed(m)) if m.contains("UTF-8")
+        ));
+    }
+    // A payload that ends mid-value is still Truncated, not Malformed.
+    let payload = canonical_bytes(&obj(&[("a", Int(1))]));
+    let frame = frame_payload(FrameType::Config, &[&payload[..payload.len() - 3]]);
+    assert!(matches!(
+        decode_frame::<Probe>(FrameType::Config, &frame),
+        Err(CodecError::Truncated { .. })
+    ));
+}
+
+/// A canonical payload of `depth` nested one-element arrays.
+fn nested_arrays(depth: usize) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(depth * 5 + 1);
+    for _ in 0..depth {
+        // Tag 7 (array) and a length of one.
+        bytes.extend_from_slice(&[7, 1, 0, 0, 0]);
+    }
+    bytes.push(0);
+    bytes
+}
+
+/// A `NetRequest` frame whose payload nests `depth` arrays deep: bare, or
+/// as an unknown field of a `Hello` (the first frame a server decodes).
+fn deep_request_frames(depth: usize) -> [Vec<u8>; 2] {
+    let deep = nested_arrays(depth);
+    let bare = frame_payload(FrameType::NetRequest, &[&deep]);
+    let NetRequest::Hello { codec_version } = hello() else {
+        unreachable!("hello() is a Hello")
+    };
+    let mut head = canonical_bytes(&obj(&[(
+        "Hello",
+        obj(&[
+            ("codec_version", Value::Int(codec_version.into())),
+            ("pad", Value::Null),
+        ]),
+    )]));
+    head.pop(); // the `pad` placeholder: the deep value takes its place
+    let padded = frame_payload(FrameType::NetRequest, &[&head, &deep]);
+    [bare, padded]
+}
+
+#[test]
+fn deeply_nested_frames_are_typed_errors_not_stack_overflows() {
+    // A spawned thread has the default stack: recursing once per level
+    // would overflow it and abort the process.
+    std::thread::spawn(|| {
+        for frame in deep_request_frames(30_000) {
+            assert!(matches!(
+                decode_frame::<NetRequest>(FrameType::NetRequest, &frame),
+                Err(CodecError::Malformed(_))
+            ));
+            assert!(matches!(
+                decode_frame::<Value>(FrameType::NetRequest, &frame),
+                Err(CodecError::Malformed(m)) if m.contains("deeper")
+            ));
+        }
+    })
+    .join()
+    .expect("decoding a deep frame returns instead of aborting");
+
+    // The limit is exact: `serde::MAX_DEPTH` levels decode (into `Value`,
+    // or skipped as an unknown field), one more does not.
+    let [bare, padded] = deep_request_frames(serde::MAX_DEPTH);
+    assert!(decode_frame::<Value>(FrameType::NetRequest, &bare).is_ok());
+    assert!(matches!(
+        decode_frame::<NetRequest>(FrameType::NetRequest, &padded),
+        Ok(NetRequest::Hello { .. })
+    ));
+    let [bare, padded] = deep_request_frames(serde::MAX_DEPTH + 1);
+    assert!(matches!(
+        decode_frame::<Value>(FrameType::NetRequest, &bare),
+        Err(CodecError::Malformed(m)) if m.contains("deeper")
+    ));
+    assert!(matches!(
+        decode_frame::<NetRequest>(FrameType::NetRequest, &padded),
+        Err(CodecError::Malformed(m)) if m.contains("deeper")
+    ));
 }
