@@ -389,6 +389,29 @@ impl Chip {
         })
     }
 
+    /// Routes `from → via… → tos[i]` for every `tos[i]` (port cells when
+    /// more than one), avoiding `blocked` cells, and hands each path found
+    /// to `each(i, path)` in `tos` order until it returns `true`. Each path
+    /// is the one [`route_via`](Self::route_via) returns for that `to`; the
+    /// legs through `via` are routed once. See
+    /// [`route_via_fan_with`](Self::route_via_fan_with).
+    ///
+    /// Backed by the same per-thread scratch as `route_via`, so `each` must
+    /// not route on this thread.
+    pub fn route_via_fan(
+        &self,
+        from: Coord,
+        via: &[Coord],
+        tos: &[Coord],
+        blocked: &[Coord],
+        each: impl FnMut(usize, Vec<Coord>) -> bool,
+    ) {
+        self.with_scratch(|chip, scratch| {
+            scratch.load_blocked(blocked.iter().copied());
+            chip.route_via_fan_with(scratch, from, via, tos, each)
+        })
+    }
+
     fn with_scratch<R>(&self, f: impl FnOnce(&Chip, &mut RouteScratch) -> R) -> R {
         SCRATCH.with(|slot| {
             let mut slot = slot.borrow_mut();

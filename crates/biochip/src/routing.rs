@@ -7,6 +7,13 @@
 //! warm scratch is reused without clearing: after the first route on a given
 //! grid size, routing allocates nothing but the returned path.
 //!
+//! A wash path is `[flow port → targets → waste port]`, and its legs up to
+//! the last target do not depend on the waste port: ports are impassable
+//! except as a leg's endpoint. [`Chip::route_via_fan_with`] routes those
+//! legs once and fans the last leg out to every waste port in one BFS
+//! (each port a leaf goal), returning what a separate `route_via` per
+//! waste port would. [`Chip::route_via_with`] is its one-`to` case.
+//!
 //! [`PortReach`] caches BFS distance fields from every flow and waste port
 //! over the unblocked chip, computed once per chip (the chip is immutable
 //! after construction, so the cache never goes stale). Because blocking
@@ -27,10 +34,12 @@ use crate::grid::{CellKind, Coord};
 /// stage and subtract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoutingCounters {
-    /// Top-level routing queries (`route` / `route_via` and scratch
-    /// variants).
+    /// Routing queries, one per (from, to) pair: a `route`/`route_via`
+    /// counts one, a fan one per `to` it handed out or passed over before
+    /// its caller stopped it.
     pub route_calls: u64,
-    /// Individual BFS leg searches (a `route_via` runs one per stop).
+    /// BFS searches (a `route_via` runs one per leg; a fan's shared last
+    /// leg counts once).
     pub bfs_runs: u64,
     /// Routing queries served by an already-warm scratch (no allocation).
     pub scratch_reuses: u64,
@@ -88,6 +97,9 @@ pub struct RouteScratch {
     stop: Vec<u32>,
     stop_rank: Vec<u32>,
     stop_epoch: u32,
+    /// Goal stamp of the current BFS leg (one stop, or a fan's ports).
+    goal: Vec<u32>,
+    goal_epoch: u32,
     /// FIFO frontier.
     queue: Vec<u32>,
     /// Whether this scratch has served a route before (for the reuse
@@ -117,6 +129,8 @@ impl RouteScratch {
             stop: vec![0; n],
             stop_rank: vec![0; n],
             stop_epoch: 0,
+            goal: vec![0; n],
+            goal_epoch: 0,
             queue: Vec::with_capacity(n),
             warm: false,
         }
@@ -162,11 +176,20 @@ impl RouteScratch {
     fn begin_query(&mut self) {
         Self::bump(&mut self.used_epoch, &mut self.used);
         Self::bump(&mut self.stop_epoch, &mut self.stop);
-        ROUTE_CALLS.fetch_add(1, Ordering::Relaxed);
-        if self.warm {
-            SCRATCH_REUSES.fetch_add(1, Ordering::Relaxed);
-        }
+    }
+
+    /// Counts `queries` ≥ 1 (from, to) routing queries served by this
+    /// scratch.
+    fn count_queries(&mut self, queries: u64) {
+        ROUTE_CALLS.fetch_add(queries, Ordering::Relaxed);
+        let reuses = if self.warm { queries } else { queries - 1 };
+        SCRATCH_REUSES.fetch_add(reuses, Ordering::Relaxed);
         self.warm = true;
+    }
+
+    #[inline]
+    fn in_grid(&self, c: Coord) -> bool {
+        c.x < self.width && c.y < self.height
     }
 
     #[inline]
@@ -179,22 +202,54 @@ impl RouteScratch {
         self.used[i] == self.used_epoch
     }
 
-    /// One BFS leg from `cur` to `stop`. A cell is traversable when it is
-    /// passable for the `(cur, stop)` endpoint pair, not blocked, not
-    /// consumed by an earlier leg (`cur` itself is exempt: it is the head of
-    /// the previous leg, which this leg restarts from), and not a stop that
-    /// must be visited later (`rank > leg`).
-    fn leg(&mut self, chip: &Chip, cur: Coord, stop: Coord, leg: u32) -> bool {
+    /// Makes `goals` the goal set of the next leg; returns how many distinct
+    /// in-grid cells it holds.
+    fn stamp_goals(&mut self, goals: impl IntoIterator<Item = Coord>) -> usize {
+        let e = Self::bump(&mut self.goal_epoch, &mut self.goal);
+        let mut distinct = 0;
+        for g in goals {
+            if self.in_grid(g) {
+                let i = self.idx(g);
+                if self.goal[i] != e {
+                    self.goal[i] = e;
+                    distinct += 1;
+                }
+            }
+        }
+        distinct
+    }
+
+    /// Whether the last leg reached goal `g`.
+    #[inline]
+    fn reached(&self, g: Coord) -> bool {
+        self.in_grid(g) && {
+            let i = self.idx(g);
+            self.goal[i] == self.goal_epoch && self.visit[i] == self.visit_epoch
+        }
+    }
+
+    /// One BFS leg from `cur` towards the `goals` stamped goal cells,
+    /// stopping once all are reached. A goal is entered but never expanded,
+    /// so the other cells' BFS tree is the one a single-goal search grows
+    /// whenever the other goals are ports it may not cross anyway. A cell is
+    /// traversable when it is passable for the `(cur, cell)` endpoint pair
+    /// if a goal (`(cur, cur)` otherwise), not blocked, not consumed by an
+    /// earlier leg (`cur` itself is exempt: it is the head of the previous
+    /// leg, which this leg restarts from), and not a stop that must be
+    /// visited later (`rank > leg`).
+    fn leg(&mut self, chip: &Chip, cur: Coord, leg: u32, mut goals: usize) {
         BFS_RUNS.fetch_add(1, Ordering::Relaxed);
         let start = self.idx(cur);
         let pending = |s: &Self, i: usize| s.stop[i] == s.stop_epoch && s.stop_rank[i] > leg;
         let barred = |s: &Self, i: usize, c: Coord| {
             ((s.is_blocked(i) || s.is_used(i)) && c != cur) || pending(s, i)
         };
-        if !chip.passable(cur, cur, stop) || barred(self, start, cur) {
-            return false;
-        }
+        // Bump first: a leg that cannot start must not leave an earlier
+        // leg's visits looking `reached`.
         let e = Self::bump(&mut self.visit_epoch, &mut self.visit);
+        if !chip.passable(cur, cur, cur) || barred(self, start, cur) {
+            return;
+        }
         self.visit[start] = e;
         self.prev[start] = start as u32;
         self.queue.clear();
@@ -212,18 +267,22 @@ impl RouteScratch {
                 if self.visit[ni] == e || barred(self, ni, n) {
                     continue;
                 }
-                if !chip.passable(n, cur, stop) || !chip.edge_passable(c, n) {
+                let goal = self.goal[ni] == self.goal_epoch;
+                if !chip.passable(n, cur, if goal { n } else { cur }) || !chip.edge_passable(c, n) {
                     continue;
                 }
                 self.visit[ni] = e;
                 self.prev[ni] = ci as u32;
-                if n == stop {
-                    return true;
+                if !goal {
+                    self.queue.push(ni as u32);
+                    continue;
                 }
-                self.queue.push(ni as u32);
+                goals -= 1;
+                if goals == 0 {
+                    return;
+                }
             }
         }
-        false
     }
 
     /// Appends the found leg path (endpoints included) to `out`.
@@ -243,6 +302,16 @@ impl RouteScratch {
         }
         out[mark..].reverse();
     }
+
+    /// Appends the leg `from → to` found by the last BFS to `path`, minus
+    /// the leg-start cell `path` already ends with.
+    fn append_leg(&self, from: Coord, to: Coord, path: &mut Vec<Coord>) {
+        let mark = path.len();
+        self.extract(from, to, path);
+        if mark > 0 {
+            path.remove(mark);
+        }
+    }
 }
 
 impl Chip {
@@ -261,13 +330,16 @@ impl Chip {
     ) -> Option<Vec<Coord>> {
         assert!(scratch.fits(self), "scratch sized for a different grid");
         scratch.begin_query();
+        scratch.count_queries(1);
         if !self.passable(from, from, to) || scratch.is_blocked(scratch.idx(from)) {
             return None;
         }
         if from == to {
             return Some(vec![from]);
         }
-        if !scratch.leg(self, from, to, 0) {
+        let goals = scratch.stamp_goals([to]);
+        scratch.leg(self, from, 0, goals);
+        if !scratch.reached(to) {
             return None;
         }
         let mut path = Vec::new();
@@ -276,7 +348,8 @@ impl Chip {
     }
 
     /// Like [`route_via`](Self::route_via), but against the blocked set
-    /// loaded into `scratch`.
+    /// loaded into `scratch`: the one-`to` case of
+    /// [`route_via_fan_with`](Self::route_via_fan_with).
     ///
     /// # Panics
     ///
@@ -288,11 +361,65 @@ impl Chip {
         via: &[Coord],
         to: Coord,
     ) -> Option<Vec<Coord>> {
+        let mut out = None;
+        self.route_via_fan_with(scratch, from, via, &[to], |_, path| {
+            out = Some(path);
+            true
+        });
+        out
+    }
+
+    /// Routes `from → via[0] → … → via[n-1] → tos[i]` for every `tos[i]`,
+    /// calling `each(i, path)` in `tos` order for each routable one until
+    /// `each` returns `true`. Every path equals what
+    /// [`route_via_with`](Self::route_via_with) returns for that `to`, but
+    /// the legs through `via` are routed once and the last leg is one BFS
+    /// from the last via cell with every `to` as a leaf goal.
+    ///
+    /// This is exact because a port is impassable except as a leg's
+    /// endpoint: no single-`to` prefix leg can enter a port `to` that is not
+    /// `from` or a via cell, whether or not that `to` is a pending stop, and
+    /// no single-`to` last leg can enter any other port `to`. A port `to`
+    /// that *is* `from` or a via cell is a pending stop its own query can
+    /// never enter or leave, so that query succeeds only as the walk that
+    /// never moves: `from == to` with every via cell on it.
+    ///
+    /// Counts one routing query per `to` up to the stop, and one BFS per
+    /// leg: the shared last leg counts once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scratch` was sized for a different grid, or if `tos`
+    /// holds more than one cell and any of them is not a port cell.
+    pub fn route_via_fan_with(
+        &self,
+        scratch: &mut RouteScratch,
+        from: Coord,
+        via: &[Coord],
+        tos: &[Coord],
+        mut each: impl FnMut(usize, Vec<Coord>) -> bool,
+    ) {
         assert!(scratch.fits(self), "scratch sized for a different grid");
+        let fan = tos.len() > 1;
+        assert!(
+            !fan || tos.iter().all(|&t| {
+                matches!(
+                    self.grid().get(t),
+                    Some(CellKind::FlowPort(_) | CellKind::WastePort(_))
+                )
+            }),
+            "a fan's goals must be port cells"
+        );
+        if tos.is_empty() {
+            return;
+        }
         scratch.begin_query();
+        // A lone `to` is a pending stop through the prefix, as in any
+        // `route_via`; fanned port goals need not be (see above).
+        let pending = if fan { &[][..] } else { tos };
         let se = scratch.stop_epoch;
-        for (k, &s) in via.iter().chain(std::iter::once(&to)).enumerate() {
-            if s.x < scratch.width && s.y < scratch.height {
+        for (k, &s) in via.iter().chain(pending).enumerate() {
+            if scratch.in_grid(s) {
                 let i = scratch.idx(s);
                 scratch.stop[i] = se;
                 // Duplicate stops keep the last (maximum) rank, matching the
@@ -301,34 +428,65 @@ impl Chip {
             }
         }
 
-        let mut path: Vec<Coord> = Vec::new();
+        let mut prefix: Vec<Coord> = Vec::new();
         let mut cur = from;
-        for k in 0..=via.len() {
-            let stop = if k < via.len() { via[k] } else { to };
+        let mut routed = true;
+        for (k, &stop) in via.iter().enumerate() {
             if stop == cur {
-                if path.is_empty() {
-                    path.push(cur);
+                if prefix.is_empty() {
+                    prefix.push(cur);
                     let i = scratch.idx(cur);
                     scratch.used[i] = scratch.used_epoch;
                 }
                 continue;
             }
-            if !scratch.leg(self, cur, stop, k as u32) {
-                return None;
+            let goals = scratch.stamp_goals([stop]);
+            scratch.leg(self, cur, k as u32, goals);
+            if !scratch.reached(stop) {
+                routed = false;
+                break;
             }
-            let mark = path.len();
-            scratch.extract(cur, stop, &mut path);
-            // Drop the duplicated leg-start cell for non-first legs.
-            if mark > 0 {
-                path.remove(mark);
-            }
-            for &c in &path[mark..] {
+            let mark = prefix.len();
+            scratch.append_leg(cur, stop, &mut prefix);
+            for &c in &prefix[mark..] {
                 let i = scratch.idx(c);
                 scratch.used[i] = scratch.used_epoch;
             }
             cur = stop;
         }
-        Some(path)
+        let pinned = |t: Coord| fan && (t == from || via.contains(&t));
+        if routed {
+            let goals =
+                scratch.stamp_goals(tos.iter().copied().filter(|&t| t != cur && !pinned(t)));
+            if goals > 0 {
+                scratch.leg(self, cur, via.len() as u32, goals);
+            }
+        }
+        let mut asked = 0;
+        for (i, &to) in tos.iter().enumerate() {
+            asked += 1;
+            let path = if pinned(to) {
+                (to == from && via.iter().all(|&v| v == to)).then(|| vec![from])
+            } else if !routed {
+                None
+            } else if to == cur {
+                Some(if prefix.is_empty() {
+                    vec![cur]
+                } else {
+                    prefix.clone()
+                })
+            } else if scratch.reached(to) {
+                let mut path = prefix.clone();
+                scratch.append_leg(cur, to, &mut path);
+                Some(path)
+            } else {
+                None
+            };
+            if path.is_some_and(|p| each(i, p)) {
+                break;
+            }
+        }
+        scratch.count_queries(asked);
     }
 }
 
@@ -1059,5 +1217,115 @@ mod tests {
         let after = counters();
         assert!(after.route_calls > before.route_calls);
         assert!(after.bfs_runs > before.bfs_runs);
+    }
+
+    /// A random chip for the fan property: a `w × h` grid whose ports sit
+    /// on distinct boundary cells drawn by `next`, every other cell a
+    /// channel unless `cells` paints it empty, with blocked cells,
+    /// stuck-closed edges and maybe a disabled waste port as faults.
+    /// Returns the chip and its flow and waste port cells.
+    fn fan_chip(
+        (w, h): (u16, u16),
+        cells: &[u8],
+        next: &mut impl FnMut(usize) -> usize,
+    ) -> (Chip, Vec<Coord>, Vec<Coord>) {
+        use crate::chip::WastePortId;
+        let mut free: Vec<Coord> = (0..h)
+            .flat_map(|y| (0..w).map(move |x| Coord::new(x, y)))
+            .filter(|c| c.x == 0 || c.y == 0 || c.x == w - 1 || c.y == h - 1)
+            .collect();
+        let (n_flow, n_waste) = (1 + next(2), 2 + next(3));
+        let mut b = ChipBuilder::new(w, h);
+        let (mut flows, mut wastes) = (Vec::new(), Vec::new());
+        for i in 0..n_flow + n_waste {
+            let c = free.swap_remove(next(free.len()));
+            if i < n_flow {
+                b = b.flow_port(&format!("in{i}"), c).unwrap();
+                flows.push(c);
+            } else {
+                b = b.waste_port(&format!("out{i}"), c).unwrap();
+                wastes.push(c);
+            }
+        }
+        for y in 0..h {
+            for x in 0..w {
+                let c = Coord::new(x, y);
+                let i = y as usize * w as usize + x as usize;
+                if !flows.contains(&c) && !wastes.contains(&c) && cells[i % cells.len()] < 8 {
+                    b = b.channel(c).unwrap();
+                }
+            }
+        }
+        let mut faults = FaultSet::new();
+        for _ in 0..next(3) {
+            faults.block_cell(Coord::new(next(w as usize) as u16, next(h as usize) as u16));
+        }
+        for _ in 0..next(4) {
+            let a = Coord::new(next(w as usize - 1) as u16, next(h as usize) as u16);
+            faults.block_edge(a, Coord::new(a.x + 1, a.y));
+        }
+        if next(3) == 0 {
+            faults.disable_waste_port(WastePortId(next(n_waste) as u32));
+        }
+        let chip = b.build().unwrap().with_faults(faults).unwrap();
+        (chip, flows, wastes)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The fan hands `each` exactly the paths `route_via_with` returns
+        /// for each routable `to`, in `tos` order, and nothing after `each`
+        /// returns `true`. Via lists cover empty, random cells, a last via
+        /// cell that is also a `to`, and `from` repeated with `from` among
+        /// the `tos`.
+        #[test]
+        fn fan_matches_per_target_routing(
+            dims in (4u16..=8, 4u16..=8),
+            cells in proptest::collection::vec(0u8..10, 64),
+            picks in proptest::collection::vec(0u16..1024, 32),
+            mode in 0u8..4,
+            stop_after in 0usize..5,
+        ) {
+            let mut pick = picks.iter().cycle();
+            let mut next = |n: usize| *pick.next().unwrap() as usize % n.max(1);
+            let (chip, flows, wastes) = fan_chip(dims, &cells, &mut next);
+            let (w, h) = (dims.0 as usize, dims.1 as usize);
+            let cell = |next: &mut dyn FnMut(usize) -> usize| {
+                Coord::new(next(w) as u16, next(h) as u16)
+            };
+            let blocked: Vec<Coord> = (0..next(3)).map(|_| cell(&mut next)).collect();
+            let from = flows[next(flows.len())];
+            let mut via: Vec<Coord> = (0..next(5)).map(|_| cell(&mut next)).collect();
+            let mut tos = wastes.clone();
+            let (turn, at) = (next(tos.len()), next(tos.len() + 1));
+            tos.rotate_left(turn);
+            match mode {
+                1 => via.push(wastes[next(wastes.len())]),
+                2 => {
+                    via = vec![from; next(3)];
+                    tos.insert(at, from);
+                }
+                3 => tos.insert(at, flows[next(flows.len())]),
+                _ => {}
+            }
+
+            let mut s = RouteScratch::for_chip(&chip);
+            s.load_blocked(blocked.iter().copied());
+            let mut want: Vec<(usize, Vec<Coord>)> = tos
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &to)| chip.route_via_with(&mut s, from, &via, to).map(|p| (i, p)))
+                .collect();
+            if stop_after > 0 {
+                want.truncate(stop_after);
+            }
+            let mut got = Vec::new();
+            chip.route_via_fan_with(&mut s, from, &via, &tos, |i, p| {
+                got.push((i, p));
+                got.len() == stop_after
+            });
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 }

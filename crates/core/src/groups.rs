@@ -223,7 +223,8 @@ fn coverable(chip: &Chip, scratch: &mut RouteScratch, seq: &[Coord]) -> bool {
 
 /// Routes a wash through the target sequences for every flow/waste port
 /// pair in turn but those `skip` names, handing each path found to `stop`
-/// until it returns `true`.
+/// until it returns `true`. Each flow port's legs through the targets are
+/// routed once and fanned out to its waste ports.
 fn route_washes(
     chip: &Chip,
     scratch: &mut RouteScratch,
@@ -263,16 +264,19 @@ fn route_washes(
             pos = *seq.last().expect("sequences are nonempty");
             via.extend(seq);
         }
-        for (wi, wp) in chip.waste_ports().enumerate() {
-            if skip(fp, wp) || targets.iter().any(|c| !reach.waste_reaches(wi, c)) {
-                continue;
-            }
-            if let Some(cells) = chip.route_via_with(scratch, fp, &via, wp) {
-                let path = FlowPath::new(cells).expect("route_via returns a simple path");
-                if stop(path) {
-                    return;
-                }
-            }
+        let wps: Vec<Coord> = chip
+            .waste_ports()
+            .enumerate()
+            .filter(|&(wi, wp)| !skip(fp, wp) && targets.iter().all(|c| reach.waste_reaches(wi, c)))
+            .map(|(_, wp)| wp)
+            .collect();
+        let mut stopped = false;
+        chip.route_via_fan_with(scratch, fp, &via, &wps, |_, cells| {
+            stopped = stop(FlowPath::new(cells).expect("route_via returns a simple path"));
+            stopped
+        });
+        if stopped {
+            return;
         }
     }
 }
@@ -579,12 +583,15 @@ fn nearest_candidate(chip: &Chip, scratch: &mut RouteScratch, g: &mut WashGroup)
         }
         let mut wps: Vec<Coord> = chip.waste_ports().collect();
         wps.sort_by_key(|wp| pos.manhattan(*wp));
-        for wp in wps {
-            if let Some(cells) = chip.route_via_with(scratch, fp, &via, wp) {
-                let path = FlowPath::new(cells).expect("simple path");
-                g.candidates = vec![Candidate::from_path(path)];
-                return;
-            }
+        let mut found = None;
+        chip.route_via_fan_with(scratch, fp, &via, &wps, |_, cells| {
+            found = Some(cells);
+            true
+        });
+        if let Some(cells) = found {
+            let path = FlowPath::new(cells).expect("simple path");
+            g.candidates = vec![Candidate::from_path(path)];
+            return;
         }
     }
     g.candidates.truncate(1);

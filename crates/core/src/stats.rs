@@ -28,9 +28,9 @@ pub struct PipelineStats {
     pub ilp_s: f64,
     /// End-to-end optimizer wall time, seconds.
     pub total_s: f64,
-    /// Routing queries (`route`/`route_via`) issued during the run.
+    /// Routing queries issued during the run, one per (from, to) pair.
     pub route_calls: u64,
-    /// BFS leg searches run (a `route_via` runs one per stop).
+    /// BFS searches run (one per leg; a fan's shared last leg counts once).
     pub bfs_runs: u64,
     /// Routing queries served by an already-warm scratch (no allocation).
     pub scratch_reuses: u64,

@@ -37,15 +37,10 @@ pub struct Synthesis {
 /// in order, avoiding `blocked` cells. Tries every port pair and returns the
 /// shortest result.
 pub fn route_task(chip: &Chip, via: &[Coord], blocked: &[Coord]) -> Option<FlowPath> {
-    let mut best: Option<Vec<Coord>> = None;
+    let wps: Vec<Coord> = chip.waste_ports().collect();
+    let mut best = None;
     for fp in chip.flow_ports() {
-        for wp in chip.waste_ports() {
-            if let Some(p) = chip.route_via(fp, via, wp, blocked) {
-                if best.as_ref().is_none_or(|b| p.len() < b.len()) {
-                    best = Some(p);
-                }
-            }
-        }
+        keep_shortest(chip, fp, via, &wps, blocked, &mut best);
     }
     best.map(|cells| FlowPath::new(cells).expect("route_via returns a simple path"))
 }
@@ -58,14 +53,9 @@ pub fn route_task_from(
     via: &[Coord],
     blocked: &[Coord],
 ) -> Option<FlowPath> {
-    let mut best: Option<Vec<Coord>> = None;
-    for wp in chip.waste_ports() {
-        if let Some(p) = chip.route_via(from, via, wp, blocked) {
-            if best.as_ref().is_none_or(|b| p.len() < b.len()) {
-                best = Some(p);
-            }
-        }
-    }
+    let wps: Vec<Coord> = chip.waste_ports().collect();
+    let mut best = None;
+    keep_shortest(chip, from, via, &wps, blocked, &mut best);
     best.map(|cells| FlowPath::new(cells).expect("route_via returns a simple path"))
 }
 
@@ -73,20 +63,33 @@ pub fn route_task_from(
 /// avoiding `blocked` cells. Used for excess removals and as the building
 /// block for wash paths.
 pub fn route_flush(chip: &Chip, targets: &[Coord], blocked: &[Coord]) -> Option<FlowPath> {
-    let mut best: Option<Vec<Coord>> = None;
+    let wps: Vec<Coord> = chip.waste_ports().collect();
+    let mut best = None;
     for fp in chip.flow_ports() {
         // Visit targets near-to-far from the entry port.
         let mut ordered = targets.to_vec();
         ordered.sort_by_key(|c| (c.manhattan(fp), *c));
-        for wp in chip.waste_ports() {
-            if let Some(p) = chip.route_via(fp, &ordered, wp, blocked) {
-                if best.as_ref().is_none_or(|b| p.len() < b.len()) {
-                    best = Some(p);
-                }
-            }
-        }
+        keep_shortest(chip, fp, &ordered, &wps, blocked, &mut best);
     }
     best.map(|cells| FlowPath::new(cells).expect("route_via returns a simple path"))
+}
+
+/// Routes `from → via… → wp` for every waste port `wp` in `wps` (the legs
+/// through `via` once) and keeps each path strictly shorter than `best`.
+fn keep_shortest(
+    chip: &Chip,
+    from: Coord,
+    via: &[Coord],
+    wps: &[Coord],
+    blocked: &[Coord],
+    best: &mut Option<Vec<Coord>>,
+) {
+    chip.route_via_fan(from, via, wps, blocked, |_, p| {
+        if best.as_ref().is_none_or(|b| p.len() < b.len()) {
+            *best = Some(p);
+        }
+        false
+    });
 }
 
 /// All device footprint cells except those of `allowed` devices.

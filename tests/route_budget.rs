@@ -9,10 +9,15 @@
 //! when the split leaves it whole, and `merge` never re-routes a pair it
 //! already rejected. Routing the same query twice again raises a count
 //! and fails the test; a deliberate change re-pins it.
+//!
+//! `route_calls` counts one (flow port, waste port) query per pair tried;
+//! `bfs_runs` counts BFS searches. A flow port's wash prefix is routed once
+//! and one BFS fans its last leg out to every waste port, so routing the
+//! prefix once per waste port again raises `bfs_runs` and fails the test.
 
 use pathdriver_wash::{build_groups, merge_groups, spot_cluster_groups, CandidatePolicy};
 use pdw_assay::benchmarks;
-use pdw_biochip::routing_counters;
+use pdw_biochip::{routing_counters, RoutingCounters};
 use pdw_contam::{analyze, NecessityOptions};
 use pdw_synth::synthesize;
 
@@ -20,10 +25,13 @@ use pdw_synth::synthesize;
 /// and the merge.
 const PINNED: (u64, u64, u64) = (1440, 1249, 2727);
 
-fn route_calls<T>(f: impl FnOnce() -> T) -> (T, u64) {
+/// `bfs_runs` of the same three stages.
+const PINNED_BFS: (u64, u64, u64) = (1806, 1599, 6643);
+
+fn counted<T>(f: impl FnOnce() -> T) -> (T, RoutingCounters) {
     let before = routing_counters();
     let out = f();
-    (out, (routing_counters() - before).route_calls)
+    (out, routing_counters() - before)
 }
 
 #[test]
@@ -34,14 +42,26 @@ fn kinase_act_2_front_end_routes_each_query_once() {
     let (chip, schedule, reqs) = (&s.chip, &s.schedule, &a.requirements);
     let policy = CandidatePolicy::Shortest;
 
-    let (_, build) = route_calls(|| build_groups(chip, schedule, reqs, policy, 3, 1));
-    let (groups, grouping) =
-        route_calls(|| spot_cluster_groups(chip, schedule, reqs, policy, 3, 1));
-    let (_, merge) = route_calls(|| merge_groups(chip, schedule, groups, 3));
+    let (_, build) = counted(|| build_groups(chip, schedule, reqs, policy, 3, 1));
+    let (groups, grouping) = counted(|| spot_cluster_groups(chip, schedule, reqs, policy, 3, 1));
+    let (_, merge) = counted(|| merge_groups(chip, schedule, groups, 3));
 
     assert_eq!(
-        (build, grouping - build, merge),
+        (
+            build.route_calls,
+            grouping.route_calls - build.route_calls,
+            merge.route_calls
+        ),
         PINNED,
-        "(build, split, merge)"
+        "route_calls (build, split, merge)"
+    );
+    assert_eq!(
+        (
+            build.bfs_runs,
+            grouping.bfs_runs - build.bfs_runs,
+            merge.bfs_runs
+        ),
+        PINNED_BFS,
+        "bfs_runs (build, split, merge)"
     );
 }
