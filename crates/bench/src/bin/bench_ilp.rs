@@ -52,6 +52,11 @@ struct SyntheticReport {
 struct Table2Report {
     benchmark: String,
     used_ilp: bool,
+    /// Whether the search found a better incumbent than its greedy warm
+    /// start (a served ILP plan may be the warm start unchanged).
+    improved_on_greedy: bool,
+    /// Rows and columns of a model the dense-tableau size guard refused.
+    refused_model: Option<(usize, usize)>,
     stats: Option<SolverStats>,
 }
 
@@ -194,26 +199,50 @@ fn main() {
         .map(|row| Table2Report {
             benchmark: row.name,
             used_ilp: row.used_ilp,
+            // The warm start is the timeline's first incumbent.
+            improved_on_greedy: row
+                .solver_stats
+                .as_ref()
+                .is_some_and(|s| s.incumbent_timeline.len() > 1),
+            refused_model: row.ilp_refused_model,
             stats: row.solver_stats,
         })
         .collect();
     for t in &table2 {
-        match &t.stats {
-            Some(s) => println!(
-                "table2[{}]: {} nodes, {:.0} nodes/s, {} pivots, warm/cold {}/{}, \
-                 {} rebuilds, {} repair pivots",
+        match (&t.stats, t.refused_model) {
+            (Some(s), _) => println!(
+                "table2[{}]: {}x{} model, {} nodes in {:.2}s, {:.0} nodes/s, {} pivots, \
+                 warm/cold {}/{}, {} rebuilds, {} repair pivots, {}",
                 t.benchmark,
+                s.rows,
+                s.cols,
                 s.nodes,
+                s.wall_time_s,
                 s.nodes_per_sec,
                 s.lp_pivots,
                 s.warm_lps,
                 s.cold_lps,
                 s.refactorizations,
-                s.basis_repair_pivots
+                s.basis_repair_pivots,
+                if t.improved_on_greedy {
+                    "improved on greedy"
+                } else {
+                    "greedy warm start kept"
+                }
             ),
-            None => println!("table2[{}]: ILP refinement not adopted", t.benchmark),
+            (None, Some((rows, cols))) => println!(
+                "table2[{}]: {rows}x{cols} model refused by the dense-tableau size guard",
+                t.benchmark
+            ),
+            (None, None) => println!("table2[{}]: ILP refinement not adopted", t.benchmark),
         }
     }
+    let improved = table2.iter().filter(|t| t.improved_on_greedy).count();
+    let served = table2.iter().filter(|t| t.used_ilp).count();
+    println!(
+        "table2: ILP plan served on {served} of {}, improved on greedy on {improved}",
+        table2.len()
+    );
 
     let report = Report {
         available_parallelism: std::thread::available_parallelism().map_or(1, |p| p.get()),

@@ -19,7 +19,8 @@
 //!
 //! `--smoke` runs a small instance (65×65, 16 ops) at K ∈ {1, 4} only,
 //! asserts the partitioned objective stays within 5% of the whole-chip
-//! objective, and still writes the JSON artifact — the CI regression gate.
+//! objective, and writes `BENCH_partition_smoke.json` (or `--out FILE`) —
+//! the CI regression gate.
 //!
 //! `--subprocess` adds a column: every K ≥ 2 point is re-measured with
 //! region front ends running in out-of-process workers (this binary
@@ -167,7 +168,11 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
-        .unwrap_or("BENCH_partition.json");
+        .unwrap_or(if smoke {
+            "BENCH_partition_smoke.json"
+        } else {
+            "BENCH_partition.json"
+        });
     let side = arg_value(&args, "--side").unwrap_or(if smoke { 65 } else { 129 }) as u16;
     let ops = arg_value(&args, "--ops").unwrap_or(16) as usize;
     let seed = arg_value(&args, "--seed").unwrap_or(if smoke { 3 } else { 5 });

@@ -45,6 +45,9 @@ pub struct Row {
     /// Detailed ILP solver counters (`None` when the ILP never ran or its
     /// refinement was rejected).
     pub solver_stats: Option<SolverStats>,
+    /// Rows and columns of an ILP model the dense-tableau size guard
+    /// refused before solving.
+    pub ilp_refused_model: Option<(usize, usize)>,
 }
 
 impl Row {
@@ -93,6 +96,7 @@ pub fn run_benchmark(bench: &Benchmark, config: &PdwConfig) -> Row {
         integrated: p.integrated,
         used_ilp: p.solver.used_ilp,
         solver_stats: p.solver.stats,
+        ilp_refused_model: p.pipeline.ilp_refused_model,
     }
 }
 

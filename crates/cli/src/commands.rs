@@ -1086,8 +1086,10 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     }
     if let Some(st) = &p.solver.stats {
         println!(
-            "solver: {} nodes in {:.2}s ({:.0} nodes/s, {} threads), {} pivots, \
+            "solver: {}x{} model, {} nodes in {:.2}s ({:.0} nodes/s, {} threads), {} pivots, \
              warm/cold LPs {}/{} ({} fallbacks, {} rebuilds, {} repair pivots)",
+            st.rows,
+            st.cols,
             st.nodes,
             st.search_time_s,
             st.nodes_per_sec,

@@ -186,12 +186,14 @@ fn plan_through(
     if report.fallbacks > 0 {
         assert!(stats
             .degradation_events()
-            .contains(&"some region workers failed; jobs replanned in-process"));
+            .iter()
+            .any(|e| e == "some region workers failed; jobs replanned in-process"));
     }
     if report.exhausted_lanes > 0 {
         assert!(stats
             .degradation_events()
-            .contains(&"worker respawn budget exhausted; lane degraded to in-process"));
+            .iter()
+            .any(|e| e == "worker respawn budget exhausted; lane degraded to in-process"));
     }
     report
 }

@@ -34,23 +34,34 @@
 //! # Example
 //!
 //! Two planners sharing one context — the necessity analysis and routing
-//! state are computed once, and the results match one-shot calls exactly:
+//! state are computed once, and the results match one-shot calls exactly.
+//! The ILP runs here, on an instance small enough for it to prove its plan
+//! optimal: a search the budget stops is anytime, and two such runs may
+//! stop on different incumbents.
 //!
 //! ```
 //! use pathdriver_wash::{DawoPlanner, PdwConfig, PdwPlanner, PlanContext, Planner};
-//! use pdw_assay::benchmarks;
-//! use pdw_synth::synthesize;
+//! use pdw_assay::synthetic::SyntheticSpec;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let bench = benchmarks::demo();
-//! let synthesis = synthesize(&bench)?;
+//! let spec = SyntheticSpec {
+//!     name: "two-op".into(),
+//!     ops: 2,
+//!     edges: 4,
+//!     devices: 6,
+//!     seed: 0,
+//!     grid: (15, 15),
+//! };
+//! let (bench, synthesis) = pdw_gen::instance(&spec).expect("spec synthesizes");
+//! let config = PdwConfig { threads: 1, ..PdwConfig::default() };
 //!
 //! let mut ctx = PlanContext::new(&bench, &synthesis);
 //! let baseline = DawoPlanner.plan(&mut ctx)?;
-//! let optimized = PdwPlanner::new(PdwConfig::default()).plan(&mut ctx)?;
+//! let optimized = PdwPlanner::new(config.clone()).plan(&mut ctx)?;
 //!
+//! assert!(optimized.solver.used_ilp && optimized.solver.optimal);
 //! assert!(optimized.metrics.n_wash <= baseline.metrics.n_wash);
-//! assert_eq!(optimized.schedule, pathdriver_wash::pdw(&bench, &synthesis, &PdwConfig::default())?.schedule);
+//! assert_eq!(optimized.schedule, pathdriver_wash::pdw(&bench, &synthesis, &config)?.schedule);
 //! # Ok(())
 //! # }
 //! ```

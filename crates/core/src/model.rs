@@ -21,6 +21,44 @@
 //! groups are formed; group merging handles it upstream). The greedy
 //! insertion result warm-starts branch-and-bound, so the ILP can only
 //! improve on it.
+//!
+//! # Folded disjunction rows
+//!
+//! The solver's tableau is dense, so every row costs a full row of the
+//! tableau. The disjunction families are therefore emitted in a folded form
+//! whose integer feasible set equals that of the textbook one-row-pair-per-
+//! candidate-pair form, and whose LP relaxation is at least as tight row for
+//! row. The argument rests on one fact: the choice row `Σ_c y_c = 1` makes
+//! exactly one `y` per group 1, so for any candidate set `C` the sum
+//! `Y_C = Σ_{c∈C} y_c` is 0 or 1 at an integer point, and `Y_C ≥ y_c` for
+//! every `c ∈ C` at any LP point.
+//!
+//! - **μ (Eq. 19).** For a group `g` and a node with order binary `μ`, let
+//!   `C` be the candidates that share cells with the node. One row pair
+//!   relaxed by `M(1 − Y_C)` replaces the pair per `c ∈ C` relaxed by
+//!   `M(1 − y_c)`. At an integer point `Y_C = 1` exactly when the chosen
+//!   candidate conflicts, which is when one of the old pairs binds — the
+//!   same pair. In the LP `M(1 − Y_C) ≤ M(1 − y_c)`, so the folded row
+//!   implies each row it replaces.
+//! - **η (Eq. 20).** For groups `g_i, g_j` with order binary `η`, let `P`
+//!   be the overlapping candidate pairs. If `P` is every pair, some pair
+//!   overlaps whatever is chosen, so one row pair with no `y` terms is
+//!   exact. Otherwise one row pair per candidate `c` on the side with fewer
+//!   conflicting candidates (ties to `g_i`), relaxed by
+//!   `M(1 − y_c) + M(1 − Y_{O(c)})` with `O(c)` the partners `c` overlaps:
+//!   at an integer point it binds exactly when `c` and one of its partners
+//!   are chosen, that is when the old row of that pair binds, and in the LP
+//!   `Y_{O(c)} ≥ y_{c'}` makes it imply each old row `(c, c')`.
+//! - **`T_assay` (Eq. 22).** Every precedence edge weighs its source's
+//!   duration, so a node with a successor ends no later than the successor
+//!   starts, which is no later than some sink ends: only sinks of the
+//!   precedence DAG get a `T_assay` row. A wash with a deadline row ends
+//!   before a node that `T_assay` already bounds; only washes without one
+//!   get a row. Dropping implied rows leaves even the LP feasible set as is.
+//!
+//! Pairs the greedy schedule puts far apart keep their greedy order as one
+//! fixed-order row and get no binary (a restriction, never an
+//! unsoundness).
 
 use std::collections::HashMap;
 
@@ -32,6 +70,18 @@ use pdw_sched::{Schedule, TaskId, TaskKind, Time};
 use crate::config::PdwConfig;
 use crate::greedy::GreedyOutcome;
 use crate::groups::WashGroup;
+
+/// A dense-tableau LP of r rows costs roughly r × (vars + 2r) doubles
+/// (slacks plus worst-case artificials), and every search worker holds its
+/// own tableau. Models above this many entries are refused before solving,
+/// and a model is searched by at most as many workers as keep their
+/// tableaux together within it.
+const MAX_TABLEAU_ENTRIES: u64 = 40_000_000;
+
+/// Far-apart pairs (a gap of at least this many seconds in the greedy
+/// schedule) keep their greedy order as a fixed-order row; only temporally
+/// close pairs get an order binary.
+const NEAR_S: Time = 30;
 
 /// A retimed schedule extracted from the ILP.
 #[derive(Debug, Clone)]
@@ -46,21 +96,291 @@ pub(crate) struct Refined {
     pub stats: pdw_ilp::SolverStats,
 }
 
+/// Why [`refine_with_ilp`] returned no refinement (callers fall back to the
+/// greedy schedule).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum IlpMiss {
+    /// The model's dense tableau is too large to solve even once within a
+    /// budget; it was refused before solving.
+    Refused {
+        /// Constraint rows of the refused model.
+        rows: usize,
+        /// Variables of the refused model.
+        cols: usize,
+    },
+    /// The solver found no feasible assignment within the budget.
+    Unsolved,
+}
+
+/// Rows emitted per constraint family.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct FamilyRows {
+    /// Base precedence edges after transitive reduction (Eqs. 2/8).
+    pub precedence: usize,
+    /// One-candidate-per-group rows and candidates banned by an integrated
+    /// removal.
+    pub choice: usize,
+    /// Wash windows: after every source, before every use (Eq. 16).
+    pub window: usize,
+    /// Wash-vs-task/op order rows (Eq. 19).
+    pub mu: usize,
+    /// Wash-vs-wash order rows (Eq. 20).
+    pub eta: usize,
+    /// Greedy orders kept for far-apart pairs.
+    pub fixed_order: usize,
+    /// `T_assay` bounds (Eq. 22).
+    pub t_assay: usize,
+}
+
+impl FamilyRows {
+    fn total(&self) -> usize {
+        self.precedence
+            + self.choice
+            + self.window
+            + self.mu
+            + self.eta
+            + self.fixed_order
+            + self.t_assay
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Node {
     Op(OpId),
     Task(TaskId),
 }
 
-/// Builds and solves the retiming ILP. Returns `None` when the solver finds
-/// nothing within the budget (callers fall back to the greedy schedule).
+/// A wash group's variables: its start and one selection binary per
+/// candidate, with the candidates' durations.
+struct WashVars {
+    start: VarId,
+    y: Vec<VarId>,
+    dur: Vec<f64>,
+}
+
+impl WashVars {
+    /// `var - e_g` with the wash end `e_g = s_g + Σ_c dur_c·y_c`, for rows
+    /// bounding the end from above.
+    fn minus_end(&self, var: VarId) -> Vec<(VarId, f64)> {
+        let mut terms = vec![(var, 1.0), (self.start, -1.0)];
+        terms.extend(self.y.iter().zip(&self.dur).map(|(&y, &d)| (y, -d)));
+        terms
+    }
+
+    /// `-M·Σ_{c∈cands} y_c`: the `y` part of a relaxation `M(1 - Σ y)`.
+    fn relax(&self, cands: &[usize], big_m: f64) -> Vec<(VarId, f64)> {
+        cands.iter().map(|&c| (self.y[c], -big_m)).collect()
+    }
+}
+
+/// Emits the folded Eq. 19 row pair ordering wash `w` against a node
+/// (start `node`, duration `dur`) that shares cells with the candidates
+/// `conflicting`; `mu = 1` puts the node first. Returns the rows emitted.
+fn mu_rows(
+    m: &mut Model,
+    big_m: f64,
+    w: &WashVars,
+    node: VarId,
+    dur: f64,
+    conflicting: &[usize],
+    mu: VarId,
+) -> usize {
+    // μ = 0 binds: wash ends before the node starts:
+    //   s_node - e_g ≥ -M·μ - M(1 - Σ_C y)
+    //   ⇔ s_node - e_g + M·μ - M·Σ_C y ≥ -M
+    let mut terms = w.minus_end(node);
+    terms.push((mu, big_m));
+    terms.extend(w.relax(conflicting, big_m));
+    m.constraint(terms, Relation::Ge, -big_m);
+    // μ = 1 binds: wash starts after the node ends:
+    //   s_g - s_node ≥ d - M(1-μ) - M(1 - Σ_C y)
+    //   ⇔ s_g - s_node - M·μ - M·Σ_C y ≥ d - 2M
+    let mut terms = vec![(w.start, 1.0), (node, -1.0), (mu, -big_m)];
+    terms.extend(w.relax(conflicting, big_m));
+    m.constraint(terms, Relation::Ge, dur - 2.0 * big_m);
+    2
+}
+
+/// Emits the folded Eq. 20 rows ordering washes `a` and `b`, where
+/// `overlaps[ca][cb]` tells whether candidate `ca` of `a` overlaps candidate
+/// `cb` of `b` (at least one pair does); `eta = 1` puts `a` first. Returns
+/// the rows emitted.
+fn eta_rows(
+    m: &mut Model,
+    big_m: f64,
+    a: &WashVars,
+    b: &WashVars,
+    overlaps: &[Vec<bool>],
+    eta: VarId,
+) -> usize {
+    // O(c) for each candidate of each side.
+    let partners_a: Vec<Vec<usize>> = overlaps
+        .iter()
+        .map(|row| (0..b.y.len()).filter(|&cb| row[cb]).collect())
+        .collect();
+    let partners_b: Vec<Vec<usize>> = (0..b.y.len())
+        .map(|cb| (0..a.y.len()).filter(|&ca| overlaps[ca][cb]).collect())
+        .collect();
+    // Each relaxation: its `-M·y` terms and how many `M`s it adds.
+    let relaxations: Vec<(Vec<(VarId, f64)>, f64)> =
+        if partners_a.iter().all(|o| o.len() == b.y.len()) {
+            // Every pair overlaps: whatever is chosen conflicts.
+            vec![(Vec::new(), 0.0)]
+        } else {
+            let active = |p: &[Vec<usize>]| p.iter().filter(|o| !o.is_empty()).count();
+            let (side, other, partners) = if active(&partners_a) <= active(&partners_b) {
+                (a, b, partners_a)
+            } else {
+                (b, a, partners_b)
+            };
+            partners
+                .iter()
+                .enumerate()
+                .filter(|(_, o)| !o.is_empty())
+                .map(|(c, o)| {
+                    let mut terms = side.relax(&[c], big_m);
+                    terms.extend(other.relax(o, big_m));
+                    (terms, 2.0)
+                })
+                .collect()
+        };
+    let rows = 2 * relaxations.len();
+    for (y_terms, k) in relaxations {
+        // η = 1 binds: wash a ends before b starts:
+        //   s_b - e_a ≥ -M(1-η) - relaxation
+        //   ⇔ s_b - e_a - M·η - M·Σy ≥ -(1+k)M
+        let mut terms = a.minus_end(b.start);
+        terms.push((eta, -big_m));
+        terms.extend(y_terms.iter().copied());
+        m.constraint(terms, Relation::Ge, -(1.0 + k) * big_m);
+        // η = 0 binds: wash b ends before a starts:
+        //   s_a - e_b ≥ -M·η - relaxation
+        //   ⇔ s_a - e_b + M·η - M·Σy ≥ -k·M
+        let mut terms = b.minus_end(a.start);
+        terms.push((eta, big_m));
+        terms.extend(y_terms);
+        m.constraint(terms, Relation::Ge, -k * big_m);
+    }
+    rows
+}
+
+/// The retiming ILP of one greedy outcome, built but not yet solved.
+pub(crate) struct IlpModel {
+    model: Model,
+    /// The greedy solution as a feasible assignment.
+    warm: Vec<f64>,
+    /// The greedy schedule without its washes.
+    base: Schedule,
+    op_var: HashMap<OpId, VarId>,
+    task_var: HashMap<TaskId, VarId>,
+    wash_vars: Vec<WashVars>,
+    /// Rows per constraint family; they sum to the model's rows.
+    pub rows: FamilyRows,
+}
+
+impl IlpModel {
+    /// Constraint rows and variables of the model.
+    pub(crate) fn size(&self) -> (usize, usize) {
+        debug_assert_eq!(self.rows.total(), self.model.num_constraints());
+        (self.model.num_constraints(), self.model.num_vars())
+    }
+
+    /// Entries of one dense tableau of the model.
+    fn tableau_entries(&self) -> u64 {
+        let (rows, vars) = self.size();
+        let (rows, vars) = (rows as u64, vars as u64);
+        rows * (vars + 2 * rows)
+    }
+
+    /// Whether the model's dense tableau fits the size guard.
+    pub(crate) fn fits(&self) -> bool {
+        self.tableau_entries() <= MAX_TABLEAU_ENTRIES
+    }
+
+    /// Search workers for a machine offering `available` threads: at most
+    /// as many as keep one tableau each within [`MAX_TABLEAU_ENTRIES`], and
+    /// at least one.
+    pub(crate) fn workers(&self, available: usize) -> usize {
+        let fit = MAX_TABLEAU_ENTRIES / self.tableau_entries().max(1);
+        available.min(fit as usize).max(1)
+    }
+
+    /// Solves the model within `config`'s budget and extracts the retimed
+    /// schedule. `None` when the solver finds nothing within the budget.
+    fn solve(self, groups: &[WashGroup], config: &PdwConfig) -> Option<Refined> {
+        let options = SolveOptions {
+            time_limit: config.ilp_budget,
+            threads: self.workers(crate::par::resolve_threads(config.threads)),
+            warm_start: Some(self.warm),
+            ..SolveOptions::default()
+        };
+        let sol = pdw_ilp::solve(&self.model, &options).ok()?;
+
+        // Floor the starts: difference constraints with integer offsets stay
+        // satisfied under uniform flooring.
+        let start_of = |v: VarId| snap_start(sol.value(v));
+        let mut schedule = self.base;
+        for op in schedule.ops_mut() {
+            op.start = start_of(self.op_var[&op.op]);
+        }
+        let ids: Vec<TaskId> = schedule.tasks().map(|(id, _)| id).collect();
+        for id in ids {
+            let s = start_of(self.task_var[&id]);
+            schedule.task_mut(id).set_start(s);
+        }
+        for (g, wv) in groups.iter().zip(&self.wash_vars) {
+            let ci =
+                wv.y.iter()
+                    .position(|&yv| sol.bool_value(yv))
+                    .expect("exactly one candidate is chosen");
+            let cand = &g.candidates[ci];
+            schedule.push_task(pdw_sched::Task::new(
+                TaskKind::Wash {
+                    targets: g.targets(),
+                },
+                cand.path.clone(),
+                start_of(wv.start),
+                cand.duration,
+                pdw_assay::FluidType::BUFFER,
+            ));
+        }
+
+        Some(Refined {
+            schedule,
+            optimal: sol.status == pdw_ilp::SolveStatus::Optimal,
+            nodes: sol.nodes,
+            stats: sol.stats,
+        })
+    }
+}
+
+/// Builds and solves the retiming ILP. A model whose dense tableau would not
+/// fit one solve into the budget is refused before solving — the greedy
+/// schedule stands (best-effort semantics).
 pub(crate) fn refine_with_ilp(
     chip: &Chip,
     graph: &AssayGraph,
     groups: &[WashGroup],
     greedy: &GreedyOutcome,
     config: &PdwConfig,
-) -> Option<Refined> {
+) -> Result<Refined, IlpMiss> {
+    let built = build_model(chip, graph, groups, greedy, config);
+    if !built.fits() {
+        let (rows, cols) = built.size();
+        return Err(IlpMiss::Refused { rows, cols });
+    }
+    built.solve(groups, config).ok_or(IlpMiss::Unsolved)
+}
+
+/// Builds the retiming ILP of `greedy` (whose washes realize `groups`)
+/// without solving it.
+pub(crate) fn build_model(
+    chip: &Chip,
+    graph: &AssayGraph,
+    groups: &[WashGroup],
+    greedy: &GreedyOutcome,
+    config: &PdwConfig,
+) -> IlpModel {
     // Work on the greedy schedule *without* its wash tasks: base tasks are
     // retimed, washes re-placed. Integrated removals stay deleted.
     let mut base = greedy.schedule.clone();
@@ -82,6 +402,7 @@ pub(crate) fn refine_with_ilp(
     let big_m = horizon;
 
     let mut m = Model::new("pdw");
+    let mut rows = FamilyRows::default();
 
     // Start-time variables.
     let mut op_var: HashMap<OpId, VarId> = HashMap::new();
@@ -109,50 +430,32 @@ pub(crate) fn refine_with_ilp(
     };
 
     // ---- Base precedence edges (orders fixed to the base schedule). ----
+    // Every edge weighs its source's duration; the `T_assay` rows rely on it.
     let mut edges: HashMap<(Node, Node), Time> = HashMap::new();
-    let add_edge = |edges: &mut HashMap<(Node, Node), Time>, a: Node, b: Node, w: Time| {
-        let e = edges.entry((a, b)).or_insert(0);
-        *e = (*e).max(w);
+    let add_edge = |edges: &mut HashMap<(Node, Node), Time>, a: Node, b: Node| {
+        edges.insert((a, b), dur_of(a));
     };
 
     // Structural chains: deliveries/removals feed operations, transports
     // leave operations, output removals follow operations.
     for (id, task) in base.tasks() {
         match *task.kind() {
-            TaskKind::Injection { op, .. } => {
-                add_edge(&mut edges, Node::Task(id), Node::Op(op), task.duration());
+            TaskKind::Injection { op, .. } | TaskKind::ExcessRemoval { op } => {
+                add_edge(&mut edges, Node::Task(id), Node::Op(op));
             }
             TaskKind::Transport { from_op, to_op } => {
-                add_edge(
-                    &mut edges,
-                    Node::Op(from_op),
-                    Node::Task(id),
-                    dur_of(Node::Op(from_op)),
-                );
-                add_edge(&mut edges, Node::Task(id), Node::Op(to_op), task.duration());
-            }
-            TaskKind::ExcessRemoval { op } => {
-                add_edge(&mut edges, Node::Task(id), Node::Op(op), task.duration());
+                add_edge(&mut edges, Node::Op(from_op), Node::Task(id));
+                add_edge(&mut edges, Node::Task(id), Node::Op(to_op));
             }
             TaskKind::OutputRemoval { op } => {
-                add_edge(
-                    &mut edges,
-                    Node::Op(op),
-                    Node::Task(id),
-                    dur_of(Node::Op(op)),
-                );
+                add_edge(&mut edges, Node::Op(op), Node::Task(id));
             }
             TaskKind::Wash { .. } => unreachable!("washes were removed"),
         }
     }
     // Operation dependencies (Eq. 2).
     for (parent, child) in graph.dep_edges() {
-        add_edge(
-            &mut edges,
-            Node::Op(parent),
-            Node::Op(child),
-            dur_of(Node::Op(parent)),
-        );
+        add_edge(&mut edges, Node::Op(parent), Node::Op(child));
     }
 
     // Cell-sharing pairs, ordered as in the base schedule (ε of Eq. 8 fixed)
@@ -174,7 +477,7 @@ pub(crate) fn refine_with_ilp(
             let (a, _, ca) = &intervals[i];
             let (b, _, cb) = &intervals[j];
             if ca.iter().any(|c| cb.contains(c)) {
-                add_edge(&mut edges, *a, *b, dur_of(*a));
+                add_edge(&mut edges, *a, *b);
             }
         }
     }
@@ -190,6 +493,7 @@ pub(crate) fn refine_with_ilp(
     for (a, b, w) in precedence {
         // s_b - s_a >= w
         m.constraint([(b, 1.0), (a, -1.0)], Relation::Ge, w as f64);
+        rows.precedence += 1;
     }
 
     // Reachability in the precedence DAG, for pruning wash order binaries:
@@ -226,16 +530,23 @@ pub(crate) fn refine_with_ilp(
             pdw_contam::Source::Op(o) => node_index.get(&Node::Op(*o)).copied(),
         }
     };
+    // Tasks delivering into an op: the op's occupancy starts with them.
+    let feeders = |o: OpId| -> Vec<TaskId> {
+        base.tasks()
+            .filter(|(_, task)| match *task.kind() {
+                TaskKind::Injection { op, .. } | TaskKind::ExcessRemoval { op } => op == o,
+                TaskKind::Transport { to_op, .. } => to_op == o,
+                _ => false,
+            })
+            .map(|(id, _)| id)
+            .collect()
+    };
 
     // ---- Wash variables. ----
     let beta = config.weights.beta;
     let gamma = config.weights.gamma;
     let t_assay = m.continuous("T_assay", 0.0, horizon, gamma);
 
-    struct WashVars {
-        start: VarId,
-        y: Vec<VarId>,
-    }
     let mut wash_vars: Vec<WashVars> = Vec::new();
     for (gi, g) in groups.iter().enumerate() {
         let start = m.continuous(&format!("w{gi}_s"), 0.0, horizon, 0.0);
@@ -253,18 +564,13 @@ pub(crate) fn refine_with_ilp(
         // Exactly one candidate (Eq. 12–15 are satisfied by construction).
         let expr: LinExpr = y.iter().map(|&v| (v, 1.0)).collect::<Vec<_>>().into();
         m.constraint(expr, Relation::Eq, 1.0);
-        wash_vars.push(WashVars { start, y });
+        rows.choice += 1;
+        let dur = g.candidates.iter().map(|c| c.duration as f64).collect();
+        wash_vars.push(WashVars { start, y, dur });
     }
-    // Wash end expression: e_g = s_g + Σ dur_c y_c.
-    let wash_end_terms = |gi: usize| -> Vec<(VarId, f64)> {
-        let mut terms = vec![(wash_vars[gi].start, 1.0)];
-        for (ci, &yv) in wash_vars[gi].y.iter().enumerate() {
-            terms.push((yv, groups[gi].candidates[ci].duration as f64));
-        }
-        terms
-    };
 
     // Window constraints (Eq. 16): after sources, before uses.
+    let mut has_deadline_row = vec![false; groups.len()];
     for (gi, g) in groups.iter().enumerate() {
         for &src in &g.ready_refs() {
             let (v, d) = match src {
@@ -282,6 +588,7 @@ pub(crate) fn refine_with_ilp(
                 Relation::Ge,
                 d as f64,
             );
+            rows.window += 1;
         }
         for &usage in &g.deadline_refs() {
             let bounds: Vec<VarId> = match usage {
@@ -289,39 +596,24 @@ pub(crate) fn refine_with_ilp(
                     Some(&v) => vec![v],
                     None => continue,
                 },
-                pdw_contam::Source::Op(o) => {
-                    // The wash must end before the op's occupancy begins:
-                    // before the op itself and before each of its deliveries.
-                    let mut vs = vec![op_var[&o]];
-                    for (id, task) in base.tasks() {
-                        let feeds = match *task.kind() {
-                            TaskKind::Injection { op, .. } | TaskKind::ExcessRemoval { op } => {
-                                op == o
-                            }
-                            TaskKind::Transport { to_op, .. } => to_op == o,
-                            _ => false,
-                        };
-                        if feeds {
-                            vs.push(task_var[&id]);
-                        }
-                    }
-                    vs
-                }
+                // The wash must end before the op's occupancy begins:
+                // before the op itself and before each of its deliveries.
+                pdw_contam::Source::Op(o) => std::iter::once(op_var[&o])
+                    .chain(feeders(o).into_iter().map(|id| task_var[&id]))
+                    .collect(),
             };
             for v in bounds {
                 // e_g <= s_use   =>   s_use - e_g >= 0
-                let mut terms = vec![(v, 1.0)];
-                for (tv, c) in wash_end_terms(gi) {
-                    terms.push((tv, -c));
-                }
-                m.constraint(terms, Relation::Ge, 0.0);
+                m.constraint(wash_vars[gi].minus_end(v), Relation::Ge, 0.0);
+                rows.window += 1;
+                has_deadline_row[gi] = true;
             }
         }
     }
 
-    // Wash-vs-task and wash-vs-op conflicts (Eqs. 19): one order binary per
-    // (group, node) pair that shares cells with any candidate; constraints
-    // are relaxed by `1 - y_c` so only the chosen candidate binds.
+    // Wash-vs-task and wash-vs-op conflicts (Eq. 19): one order binary and
+    // one row pair per (group, node) pair that shares cells with any
+    // candidate, relaxed by `1 - Σ_C y_c` over the conflicting candidates C.
     let mut mu: HashMap<(usize, Node), VarId> = HashMap::new();
     for (gi, g) in groups.iter().enumerate() {
         let before = reach(
@@ -334,16 +626,7 @@ pub(crate) fn refine_with_ilp(
         // (occupancy start), so their descendants are ordered after too.
         for d in &deadline_refs {
             if let pdw_contam::Source::Op(o) = d {
-                for (id, task) in base.tasks() {
-                    let feeds = match *task.kind() {
-                        TaskKind::Injection { op, .. } | TaskKind::ExcessRemoval { op } => op == *o,
-                        TaskKind::Transport { to_op, .. } => to_op == *o,
-                        _ => false,
-                    };
-                    if feeds {
-                        after_seeds.push(node_index[&Node::Task(id)]);
-                    }
-                }
+                after_seeds.extend(feeders(*o).iter().map(|&id| node_index[&Node::Task(id)]));
             }
         }
         let after = reach(after_seeds, &succ);
@@ -364,62 +647,28 @@ pub(crate) fn refine_with_ilp(
             if conflicting.is_empty() {
                 continue;
             }
-            // Far-apart pairs keep their greedy order as a plain linear
-            // constraint; only temporally close pairs get an order binary.
-            // (A fixed order is a restriction, never an unsoundness.)
-            const NEAR_S: Time = 30;
             let node_start = match node {
                 Node::Op(o) => base.scheduled_op(*o).expect("scheduled").start,
                 Node::Task(t) => base.task(*t).start(),
             };
-            let node_end = node_start + dur_of(*node);
-            if node_end + NEAR_S <= gstart {
+            let nv = var_of(*node);
+            let nd = dur_of(*node) as f64;
+            if node_start + dur_of(*node) + NEAR_S <= gstart {
                 // Node well before the wash: keep node → wash.
-                m.constraint(
-                    [(wash_vars[gi].start, 1.0), (var_of(*node), -1.0)],
-                    Relation::Ge,
-                    dur_of(*node) as f64,
-                );
+                m.constraint([(wash_vars[gi].start, 1.0), (nv, -1.0)], Relation::Ge, nd);
+                rows.fixed_order += 1;
                 continue;
             }
             if gend + NEAR_S <= node_start {
                 // Wash well before the node: keep wash → node (end expr).
-                let mut terms = vec![(var_of(*node), 1.0)];
-                for (tv, c) in wash_end_terms(gi) {
-                    terms.push((tv, -c));
-                }
-                m.constraint(terms, Relation::Ge, 0.0);
+                m.constraint(wash_vars[gi].minus_end(nv), Relation::Ge, 0.0);
+                rows.fixed_order += 1;
                 continue;
             }
             let mv = *mu
                 .entry((gi, *node))
                 .or_insert_with(|| m.binary(&format!("mu_w{gi}_{node:?}"), 0.0));
-            let nv = var_of(*node);
-            let nd = dur_of(*node) as f64;
-            for ci in conflicting {
-                let yv = wash_vars[gi].y[ci];
-                // μ = 0 binds: wash ends before the node starts:
-                //   s_node - e_g ≥ -M·μ - M(1 - y_c)
-                //   ⇔ s_node - e_g + M·μ - M·y_c ≥ -M
-                let mut terms = vec![(nv, 1.0), (mv, big_m), (yv, -big_m)];
-                for (tv, c) in wash_end_terms(gi) {
-                    terms.push((tv, -c));
-                }
-                m.constraint(terms, Relation::Ge, -big_m);
-                // μ = 1 binds: wash starts after the node ends:
-                //   s_g - s_node ≥ d - M(1-μ) - M(1 - y_c)
-                //   ⇔ s_g - s_node - M·μ - M·y_c ≥ d - 2M
-                m.constraint(
-                    [
-                        (wash_vars[gi].start, 1.0),
-                        (nv, -1.0),
-                        (mv, -big_m),
-                        (yv, -big_m),
-                    ],
-                    Relation::Ge,
-                    nd - 2.0 * big_m,
-                );
-            }
+            rows.mu += mu_rows(&mut m, big_m, &wash_vars[gi], nv, nd, &conflicting, mv);
         }
     }
 
@@ -427,78 +676,49 @@ pub(crate) fn refine_with_ilp(
     let mut eta: HashMap<(usize, usize), VarId> = HashMap::new();
     for gi in 0..groups.len() {
         for gj in gi + 1..groups.len() {
-            let pairs: Vec<(usize, usize)> = groups[gi]
+            // overlaps[ci][cj]: candidate ci of gi overlaps candidate cj of gj.
+            let overlaps: Vec<Vec<bool>> = groups[gi]
                 .candidates
                 .iter()
-                .enumerate()
-                .flat_map(|(ci, a)| {
+                .map(|a| {
                     groups[gj]
                         .candidates
                         .iter()
-                        .enumerate()
-                        .filter(move |(_, b)| a.path.overlaps(&b.path))
-                        .map(move |(cj, _)| (ci, cj))
+                        .map(|b| a.path.overlaps(&b.path))
+                        .collect()
                 })
                 .collect();
-            if pairs.is_empty() {
+            if !overlaps.iter().flatten().any(|&o| o) {
                 continue;
             }
             // Washes far apart in the greedy schedule keep their order as a
             // single linear constraint; only close pairs get a binary.
-            const NEAR_S: Time = 30;
             let (ci_g, si) = greedy_wash[&gi];
             let (cj_g, sj) = greedy_wash[&gj];
             let ei = si + groups[gi].candidates[ci_g].duration;
             let ej = sj + groups[gj].candidates[cj_g].duration;
             if ei + NEAR_S <= sj {
                 // gi well before gj: e_gi <= s_gj.
-                let mut terms = vec![(wash_vars[gj].start, 1.0)];
-                for (tv, c) in wash_end_terms(gi) {
-                    terms.push((tv, -c));
-                }
-                m.constraint(terms, Relation::Ge, 0.0);
+                m.constraint(
+                    wash_vars[gi].minus_end(wash_vars[gj].start),
+                    Relation::Ge,
+                    0.0,
+                );
+                rows.fixed_order += 1;
                 continue;
             }
             if ej + NEAR_S <= si {
-                let mut terms = vec![(wash_vars[gi].start, 1.0)];
-                for (tv, c) in wash_end_terms(gj) {
-                    terms.push((tv, -c));
-                }
-                m.constraint(terms, Relation::Ge, 0.0);
+                m.constraint(
+                    wash_vars[gj].minus_end(wash_vars[gi].start),
+                    Relation::Ge,
+                    0.0,
+                );
+                rows.fixed_order += 1;
                 continue;
             }
             let ev = m.binary(&format!("eta_{gi}_{gj}"), 0.0);
             eta.insert((gi, gj), ev);
-            for (ci, cj) in pairs {
-                let yi = wash_vars[gi].y[ci];
-                let yj = wash_vars[gj].y[cj];
-                // η = 1 binds: wash gi ends before gj starts:
-                //   s_gj - e_gi ≥ -M(1-η) - M(1-y_i) - M(1-y_j)
-                //   ⇔ s_gj - e_gi - M·η - M·y_i - M·y_j ≥ -3M
-                let mut terms = vec![
-                    (wash_vars[gj].start, 1.0),
-                    (ev, -big_m),
-                    (yi, -big_m),
-                    (yj, -big_m),
-                ];
-                for (tv, c) in wash_end_terms(gi) {
-                    terms.push((tv, -c));
-                }
-                m.constraint(terms, Relation::Ge, -3.0 * big_m);
-                // η = 0 binds: wash gj ends before gi starts:
-                //   s_gi - e_gj ≥ -M·η - M(1-y_i) - M(1-y_j)
-                //   ⇔ s_gi - e_gj + M·η - M·y_i - M·y_j ≥ -2M
-                let mut terms = vec![
-                    (wash_vars[gi].start, 1.0),
-                    (ev, big_m),
-                    (yi, -big_m),
-                    (yj, -big_m),
-                ];
-                for (tv, c) in wash_end_terms(gj) {
-                    terms.push((tv, -c));
-                }
-                m.constraint(terms, Relation::Ge, -2.0 * big_m);
-            }
+            rows.eta += eta_rows(&mut m, big_m, &wash_vars[gi], &wash_vars[gj], &overlaps, ev);
         }
     }
 
@@ -523,32 +743,34 @@ pub(crate) fn refine_with_ilp(
             for (ci, cand) in g.candidates.iter().enumerate() {
                 if !excess.iter().all(|c| cand.path.contains(*c)) {
                     m.constraint([(wash_vars[p.group].y[ci], 1.0)], Relation::Eq, 0.0);
+                    rows.choice += 1;
                 }
             }
         }
     }
 
-    // T_assay bounds every end (Eq. 22, extended to tasks and washes).
-    for sop in base.ops() {
+    // T_assay bounds every end (Eq. 22, extended to tasks and washes); only
+    // the ends nothing else already bounds get a row (module doc).
+    let is_sink = |n: Node| succ[node_index[&n]].is_empty();
+    for sop in base.ops().iter().filter(|sop| is_sink(Node::Op(sop.op))) {
         m.constraint(
             [(t_assay, 1.0), (op_var[&sop.op], -1.0)],
             Relation::Ge,
             sop.duration as f64,
         );
+        rows.t_assay += 1;
     }
-    for (id, task) in base.tasks() {
+    for (id, task) in base.tasks().filter(|&(id, _)| is_sink(Node::Task(id))) {
         m.constraint(
             [(t_assay, 1.0), (task_var[&id], -1.0)],
             Relation::Ge,
             task.duration() as f64,
         );
+        rows.t_assay += 1;
     }
-    for gi in 0..groups.len() {
-        let mut terms = vec![(t_assay, 1.0)];
-        for (tv, c) in wash_end_terms(gi) {
-            terms.push((tv, -c));
-        }
-        m.constraint(terms, Relation::Ge, 0.0);
+    for gi in (0..groups.len()).filter(|&gi| !has_deadline_row[gi]) {
+        m.constraint(wash_vars[gi].minus_end(t_assay), Relation::Ge, 0.0);
+        rows.t_assay += 1;
     }
 
     // ---- Warm start from the greedy solution. ----
@@ -586,67 +808,15 @@ pub(crate) fn refine_with_ilp(
         warm[ev.0] = if ei <= sj { 1.0 } else { 0.0 };
     }
 
-    // A dense-tableau LP of r rows costs roughly r × (vars + r) doubles.
-    // Refuse models whose relaxation would not even fit one solve into the
-    // budget — the greedy schedule stands (best-effort semantics).
-    let rows = m.num_constraints() as u64;
-    let cols = m.num_vars() as u64 + 2 * rows; // slacks + worst-case artificials
-    if std::env::var_os("PDW_MODEL_DEBUG").is_some() {
-        eprintln!(
-            "pdw ilp model: {} rows x {} vars (tableau ~{} MB)",
-            rows,
-            m.num_vars(),
-            rows * cols * 8 / 1_000_000
-        );
+    IlpModel {
+        model: m,
+        warm,
+        base,
+        op_var,
+        task_var,
+        wash_vars,
+        rows,
     }
-    if rows * cols > 40_000_000 {
-        return None;
-    }
-
-    let options = SolveOptions {
-        time_limit: config.ilp_budget,
-        warm_start: Some(warm),
-        threads: config.threads,
-        ..SolveOptions::default()
-    };
-    let sol = pdw_ilp::solve(&m, &options).ok()?;
-
-    // ---- Extract: floor the starts (difference constraints with integer
-    // offsets stay satisfied under uniform flooring). ----
-    let start_of = |v: VarId| snap_start(sol.value(v));
-    let mut schedule = base.clone();
-    for op in schedule.ops_mut() {
-        op.start = start_of(op_var[&op.op]);
-    }
-    let ids: Vec<TaskId> = schedule.tasks().map(|(id, _)| id).collect();
-    for id in ids {
-        let s = start_of(task_var[&id]);
-        schedule.task_mut(id).set_start(s);
-    }
-    for (gi, g) in groups.iter().enumerate() {
-        let ci = wash_vars[gi]
-            .y
-            .iter()
-            .position(|&yv| sol.bool_value(yv))
-            .expect("exactly one candidate is chosen");
-        let cand = &g.candidates[ci];
-        schedule.push_task(pdw_sched::Task::new(
-            TaskKind::Wash {
-                targets: g.targets(),
-            },
-            cand.path.clone(),
-            start_of(wash_vars[gi].start),
-            cand.duration,
-            pdw_assay::FluidType::BUFFER,
-        ));
-    }
-
-    Some(Refined {
-        schedule,
-        optimal: sol.status == pdw_ilp::SolveStatus::Optimal,
-        nodes: sol.nodes,
-        stats: sol.stats,
-    })
 }
 
 /// An LP start time as a whole second: floored, after a shift by the
@@ -705,7 +875,7 @@ fn transitive_reduce(
 mod tests {
     use super::*;
     use crate::config::{CandidatePolicy, PdwConfig};
-    use crate::greedy::insert_washes;
+    use crate::greedy::{insert_washes, insert_washes_protected};
     use crate::groups::{merge_groups, spot_cluster_groups};
     use pdw_assay::benchmarks;
     use pdw_contam::{analyze, NecessityOptions};
@@ -751,6 +921,210 @@ mod tests {
         assert!(reduced.contains_key(&(a, c)));
     }
 
+    const TOY_M: f64 = 100.0;
+    const TOY_STARTS: [f64; 5] = [0.0, 3.0, 5.0, 9.0, 20.0];
+
+    /// A wash over free starts with one binary per candidate duration and
+    /// its one-candidate row.
+    fn toy_wash(m: &mut Model, durs: &[f64]) -> WashVars {
+        let start = m.continuous("s", 0.0, TOY_M, 0.0);
+        let y: Vec<VarId> = durs.iter().map(|_| m.binary("y", 0.0)).collect();
+        m.constraint(y.iter().map(|&v| (v, 1.0)), Relation::Eq, 1.0);
+        WashVars {
+            start,
+            y,
+            dur: durs.to_vec(),
+        }
+    }
+
+    /// An integer point: `(var, value)` pairs over an all-zero vector.
+    fn point(m: &Model, set: &[(VarId, f64)]) -> Vec<f64> {
+        let mut v = vec![0.0; m.num_vars()];
+        for &(var, x) in set {
+            v[var.0] = x;
+        }
+        v
+    }
+
+    /// The folded μ rows admit exactly the integer points the per-candidate
+    /// disjunction admits: a chosen conflicting candidate must be ordered
+    /// against the node as μ says, any other choice leaves both free.
+    #[test]
+    fn mu_fold_admits_exactly_the_disjunction() {
+        let durs = [3.0, 5.0, 7.0];
+        let node_dur = 4.0;
+        for conflicting in [vec![0], vec![0, 2], vec![1, 2], vec![0, 1, 2]] {
+            let mut m = Model::new("mu");
+            let w = toy_wash(&mut m, &durs);
+            let node = m.continuous("n", 0.0, TOY_M, 0.0);
+            let mu = m.binary("mu", 0.0);
+            assert_eq!(
+                mu_rows(&mut m, TOY_M, &w, node, node_dur, &conflicting, mu),
+                2
+            );
+            for (c, &dur) in durs.iter().enumerate() {
+                for bit in [0.0, 1.0] {
+                    for sw in TOY_STARTS {
+                        for sn in TOY_STARTS {
+                            let truth = !conflicting.contains(&c)
+                                || (bit == 0.0 && sn >= sw + dur)
+                                || (bit == 1.0 && sw >= sn + node_dur);
+                            let x =
+                                point(&m, &[(w.start, sw), (w.y[c], 1.0), (node, sn), (mu, bit)]);
+                            assert_eq!(
+                                m.check_feasible(&x, 1e-9).is_ok(),
+                                truth,
+                                "C={conflicting:?} c={c} mu={bit} s_w={sw} s_n={sn}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The folded η rows admit exactly the integer points the per-pair
+    /// disjunction admits, for full and partial overlap patterns on either
+    /// side, including candidates with several overlapping partners.
+    #[test]
+    fn eta_fold_admits_exactly_the_disjunction() {
+        let (t, f) = (true, false);
+        // Overlap matrices (a's candidates by b's) and the rows they need.
+        let patterns = [
+            (vec![vec![t, t], vec![t, t]], 2),
+            (vec![vec![t, f], vec![t, t]], 4),
+            (vec![vec![f, t], vec![f, f]], 2),
+            (vec![vec![t, t, t], vec![f, f, f]], 2),
+            // Fewer conflicting candidates on b's side: rows per b candidate.
+            (vec![vec![t, f], vec![t, f], vec![f, f]], 2),
+            (vec![vec![t, f], vec![t, t], vec![t, f]], 4),
+        ];
+        for (overlaps, expected_rows) in patterns {
+            let da = &[3.0, 5.0, 7.0][..overlaps.len()];
+            let db = &[4.0, 6.0, 7.0][..overlaps[0].len()];
+            let mut m = Model::new("eta");
+            let a = toy_wash(&mut m, da);
+            let b = toy_wash(&mut m, db);
+            let eta = m.binary("eta", 0.0);
+            assert_eq!(
+                eta_rows(&mut m, TOY_M, &a, &b, &overlaps, eta),
+                expected_rows,
+                "{overlaps:?}"
+            );
+            for ca in 0..da.len() {
+                for cb in 0..db.len() {
+                    for bit in [0.0, 1.0] {
+                        for sa in TOY_STARTS {
+                            for sb in TOY_STARTS {
+                                let truth = !overlaps[ca][cb]
+                                    || (bit == 1.0 && sb >= sa + da[ca])
+                                    || (bit == 0.0 && sa >= sb + db[cb]);
+                                let x = point(
+                                    &m,
+                                    &[
+                                        (a.start, sa),
+                                        (a.y[ca], 1.0),
+                                        (b.start, sb),
+                                        (b.y[cb], 1.0),
+                                        (eta, bit),
+                                    ],
+                                );
+                                assert_eq!(
+                                    m.check_feasible(&x, 1e-9).is_ok(),
+                                    truth,
+                                    "{overlaps:?} a{ca} b{cb} eta={bit} s_a={sa} s_b={sb}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The ILP `pdw run` builds for `bench` at the default configuration:
+    /// the same front end and greedy warm start, not solved.
+    fn pipeline_model(bench: &benchmarks::Benchmark) -> IlpModel {
+        let s = synthesize(bench).unwrap();
+        let a = analyze(&s.chip, &bench.graph, &s.schedule, NecessityOptions::full());
+        let config = PdwConfig::default();
+        let groups = spot_cluster_groups(
+            &s.chip,
+            &s.schedule,
+            &a.requirements,
+            CandidatePolicy::Shortest,
+            config.candidates,
+            0,
+        );
+        let groups = merge_groups(&s.chip, &s.schedule, groups, config.candidates);
+        let protected = s
+            .schedule
+            .tasks()
+            .filter(|(id, t)| t.kind().is_waste_disposal() && !a.deletable.contains(id))
+            .map(|(id, _)| id)
+            .collect();
+        let greedy = insert_washes_protected(
+            &s.chip,
+            &s.schedule,
+            &groups,
+            config.integration,
+            &protected,
+        );
+        build_model(&s.chip, &bench.graph, &greedy.groups, &greedy, &config)
+    }
+
+    /// Every Table II model but Kinase act-2's passes the dense-tableau
+    /// guard, each family keeps its pinned row count, and an admitted
+    /// model's search workers hold at most the guard's entries together,
+    /// however many cores `threads: 0` finds.
+    #[test]
+    fn table2_models_pass_the_guard_except_kinase_act_2() {
+        let fam = |precedence, choice, window, mu, eta, fixed_order, t_assay| FamilyRows {
+            precedence,
+            choice,
+            window,
+            mu,
+            eta,
+            fixed_order,
+            t_assay,
+        };
+        // (name, rows per family, passes the guard, workers on 64 cores)
+        let pinned = [
+            ("PCR", fam(47, 30, 68, 112, 300, 264, 1), true, 24),
+            ("IVD", fam(71, 61, 181, 234, 1114, 1471, 2), true, 1),
+            ("ProteinSplit", fam(72, 60, 175, 216, 932, 1460, 1), true, 2),
+            ("Kinase act-1", fam(34, 43, 97, 76, 694, 711, 1), true, 6),
+            (
+                "Kinase act-2",
+                fam(108, 139, 417, 498, 2794, 8755, 4),
+                false,
+                1,
+            ),
+            ("Synthetic1", fam(43, 27, 64, 68, 314, 245, 1), true, 29),
+            ("Synthetic2", fam(87, 42, 97, 226, 450, 511, 1), true, 8),
+            ("Synthetic3", fam(92, 65, 195, 318, 1360, 1724, 1), true, 1),
+        ];
+        let suite = benchmarks::suite();
+        assert_eq!(suite.len(), pinned.len());
+        for (bench, (name, rows, fits, workers)) in suite.iter().zip(pinned) {
+            assert_eq!(bench.name, name);
+            let built = pipeline_model(bench);
+            assert_eq!(built.rows, rows, "{name}: rows per family");
+            assert_eq!(built.size().0, rows.total(), "{name}: rows");
+            assert_eq!(built.fits(), fits, "{name}: guard");
+            assert_eq!(built.workers(64), workers, "{name}: workers on 64 cores");
+            if fits {
+                for available in [1, 2, 64, crate::par::resolve_threads(0)] {
+                    let held = built.workers(available) as u64 * built.tableau_entries();
+                    assert!(
+                        held <= MAX_TABLEAU_ENTRIES,
+                        "{name}: {available} cores hold {held} entries"
+                    );
+                }
+            }
+        }
+    }
+
     /// The ILP, warm-started from greedy, never returns a worse objective
     /// than the greedy schedule it started from.
     #[test]
@@ -774,7 +1148,7 @@ mod tests {
         let greedy = insert_washes(&s.chip, &s.schedule, &groups, config.integration);
         let greedy_metrics = Metrics::measure(&bench.graph, &greedy.schedule);
 
-        if let Some(refined) =
+        if let Ok(refined) =
             refine_with_ilp(&s.chip, &bench.graph, &greedy.groups, &greedy, &config)
         {
             // The refined schedule must validate, and its makespan must not

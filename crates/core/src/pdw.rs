@@ -13,7 +13,7 @@ use crate::context::{FrontEndKey, PlanContext};
 use crate::deadline::Deadline;
 use crate::greedy::insert_washes_protected;
 use crate::groups::{merge_groups_pooled, spot_cluster_groups_pooled};
-use crate::model::refine_with_ilp;
+use crate::model::{refine_with_ilp, IlpMiss};
 use crate::par::par_map_ctx;
 use crate::stats::{PipelineStats, StageTimer};
 
@@ -150,7 +150,7 @@ pub fn pdw(
 /// The PathDriver-Wash pipeline against a (possibly warm) [`PlanContext`].
 /// Backs both [`pdw`] and the `GreedyPlanner`/`PdwPlanner` implementations;
 /// the result is a pure function of `(instance, config)` — context warmth
-/// only changes wall time.
+/// only changes wall time — except where a budget-bound ILP search stops.
 pub(crate) fn run_pipeline(
     ctx: &mut PlanContext<'_>,
     config: &PdwConfig,
@@ -328,6 +328,14 @@ pub(crate) fn run_pipeline(
                     )
                 },
             );
+            let refined = match refined {
+                Ok(refined) => Some(refined),
+                Err(IlpMiss::Refused { rows, cols }) => {
+                    timer.stats.ilp_refused_model = Some((rows, cols));
+                    None
+                }
+                Err(IlpMiss::Unsolved) => None,
+            };
             if let Some(refined) = refined {
                 timer.stats.ilp_budget_expired = !refined.optimal;
                 let report = SolverReport {
@@ -418,6 +426,25 @@ mod tests {
         )
         .unwrap();
         assert!(!r.solver.used_ilp);
+    }
+
+    /// Kinase act-2's ILP is refused before solving; the served greedy plan
+    /// names the refused model's size.
+    #[test]
+    fn refused_ilp_model_is_named_in_the_degradation_events() {
+        let bench = benchmarks::kinase_act_2();
+        let s = synthesize(&bench).unwrap();
+        let r = pdw(&bench, &s, &PdwConfig::default()).unwrap();
+        assert!(!r.solver.used_ilp);
+        assert_eq!(r.solver.stats, None);
+        assert_eq!(r.pipeline.ilp_refused_model, Some((12715, 1670)));
+        let events = r.pipeline.degradation_events();
+        assert!(
+            events
+                .iter()
+                .any(|e| e.starts_with("ILP refinement rejected (a 12715-row × 1670-column")),
+            "{events:?}"
+        );
     }
 
     #[test]

@@ -56,10 +56,16 @@ pub struct PipelineStats {
     /// The ILP ran out of its (possibly deadline-clamped) budget before
     /// proving optimality.
     pub ilp_budget_expired: bool,
-    /// The ILP ran but its refinement was rejected (invalid, or an
-    /// objective regression, or no refinement found) and the greedy
-    /// schedule was served instead.
+    /// The ILP refinement was rejected (its model was refused by the
+    /// dense-tableau size guard, or its schedule was invalid, regressed the
+    /// objective or was not found) and the greedy schedule was served
+    /// instead.
     pub ilp_rejected: bool,
+    /// Rows and columns of an ILP model the dense-tableau size guard
+    /// refused before solving (`None` when no model was refused). Left out
+    /// of the encoding when `None`.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub ilp_refused_model: Option<(usize, usize)>,
     /// Regions the chip was cut into (0 when planning was unpartitioned).
     pub partition_regions: usize,
     /// Regions skipped entirely because no wash necessity fell inside them.
@@ -122,40 +128,46 @@ impl PipelineStats {
     /// Human-readable degradation/fallback events recorded during the run,
     /// in pipeline order. Empty when the run completed every requested
     /// stage at full strength.
-    pub fn degradation_events(&self) -> Vec<&'static str> {
-        let mut out = Vec::new();
+    pub fn degradation_events(&self) -> Vec<String> {
+        let mut out: Vec<String> = Vec::new();
         if self.deadline_expired {
-            out.push("pipeline deadline expired");
+            out.push("pipeline deadline expired".into());
         }
         if self.degraded_front_end {
-            out.push("front end degraded (1 candidate/group, no merging)");
+            out.push("front end degraded (1 candidate/group, no merging)".into());
         }
         if self.exact_paths_skipped {
-            out.push("exact-path refinement skipped");
+            out.push("exact-path refinement skipped".into());
         }
         if self.exact_path_giveups > 0 {
-            out.push("exact-path solver gave up on some groups");
+            out.push("exact-path solver gave up on some groups".into());
         }
         if self.ilp_skipped {
-            out.push("ILP refinement skipped");
+            out.push("ILP refinement skipped".into());
         }
         if self.ilp_budget_expired {
-            out.push("ILP budget expired before optimality");
+            out.push("ILP budget expired before optimality".into());
         }
         if self.ilp_rejected {
-            out.push("ILP refinement rejected; greedy schedule served");
+            out.push(match self.ilp_refused_model {
+                Some((rows, cols)) => format!(
+                    "ILP refinement rejected (a {rows}-row × {cols}-column model is over the \
+                     dense-tableau size guard); greedy schedule served"
+                ),
+                None => "ILP refinement rejected; greedy schedule served".into(),
+            });
         }
         if self.partition_clamped {
-            out.push("partition clamped (fewer viable cuts than requested regions)");
+            out.push("partition clamped (fewer viable cuts than requested regions)".into());
         }
         if self.regions_refused > 0 {
-            out.push("some regions refused their front end; replanned as seam work");
+            out.push("some regions refused their front end; replanned as seam work".into());
         }
         if self.subprocess_fallbacks > 0 {
-            out.push("some region workers failed; jobs replanned in-process");
+            out.push("some region workers failed; jobs replanned in-process".into());
         }
         if self.subprocess_exhausted > 0 {
-            out.push("worker respawn budget exhausted; lane degraded to in-process");
+            out.push("worker respawn budget exhausted; lane degraded to in-process".into());
         }
         out
     }
@@ -249,5 +261,25 @@ mod tests {
             ..PipelineStats::default()
         };
         assert!((s.front_end_s() - 7.0).abs() < 1e-12);
+    }
+
+    /// A refused model's size survives the canonical codec, and stats
+    /// without one encode as they did before the field existed.
+    #[test]
+    fn refused_model_size_is_encoded_only_when_present() {
+        use crate::codec::{decode_frame, encode_frame, FrameType};
+        let plain = PipelineStats::default();
+        let json = serde_json::to_string(&plain).unwrap();
+        assert!(!json.contains("ilp_refused_model"), "{json}");
+        let refused = PipelineStats {
+            ilp_rejected: true,
+            ilp_refused_model: Some((12715, 1670)),
+            ..plain
+        };
+        for stats in [plain, refused] {
+            let frame = encode_frame(FrameType::Artifact, &stats);
+            let back: PipelineStats = decode_frame(FrameType::Artifact, &frame).unwrap();
+            assert_eq!(back, stats);
+        }
     }
 }

@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use crate::model::{Model, VarType};
 use crate::presolve::{presolve_with_stats, PresolveStats, Presolved};
-use crate::simplex::{solve_cold, solve_warm, Basis, LpOutcome, Prepared, Workspace};
+use crate::simplex::{past, solve_cold, solve_warm, Basis, LpOutcome, Prepared, Workspace};
 use crate::INT_TOL;
 
 /// Options controlling a MILP solve.
@@ -103,7 +103,9 @@ pub struct SolverStats {
     pub nodes_per_sec: f64,
     /// Simplex pivots across all node LPs (basis changes and bound flips).
     pub lp_pivots: u64,
-    /// Node LPs solved warm from the parent basis (dual simplex restart).
+    /// Node LPs solved warm from the parent basis (dual simplex restart),
+    /// including warm solves the deadline stopped. With
+    /// [`cold_lps`](Self::cold_lps) it accounts for every node.
     pub warm_lps: u64,
     /// Node LPs solved cold (two-phase from scratch).
     pub cold_lps: u64,
@@ -125,6 +127,10 @@ pub struct SolverStats {
     pub incumbent_timeline: Vec<IncumbentEvent>,
     /// What presolve reduced before the search started.
     pub presolve: PresolveStats,
+    /// Constraint rows of the searched (presolved) model.
+    pub rows: usize,
+    /// Variables of the searched (presolved) model.
+    pub cols: usize,
 }
 
 /// A feasible MILP solution.
@@ -391,6 +397,8 @@ pub fn solve(model: &Model, opts: &SolveOptions) -> Result<Solution, MilpError> 
         time_to_first_incumbent_s: incumbent.timeline.first().map(|e| e.at_s),
         incumbent_timeline: incumbent.timeline,
         presolve: presolve_stats,
+        rows: model.num_constraints(),
+        cols: n,
     };
 
     match incumbent.values {
@@ -536,6 +544,11 @@ fn worker(s: &Search) {
                     Ok(o) => {
                         s.warm_lps.fetch_add(1, Ordering::Relaxed);
                         o
+                    }
+                    // Past the deadline a cold solve could only stall too.
+                    Err(_) if past(s.deadline) => {
+                        s.warm_lps.fetch_add(1, Ordering::Relaxed);
+                        LpOutcome::Stalled
                     }
                     Err(_) => {
                         s.fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -872,6 +885,35 @@ mod tests {
             assert!(pair[1].objective < pair[0].objective + 1e-12);
             assert!(pair[1].at_s >= pair[0].at_s);
         }
+
+        // Every node is still one warm or cold LP when the budget stops
+        // the search mid-tree. min −Σx with 2·Σx ≤ 41: every LP relaxation
+        // reaches −20.5 until twenty-odd binaries are fixed, so nothing
+        // prunes against the −20 warm start and the tree far outlasts the
+        // budget.
+        let mut m = Model::new("parity");
+        let xs: Vec<_> = (0..41).map(|i| m.binary(&format!("x{i}"), -1.0)).collect();
+        m.constraint(
+            xs.iter().map(|&x| (x, 2.0)).collect::<Vec<_>>(),
+            Relation::Le,
+            41.0,
+        );
+        let warm = (0..41).map(|i| f64::from(u8::from(i < 20))).collect();
+        let s = solve(
+            &m,
+            &SolveOptions {
+                time_limit: Duration::from_millis(200),
+                warm_start: Some(warm),
+                // Each worker the deadline catches mid-solve stalls a node.
+                threads: 4,
+                ..SolveOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(s.status, SolveStatus::Feasible, "the budget must hit");
+        let st = &s.stats;
+        assert!(st.nodes > 1, "stats: {st:?}");
+        assert_eq!(st.warm_lps + st.cold_lps, st.nodes, "stats: {st:?}");
     }
 
     #[test]

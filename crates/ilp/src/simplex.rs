@@ -32,6 +32,11 @@
 //! numerically too small or more than m pivots have accumulated since the
 //! last build, which bounds round-off drift.
 //!
+//! A deadline is checked before every pivot — in both phases, the dual
+//! simplex, the basis repair and the rebuild. One pivot on a large tableau
+//! costs milliseconds while a rebuild can take seconds, so a solve stops
+//! within one pivot of its deadline.
+//!
 //! The standalone entry points ([`solve_lp`], [`solve_lp_with_bounds`],
 //! [`solve_lp_with_deadline`]) build a `Prepared`/`Workspace` pair
 //! internally and run the cold two-phase path.
@@ -136,12 +141,22 @@ enum Dual {
     Stalled,
 }
 
+/// How bringing the tableau to a target basis ended.
+enum Load {
+    Loaded,
+    /// Some column's best pivot fell below [`REBUILD_TOL`].
+    Singular,
+    /// The deadline passed between two pivots.
+    Stalled,
+}
+
 /// Why a warm-started solve could not be completed (the caller falls back to
 /// the cold two-phase path).
 pub(crate) enum WarmError {
     /// The parent basis is numerically singular under the child's matrix.
     Singular,
-    /// The dual/primal cleanup loops hit their iteration or time budget.
+    /// Loading the basis or the dual/primal cleanup loops hit their
+    /// iteration or time budget.
     Stalled,
 }
 
@@ -366,8 +381,10 @@ pub(crate) fn solve_warm(
     debug_assert_eq!(basis.cols.len(), prep.m);
     debug_assert_eq!(basis.status.len(), prep.ncols);
     let mut s = Solver { prep, ws, deadline };
-    if !s.load_basis(basis) {
-        return Err(WarmError::Singular);
+    match s.load_basis(basis) {
+        Load::Loaded => {}
+        Load::Singular => return Err(WarmError::Singular),
+        Load::Stalled => return Err(WarmError::Stalled),
     }
     s.set_structural_uppers(lb, ub);
     for j in prep.art0..prep.ncols {
@@ -385,6 +402,12 @@ pub(crate) fn solve_warm(
         Phase2::Stalled => return Err(WarmError::Stalled),
     }
     Ok(LpOutcome::Optimal(s.extract(lb)))
+}
+
+/// Whether `deadline` has passed; read before every pivot, where one clock
+/// read is noise next to an O(m·ncols) elimination.
+pub(crate) fn past(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|d| Instant::now() >= d)
 }
 
 struct Solver<'a> {
@@ -451,16 +474,15 @@ impl Solver<'_> {
     /// Brings the tableau to `basis`. A live tableau of this model that has
     /// taken at most m basis changes since its last build is pivoted there
     /// directly; otherwise, or if a pivot is too small, it is rebuilt.
-    /// Returns `false` if the basis is singular for this matrix.
-    fn load_basis(&mut self, basis: &Basis) -> bool {
+    fn load_basis(&mut self, basis: &Basis) -> Load {
         let ws = &mut *self.ws;
         ws.degenerate_streak = 0;
         if ws.built_from == self.prep.id && ws.etas <= self.prep.m {
             let before = ws.etas;
             let entered = self.enter_basis(basis);
             self.ws.repair_pivots += (self.ws.etas - before) as u64;
-            if entered {
-                return true;
+            if !matches!(entered, Load::Singular) {
+                return entered;
             }
         }
         self.load_warm(basis)
@@ -469,7 +491,7 @@ impl Solver<'_> {
     /// Rebuilds the tableau for `basis` from the raw matrix: starting from
     /// the artificial identity basis, every basic column is pivoted in
     /// (Gauss-Jordan elimination with partial pivoting).
-    fn load_warm(&mut self, basis: &Basis) -> bool {
+    fn load_warm(&mut self, basis: &Basis) -> Load {
         let prep = self.prep;
         let ws = &mut *self.ws;
         ws.reset(prep);
@@ -488,15 +510,20 @@ impl Solver<'_> {
     /// Pivots each column of `target` that the tableau's basis lacks into
     /// the row, among those whose basic column `target` drops, with the
     /// largest-magnitude entry; then adopts `target`'s nonbasic statuses.
-    /// Returns `false` if some column's best pivot is below
-    /// [`REBUILD_TOL`]; the tableau stays consistent either way.
-    fn enter_basis(&mut self, target: &Basis) -> bool {
+    /// Stops early — [`Load::Singular`] if some column's best pivot is below
+    /// [`REBUILD_TOL`], [`Load::Stalled`] once the deadline passes (a full
+    /// rebuild of a large tableau can take seconds); the tableau stays
+    /// consistent either way.
+    fn enter_basis(&mut self, target: &Basis) -> Load {
         let prep = self.prep;
         let ws = &mut *self.ws;
         let nc = prep.ncols;
         for &c in &target.cols {
             if ws.status[c] == Status::Basic {
                 continue;
+            }
+            if past(self.deadline) {
+                return Load::Stalled;
             }
             let (mut row, mut best_abs) = (0, 0.0);
             for r in 0..prep.m {
@@ -507,7 +534,7 @@ impl Solver<'_> {
                 }
             }
             if best_abs < REBUILD_TOL {
-                return false;
+                return Load::Singular;
             }
             let leaver = ws.basis[row];
             ws.status[leaver] = target.status[leaver];
@@ -516,7 +543,7 @@ impl Solver<'_> {
             ws.status[c] = Status::Basic;
         }
         ws.status.copy_from_slice(&target.status);
-        true
+        Load::Loaded
     }
 
     /// Basic values for the node bounds `lb` (and the uppers already in
@@ -555,10 +582,6 @@ impl Solver<'_> {
                 }
             }
         }
-    }
-
-    fn deadline_hit(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// One primal simplex iteration for the given costs. `allow_artificial`
@@ -731,6 +754,9 @@ impl Solver<'_> {
         let iter_limit = prep.iter_limit();
         let mut iters = 0u64;
         loop {
+            if past(self.deadline) {
+                return Phase1::Stalled;
+            }
             match self.step(&cost, true) {
                 Step::Converged => break,
                 Step::Unbounded => break, // phase-1 objective is bounded below by 0
@@ -738,9 +764,6 @@ impl Solver<'_> {
             }
             iters += 1;
             if iters > iter_limit {
-                return Phase1::Stalled;
-            }
-            if iters.is_multiple_of(64) && self.deadline_hit() {
                 return Phase1::Stalled;
             }
         }
@@ -756,6 +779,9 @@ impl Solver<'_> {
         for i in 0..prep.m {
             if ws.basis[i] < prep.art0 {
                 continue;
+            }
+            if past(self.deadline) {
+                return Phase1::Stalled;
             }
             let pivot_col = (0..prep.art0)
                 .find(|&j| ws.status[j] != Status::Basic && ws.rows[i * nc + j].abs() > 1e-7);
@@ -789,6 +815,9 @@ impl Solver<'_> {
         let iter_limit = prep.iter_limit();
         let mut iters = 0u64;
         loop {
+            if past(self.deadline) {
+                return Phase2::Stalled;
+            }
             match self.step(&prep.cost, false) {
                 Step::Converged => return Phase2::Optimal,
                 Step::Unbounded => return Phase2::Unbounded,
@@ -796,9 +825,6 @@ impl Solver<'_> {
             }
             iters += 1;
             if iters > iter_limit {
-                return Phase2::Stalled;
-            }
-            if iters.is_multiple_of(64) && self.deadline_hit() {
                 return Phase2::Stalled;
             }
         }
@@ -832,6 +858,9 @@ impl Solver<'_> {
             let Some((r, below)) = leaving else {
                 return Dual::PrimalFeasible;
             };
+            if past(self.deadline) {
+                return Dual::Stalled;
+            }
 
             self.reduced_costs(&prep.cost);
             let ws = &mut *self.ws;
@@ -899,9 +928,6 @@ impl Solver<'_> {
 
             iters += 1;
             if iters > iter_limit {
-                return Dual::Stalled;
-            }
-            if iters.is_multiple_of(64) && self.deadline_hit() {
                 return Dual::Stalled;
             }
         }
@@ -1183,6 +1209,37 @@ mod tests {
         let outcome = solve_warm(&prep, &mut ws, &lb, &ub0, &basis, None)
             .unwrap_or_else(|_| panic!("warm solve fell back"));
         assert_eq!(outcome, LpOutcome::Infeasible);
+    }
+
+    /// Past the deadline neither a tableau rebuild nor a pivot of the live
+    /// tableau starts: the warm solve stalls and the cold one too.
+    #[test]
+    fn expired_deadline_stalls_before_any_pivot() {
+        let (m, vars) = warm_model();
+        let prep = Prepared::new(&m);
+        let mut ws = Workspace::new();
+        let (lb0, ub0) = bounds_of(&m);
+        assert!(matches!(
+            solve_cold(&prep, &mut ws, &lb0, &ub0, None),
+            LpOutcome::Optimal(_)
+        ));
+        let basis = ws.snapshot_basis();
+        let expired = Some(Instant::now());
+        let mut lb = lb0.clone();
+        lb[vars[0].0] = 1.0;
+        // A fresh workspace must rebuild; the live one is already there.
+        for mut ws in [Workspace::new(), ws] {
+            let pivots = ws.pivots;
+            assert!(matches!(
+                solve_warm(&prep, &mut ws, &lb, &ub0, &basis, expired),
+                Err(WarmError::Stalled)
+            ));
+            assert_eq!(ws.pivots, pivots);
+        }
+        assert_eq!(
+            solve_cold(&prep, &mut Workspace::new(), &lb0, &ub0, expired),
+            LpOutcome::Stalled
+        );
     }
 
     /// Repeated warm solves through one workspace must not leak state

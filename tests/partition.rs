@@ -58,7 +58,8 @@ fn oversized_k_clamps_to_the_viable_cuts_and_warns() {
         assert!(served
             .pipeline
             .degradation_events()
-            .contains(&"partition clamped (fewer viable cuts than requested regions)"));
+            .iter()
+            .any(|e| e == "partition clamped (fewer viable cuts than requested regions)"));
     }
 }
 
