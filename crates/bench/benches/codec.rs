@@ -1,8 +1,12 @@
 //! Criterion bench of the canonical codec on what a socket memo hit
 //! costs: for every bundled instance (the Table II suite and the demo) it
 //! times the instance hash, the certified artifact's frame encode and
-//! decode, and the client's verification of the decoded artifact. A codec
-//! change can then name the layer it moved.
+//! decode, and the client's verification of the decoded artifact. Two
+//! rows isolate the hash layer: `frame_digest` hashes the artifact frame's
+//! bytes in one call (what sealing and checking a frame pay), and
+//! `schedule_digest` encodes and hashes the schedule (the larger half of
+//! the certificate's validator digest). A codec change can then name the
+//! layer it moved.
 //!
 //! ```text
 //! cargo bench -p pdw-bench --bench codec
@@ -11,6 +15,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pathdriver_wash::codec::{canonical_digest, xxh64};
 use pathdriver_wash::{config_fingerprint, instance_hash, plan_resilient, PlanArtifact};
 use pdw_assay::benchmarks;
 use pdw_synth::synthesize;
@@ -43,6 +48,12 @@ fn bench_codec(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new("artifact_decode", name), |b| {
             b.iter(|| PlanArtifact::decode(&frame).expect("artifact decodes"))
+        });
+        group.bench_function(BenchmarkId::new("frame_digest", name), |b| {
+            b.iter(|| xxh64(&frame))
+        });
+        group.bench_function(BenchmarkId::new("schedule_digest", name), |b| {
+            b.iter(|| canonical_digest(&artifact.result.schedule))
         });
         group.bench_function(BenchmarkId::new("verify_hashed", name), |b| {
             b.iter(|| {

@@ -13,14 +13,16 @@
 //!   so round-trips are exact and no float-printing ambiguity can creep
 //!   in), and length-prefixed strings/arrays/objects, and a
 //!   [`serde::Source`] reads them back. No [`serde::Value`] tree is built
-//!   on either side, and hashing feeds the same stream straight into
-//!   [`Fnv64`]. The vendored serde sorts `HashMap` keys and preserves
-//!   struct field order, so the byte stream is a pure function of the
-//!   value — stable across processes, platforms, and thread counts.
+//!   on either side. A hash encodes the value into a byte buffer and
+//!   hashes the buffer in one [`xxh64`] call (bulk hashing of the whole
+//!   buffer beats feeding each scalar to a hasher). The vendored serde
+//!   sorts `HashMap` keys and preserves struct field order, so the byte
+//!   stream is a pure function of the value — stable across processes,
+//!   platforms, and thread counts.
 //! - **Framing** — every artifact that leaves the process is wrapped in a
 //!   frame: magic `"PDWC"`, a schema version byte ([`SCHEMA_VERSION`]), a
 //!   frame-type tag ([`FrameType`]), a length-prefixed payload, and an
-//!   FNV-1a digest trailer over everything before it. Decoding re-verifies
+//!   XXH64 digest trailer over everything before it. Decoding re-verifies
 //!   the digest and rejects version skew with typed [`CodecError`]s — a
 //!   corrupt or stale frame can never be mistaken for data.
 //! - **[`PlanArtifact`]** — the one reusable product of the pipeline (a
@@ -47,7 +49,7 @@ use crate::resilient::RungKind;
 /// encoding, the frame layout, or the canonical shape of a framed type;
 /// decoders reject mismatches with [`CodecError::VersionSkew`] and the
 /// memo key shifts so stale persisted entries are evicted, not served.
-pub const SCHEMA_VERSION: u8 = 2;
+pub const SCHEMA_VERSION: u8 = 3;
 
 /// Frame magic: the first four bytes of every encoded frame.
 pub const MAGIC: [u8; 4] = *b"PDWC";
@@ -56,7 +58,7 @@ pub const MAGIC: [u8; 4] = *b"PDWC";
 /// length (4).
 const HEADER_LEN: usize = 10;
 
-/// Digest trailer length (FNV-1a 64, little-endian).
+/// Digest trailer length (XXH64, little-endian).
 const DIGEST_LEN: usize = 8;
 
 /// Default ceiling on a frame's payload length, applied *before* the
@@ -68,45 +70,132 @@ const DIGEST_LEN: usize = 8;
 /// [`check_frame_capped`].
 pub const DEFAULT_MAX_FRAME_LEN: usize = 64 << 20;
 
-/// Incremental 64-bit FNV-1a hasher — tiny, dependency-free, and stable
-/// across platforms (unlike `DefaultHasher`, which is randomly keyed per
-/// process).
+/// Incremental XXH64 hasher (Yann Collet's published algorithm, seed 0,
+/// little-endian lanes) — dependency-free, stable across platforms
+/// (unlike `DefaultHasher`, which is randomly keyed per process), and it
+/// consumes 32-byte stripes, so bulk input hashes several times faster
+/// than a byte-serial chain. Any split of the input into [`write`]
+/// calls gives the same digest as one call over the whole ([`xxh64`]).
+///
+/// [`write`]: Xxh64::write
 #[derive(Debug, Clone, Copy)]
-pub struct Fnv64(u64);
+pub(crate) struct Xxh64 {
+    acc: [u64; 4],
+    stripe: [u8; 32],
+    buffered: usize,
+    total: u64,
+}
 
-impl Fnv64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
 
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv64(Self::OFFSET)
-    }
+#[inline(always)]
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
 
-    /// Feeds raw bytes.
-    #[inline]
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
+#[inline(always)]
+fn lane(bytes: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(bytes[i..i + 8].try_into().expect("eight bytes"))
+}
+
+impl Xxh64 {
+    /// A fresh hasher (seed 0).
+    pub(crate) fn new() -> Self {
+        Xxh64 {
+            acc: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            stripe: [0; 32],
+            buffered: 0,
+            total: 0,
         }
     }
 
+    #[inline(always)]
+    fn consume(acc: &mut [u64; 4], stripe: &[u8]) {
+        for (i, a) in acc.iter_mut().enumerate() {
+            *a = xxh_round(*a, lane(stripe, 8 * i));
+        }
+    }
+
+    /// Feeds raw bytes.
+    pub(crate) fn write(&mut self, mut bytes: &[u8]) {
+        self.total += bytes.len() as u64;
+        if self.buffered > 0 {
+            let take = bytes.len().min(32 - self.buffered);
+            self.stripe[self.buffered..self.buffered + take].copy_from_slice(&bytes[..take]);
+            self.buffered += take;
+            bytes = &bytes[take..];
+            if self.buffered < 32 {
+                return;
+            }
+            Self::consume(&mut self.acc, &self.stripe);
+            self.buffered = 0;
+        }
+        let mut stripes = bytes.chunks_exact(32);
+        for stripe in &mut stripes {
+            Self::consume(&mut self.acc, stripe);
+        }
+        let rest = stripes.remainder();
+        self.stripe[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
+    }
+
     /// Feeds one `u64` (little-endian bytes).
-    pub fn write_u64(&mut self, v: u64) {
+    pub(crate) fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
     }
 
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
+    /// The digest of everything written so far.
+    pub(crate) fn finish(&self) -> u64 {
+        let [a, b, c, d] = self.acc;
+        let mut h = if self.total >= 32 {
+            let mut h = a
+                .rotate_left(1)
+                .wrapping_add(b.rotate_left(7))
+                .wrapping_add(c.rotate_left(12))
+                .wrapping_add(d.rotate_left(18));
+            for v in self.acc {
+                h = (h ^ xxh_round(0, v)).wrapping_mul(P1).wrapping_add(P4);
+            }
+            h
+        } else {
+            P5
+        };
+        h = h.wrapping_add(self.total);
+        let mut tail = &self.stripe[..self.buffered];
+        while tail.len() >= 8 {
+            h ^= xxh_round(0, lane(tail, 0));
+            h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+            tail = &tail[8..];
+        }
+        if tail.len() >= 4 {
+            let word = u32::from_le_bytes(tail[..4].try_into().expect("four bytes"));
+            h ^= u64::from(word).wrapping_mul(P1);
+            h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+            tail = &tail[4..];
+        }
+        for &byte in tail {
+            h ^= u64::from(byte).wrapping_mul(P5);
+            h = h.rotate_left(11).wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
     }
 }
 
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The XXH64 digest (seed 0) of `bytes`, hashed in one call.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let mut h = Xxh64::new();
+    h.write(bytes);
+    h.finish()
 }
 
 /// What kind of value a frame carries. The tag byte is part of the frame
@@ -261,73 +350,72 @@ const TAG_STR: u8 = 6;
 const TAG_ARRAY: u8 = 7;
 const TAG_OBJECT: u8 = 8;
 
-/// Where the canonical encoder's bytes go: a buffer, or straight into a
-/// hash.
-pub(crate) trait ByteWrite {
-    fn put(&mut self, bytes: &[u8]);
-}
+/// The canonical encoder: a [`serde::Sink`] appending the tagged byte
+/// layout to a buffer. A map key is its length and bytes, with no tag.
+/// The methods are `#[inline]` because the encoder is not generic: a
+/// crate that encodes a value (the serve layer, the benches) could not
+/// otherwise inline the writes into its `Serialize` instantiations.
+pub(crate) struct Canonical<'a>(pub(crate) &'a mut Vec<u8>);
 
-impl ByteWrite for Vec<u8> {
+impl Canonical<'_> {
     #[inline]
     fn put(&mut self, bytes: &[u8]) {
-        self.extend_from_slice(bytes);
+        self.0.extend_from_slice(bytes);
     }
-}
 
-impl ByteWrite for Fnv64 {
     #[inline]
-    fn put(&mut self, bytes: &[u8]) {
-        self.write(bytes);
-    }
-}
-
-/// The canonical encoder: a [`serde::Sink`] writing the tagged byte
-/// layout. A map key is its length and bytes, with no tag.
-pub(crate) struct Canonical<'a, W>(pub(crate) &'a mut W);
-
-impl<W: ByteWrite> Canonical<'_, W> {
     fn word(&mut self, tag: u8, word: u64) {
         let mut b = [tag; 9];
         b[1..].copy_from_slice(&word.to_le_bytes());
-        self.0.put(&b);
+        self.put(&b);
     }
 
+    #[inline]
     fn len(&mut self, tag: u8, len: usize) {
         let mut b = [tag; 5];
         b[1..].copy_from_slice(&(len as u32).to_le_bytes());
-        self.0.put(&b);
+        self.put(&b);
     }
 }
 
-impl<W: ByteWrite> serde::Sink for Canonical<'_, W> {
+impl serde::Sink for Canonical<'_> {
+    #[inline]
     fn null(&mut self) {
-        self.0.put(&[TAG_NULL]);
+        self.0.push(TAG_NULL);
     }
+    #[inline]
     fn bool(&mut self, v: bool) {
-        self.0.put(&[if v { TAG_TRUE } else { TAG_FALSE }]);
+        self.0.push(if v { TAG_TRUE } else { TAG_FALSE });
     }
+    #[inline]
     fn i64(&mut self, v: i64) {
         self.word(TAG_INT, v as u64);
     }
+    #[inline]
     fn u64(&mut self, v: u64) {
         self.word(TAG_UINT, v);
     }
+    #[inline]
     fn f64(&mut self, v: f64) {
         self.word(TAG_FLOAT, v.to_bits());
     }
+    #[inline]
     fn str(&mut self, v: &str) {
         self.len(TAG_STR, v.len());
-        self.0.put(v.as_bytes());
+        self.put(v.as_bytes());
     }
+    #[inline]
     fn seq(&mut self, len: usize) {
         self.len(TAG_ARRAY, len);
     }
+    #[inline]
     fn map(&mut self, len: usize) {
         self.len(TAG_OBJECT, len);
     }
+    #[inline]
     fn key(&mut self, k: &str) {
-        self.0.put(&(k.len() as u32).to_le_bytes());
-        self.0.put(k.as_bytes());
+        self.put(&(k.len() as u32).to_le_bytes());
+        self.put(k.as_bytes());
     }
 }
 
@@ -548,17 +636,10 @@ pub fn canonical_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
     out
 }
 
-/// FNV-1a digest of a value's canonical binary encoding, hashed as it is
-/// encoded (no byte buffer is built).
+/// XXH64 digest of a value's canonical binary encoding: the value is
+/// encoded into a buffer, and the buffer hashed in one call.
 pub fn canonical_digest<T: Serialize + ?Sized>(value: &T) -> u64 {
-    let mut h = Fnv64::new();
-    hash_canonical(&mut h, value);
-    h.finish()
-}
-
-/// Feeds a value's canonical binary encoding to `hasher`.
-fn hash_canonical<T: Serialize + ?Sized>(hasher: &mut Fnv64, value: &T) {
-    value.serialize(&mut Canonical(hasher));
+    xxh64(&canonical_bytes(value))
 }
 
 // ---------------------------------------------------------------------------
@@ -566,7 +647,7 @@ fn hash_canonical<T: Serialize + ?Sized>(hasher: &mut Fnv64, value: &T) {
 // ---------------------------------------------------------------------------
 
 /// Encodes `value` into a self-describing frame: `MAGIC`, version, type
-/// tag, length-prefixed canonical payload, FNV-1a digest trailer.
+/// tag, length-prefixed canonical payload, XXH64 digest trailer.
 pub fn encode_frame<T: Serialize + ?Sized>(ty: FrameType, value: &T) -> Vec<u8> {
     let mut out = frame_header(ty, 256);
     value.serialize(&mut Canonical(&mut out));
@@ -602,9 +683,8 @@ fn frame_header(ty: FrameType, payload: usize) -> Vec<u8> {
 fn seal_frame(mut out: Vec<u8>) -> Vec<u8> {
     let len = (out.len() - HEADER_LEN) as u32;
     out[6..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
-    let mut h = Fnv64::new();
-    h.write(&out);
-    out.extend_from_slice(&h.finish().to_le_bytes());
+    let digest = xxh64(&out);
+    out.extend_from_slice(&digest.to_le_bytes());
     out
 }
 
@@ -657,9 +737,7 @@ pub fn check_frame_capped(frame: &[u8], cap: usize) -> Result<(FrameType, &[u8])
             .try_into()
             .expect("length checked"),
     );
-    let mut h = Fnv64::new();
-    h.write(body);
-    let computed = h.finish();
+    let computed = xxh64(body);
     if stored != computed {
         return Err(CodecError::DigestMismatch { stored, computed });
     }
@@ -846,10 +924,12 @@ impl FrameAccumulator {
 /// certificate no longer reproduces is rejected, never served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VerificationCertificate {
-    /// FNV-1a over the canonical bytes of the schedule and the chip hash.
+    /// XXH64 over the canonical bytes of the schedule followed by the
+    /// chip hash (little-endian).
     pub validator_digest: u64,
-    /// FNV-1a over the oracle's replay counters (violations, deposits,
-    /// dissolved, checks, ineffective washes).
+    /// XXH64 over the oracle's replay counters (violations, deposits,
+    /// dissolved, checks, ineffective washes), each a little-endian
+    /// `u64`.
     pub oracle_digest: u64,
 }
 
@@ -926,17 +1006,16 @@ impl PlanArtifact {
         result: &WashResult,
         oracle: &pdw_sim::OracleReport,
     ) -> VerificationCertificate {
-        let mut v = Fnv64::new();
-        hash_canonical(&mut v, &result.schedule);
-        v.write_u64(chip_hash(chip));
-        let mut o = Fnv64::new();
+        let mut validated = canonical_bytes(&result.schedule);
+        validated.extend_from_slice(&chip_hash(chip).to_le_bytes());
+        let mut o = Xxh64::new();
         o.write_u64(oracle.violations.len() as u64);
         o.write_u64(oracle.deposits as u64);
         o.write_u64(oracle.dissolved as u64);
         o.write_u64(oracle.checks as u64);
         o.write_u64(oracle.ineffective_washes.len() as u64);
         VerificationCertificate {
-            validator_digest: v.finish(),
+            validator_digest: xxh64(&validated),
             oracle_digest: o.finish(),
         }
     }
@@ -984,9 +1063,7 @@ impl PlanArtifact {
 /// chips differing only in faults hash differently — a warm context built
 /// for a damaged chip must never be served for its pristine twin.
 pub fn chip_hash(chip: &Chip) -> u64 {
-    let mut h = Fnv64::new();
-    hash_canonical(&mut h, chip);
-    h.finish()
+    canonical_digest(chip)
 }
 
 /// Canonical hash of a full planning instance: the benchmark (assay graph +
@@ -995,13 +1072,14 @@ pub fn chip_hash(chip: &Chip) -> u64 {
 /// is a pure function of this hash plus the planner configuration
 /// ([`config_fingerprint`]).
 pub fn instance_hash(bench: &Benchmark, synthesis: &Synthesis) -> u64 {
-    let mut h = Fnv64::new();
-    hash_canonical(&mut h, bench);
-    hash_canonical(&mut h, &synthesis.chip);
-    hash_canonical(&mut h, &synthesis.schedule);
-    hash_canonical(&mut h, &synthesis.binding);
-    hash_canonical(&mut h, &synthesis.reagent_ports);
-    h.finish()
+    let mut bytes = Vec::new();
+    let out = &mut Canonical(&mut bytes);
+    bench.serialize(out);
+    synthesis.chip.serialize(out);
+    synthesis.schedule.serialize(out);
+    synthesis.binding.serialize(out);
+    synthesis.reagent_ports.serialize(out);
+    xxh64(&bytes)
 }
 
 /// Fingerprint of the configuration fields that shape a plan's *result*.
@@ -1014,7 +1092,7 @@ pub fn instance_hash(bench: &Benchmark, synthesis: &Synthesis) -> u64 {
 /// included: a deadline-degraded plan is a different result family than an
 /// unbounded one.
 pub fn config_fingerprint(config: &PdwConfig) -> u64 {
-    let mut h = Fnv64::new();
+    let mut h = Xxh64::new();
     h.write_u64(config.weights.alpha.to_bits());
     h.write_u64(config.weights.beta.to_bits());
     h.write_u64(config.weights.gamma.to_bits());
@@ -1046,7 +1124,7 @@ pub fn memo_key(instance_hash: u64, config_fingerprint: u64) -> u64 {
 /// [`memo_key`] at an explicit version — exposed so tests can prove that
 /// stale-version entries cannot collide with current ones.
 pub fn memo_key_versioned(version: u8, instance_hash: u64, config_fingerprint: u64) -> u64 {
-    let mut h = Fnv64::new();
+    let mut h = Xxh64::new();
     h.write(&[version]);
     h.write_u64(instance_hash);
     h.write_u64(config_fingerprint);
@@ -1140,13 +1218,38 @@ mod tests {
     }
 
     #[test]
-    fn fnv_is_order_sensitive() {
-        let mut a = Fnv64::new();
-        a.write(b"ab");
-        let mut b = Fnv64::new();
-        b.write(b"ba");
-        assert_ne!(a.finish(), b.finish());
-        assert_eq!(Fnv64::default().finish(), Fnv64::new().finish());
+    fn xxh64_matches_the_reference_vectors() {
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        // 43 bytes: one 32-byte stripe, an 8-byte lane and a 3-byte tail.
+        assert_eq!(
+            xxh64(b"The quick brown fox jumps over the lazy dog"),
+            0x0B24_2D36_1FDA_71BC
+        );
+        assert_ne!(xxh64(b"ab"), xxh64(b"ba"));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Any split of an input into `write` calls gives the one-shot
+        /// digest; lengths reach past several 32-byte stripes, and cuts
+        /// fall on either side of stripe boundaries.
+        #[test]
+        fn any_split_of_the_input_gives_the_one_shot_digest(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..1000),
+            cuts in proptest::collection::vec(0usize..1000, 0..8),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let mut h = Xxh64::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([bytes.len()]) {
+                h.write(&bytes[from..cut]);
+                from = cut;
+            }
+            proptest::prop_assert_eq!(h.finish(), xxh64(&bytes));
+        }
     }
 
     #[test]
@@ -1172,9 +1275,7 @@ mod tests {
         // the re-encoded stream is identical.
         assert_eq!(canonical_bytes(&back), bytes);
         // The digest is the hash of those same bytes.
-        let mut h = Fnv64::new();
-        h.write(&bytes);
-        assert_eq!(canonical_digest(&v), h.finish());
+        assert_eq!(canonical_digest(&v), xxh64(&bytes));
     }
 
     #[test]
@@ -1311,8 +1412,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn artifact_roundtrips_and_verifies() {
+    /// The demo's certified greedy plan, with the instance it was solved
+    /// for.
+    fn demo_artifact() -> (Benchmark, Synthesis, PlanArtifact) {
         let bench = benchmarks::demo();
         let s = synthesize(&bench).unwrap();
         let config = PdwConfig {
@@ -1320,15 +1422,36 @@ mod tests {
             ..PdwConfig::default()
         };
         let outcome = crate::plan_resilient(&bench, &s, &config);
-        let result = outcome.served.clone().unwrap();
         let artifact = PlanArtifact::certified(
             instance_hash(&bench, &s),
             config_fingerprint(&config),
             outcome.rung.unwrap(),
             &bench,
             &s,
-            result,
+            outcome.served.unwrap(),
         );
+        (bench, s, artifact)
+    }
+
+    #[test]
+    fn every_flipped_byte_of_an_artifact_frame_is_a_typed_error() {
+        let (_, _, artifact) = demo_artifact();
+        let frame = artifact.encode();
+        let mut flipped = frame.clone();
+        for i in 0..frame.len() {
+            flipped[i] ^= 0xff;
+            assert!(
+                PlanArtifact::decode(&flipped).is_err(),
+                "byte {i} of {} flipped, yet the frame decoded",
+                frame.len()
+            );
+            flipped[i] = frame[i];
+        }
+    }
+
+    #[test]
+    fn artifact_roundtrips_and_verifies() {
+        let (bench, s, artifact) = demo_artifact();
         artifact
             .verify(&bench, &s)
             .expect("fresh artifact verifies");

@@ -18,7 +18,7 @@
 //!   metrics, rung, and a verification certificate the consumer can (and
 //!   should) re-check.
 //!
-//! Every frame carries the codec magic, [`SCHEMA_VERSION`], and an FNV
+//! Every frame carries the codec magic, [`SCHEMA_VERSION`], and an XXH64
 //! digest trailer, so a version-skewed or corrupted worker is detected at
 //! the frame boundary and the executor falls back in-process with a typed
 //! event — never a silently wrong plan.

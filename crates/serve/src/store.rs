@@ -6,7 +6,8 @@
 //! file-backed implementation ([`FileMemoStore`]) is an append-only log of
 //! [`MemoRecord`](pathdriver_wash::codec::FrameType::MemoRecord) frames —
 //! each one `{ key, artifact }` in the canonical codec, so every record
-//! carries the codec magic, [`SCHEMA_VERSION`], and an FNV digest trailer.
+//! carries the codec magic, [`SCHEMA_VERSION`], and an XXH64 digest
+//! trailer.
 //! On open the log is replayed last-wins and **compacted**: superseded
 //! writes, version-skewed records, and a torn tail (a crash mid-append) are
 //! all dropped on the floor and the file is atomically rewritten without
@@ -262,7 +263,7 @@ impl MemoStore for FileMemoStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathdriver_wash::codec::Fnv64;
+    use pathdriver_wash::codec::xxh64;
     use pathdriver_wash::{config_fingerprint, instance_hash, memo_key, plan_resilient, PdwConfig};
     use pdw_assay::benchmarks;
     use pdw_synth::synthesize;
@@ -348,9 +349,8 @@ mod tests {
     fn reversion_frame(frame: &[u8], version: u8) -> Vec<u8> {
         let mut out = frame[..frame.len() - 8].to_vec();
         out[4] = version;
-        let mut h = Fnv64::new();
-        h.write(&out);
-        out.extend_from_slice(&h.finish().to_le_bytes());
+        let digest = xxh64(&out);
+        out.extend_from_slice(&digest.to_le_bytes());
         out
     }
 
@@ -372,6 +372,28 @@ mod tests {
         assert!(store.get(key).is_none(), "stale entry must not be served");
         drop(store);
         // Compaction dropped it from disk too.
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A log written by the schema-v2 codec (FNV-1a digest trailer): one
+    /// `put` of the demo's certified greedy artifact.
+    const V2_LOG: &[u8] = include_bytes!("../../../tests/golden/memo_record_v2.bin");
+
+    #[test]
+    fn a_real_v2_record_is_evicted_as_stale_and_compacted_away() {
+        let path = temp_path("v2");
+        std::fs::write(&path, V2_LOG).unwrap();
+        let (store, report) = FileMemoStore::open(&path).unwrap();
+        assert_eq!(
+            report,
+            StoreLoadReport {
+                stale_version: 1,
+                ..StoreLoadReport::default()
+            }
+        );
+        assert!(store.is_empty(), "a v2 record must not be served");
+        drop(store);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
         let _ = std::fs::remove_file(&path);
     }

@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
-use pathdriver_wash::codec::{check_frame, encode_frame, Fnv64, FrameType};
+use pathdriver_wash::codec::{check_frame, encode_frame, xxh64, CodecError, FrameType};
 use pathdriver_wash::transport::encode_plan_frame;
 use pathdriver_wash::{
     chip_hash, config_fingerprint, instance_hash, memo_key, plan_resilient, PdwConfig,
@@ -72,6 +72,38 @@ fn default_config_frame_bytes_are_pinned() {
     assert_golden("codec_config_frame.hex", &(hex(&frame) + "\n"));
 }
 
+fn unhex(text: &str) -> Vec<u8> {
+    let digits: Vec<u8> = text.bytes().filter(u8::is_ascii_hexdigit).collect();
+    digits
+        .chunks(2)
+        .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).expect("ascii"), 16).expect("hex"))
+        .collect()
+}
+
+/// The default config frame as the schema-v2 codec wrote it (FNV-1a
+/// trailer). The value encoding did not change in v3, so the two frames
+/// differ only in the version byte and the 8-byte digest trailer, and the
+/// version is checked before the digest: a v2 frame is typed skew, not a
+/// digest mismatch.
+#[test]
+fn schema_v2_config_frame_is_version_skew() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/codec_config_frame_v2.hex");
+    let v2 = unhex(&fs::read_to_string(&path).expect("v2 fixture"));
+    assert_eq!(
+        check_frame(&v2).unwrap_err(),
+        CodecError::VersionSkew {
+            found: 2,
+            expected: SCHEMA_VERSION
+        }
+    );
+    let v3 = encode_frame(FrameType::Config, &PdwConfig::default());
+    assert_eq!(v2.len(), v3.len());
+    let body = 5..v3.len() - 8;
+    assert_eq!((&v2[..4], &v2[body.clone()]), (&v3[..4], &v3[body]));
+    assert_eq!((v2[4], v3[4]), (2, SCHEMA_VERSION));
+}
+
 #[test]
 fn demo_instance_digests_are_pinned() {
     let bench = benchmarks::demo();
@@ -99,11 +131,6 @@ fn demo_instance_digests_are_pinned() {
     );
     let artifact_frame = artifact.encode();
     let (_, payload) = check_frame(&artifact_frame).expect("a fresh frame checks");
-    let fnv = |bytes: &[u8]| {
-        let mut h = Fnv64::new();
-        h.write(bytes);
-        h.finish()
-    };
     let report = format!(
         "schema_version = {}\n\
          demo_chip_hash = {:016x}\n\
@@ -117,8 +144,8 @@ fn demo_instance_digests_are_pinned() {
         ih,
         fp,
         memo_key(ih, fp),
-        fnv(&artifact_frame),
-        fnv(&encode_plan_frame(7, true, false, payload)),
+        xxh64(&artifact_frame),
+        xxh64(&encode_plan_frame(7, true, false, payload)),
     );
     assert_golden("codec_digests.txt", &report);
 }

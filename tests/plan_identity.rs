@@ -3,7 +3,7 @@
 //! went in.
 //!
 //! For every bundled benchmark and the `pdw-gen` seeds 0–31, each row holds
-//! the canonical-codec digests of
+//! the digests (FNV-1a over the canonical codec bytes) of
 //! - the merged PDW front-end groups (Shortest policy, parts and candidate
 //!   paths) and the greedy PDW schedule;
 //! - the DAWO front-end groups (Nearest policy) and the DAWO schedule.
@@ -13,7 +13,7 @@
 //! every digest unchanged; a deliberate plan change re-pins the table from
 //! the `actual` listing the failure prints.
 
-use pathdriver_wash::codec::canonical_digest;
+use pathdriver_wash::codec::canonical_bytes;
 use pathdriver_wash::{
     plan_partitioned, CandidatePolicy, DawoPlanner, FrontEndKey, GreedyPlanner, PdwConfig,
     PlanContext, Planner, RungKind,
@@ -46,6 +46,16 @@ fn instances() -> Vec<(String, Benchmark, Synthesis)> {
         }
     }
     out
+}
+
+/// FNV-1a 64 over a value's canonical bytes: the digest this table was
+/// pinned with, kept here so the pins outlive the codec's own hash.
+fn canonical_digest<T: serde::Serialize + ?Sized>(value: &T) -> u64 {
+    canonical_bytes(value)
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
 }
 
 fn front_end_digest(ctx: &PlanContext<'_>, key: FrontEndKey) -> u64 {
