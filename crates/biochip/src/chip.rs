@@ -11,7 +11,7 @@ use crate::error::ChipError;
 use crate::fault::FaultSet;
 use crate::grid::{CellKind, Coord, Grid};
 use crate::path::FlowPath;
-use crate::routing::{PortReach, RouteScratch};
+use crate::routing::{build_neighbor_table, PortReach, RouteScratch};
 
 /// Identifier of a flow (inlet) port on a chip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -60,6 +60,9 @@ pub struct Chip {
     /// part of the chip's identity: excluded from equality and
     /// serialization.
     reach: OnceLock<PortReach>,
+    /// Lazily built per-cell neighbor bytes (see [`build_neighbor_table`]),
+    /// excluded from identity like `reach`.
+    neighbor_table: OnceLock<Vec<u8>>,
 }
 
 impl PartialEq for Chip {
@@ -135,6 +138,7 @@ impl Deserialize for Chip {
             labels: labels.map_or_else(|| serde::missing("Chip", "labels"), Ok)?,
             faults: faults.unwrap_or_default(),
             reach: OnceLock::new(),
+            neighbor_table: OnceLock::new(),
         })
     }
 }
@@ -167,12 +171,13 @@ impl Chip {
             labels,
             faults: FaultSet::default(),
             reach: OnceLock::new(),
+            neighbor_table: OnceLock::new(),
         }
     }
 
     /// A copy of this chip carrying `faults`, replacing any existing fault
-    /// set. The routing caches are rebuilt lazily against the faulted
-    /// topology.
+    /// set. The routing caches (reachability fields and neighbor table)
+    /// are rebuilt lazily against the faulted topology.
     ///
     /// # Errors
     ///
@@ -216,6 +221,7 @@ impl Chip {
             labels: self.labels.clone(),
             faults,
             reach: OnceLock::new(),
+            neighbor_table: OnceLock::new(),
         })
     }
 
@@ -392,8 +398,8 @@ impl Chip {
     /// Routes `from → via… → tos[i]` for every `tos[i]` (port cells when
     /// more than one), avoiding `blocked` cells, and hands each path found
     /// to `each(i, path)` in `tos` order until it returns `true`. Each path
-    /// is the one [`route_via`](Self::route_via) returns for that `to`; the
-    /// legs through `via` are routed once. See
+    /// is the one [`route_via`](Self::route_via) returns for that `to`, lent
+    /// as a slice; the legs through `via` are routed once. See
     /// [`route_via_fan_with`](Self::route_via_fan_with).
     ///
     /// Backed by the same per-thread scratch as `route_via`, so `each` must
@@ -404,7 +410,7 @@ impl Chip {
         via: &[Coord],
         tos: &[Coord],
         blocked: &[Coord],
-        each: impl FnMut(usize, Vec<Coord>) -> bool,
+        each: impl FnMut(usize, &[Coord]) -> bool,
     ) {
         self.with_scratch(|chip, scratch| {
             scratch.load_blocked(blocked.iter().copied());
@@ -427,6 +433,14 @@ impl Chip {
     /// goes stale).
     pub fn port_reach(&self) -> &PortReach {
         self.reach.get_or_init(|| PortReach::compute(self))
+    }
+
+    /// The routing table: one byte per cell saying which neighbors a
+    /// route may step to from it (see [`build_neighbor_table`]), built on
+    /// first use.
+    pub(crate) fn neighbor_table(&self) -> &[u8] {
+        self.neighbor_table
+            .get_or_init(|| build_neighbor_table(self))
     }
 
     /// Pre-populates the lazy reachability cache, e.g. with fields carried

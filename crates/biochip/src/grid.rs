@@ -87,6 +87,10 @@ impl CellKind {
     }
 }
 
+/// The `(dx, dy)` steps to a cell's four neighbors, in the order
+/// [`Grid::neighbors`] yields them (+x, −x, +y, −y) and routing expands them.
+pub(crate) const NEIGHBOR_DELTAS: [(i32, i32); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
+
 /// The virtual grid `R` of size `W_G × H_G`.
 ///
 /// Devices and channels are placed on the cells of the grid; routing is
@@ -157,10 +161,10 @@ impl Grid {
         std::mem::replace(&mut self.cells[i], kind)
     }
 
-    /// The 4-connected in-bounds neighbors of `c`.
+    /// The 4-connected in-bounds neighbors of `c`, in +x, −x, +y, −y
+    /// order.
     pub fn neighbors(&self, c: Coord) -> impl Iterator<Item = Coord> + '_ {
-        const DELTAS: [(i32, i32); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
-        DELTAS.into_iter().filter_map(move |(dx, dy)| {
+        NEIGHBOR_DELTAS.into_iter().filter_map(move |(dx, dy)| {
             let x = c.x as i32 + dx;
             let y = c.y as i32 + dy;
             if x >= 0 && y >= 0 {

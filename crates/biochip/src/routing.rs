@@ -5,7 +5,16 @@
 //! state on every call. [`RouteScratch`] replaces those with flat
 //! `Vec`-indexed arrays keyed by grid cell index, stamped with epochs so a
 //! warm scratch is reused without clearing: after the first route on a given
-//! grid size, routing allocates nothing but the returned path.
+//! grid size, routing allocates nothing. A fan hands each path to its
+//! caller as a slice of one reused buffer; only the `Vec`-returning
+//! wrappers copy.
+//!
+//! Which neighbors a route may step to is decided once per chip: its
+//! neighbor table ([`build_neighbor_table`]) holds one byte per cell, a bit
+//! per direction for "in the grid, valve not stuck closed, cell routable
+//! and unclogged" and one for "that cell is a port", so a BFS leg reads one
+//! byte per dequeued cell instead of consulting the grid and the fault set
+//! per neighbor. A chip is immutable; a faulted copy builds its own table.
 //!
 //! A wash path is `[flow port → targets → waste port]`, and its legs up to
 //! the last target do not depend on the waste port: ports are impassable
@@ -25,13 +34,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::chip::Chip;
 use crate::fault::FaultDelta;
-use crate::grid::{CellKind, Coord};
+use crate::grid::{CellKind, Coord, NEIGHBOR_DELTAS};
 
 /// Monotone counters over all routing activity in the process.
 ///
 /// Incremented with relaxed ordering (they are statistics, not
-/// synchronization); read them with [`counters`] before and after a pipeline
-/// stage and subtract.
+/// synchronization), once per routing query; read them with [`counters`]
+/// before and after a pipeline stage and subtract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoutingCounters {
     /// Routing queries, one per (from, to) pair: a `route`/`route_via`
@@ -72,6 +81,48 @@ impl std::ops::Sub for RoutingCounters {
 
 const UNSET: u32 = u32::MAX;
 
+/// Builds `chip`'s routing table: one byte per cell, row-major. Bit `d`
+/// (directions in [`NEIGHBOR_DELTAS`] order: +x, −x, +y, −y) says the
+/// neighbor that way lies in the grid, the valve between the two cells is
+/// not stuck closed, and the neighbor is routable and unclogged (an
+/// enabled port, if it is a port). Bit `4 + d` says that neighbor is a
+/// port, which a leg may enter only as its goal.
+pub(crate) fn build_neighbor_table(chip: &Chip) -> Vec<u8> {
+    let grid = chip.grid();
+    let mut table = vec![0u8; grid.width() as usize * grid.height() as usize];
+    for (i, c) in grid.coords().enumerate() {
+        for (d, (dx, dy)) in NEIGHBOR_DELTAS.into_iter().enumerate() {
+            let (x, y) = (c.x as i32 + dx, c.y as i32 + dy);
+            if x < 0 || y < 0 {
+                continue;
+            }
+            let n = Coord::new(x as u16, y as u16);
+            // A port is passable as its own endpoint; `passable` refuses
+            // out-of-grid cells.
+            if !chip.passable(n, n, n) || !chip.edge_passable(c, n) {
+                continue;
+            }
+            table[i] |= 1 << d;
+            if matches!(grid.kind(n), CellKind::FlowPort(_) | CellKind::WastePort(_)) {
+                table[i] |= 1 << (4 + d);
+            }
+        }
+    }
+    table
+}
+
+/// Index of cell `i`'s neighbor in direction `d` on a `width`-wide grid;
+/// meaningful only where the routing table says that neighbor exists.
+#[inline]
+fn step(i: usize, d: u32, width: usize) -> usize {
+    match d {
+        0 => i + 1,
+        1 => i - 1,
+        2 => i + width,
+        _ => i - width,
+    }
+}
+
 /// Reusable BFS state for one grid size.
 ///
 /// All membership tests (`visited`, `blocked`, `used`, pending stops) are
@@ -102,6 +153,11 @@ pub struct RouteScratch {
     goal_epoch: u32,
     /// FIFO frontier.
     queue: Vec<u32>,
+    /// The path handed to a fan's callback, rebuilt in place per `to`.
+    path: Vec<Coord>,
+    /// BFS legs run by the current query, added to the process counter
+    /// with its routing queries.
+    bfs_runs: u64,
     /// Whether this scratch has served a route before (for the reuse
     /// counter).
     warm: bool,
@@ -132,6 +188,8 @@ impl RouteScratch {
             goal: vec![0; n],
             goal_epoch: 0,
             queue: Vec::with_capacity(n),
+            path: Vec::new(),
+            bfs_runs: 0,
             warm: false,
         }
     }
@@ -144,6 +202,12 @@ impl RouteScratch {
     #[inline]
     fn idx(&self, c: Coord) -> usize {
         c.y as usize * self.width as usize + c.x as usize
+    }
+
+    #[inline]
+    fn coord(&self, i: usize) -> Coord {
+        let w = self.width as usize;
+        Coord::new((i % w) as u16, (i / w) as u16)
     }
 
     /// Bumps an epoch counter, resetting the stamp array on wrap-around so a
@@ -179,11 +243,17 @@ impl RouteScratch {
     }
 
     /// Counts `queries` ≥ 1 (from, to) routing queries served by this
-    /// scratch.
+    /// scratch, and the BFS legs they ran.
     fn count_queries(&mut self, queries: u64) {
         ROUTE_CALLS.fetch_add(queries, Ordering::Relaxed);
+        let bfs = std::mem::take(&mut self.bfs_runs);
+        if bfs > 0 {
+            BFS_RUNS.fetch_add(bfs, Ordering::Relaxed);
+        }
         let reuses = if self.warm { queries } else { queries - 1 };
-        SCRATCH_REUSES.fetch_add(reuses, Ordering::Relaxed);
+        if reuses > 0 {
+            SCRATCH_REUSES.fetch_add(reuses, Ordering::Relaxed);
+        }
         self.warm = true;
     }
 
@@ -232,24 +302,26 @@ impl RouteScratch {
     /// stopping once all are reached. A goal is entered but never expanded,
     /// so the other cells' BFS tree is the one a single-goal search grows
     /// whenever the other goals are ports it may not cross anyway. A cell is
-    /// traversable when it is passable for the `(cur, cell)` endpoint pair
-    /// if a goal (`(cur, cur)` otherwise), not blocked, not consumed by an
-    /// earlier leg (`cur` itself is exempt: it is the head of the previous
-    /// leg, which this leg restarts from), and not a stop that must be
-    /// visited later (`rank > leg`).
+    /// traversable when the chip's routing table opens it from the cell
+    /// being expanded (a port only if it is a goal), it is not blocked, not
+    /// consumed by an earlier leg (`cur` itself is exempt: it is the head of
+    /// the previous leg, which this leg restarts from), and not a stop that
+    /// must be visited later (`rank > leg`).
     fn leg(&mut self, chip: &Chip, cur: Coord, leg: u32, mut goals: usize) {
-        BFS_RUNS.fetch_add(1, Ordering::Relaxed);
+        self.bfs_runs += 1;
         let start = self.idx(cur);
-        let pending = |s: &Self, i: usize| s.stop[i] == s.stop_epoch && s.stop_rank[i] > leg;
-        let barred = |s: &Self, i: usize, c: Coord| {
-            ((s.is_blocked(i) || s.is_used(i)) && c != cur) || pending(s, i)
+        let barred = |s: &Self, i: usize| {
+            ((s.is_blocked(i) || s.is_used(i)) && i != start)
+                || (s.stop[i] == s.stop_epoch && s.stop_rank[i] > leg)
         };
         // Bump first: a leg that cannot start must not leave an earlier
         // leg's visits looking `reached`.
         let e = Self::bump(&mut self.visit_epoch, &mut self.visit);
-        if !chip.passable(cur, cur, cur) || barred(self, start, cur) {
+        if !chip.passable(cur, cur, cur) || barred(self, start) {
             return;
         }
+        let table = chip.neighbor_table();
+        let width = self.width as usize;
         self.visit[start] = e;
         self.prev[start] = start as u32;
         self.queue.clear();
@@ -258,17 +330,17 @@ impl RouteScratch {
         while head < self.queue.len() {
             let ci = self.queue[head] as usize;
             head += 1;
-            let c = Coord::new(
-                (ci % self.width as usize) as u16,
-                (ci / self.width as usize) as u16,
-            );
-            for n in chip.grid().neighbors(c) {
-                let ni = self.idx(n);
-                if self.visit[ni] == e || barred(self, ni, n) {
+            let bits = table[ci];
+            let mut open = bits & 0xF;
+            while open != 0 {
+                let d = open.trailing_zeros();
+                open &= open - 1;
+                let ni = step(ci, d, width);
+                if self.visit[ni] == e || barred(self, ni) {
                     continue;
                 }
                 let goal = self.goal[ni] == self.goal_epoch;
-                if !chip.passable(n, cur, if goal { n } else { cur }) || !chip.edge_passable(c, n) {
+                if !goal && bits & (1 << (4 + d)) != 0 {
                     continue;
                 }
                 self.visit[ni] = e;
@@ -285,32 +357,21 @@ impl RouteScratch {
         }
     }
 
-    /// Appends the found leg path (endpoints included) to `out`.
-    fn extract(&self, from: Coord, to: Coord, out: &mut Vec<Coord>) {
-        let mark = out.len();
-        let start = self.idx(from) as u32;
-        let mut i = self.idx(to) as u32;
-        loop {
-            out.push(Coord::new(
-                (i % self.width as u32) as u16,
-                (i / self.width as u32) as u16,
-            ));
-            if i == start {
-                break;
-            }
-            i = self.prev[i as usize];
-        }
-        out[mark..].reverse();
-    }
-
     /// Appends the leg `from → to` found by the last BFS to `path`, minus
-    /// the leg-start cell `path` already ends with.
+    /// the leg-start cell `path` already ends with (with it, if `path` is
+    /// empty).
     fn append_leg(&self, from: Coord, to: Coord, path: &mut Vec<Coord>) {
         let mark = path.len();
-        self.extract(from, to, path);
-        if mark > 0 {
-            path.remove(mark);
+        let start = self.idx(from) as u32;
+        let mut i = self.idx(to) as u32;
+        while i != start {
+            path.push(self.coord(i as usize));
+            i = self.prev[i as usize];
         }
+        if mark == 0 {
+            path.push(from);
+        }
+        path[mark..].reverse();
     }
 }
 
@@ -330,21 +391,21 @@ impl Chip {
     ) -> Option<Vec<Coord>> {
         assert!(scratch.fits(self), "scratch sized for a different grid");
         scratch.begin_query();
+        let path = if !self.passable(from, from, to) || scratch.is_blocked(scratch.idx(from)) {
+            None
+        } else if from == to {
+            Some(vec![from])
+        } else {
+            let goals = scratch.stamp_goals([to]);
+            scratch.leg(self, from, 0, goals);
+            scratch.reached(to).then(|| {
+                let mut path = Vec::new();
+                scratch.append_leg(from, to, &mut path);
+                path
+            })
+        };
         scratch.count_queries(1);
-        if !self.passable(from, from, to) || scratch.is_blocked(scratch.idx(from)) {
-            return None;
-        }
-        if from == to {
-            return Some(vec![from]);
-        }
-        let goals = scratch.stamp_goals([to]);
-        scratch.leg(self, from, 0, goals);
-        if !scratch.reached(to) {
-            return None;
-        }
-        let mut path = Vec::new();
-        scratch.extract(from, to, &mut path);
-        Some(path)
+        path
     }
 
     /// Like [`route_via`](Self::route_via), but against the blocked set
@@ -363,7 +424,7 @@ impl Chip {
     ) -> Option<Vec<Coord>> {
         let mut out = None;
         self.route_via_fan_with(scratch, from, via, &[to], |_, path| {
-            out = Some(path);
+            out = Some(path.to_vec());
             true
         });
         out
@@ -374,7 +435,8 @@ impl Chip {
     /// `each` returns `true`. Every path equals what
     /// [`route_via_with`](Self::route_via_with) returns for that `to`, but
     /// the legs through `via` are routed once and the last leg is one BFS
-    /// from the last via cell with every `to` as a leaf goal.
+    /// from the last via cell with every `to` as a leaf goal. Each path is
+    /// lent to `each` from a buffer the scratch reuses: copy it to keep it.
     ///
     /// This is exact because a port is impassable except as a leg's
     /// endpoint: no single-`to` prefix leg can enter a port `to` that is not
@@ -397,7 +459,7 @@ impl Chip {
         from: Coord,
         via: &[Coord],
         tos: &[Coord],
-        mut each: impl FnMut(usize, Vec<Coord>) -> bool,
+        mut each: impl FnMut(usize, &[Coord]) -> bool,
     ) {
         assert!(scratch.fits(self), "scratch sized for a different grid");
         let fan = tos.len() > 1;
@@ -428,13 +490,14 @@ impl Chip {
             }
         }
 
-        let mut prefix: Vec<Coord> = Vec::new();
+        let mut path = std::mem::take(&mut scratch.path);
+        path.clear();
         let mut cur = from;
         let mut routed = true;
         for (k, &stop) in via.iter().enumerate() {
             if stop == cur {
-                if prefix.is_empty() {
-                    prefix.push(cur);
+                if path.is_empty() {
+                    path.push(cur);
                     let i = scratch.idx(cur);
                     scratch.used[i] = scratch.used_epoch;
                 }
@@ -446,14 +509,15 @@ impl Chip {
                 routed = false;
                 break;
             }
-            let mark = prefix.len();
-            scratch.append_leg(cur, stop, &mut prefix);
-            for &c in &prefix[mark..] {
+            let mark = path.len();
+            scratch.append_leg(cur, stop, &mut path);
+            for &c in &path[mark..] {
                 let i = scratch.idx(c);
                 scratch.used[i] = scratch.used_epoch;
             }
             cur = stop;
         }
+        let prefix = path.len();
         let pinned = |t: Coord| fan && (t == from || via.contains(&t));
         if routed {
             let goals =
@@ -465,27 +529,28 @@ impl Chip {
         let mut asked = 0;
         for (i, &to) in tos.iter().enumerate() {
             asked += 1;
-            let path = if pinned(to) {
-                (to == from && via.iter().all(|&v| v == to)).then(|| vec![from])
+            let found: Option<&[Coord]> = if pinned(to) {
+                (to == from && via.iter().all(|&v| v == to)).then_some(std::slice::from_ref(&from))
             } else if !routed {
                 None
             } else if to == cur {
-                Some(if prefix.is_empty() {
-                    vec![cur]
+                Some(if prefix == 0 {
+                    std::slice::from_ref(&cur)
                 } else {
-                    prefix.clone()
+                    &path[..prefix]
                 })
             } else if scratch.reached(to) {
-                let mut path = prefix.clone();
+                path.truncate(prefix);
                 scratch.append_leg(cur, to, &mut path);
-                Some(path)
+                Some(&path)
             } else {
                 None
             };
-            if path.is_some_and(|p| each(i, p)) {
+            if found.is_some_and(|p| each(i, p)) {
                 break;
             }
         }
+        scratch.path = path;
         scratch.count_queries(asked);
     }
 }
@@ -824,34 +889,30 @@ impl PortReach {
     }
 
     /// Single-source BFS from `port` over channel/device cells, respecting
-    /// the chip's faults (blocked cells and stuck-closed valves).
+    /// the chip's faults (blocked cells and stuck-closed valves) through
+    /// its routing table.
     fn field(chip: &Chip, port: Coord) -> Vec<u32> {
         let w = chip.grid().width() as usize;
         let h = chip.grid().height() as usize;
+        let table = chip.neighbor_table();
         let mut dist = vec![u32::MAX; w * h];
-        let mut queue: Vec<Coord> = vec![port];
-        dist[port.y as usize * w + port.x as usize] = 0;
+        let start = port.y as usize * w + port.x as usize;
+        let mut queue: Vec<usize> = vec![start];
+        dist[start] = 0;
         let mut head = 0;
         while head < queue.len() {
-            let c = queue[head];
+            let ci = queue[head];
             head += 1;
-            let d = dist[c.y as usize * w + c.x as usize];
-            for n in chip.grid().neighbors(c) {
-                let ni = n.y as usize * w + n.x as usize;
-                if dist[ni] != u32::MAX {
-                    continue;
+            let d = dist[ci];
+            // Ports other than the source are impassable.
+            let mut open = table[ci] & 0xF & !(table[ci] >> 4);
+            while open != 0 {
+                let ni = step(ci, open.trailing_zeros(), w);
+                open &= open - 1;
+                if dist[ni] == u32::MAX {
+                    dist[ni] = d + 1;
+                    queue.push(ni);
                 }
-                // Ports other than the source are impassable, as are
-                // faulted cells and edges.
-                match chip.grid().kind(n) {
-                    CellKind::Channel | CellKind::Device(_) => {}
-                    _ => continue,
-                }
-                if chip.faults().cell_blocked(n) || !chip.edge_passable(c, n) {
-                    continue;
-                }
-                dist[ni] = d + 1;
-                queue.push(n);
             }
         }
         dist
@@ -1219,6 +1280,113 @@ mod tests {
         assert!(after.bfs_runs > before.bfs_runs);
     }
 
+    #[test]
+    fn with_faults_on_a_built_table_routes_around_the_new_fault() {
+        // Two corridors from in (0, 1) to out (4, 1): row 1, and a detour
+        // over row 0 joining it at columns 1 and 3.
+        let mut b = ChipBuilder::new(5, 3)
+            .flow_port("in", Coord::new(0, 1))
+            .unwrap()
+            .waste_port("out", Coord::new(4, 1))
+            .unwrap();
+        for c in [(1, 1), (2, 1), (3, 1), (1, 0), (2, 0), (3, 0)] {
+            b = b.channel(Coord::new(c.0, c.1)).unwrap();
+        }
+        let c = b.build().unwrap();
+        let (from, to) = (Coord::new(0, 1), Coord::new(4, 1));
+        let straight: Vec<Coord> = (0..5).map(|x| Coord::new(x, 1)).collect();
+        // Routing builds the pristine chip's table before the faults exist.
+        assert_eq!(c.route(from, to, &[]), Some(straight.clone()));
+        let detour = [(0, 1), (1, 1), (1, 0), (2, 0), (3, 0), (3, 1), (4, 1)]
+            .map(|(x, y)| Coord::new(x, y))
+            .to_vec();
+
+        let mut clogged = FaultSet::new();
+        clogged.block_cell(Coord::new(2, 1));
+        let f = c.with_faults(clogged).unwrap();
+        assert_eq!(f.route(from, to, &[]), Some(detour.clone()));
+
+        let mut stuck = FaultSet::new();
+        stuck.block_edge(Coord::new(3, 1), Coord::new(2, 1));
+        let f = c.with_faults(stuck).unwrap();
+        let path = f.route(from, to, &[]).expect("the detour stays open");
+        assert!(path
+            .windows(2)
+            .all(|w| !f.faults().edge_blocked(w[0], w[1])));
+        assert_eq!(path.len(), detour.len());
+
+        let mut closed = FaultSet::new();
+        closed.disable_waste_port(crate::chip::WastePortId(0));
+        assert_eq!(c.with_faults(closed).unwrap().route(from, to, &[]), None);
+        // The pristine chip's table is untouched by its faulted copies.
+        assert_eq!(c.route(from, to, &[]), Some(straight));
+    }
+
+    /// `route_via` as a plain BFS that asks the chip, per neighbor, whether
+    /// the cell is passable and the valve between the two cells open: the
+    /// semantics the routing table encodes, visit order (and so every
+    /// path) included. Each stop ranks by its last position in `via ++
+    /// [to]`; a leg may not enter a stop ranked after it, a blocked cell or
+    /// a cell an earlier leg used (its own start excepted).
+    fn reference_route_via(
+        chip: &Chip,
+        blocked: &[Coord],
+        from: Coord,
+        via: &[Coord],
+        to: Coord,
+    ) -> Option<Vec<Coord>> {
+        use std::collections::{HashMap, VecDeque};
+        let stops: HashMap<Coord, usize> = via.iter().chain([&to]).copied().zip(0..).collect();
+        let mut path: Vec<Coord> = Vec::new();
+        let mut cur = from;
+        for (k, &stop) in via.iter().chain([&to]).enumerate() {
+            if stop == cur {
+                if path.is_empty() {
+                    path.push(cur);
+                }
+                continue;
+            }
+            let barred = |c: Coord| {
+                ((blocked.contains(&c) || path.contains(&c)) && c != cur)
+                    || stops.get(&c).is_some_and(|&r| r > k)
+            };
+            if !chip.passable(cur, cur, cur) || barred(cur) {
+                return None;
+            }
+            let mut prev: HashMap<Coord, Coord> = HashMap::from([(cur, cur)]);
+            let mut queue = VecDeque::from([cur]);
+            'bfs: while let Some(c) = queue.pop_front() {
+                for n in chip.grid().neighbors(c) {
+                    if prev.contains_key(&n) || barred(n) {
+                        continue;
+                    }
+                    let dst = if n == stop { n } else { cur };
+                    if !chip.passable(n, cur, dst) || !chip.edge_passable(c, n) {
+                        continue;
+                    }
+                    prev.insert(n, c);
+                    if n == stop {
+                        break 'bfs;
+                    }
+                    queue.push_back(n);
+                }
+            }
+            prev.get(&stop)?;
+            let mark = path.len();
+            let mut c = stop;
+            while c != cur {
+                path.push(c);
+                c = prev[&c];
+            }
+            if mark == 0 {
+                path.push(cur);
+            }
+            path[mark..].reverse();
+            cur = stop;
+        }
+        Some(path)
+    }
+
     /// A random chip for the fan property: a `w × h` grid whose ports sit
     /// on distinct boundary cells drawn by `next`, every other cell a
     /// channel unless `cells` paints it empty, with blocked cells,
@@ -1322,10 +1490,63 @@ mod tests {
             }
             let mut got = Vec::new();
             chip.route_via_fan_with(&mut s, from, &via, &tos, |i, p| {
-                got.push((i, p));
+                got.push((i, p.to_vec()));
                 got.len() == stop_after
             });
             proptest::prop_assert_eq!(got, want);
+        }
+
+        /// Routing through the chip's neighbor table returns exactly the
+        /// paths of a BFS that asks `passable`/`edge_passable` per
+        /// neighbor, on random grids with clogged cells, stuck valves,
+        /// disabled ports, blocked sets, cells used by earlier legs and
+        /// pending stops; endpoints and stops may be ports, channels or
+        /// empty cells.
+        #[test]
+        fn table_routes_match_reference_bfs(
+            dims in (4u16..=8, 4u16..=8),
+            cells in proptest::collection::vec(0u8..10, 64),
+            picks in proptest::collection::vec(0u16..1024, 32),
+        ) {
+            use crate::chip::FlowPortId;
+            let mut pick = picks.iter().cycle();
+            let mut next = |n: usize| *pick.next().unwrap() as usize % n.max(1);
+            let (chip, flows, wastes) = fan_chip(dims, &cells, &mut next);
+            let chip = if next(3) == 0 {
+                let mut faults = chip.faults().clone();
+                faults.disable_flow_port(FlowPortId(next(flows.len()) as u32));
+                chip.with_faults(faults).unwrap()
+            } else {
+                chip
+            };
+            let (w, h) = (dims.0 as usize, dims.1 as usize);
+            let ports = [&flows[..], &wastes[..]].concat();
+            // A grid cell, or one of `ports` one time in four.
+            let cell = |ports: &[Coord], next: &mut dyn FnMut(usize) -> usize| match next(4) {
+                0 if !ports.is_empty() => ports[next(ports.len())],
+                _ => Coord::new(next(w) as u16, next(h) as u16),
+            };
+            let blocked: Vec<Coord> = (0..next(4)).map(|_| cell(&[], &mut next)).collect();
+            let from = match next(2) {
+                0 => flows[next(flows.len())],
+                _ => cell(&ports, &mut next),
+            };
+            let via: Vec<Coord> = (0..next(5)).map(|_| cell(&ports, &mut next)).collect();
+            let to = match next(2) {
+                0 => wastes[next(wastes.len())],
+                _ => cell(&ports, &mut next),
+            };
+
+            let mut s = RouteScratch::for_chip(&chip);
+            s.load_blocked(blocked.iter().copied());
+            proptest::prop_assert_eq!(
+                chip.route_via_with(&mut s, from, &via, to),
+                reference_route_via(&chip, &blocked, from, &via, to)
+            );
+            let plain = (chip.passable(from, from, to) && !blocked.contains(&from))
+                .then(|| reference_route_via(&chip, &blocked, from, &[], to))
+                .flatten();
+            proptest::prop_assert_eq!(chip.route_with(&mut s, from, to), plain);
         }
     }
 }

@@ -133,22 +133,32 @@ pub fn insert_washes_protected(
     let mut placements: Vec<Placement> = Vec::new();
     let mut integrated: Vec<(TaskId, Task)> = Vec::new();
     let mut remaining: Vec<usize> = (0..groups.len()).collect();
+    // The occupancy index and each group's window persist across
+    // placements until a shift or an integrated removal changes them:
+    // pushing a wash moves no residency and no window (windows read only
+    // operations and non-wash tasks, and task ids are never reused).
+    let mut timeline: Option<Timeline> = None;
+    let mut windows: Vec<Option<(Time, Time)>> = vec![None; groups.len()];
 
     while !remaining.is_empty() {
         // Earliest current deadline first (sweep line).
-        remaining.sort_by_key(|&gi| window(&schedule, &groups[gi]).1);
+        for &gi in &remaining {
+            if windows[gi].is_none() {
+                windows[gi] = Some(window(&schedule, &groups[gi]));
+            }
+        }
+        remaining.sort_by_key(|&gi| windows[gi].expect("window just filled").1);
         let gi = remaining.remove(0);
-        let (ready, deadline) = window(&schedule, &groups[gi]);
+        let (ready, deadline) = windows[gi].expect("window just filled");
 
-        let timeline = Timeline::new(chip, &schedule);
+        let tl = timeline.get_or_insert_with(|| Timeline::new(chip, &schedule));
         // Try candidates shortest-first inside the window.
         let mut choice: Option<(usize, Time, Time)> = None; // (ci, t, delay)
         for (ci, cand) in groups[gi].candidates.iter().enumerate() {
             if deadline.checked_sub(cand.duration).is_none() {
                 continue;
             }
-            if let Some(t) =
-                timeline.earliest_fit(cand.path.mask(), ready, cand.duration, Some(deadline))
+            if let Some(t) = tl.earliest_fit(cand.path.mask(), ready, cand.duration, Some(deadline))
             {
                 choice = Some((ci, t, 0));
                 break;
@@ -161,7 +171,7 @@ pub fn insert_washes_protected(
         if choice.is_none() {
             for (ci, cand) in groups[gi].candidates.iter().enumerate() {
                 if let Some(t) =
-                    timeline.earliest_fit_shifted(cand.path.mask(), ready, cand.duration, deadline)
+                    tl.earliest_fit_shifted(cand.path.mask(), ready, cand.duration, deadline)
                 {
                     let delay = (t + cand.duration).saturating_sub(deadline);
                     if choice.is_none_or(|(_, _, d)| delay < d) {
@@ -212,10 +222,12 @@ pub fn insert_washes_protected(
             );
             let mut pieces = pieces.into_iter();
             groups[gi] = pieces.next().expect("split produces at least one piece");
+            windows[gi] = None;
             remaining.push(gi);
             for piece in pieces {
                 remaining.push(groups.len());
                 groups.push(piece);
+                windows.push(None);
             }
             continue;
         };
@@ -267,7 +279,10 @@ pub fn insert_washes_protected(
         // Note: groups sourced by an integrated removal are kept. Their
         // washes still serve the *older* residues on those cells — exactly
         // what makes deleting the removal safe (see `Analysis::deletable`).
-        let _ = newly_integrated;
+        if delay > 0 || !newly_integrated.is_empty() {
+            timeline = None;
+            windows.fill(None);
+        }
 
         let task = schedule.push_task(Task::new(
             TaskKind::Wash {
@@ -278,6 +293,9 @@ pub fn insert_washes_protected(
             cand.duration,
             FluidType::BUFFER,
         ));
+        if let Some(tl) = &mut timeline {
+            tl.push_wash(schedule.task(task));
+        }
         placements.push(Placement {
             group: gi,
             candidate: ci,

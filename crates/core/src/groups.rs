@@ -98,11 +98,6 @@ impl WashGroup {
         }
         out
     }
-
-    /// The target sequences (one per part), for candidate enumeration.
-    pub fn target_seqs(&self) -> Vec<Vec<Coord>> {
-        self.parts.iter().map(|p| p.seq.clone()).collect()
-    }
 }
 
 /// End time of a residue source in the current schedule. A source task that
@@ -160,12 +155,11 @@ pub(crate) fn window(schedule: &Schedule, g: &WashGroup) -> (Time, Time) {
 /// device that contains none of the targets. A wash may thread through a
 /// device only to wash it — an apparently idle device may hold a resident
 /// plug exactly inside the wash's only feasible window.
-fn wash_blocked(chip: &Chip, targets: &CellSet) -> Vec<Coord> {
+fn wash_blocked<'a>(chip: &'a Chip, targets: &'a CellSet) -> impl Iterator<Item = Coord> + 'a {
     chip.devices()
         .iter()
         .filter(|d| !d.footprint().iter().any(|c| targets.contains(*c)))
         .flat_map(|d| d.footprint().iter().copied())
-        .collect()
 }
 
 /// Enumerates candidate wash paths for the target sequences, shortest first.
@@ -179,11 +173,11 @@ pub fn enumerate_candidates(chip: &Chip, target_seqs: &[Vec<Coord>], k: usize) -
 }
 
 /// [`enumerate_candidates`] against a caller-held scratch (allocation-free
-/// after warm-up).
-fn enumerate_with(
+/// after warm-up, but for the paths it keeps).
+fn enumerate_with<S: AsRef<[Coord]>>(
     chip: &Chip,
     scratch: &mut RouteScratch,
-    target_seqs: &[Vec<Coord>],
+    target_seqs: &[S],
     k: usize,
 ) -> Vec<Candidate> {
     let mut found: Vec<FlowPath> = Vec::new();
@@ -193,8 +187,8 @@ fn enumerate_with(
         target_seqs,
         |_, _| false,
         |path| {
-            if !found.contains(&path) {
-                found.push(path);
+            if !found.iter().any(|p| p.cells() == path) {
+                found.push(FlowPath::new(path.to_vec()).expect("route_via returns a simple path"));
             }
             false
         },
@@ -211,7 +205,7 @@ fn coverable(chip: &Chip, scratch: &mut RouteScratch, seq: &[Coord]) -> bool {
     route_washes(
         chip,
         scratch,
-        &[seq.to_vec()],
+        &[seq],
         |_, _| false,
         |_| {
             any = true;
@@ -224,15 +218,19 @@ fn coverable(chip: &Chip, scratch: &mut RouteScratch, seq: &[Coord]) -> bool {
 /// Routes a wash through the target sequences for every flow/waste port
 /// pair in turn but those `skip` names, handing each path found to `stop`
 /// until it returns `true`. Each flow port's legs through the targets are
-/// routed once and fanned out to its waste ports.
-fn route_washes(
+/// routed once and fanned out to its waste ports; each path is lent to
+/// `stop` from the scratch's buffer.
+fn route_washes<S: AsRef<[Coord]>>(
     chip: &Chip,
     scratch: &mut RouteScratch,
-    target_seqs: &[Vec<Coord>],
+    target_seqs: &[S],
     skip: impl Fn(Coord, Coord) -> bool,
-    mut stop: impl FnMut(FlowPath) -> bool,
+    mut stop: impl FnMut(&[Coord]) -> bool,
 ) {
-    let targets: CellSet = target_seqs.iter().flatten().copied().collect();
+    let targets: CellSet = target_seqs
+        .iter()
+        .flat_map(|s| s.as_ref().iter().copied())
+        .collect();
     // Hopeless-query pruning: `route_via` greedily routes port-free legs, so
     // a target cell unreachable from a port with *no* blocking can never lie
     // on a wash path from that port — skipping those pairs cannot change the
@@ -242,37 +240,53 @@ fn route_washes(
     if targets.iter().any(|c| !reach.washable(c)) {
         return;
     }
-    let blocked = wash_blocked(chip, &targets);
-    scratch.load_blocked(blocked);
+    scratch.load_blocked(wash_blocked(chip, &targets));
 
+    let mut order: Vec<usize> = Vec::with_capacity(target_seqs.len());
+    let mut via: Vec<Coord> = Vec::with_capacity(targets.len());
+    let mut wps: Vec<Coord> = Vec::new();
     for (pi, fp) in chip.flow_ports().enumerate() {
         if targets.iter().any(|c| !reach.flow_reaches(pi, c)) {
             continue;
         }
-        // Order the blocks near-to-far from the entry port; orient each
-        // block to enter at its end nearest the previous position.
-        let mut seqs: Vec<Vec<Coord>> = target_seqs.to_vec();
-        seqs.sort_by_key(|s| s.iter().map(|c| c.manhattan(fp)).min().unwrap_or(u32::MAX));
-        let mut via: Vec<Coord> = Vec::new();
+        // Order the blocks near-to-far from the entry port (ties keep
+        // input order); orient each block to enter at its end nearest the
+        // previous position.
+        let near = |b: usize| {
+            let seq = target_seqs[b].as_ref();
+            seq.iter()
+                .map(|c| c.manhattan(fp))
+                .min()
+                .unwrap_or(u32::MAX)
+        };
+        order.clear();
+        order.extend(0..target_seqs.len());
+        order.sort_unstable_by_key(|&b| (near(b), b));
+        via.clear();
         let mut pos = fp;
-        for mut seq in seqs {
+        for &b in &order {
+            let seq = target_seqs[b].as_ref();
             let d_front = seq.first().map(|c| c.manhattan(pos)).unwrap_or(0);
             let d_back = seq.last().map(|c| c.manhattan(pos)).unwrap_or(0);
             if d_back < d_front {
-                seq.reverse();
+                via.extend(seq.iter().rev());
+            } else {
+                via.extend(seq);
             }
-            pos = *seq.last().expect("sequences are nonempty");
-            via.extend(seq);
+            pos = *via.last().expect("sequences are nonempty");
         }
-        let wps: Vec<Coord> = chip
-            .waste_ports()
-            .enumerate()
-            .filter(|&(wi, wp)| !skip(fp, wp) && targets.iter().all(|c| reach.waste_reaches(wi, c)))
-            .map(|(_, wp)| wp)
-            .collect();
+        wps.clear();
+        wps.extend(
+            chip.waste_ports()
+                .enumerate()
+                .filter(|&(wi, wp)| {
+                    !skip(fp, wp) && targets.iter().all(|c| reach.waste_reaches(wi, c))
+                })
+                .map(|(_, wp)| wp),
+        );
         let mut stopped = false;
         chip.route_via_fan_with(scratch, fp, &via, &wps, |_, cells| {
-            stopped = stop(FlowPath::new(cells).expect("route_via returns a simple path"));
+            stopped = stop(cells);
             stopped
         });
         if stopped {
@@ -558,8 +572,7 @@ fn split_runs_gapped(schedule: &Schedule, part: &WashPart, gap: usize) -> Vec<Wa
 fn nearest_candidate(chip: &Chip, scratch: &mut RouteScratch, g: &mut WashGroup) {
     let targets = g.targets();
     let target_set: CellSet = targets.iter().copied().collect();
-    let blocked = wash_blocked(chip, &target_set);
-    scratch.load_blocked(blocked);
+    scratch.load_blocked(wash_blocked(chip, &target_set));
     let mut fps: Vec<Coord> = chip.flow_ports().collect();
     fps.sort_by_key(|fp| {
         targets
@@ -585,7 +598,7 @@ fn nearest_candidate(chip: &Chip, scratch: &mut RouteScratch, g: &mut WashGroup)
         wps.sort_by_key(|wp| pos.manhattan(*wp));
         let mut found = None;
         chip.route_via_fan_with(scratch, fp, &via, &wps, |_, cells| {
-            found = Some(cells);
+            found = Some(cells.to_vec());
             true
         });
         if let Some(cells) = found {
@@ -733,9 +746,8 @@ fn merged_candidates(
     // yield a passing shortest path, so only the other pairs are routed;
     // none left, or the targets alone finding no slot for the shortest
     // flush, rejects outright.
-    let mut seqs = a.target_seqs();
-    seqs.extend(b.target_seqs());
-    let targets: CellSet = seqs.iter().flatten().copied().collect();
+    let seqs: Vec<&[Coord]> = a.parts.iter().chain(&b.parts).map(|p| &p.seq[..]).collect();
+    let targets: CellSet = seqs.iter().copied().flatten().copied().collect();
     let (walk, between) = wash_len_bound(&targets);
     let passes = |len: usize| {
         // Merging must not lengthen L_wash more than α saves.
@@ -748,15 +760,15 @@ fn merged_candidates(
     }
     let least = flow_duration(entry + between + exit) + DISSOLUTION_S;
     timeline.earliest_fit(&targets, ready, least, Some(deadline))?;
-    let mut best: Option<FlowPath> = None;
+    let mut best: Option<Vec<Coord>> = None;
     let skip = |fp, wp| !passes(walk(fp) + between + walk(wp));
     route_washes(chip, scratch, &seqs, skip, |path| {
         if best.as_ref().is_none_or(|b| path.len() < b.len()) {
-            best = Some(path);
+            best = Some(path.to_vec());
         }
         false
     });
-    let best = Candidate::from_path(best?);
+    let best = Candidate::from_path(FlowPath::new(best?).expect("route_via returns a simple path"));
     if !passes(best.path.len()) {
         return None;
     }

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use pdw_biochip::{CellSet, Chip};
-use pdw_sched::{Schedule, TaskKind, Time};
+use pdw_sched::{Schedule, Task, TaskKind, Time};
 
 /// One busy interval on a set of cells: a task's path over its window, or a
 /// device footprint from the start of an operation's loading to the pickup
@@ -20,10 +20,24 @@ struct Item {
     moves_at: Time,
 }
 
-/// An immutable occupancy index over a schedule.
+impl Item {
+    /// A task's path over its window.
+    fn task(t: &Task) -> Self {
+        Item {
+            cells: t.path().mask().clone(),
+            start: t.start(),
+            end: t.end(),
+            moves_at: t.start(),
+        }
+    }
+}
+
+/// An occupancy index over a schedule.
 ///
-/// Rebuilt after every mutation — schedules are small (hundreds of tasks),
-/// so reconstruction is cheaper than maintaining the index incrementally.
+/// Rebuilt after a mutation that moves or removes anything — schedules are
+/// small (hundreds of tasks), so reconstruction is cheaper than maintaining
+/// the index incrementally — and grown in place by
+/// [`push_wash`](Self::push_wash).
 #[derive(Debug, Clone)]
 pub(crate) struct Timeline {
     items: Vec<Item>,
@@ -33,15 +47,7 @@ impl Timeline {
     /// Builds the occupancy index: every task plus every operation's
     /// loading-to-pickup device residency.
     pub fn new(chip: &Chip, schedule: &Schedule) -> Self {
-        let mut items: Vec<Item> = schedule
-            .tasks()
-            .map(|(_, t)| Item {
-                cells: t.path().mask().clone(),
-                start: t.start(),
-                end: t.end(),
-                moves_at: t.start(),
-            })
-            .collect();
+        let mut items: Vec<Item> = schedule.tasks().map(|(_, t)| Item::task(t)).collect();
 
         // Device occupancy windows: (load start, pickup end, pickup start).
         let mut occupancy: HashMap<_, (Time, Time, Time)> = schedule
@@ -88,6 +94,18 @@ impl Timeline {
             });
         }
         Timeline { items }
+    }
+
+    /// Adds the busy interval of a wash task just pushed onto the indexed
+    /// schedule. A wash moves no device residency, and the fit queries do
+    /// not depend on item order, so the result answers every query as a
+    /// [`new`](Self::new) index over the grown schedule does.
+    pub fn push_wash(&mut self, wash: &Task) {
+        debug_assert!(
+            wash.kind().is_wash(),
+            "only a wash leaves residencies alone"
+        );
+        self.items.push(Item::task(wash));
     }
 
     /// Earliest `t ≥ ready` with `t + dur ≤ deadline` (when given) such that

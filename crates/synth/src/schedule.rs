@@ -86,7 +86,7 @@ fn keep_shortest(
 ) {
     chip.route_via_fan(from, via, wps, blocked, |_, p| {
         if best.as_ref().is_none_or(|b| p.len() < b.len()) {
-            *best = Some(p);
+            *best = Some(p.to_vec());
         }
         false
     });
