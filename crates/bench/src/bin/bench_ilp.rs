@@ -55,7 +55,7 @@ struct Table2Report {
     /// Whether the search found a better incumbent than its greedy warm
     /// start (a served ILP plan may be the warm start unchanged).
     improved_on_greedy: bool,
-    /// Rows and columns of a model the dense-tableau size guard refused.
+    /// Rows and columns of a model the tableau size guard refused.
     refused_model: Option<(usize, usize)>,
     stats: Option<SolverStats>,
 }
@@ -231,7 +231,7 @@ fn main() {
                 }
             ),
             (None, Some((rows, cols))) => println!(
-                "table2[{}]: {rows}x{cols} model refused by the dense-tableau size guard",
+                "table2[{}]: {rows}x{cols} model refused by the tableau size guard",
                 t.benchmark
             ),
             (None, None) => println!("table2[{}]: ILP refinement not adopted", t.benchmark),

@@ -45,7 +45,7 @@ pub struct Row {
     /// Detailed ILP solver counters (`None` when the ILP never ran or its
     /// refinement was rejected).
     pub solver_stats: Option<SolverStats>,
-    /// Rows and columns of an ILP model the dense-tableau size guard
+    /// Rows and columns of an ILP model the tableau size guard
     /// refused before solving.
     pub ilp_refused_model: Option<(usize, usize)>,
 }

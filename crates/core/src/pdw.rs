@@ -428,23 +428,53 @@ mod tests {
         assert!(!r.solver.used_ilp);
     }
 
-    /// Kinase act-2's ILP is refused before solving; the served greedy plan
-    /// names the refused model's size.
+    /// A 60-operation synthetic assay's ILP (27,504 rows × 2,333 columns,
+    /// 64M tableau entries) is over the size guard and refused before
+    /// solving; the served greedy plan names the refused model's size.
     #[test]
     fn refused_ilp_model_is_named_in_the_degradation_events() {
-        let bench = benchmarks::kinase_act_2();
-        let s = synthesize(&bench).unwrap();
+        let spec = pdw_assay::synthetic::SyntheticSpec {
+            name: "oversized-ilp".into(),
+            ops: 60,
+            edges: 80,
+            devices: 10,
+            seed: 1,
+            grid: (25, 25),
+        };
+        let (bench, s) = pdw_gen::instance(&spec).expect("spec synthesizes");
         let r = pdw(&bench, &s, &PdwConfig::default()).unwrap();
         assert!(!r.solver.used_ilp);
         assert_eq!(r.solver.stats, None);
-        assert_eq!(r.pipeline.ilp_refused_model, Some((12715, 1670)));
+        assert_eq!(r.pipeline.ilp_refused_model, Some((27504, 2333)));
         let events = r.pipeline.degradation_events();
         assert!(
             events
                 .iter()
-                .any(|e| e.starts_with("ILP refinement rejected (a 12715-row × 1670-column")),
+                .any(|e| e.starts_with("ILP refinement rejected (a 27504-row × 2333-column")),
             "{events:?}"
         );
+    }
+
+    /// Kinase act-2, the largest Table II model (12,715 rows × 1,670
+    /// columns), is admitted: the ILP searches it within a short budget
+    /// and the served plan validates.
+    #[test]
+    fn kinase_act_2_ilp_is_searched_and_serves_a_valid_plan() {
+        let bench = benchmarks::kinase_act_2();
+        let s = synthesize(&bench).unwrap();
+        let r = pdw(
+            &bench,
+            &s,
+            &PdwConfig {
+                ilp_budget: std::time::Duration::from_secs(1),
+                ..PdwConfig::default()
+            },
+        )
+        .unwrap();
+        assert!(r.solver.used_ilp);
+        assert!(r.solver.stats.is_some());
+        assert_eq!(r.pipeline.ilp_refused_model, None);
+        validate(&s.chip, &bench.graph, &r.schedule).unwrap();
     }
 
     #[test]

@@ -57,11 +57,11 @@ pub struct PipelineStats {
     /// proving optimality.
     pub ilp_budget_expired: bool,
     /// The ILP refinement was rejected (its model was refused by the
-    /// dense-tableau size guard, or its schedule was invalid, regressed the
+    /// tableau size guard, or its schedule was invalid, regressed the
     /// objective or was not found) and the greedy schedule was served
     /// instead.
     pub ilp_rejected: bool,
-    /// Rows and columns of an ILP model the dense-tableau size guard
+    /// Rows and columns of an ILP model the tableau size guard
     /// refused before solving (`None` when no model was refused). Left out
     /// of the encoding when `None`.
     #[serde(default, skip_serializing_if = "Option::is_none")]
@@ -152,7 +152,7 @@ impl PipelineStats {
             out.push(match self.ilp_refused_model {
                 Some((rows, cols)) => format!(
                     "ILP refinement rejected (a {rows}-row × {cols}-column model is over the \
-                     dense-tableau size guard); greedy schedule served"
+                     tableau size guard); greedy schedule served"
                 ),
                 None => "ILP refinement rejected; greedy schedule served".into(),
             });

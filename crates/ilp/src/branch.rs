@@ -1,38 +1,48 @@
 //! Parallel branch-and-bound over the integer variables.
 //!
-//! The search runs a pool of workers over a shared best-first frontier
-//! (ordered by parent LP bound, ties broken by creation sequence so a
-//! single-threaded run is fully reproducible). Each worker *dives*: after
-//! branching it keeps the child nearer to the fractional LP value and pushes
-//! the other onto the shared heap, which gives depth-first incumbent
-//! discovery inside a best-first global ordering.
+//! The search runs up to four **lanes** over a shared best-first frontier
+//! (ordered by parent LP bound, ties broken by creation sequence). Each
+//! lane *dives*: after branching it keeps the child nearer to the
+//! fractional LP value in hand and hands the other to the heap, which gives
+//! depth-first incumbent discovery inside a best-first global ordering.
+//!
+//! The search proceeds in rounds. At the start of a round every idle lane
+//! takes the best open node; then each lane dives for up to 32 node LPs
+//! against the round's incumbent; then the lanes' outcomes — new
+//! incumbents, far children, stalls — are applied in lane order. The lanes
+//! of a round run side by side on up to `threads` threads, but nothing a
+//! lane does depends on the others until the merge, so the search — every
+//! node, pivot and incumbent — is the same at any thread count; threads
+//! change only how fast it goes, and so where a wall-clock budget stops
+//! it. The lane count depends on the model alone: four, or fewer when
+//! their tableaux would hold more than 40M entries together.
 //!
 //! Three things keep the per-node cost low:
 //!
 //! - **Copy-on-write bounds.** A node stores only its single branched bound
 //!   as a [`BoundDelta`] linked to the parent's chain via `Arc`, instead of
-//!   cloning full `lb`/`ub` vectors; workers materialize the chain into
+//!   cloning full `lb`/`ub` vectors; lanes materialize the chain into
 //!   reusable scratch buffers.
 //! - **Warm-started LPs.** Each node shares its optimal basis with both
 //!   children ([`Basis`]), so a child LP restarts with the dual simplex
 //!   instead of a cold two-phase solve. Numerical trouble falls back to the
 //!   cold path (counted in [`SolverStats::warm_start_fallbacks`]).
-//! - **A live tableau per worker.** Every worker owns one [`Workspace`]
-//!   whose tableau carries over from node to node: a dive child starts
-//!   from the basis its parent left behind, and a node popped from the heap
-//!   pivots in only the few basis columns it differs by (counted in
+//! - **A live tableau per lane.** Every lane owns one [`Workspace`] whose
+//!   tableau carries over from node to node: a dive child starts from the
+//!   basis its parent left behind, and a node popped from the heap pivots
+//!   in only the few basic variables it differs by (counted in
 //!   [`SolverStats::basis_repair_pivots`]). Full rebuilds are the exception
 //!   ([`SolverStats::refactorizations`]), and node solves are
 //!   allocation-free apart from the two `Arc`s per branching.
 //!
-//! Pruning is conservative (`bound >= incumbent - 1e-9`, same as the
-//! sequential version), so an exhausted search proves optimality and the
-//! final objective is identical regardless of thread count.
+//! Pruning is conservative (a node survives while its bound beats the
+//! incumbent by more than a relative 1e-9, which also keeps round-off from
+//! counting as an improvement), so an exhausted search proves optimality.
 
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::model::{Model, VarType};
@@ -53,9 +63,9 @@ pub struct SolveOptions {
     /// objective becomes the initial cutoff, guaranteeing the result is
     /// never worse than the warm start.
     pub warm_start: Option<Vec<f64>>,
-    /// Worker threads for the tree search. `0` (the default) uses the
-    /// machine's available parallelism. The objective is thread-count
-    /// invariant; only wall-clock time changes.
+    /// Threads that run the search's lanes. `0` (the default) uses the
+    /// machine's available parallelism. The search is the same at any
+    /// thread count; only wall-clock time changes (module doc).
     pub threads: usize,
 }
 
@@ -95,7 +105,7 @@ pub struct IncumbentEvent {
 pub struct SolverStats {
     /// Branch-and-bound nodes processed (LP relaxations solved).
     pub nodes: u64,
-    /// Worker threads used for the tree search.
+    /// Threads that ran the search's lanes.
     pub threads: usize,
     /// Total wall-clock time of the solve, in seconds.
     pub wall_time_s: f64,
@@ -111,8 +121,9 @@ pub struct SolverStats {
     pub cold_lps: u64,
     /// Warm starts abandoned for the cold path (singular or stalled basis).
     pub warm_start_fallbacks: u64,
-    /// Warm starts that rebuilt the tableau from the raw matrix instead of
-    /// pivoting the live one to the node's basis.
+    /// Warm starts that rebuilt the tableau from the raw matrix, instead of
+    /// pivoting the live one to the node's basis or because only too small
+    /// pivots could repair a row; at most one per warm start.
     pub refactorizations: u64,
     /// Pivots spent moving the live tableau to a node's basis before its
     /// dual simplex (not part of [`lp_pivots`](Self::lp_pivots)).
@@ -240,11 +251,61 @@ impl Ord for HeapNode {
 /// the solve reports [`SolveStatus::Feasible`] instead of exploding memory.
 const MAX_OPEN: usize = 100_000;
 
-struct Queue {
-    heap: BinaryHeap<HeapNode>,
-    /// Workers currently diving on a node (not waiting).
-    active: usize,
-    stop: bool,
+/// Most search lanes one solve runs (module doc).
+const MAX_LANES: usize = 4;
+
+/// Node LPs a lane solves per round, diving, before the lanes merge.
+const ROUND_STEPS: usize = 32;
+
+/// Tableau entries a solve's lanes may hold together: a large model gets
+/// fewer lanes, down to one.
+const LANE_TABLEAU_ENTRIES: u64 = 40_000_000;
+
+/// Improvements smaller than this fraction of the incumbent objective are
+/// round-off, not progress: they neither replace the incumbent nor keep a
+/// node alive.
+const IMPROVE_TOL: f64 = 1e-9;
+
+/// What the search reads while lanes run side by side.
+struct Shared<'a> {
+    model: &'a Model,
+    prep: Prepared,
+    int_vars: Vec<usize>,
+    root_lb: Vec<f64>,
+    root_ub: Vec<f64>,
+    deadline: Option<Instant>,
+}
+
+/// One search lane: a workspace whose tableau stays live from node to
+/// node, its bound scratch, the node of its dive in hand, and what its
+/// node LPs led to this round.
+struct Lane {
+    ws: Workspace,
+    lb: Vec<f64>,
+    ub: Vec<f64>,
+    node: Option<Node>,
+    outcomes: Vec<Outcome>,
+    warm_lps: u64,
+    cold_lps: u64,
+    fallbacks: u64,
+}
+
+/// What one node LP of a lane led to; applied in lane order after the
+/// round.
+enum Outcome {
+    /// The node LP is infeasible or cannot beat the lane's cutoff.
+    Fathomed,
+    Stalled,
+    /// The LP is unbounded (`true` at the root).
+    Unbounded(bool),
+    /// An integral, feasible LP solution and its objective.
+    Integral(Vec<f64>, f64),
+    /// A fractional LP solution of this objective; the lane dives on into
+    /// the nearer child and `far` waits for the heap.
+    Branch {
+        objective: f64,
+        far: Node,
+    },
 }
 
 struct Incumbent {
@@ -253,34 +314,15 @@ struct Incumbent {
     timeline: Vec<IncumbentEvent>,
 }
 
-/// Shared search state; one instance per solve, borrowed by every worker.
-struct Search<'a> {
-    model: &'a Model,
-    prep: Prepared,
-    int_vars: Vec<usize>,
-    root_lb: Vec<f64>,
-    root_ub: Vec<f64>,
-    start: Instant,
-    deadline: Option<Instant>,
-    time_limit: Duration,
-    node_limit: u64,
-    queue: Mutex<Queue>,
-    cv: Condvar,
-    incumbent: Mutex<Incumbent>,
-    /// Bit pattern of the incumbent objective (`+inf` when none): lets the
-    /// hot pruning path skip the mutex.
-    inc_bits: AtomicU64,
-    nodes: AtomicU64,
-    next_seq: AtomicU64,
-    pivots: AtomicU64,
-    repair_pivots: AtomicU64,
-    refactorizations: AtomicU64,
-    warm_lps: AtomicU64,
-    cold_lps: AtomicU64,
-    fallbacks: AtomicU64,
-    any_stall: AtomicBool,
-    truncated: AtomicBool,
-    root_unbounded: AtomicBool,
+/// The search's own state, touched only between rounds.
+struct Frontier {
+    heap: BinaryHeap<HeapNode>,
+    next_seq: u64,
+    nodes: u64,
+    incumbent: Incumbent,
+    any_stall: bool,
+    truncated: bool,
+    root_unbounded: bool,
 }
 
 /// Solves `model` to optimality or best effort within the budget.
@@ -292,7 +334,8 @@ struct Search<'a> {
 /// - [`MilpError::NoSolutionFound`] if the budget expired with no incumbent.
 pub fn solve(model: &Model, opts: &SolveOptions) -> Result<Solution, MilpError> {
     let start = Instant::now();
-    // Cheap reductions first: fewer rows shrink every tableau quadratically.
+    // Cheap reductions first: every row dropped is a tableau row no pivot
+    // touches.
     let (presolved, presolve_stats) = presolve_with_stats(model);
     let presolve_time = start.elapsed();
     let reduced = match presolved {
@@ -301,81 +344,131 @@ pub fn solve(model: &Model, opts: &SolveOptions) -> Result<Solution, MilpError> 
     };
     let model = &reduced;
     let n = model.num_vars();
-    let int_vars: Vec<usize> = (0..n)
-        .filter(|&j| model.vars[j].vtype == VarType::Integer)
-        .collect();
+    let shared = Shared {
+        model,
+        prep: Prepared::new(model),
+        int_vars: (0..n)
+            .filter(|&j| model.vars[j].vtype == VarType::Integer)
+            .collect(),
+        root_lb: (0..n).map(|j| model.vars[j].lb).collect(),
+        root_ub: (0..n).map(|j| model.vars[j].ub).collect(),
+        deadline: start.checked_add(opts.time_limit),
+    };
 
+    let entries = model.num_constraints() as u64 * (n as u64 + 1);
+    let lane_count = MAX_LANES
+        .min((LANE_TABLEAU_ENTRIES / entries.max(1)) as usize)
+        .max(1);
     let threads = match opts.threads {
         0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
         t => t,
-    };
+    }
+    .min(lane_count);
 
-    let search = Search {
-        model,
-        prep: Prepared::new(model),
-        int_vars,
-        root_lb: (0..n).map(|j| model.vars[j].lb).collect(),
-        root_ub: (0..n).map(|j| model.vars[j].ub).collect(),
-        start,
-        deadline: start.checked_add(opts.time_limit),
-        time_limit: opts.time_limit,
-        node_limit: opts.node_limit,
-        queue: Mutex::new(Queue {
-            heap: BinaryHeap::from([HeapNode(Node {
-                bound: f64::NEG_INFINITY,
-                seq: 0,
-                delta: None,
-                basis: None,
-            })]),
-            active: 0,
-            stop: false,
-        }),
-        cv: Condvar::new(),
-        incumbent: Mutex::new(Incumbent {
+    let mut frontier = Frontier {
+        heap: BinaryHeap::from([HeapNode(Node {
+            bound: f64::NEG_INFINITY,
+            seq: 0,
+            delta: None,
+            basis: None,
+        })]),
+        next_seq: 1,
+        nodes: 0,
+        incumbent: Incumbent {
             values: None,
             objective: f64::INFINITY,
             timeline: Vec::new(),
-        }),
-        inc_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-        nodes: AtomicU64::new(0),
-        next_seq: AtomicU64::new(1),
-        pivots: AtomicU64::new(0),
-        repair_pivots: AtomicU64::new(0),
-        refactorizations: AtomicU64::new(0),
-        warm_lps: AtomicU64::new(0),
-        cold_lps: AtomicU64::new(0),
-        fallbacks: AtomicU64::new(0),
-        any_stall: AtomicBool::new(false),
-        truncated: AtomicBool::new(false),
-        root_unbounded: AtomicBool::new(false),
+        },
+        any_stall: false,
+        truncated: false,
+        root_unbounded: false,
     };
-
     if let Some(ws) = &opts.warm_start {
         assert_eq!(ws.len(), n, "warm start has wrong dimension");
         if model.check_feasible(ws, 1e-6).is_ok() {
             let mut vals = ws.clone();
-            snap_integers(&mut vals, &search.int_vars);
+            snap_integers(&mut vals, &shared.int_vars);
             let obj = model.objective_value(&vals);
-            search.offer_incumbent(vals, obj);
+            frontier.offer_incumbent(vals, obj, start);
         }
     }
 
+    let lanes: Vec<Mutex<Lane>> = (0..lane_count)
+        .map(|_| {
+            Mutex::new(Lane {
+                ws: Workspace::new(),
+                lb: vec![0.0; n],
+                ub: vec![0.0; n],
+                node: None,
+                outcomes: Vec::new(),
+                warm_lps: 0,
+                cold_lps: 0,
+                fallbacks: 0,
+            })
+        })
+        .collect();
+    let limits = (opts.time_limit, opts.node_limit);
     let search_start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| worker(&search));
+    // Rounds: every lane takes a node, the lanes' LPs run (side by side on
+    // up to `threads` threads, lane `v` on thread `v % threads`), then their
+    // outcomes are applied in lane order. The search is therefore the same
+    // at any thread count.
+    let cutoff = AtomicU64::new(0);
+    let run = |first: usize| {
+        let at = f64::from_bits(cutoff.load(Ordering::Relaxed));
+        for lane in lanes.iter().skip(first).step_by(threads) {
+            run_lane(&shared, &mut lane.lock().unwrap(), at);
         }
-    });
+    };
+    let next_round = |frontier: &mut Frontier| {
+        let go = frontier.assign(&lanes, start, limits);
+        cutoff.store(frontier.incumbent.objective.to_bits(), Ordering::Relaxed);
+        go
+    };
+    if threads == 1 {
+        // One thread runs the lanes itself: no spawn, no barriers.
+        while next_round(&mut frontier) {
+            run(0);
+            frontier.merge(&lanes, start);
+        }
+    } else {
+        let barrier = Barrier::new(threads);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for t in 1..threads {
+                let (barrier, stop, run) = (&barrier, &stop, &run);
+                scope.spawn(move || loop {
+                    barrier.wait();
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    run(t);
+                    barrier.wait();
+                });
+            }
+            loop {
+                let go = next_round(&mut frontier);
+                stop.store(!go, Ordering::Relaxed);
+                barrier.wait();
+                if !go {
+                    break;
+                }
+                run(0);
+                barrier.wait();
+                frontier.merge(&lanes, start);
+            }
+        });
+    }
     let search_time = search_start.elapsed();
 
-    if search.root_unbounded.load(Ordering::Relaxed) {
+    if frontier.root_unbounded {
         return Err(MilpError::Unbounded);
     }
-
-    let nodes = search.nodes.load(Ordering::Relaxed);
-    let exhausted = !search.truncated.load(Ordering::Relaxed);
-    let any_stall = search.any_stall.load(Ordering::Relaxed);
-    let incumbent = search.incumbent.into_inner().unwrap();
+    let lanes: Vec<Lane> = lanes.into_iter().map(|l| l.into_inner().unwrap()).collect();
+    let sum = |f: fn(&Lane) -> u64| lanes.iter().map(f).sum::<u64>();
+    let nodes = frontier.nodes;
+    let proved = !frontier.truncated && !frontier.any_stall;
+    let incumbent = frontier.incumbent;
 
     let stats = SolverStats {
         nodes,
@@ -386,12 +479,12 @@ pub fn solve(model: &Model, opts: &SolveOptions) -> Result<Solution, MilpError> 
         } else {
             0.0
         },
-        lp_pivots: search.pivots.load(Ordering::Relaxed),
-        warm_lps: search.warm_lps.load(Ordering::Relaxed),
-        cold_lps: search.cold_lps.load(Ordering::Relaxed),
-        warm_start_fallbacks: search.fallbacks.load(Ordering::Relaxed),
-        refactorizations: search.refactorizations.load(Ordering::Relaxed),
-        basis_repair_pivots: search.repair_pivots.load(Ordering::Relaxed),
+        lp_pivots: sum(|l| l.ws.pivots),
+        warm_lps: sum(|l| l.warm_lps),
+        cold_lps: sum(|l| l.cold_lps),
+        warm_start_fallbacks: sum(|l| l.fallbacks),
+        refactorizations: sum(|l| l.ws.refactorizations),
+        basis_repair_pivots: sum(|l| l.ws.repair_pivots),
         presolve_time_s: presolve_time.as_secs_f64(),
         search_time_s: search_time.as_secs_f64(),
         time_to_first_incumbent_s: incumbent.timeline.first().map(|e| e.at_s),
@@ -405,7 +498,7 @@ pub fn solve(model: &Model, opts: &SolveOptions) -> Result<Solution, MilpError> 
         Some(values) => Ok(Solution {
             objective: incumbent.objective,
             values,
-            status: if exhausted && !any_stall {
+            status: if proved {
                 SolveStatus::Optimal
             } else {
                 SolveStatus::Feasible
@@ -413,85 +506,100 @@ pub fn solve(model: &Model, opts: &SolveOptions) -> Result<Solution, MilpError> 
             nodes,
             stats,
         }),
-        None => {
-            if exhausted && !any_stall {
-                Err(MilpError::Infeasible)
-            } else {
-                Err(MilpError::NoSolutionFound)
-            }
-        }
+        None if proved => Err(MilpError::Infeasible),
+        None => Err(MilpError::NoSolutionFound),
     }
 }
 
-impl Search<'_> {
-    /// Pops the best open node, waiting while other workers might still
-    /// produce children. Returns `None` when the search is over.
-    fn next_node(&self) -> Option<Node> {
-        let mut q = self.queue.lock().unwrap();
-        loop {
-            if q.stop {
-                return None;
-            }
-            if let Some(HeapNode(node)) = q.heap.pop() {
-                q.active += 1;
-                return Some(node);
-            }
-            if q.active == 0 {
-                q.stop = true;
-                self.cv.notify_all();
-                return None;
-            }
-            q = self.cv.wait(q).unwrap();
-        }
+/// Whether `objective` beats `incumbent` by more than round-off.
+fn beats(objective: f64, incumbent: f64) -> bool {
+    if !incumbent.is_finite() {
+        return objective < incumbent;
     }
+    objective < incumbent - IMPROVE_TOL * incumbent.abs().max(1.0)
+}
 
-    fn finish_dive(&self) {
-        let mut q = self.queue.lock().unwrap();
-        q.active -= 1;
-        if q.active == 0 && q.heap.is_empty() {
-            q.stop = true;
-            self.cv.notify_all();
-        }
-    }
-
-    fn stop_all(&self) {
-        let mut q = self.queue.lock().unwrap();
-        q.stop = true;
-        self.cv.notify_all();
-    }
-
-    fn incumbent_objective(&self) -> f64 {
-        f64::from_bits(self.inc_bits.load(Ordering::Relaxed))
-    }
-
-    /// Installs `values` as the incumbent if strictly better; at an equal
-    /// objective the lexicographically smaller vector wins, which stabilizes
-    /// the reported solution across thread interleavings.
-    fn offer_incumbent(&self, values: Vec<f64>, objective: f64) {
-        let mut inc = self.incumbent.lock().unwrap();
-        if objective < inc.objective - 1e-9 {
+impl Frontier {
+    /// Installs `values` as the incumbent if it is strictly better.
+    fn offer_incumbent(&mut self, values: Vec<f64>, objective: f64, start: Instant) {
+        let inc = &mut self.incumbent;
+        if beats(objective, inc.objective) {
             inc.objective = objective;
             inc.values = Some(values);
             inc.timeline.push(IncumbentEvent {
-                at_s: self.start.elapsed().as_secs_f64(),
+                at_s: start.elapsed().as_secs_f64(),
                 objective,
             });
-            self.inc_bits.store(objective.to_bits(), Ordering::Relaxed);
-        } else if (objective - inc.objective).abs() <= 1e-9
-            && inc.values.as_ref().is_some_and(|v| lex_less(&values, v))
-        {
-            inc.values = Some(values);
         }
     }
-}
 
-fn lex_less(a: &[f64], b: &[f64]) -> bool {
-    for (x, y) in a.iter().zip(b) {
-        if (x - y).abs() > 1e-9 {
-            return x < y;
+    /// Prepares a round: drops held nodes the incumbent prunes, hands idle
+    /// lanes the best open nodes, and stops the search — `false` — once
+    /// no lane has a node, or the budget or node limit is spent.
+    fn assign(&mut self, lanes: &[Mutex<Lane>], start: Instant, limits: (Duration, u64)) -> bool {
+        let inc = self.incumbent.objective;
+        let mut busy = false;
+        for lane in lanes {
+            let mut lane = lane.lock().unwrap();
+            if lane.node.as_ref().is_some_and(|n| !beats(n.bound, inc)) {
+                lane.node = None;
+            }
+            while lane.node.is_none() {
+                match self.heap.pop() {
+                    Some(HeapNode(n)) if beats(n.bound, inc) => lane.node = Some(n),
+                    Some(_) => {}
+                    None => break,
+                }
+            }
+            busy |= lane.node.is_some();
+        }
+        let (time_limit, node_limit) = limits;
+        if busy && (self.nodes >= node_limit || start.elapsed() >= time_limit) {
+            self.truncated = true;
+            return false;
+        }
+        busy
+    }
+
+    /// Applies the round's outcomes in lane order: node counts, stalls,
+    /// incumbents, and far children onto the heap.
+    fn merge(&mut self, lanes: &[Mutex<Lane>], start: Instant) {
+        for lane in lanes {
+            for outcome in lane.lock().unwrap().outcomes.drain(..) {
+                self.nodes += 1;
+                match outcome {
+                    Outcome::Fathomed => {}
+                    Outcome::Stalled => self.any_stall = true,
+                    Outcome::Unbounded(true) => self.root_unbounded = true,
+                    // A child cannot be unbounded if the root was bounded;
+                    // a numerical surprise leaves it unexplored.
+                    Outcome::Unbounded(false) => self.any_stall = true,
+                    Outcome::Integral(values, objective) => {
+                        self.offer_incumbent(values, objective, start)
+                    }
+                    Outcome::Branch { objective, mut far } => {
+                        if !beats(objective, self.incumbent.objective) {
+                            continue;
+                        }
+                        if self.heap.len() >= MAX_OPEN {
+                            // Dropping a child forfeits the optimality proof.
+                            self.truncated = true;
+                            continue;
+                        }
+                        far.seq = self.next_seq;
+                        self.next_seq += 1;
+                        self.heap.push(HeapNode(far));
+                    }
+                }
+            }
+        }
+        if self.root_unbounded {
+            self.heap.clear();
+            for lane in lanes {
+                lane.lock().unwrap().node = None;
+            }
         }
     }
-    false
 }
 
 /// Applies a node's delta chain over the root bounds into scratch buffers.
@@ -515,150 +623,102 @@ fn materialize_bounds(
     }
 }
 
-/// One search worker: pops the globally best node, then dives down its
-/// subtree keeping the nearer child in hand.
-fn worker(s: &Search) {
-    let mut ws = Workspace::new();
-    let n = s.root_lb.len();
-    let mut lb = vec![0.0; n];
-    let mut ub = vec![0.0; n];
-
-    while let Some(node) = s.next_node() {
-        let mut cur = Some(node);
-        while let Some(node) = cur.take() {
-            if s.nodes.load(Ordering::Relaxed) >= s.node_limit || s.start.elapsed() >= s.time_limit
-            {
-                s.truncated.store(true, Ordering::Relaxed);
-                s.stop_all();
-                break;
-            }
-            // Bound-based pruning against the incumbent cutoff.
-            if node.bound >= s.incumbent_objective() - 1e-9 {
-                break;
-            }
-            s.nodes.fetch_add(1, Ordering::Relaxed);
-            materialize_bounds(&node.delta, &s.root_lb, &s.root_ub, &mut lb, &mut ub);
-
-            let outcome = match &node.basis {
-                Some(basis) => match solve_warm(&s.prep, &mut ws, &lb, &ub, basis, s.deadline) {
-                    Ok(o) => {
-                        s.warm_lps.fetch_add(1, Ordering::Relaxed);
-                        o
-                    }
-                    // Past the deadline a cold solve could only stall too.
-                    Err(_) if past(s.deadline) => {
-                        s.warm_lps.fetch_add(1, Ordering::Relaxed);
-                        LpOutcome::Stalled
-                    }
-                    Err(_) => {
-                        s.fallbacks.fetch_add(1, Ordering::Relaxed);
-                        s.cold_lps.fetch_add(1, Ordering::Relaxed);
-                        solve_cold(&s.prep, &mut ws, &lb, &ub, s.deadline)
-                    }
-                },
-                None => {
-                    s.cold_lps.fetch_add(1, Ordering::Relaxed);
-                    solve_cold(&s.prep, &mut ws, &lb, &ub, s.deadline)
-                }
-            };
-
-            let mut sol = match outcome {
-                LpOutcome::Infeasible => break,
-                LpOutcome::Unbounded => {
-                    if node.seq == 0 {
-                        s.root_unbounded.store(true, Ordering::Relaxed);
-                        s.stop_all();
-                    } else {
-                        // A child cannot be unbounded if the root was
-                        // bounded, but guard against numerical surprises:
-                        // treat as unexplorable.
-                        s.any_stall.store(true, Ordering::Relaxed);
-                    }
-                    break;
-                }
-                LpOutcome::Stalled => {
-                    s.any_stall.store(true, Ordering::Relaxed);
-                    break;
-                }
-                LpOutcome::Optimal(sol) => sol,
-            };
-
-            if sol.objective >= s.incumbent_objective() - 1e-9 {
-                break;
-            }
-
-            // Find the most fractional integer variable.
-            let mut branch: Option<(usize, f64)> = None;
-            let mut best_frac = INT_TOL;
-            for &j in &s.int_vars {
-                let v = sol.values[j];
-                let frac = (v - v.round()).abs();
-                if frac > best_frac {
-                    best_frac = frac;
-                    branch = Some((j, v));
-                }
-            }
-
-            let Some((j, v)) = branch else {
-                // Integral: candidate incumbent. Snap in place — the LP
-                // values are not needed again on this path.
-                snap_integers(&mut sol.values, &s.int_vars);
-                if s.model.check_feasible(&sol.values, 1e-5).is_ok() {
-                    let obj = s.model.objective_value(&sol.values);
-                    s.offer_incumbent(sol.values, obj);
-                }
-                break;
-            };
-
-            let basis = Arc::new(ws.snapshot_basis());
-            let floor = v.floor();
-            let down = Node {
-                bound: sol.objective,
-                seq: s.next_seq.fetch_add(1, Ordering::Relaxed),
-                delta: Some(Arc::new(BoundDelta {
-                    var: j,
-                    lower: false,
-                    value: floor,
-                    parent: node.delta.clone(),
-                })),
-                basis: Some(Arc::clone(&basis)),
-            };
-            let up = Node {
-                bound: sol.objective,
-                seq: s.next_seq.fetch_add(1, Ordering::Relaxed),
-                delta: Some(Arc::new(BoundDelta {
-                    var: j,
-                    lower: true,
-                    value: floor + 1.0,
-                    parent: node.delta,
-                })),
-                basis: Some(basis),
-            };
-            // Dive toward the nearer integer; the far child goes to the heap.
-            let (near, far) = if v - floor <= 0.5 {
-                (down, up)
-            } else {
-                (up, down)
-            };
-            {
-                let mut q = s.queue.lock().unwrap();
-                if q.heap.len() >= MAX_OPEN {
-                    // Dropping a child forfeits the optimality proof.
-                    s.truncated.store(true, Ordering::Relaxed);
-                } else {
-                    q.heap.push(HeapNode(far));
-                    s.cv.notify_one();
-                }
-            }
-            cur = Some(near);
+/// Dives from the lane's node for up to [`ROUND_STEPS`] node LPs, keeping
+/// the nearer child of each branching in hand, against the round's
+/// incumbent objective `cutoff` (lowered by the lane's own finds).
+fn run_lane(s: &Shared, lane: &mut Lane, mut cutoff: f64) {
+    for _ in 0..ROUND_STEPS {
+        let Some(node) = lane.node.take() else {
+            return;
+        };
+        if !beats(node.bound, cutoff) {
+            return;
         }
-        s.finish_dive();
+        let outcome = solve_node(s, lane, node, cutoff);
+        if let Outcome::Integral(_, objective) = outcome {
+            cutoff = cutoff.min(objective);
+        }
+        lane.outcomes.push(outcome);
     }
-    s.pivots.fetch_add(ws.pivots, Ordering::Relaxed);
-    s.repair_pivots
-        .fetch_add(ws.repair_pivots, Ordering::Relaxed);
-    s.refactorizations
-        .fetch_add(ws.refactorizations, Ordering::Relaxed);
+}
+
+/// Solves the LP of `node` in the lane's workspace and says what it leads
+/// to against the incumbent objective `cutoff`; a branching leaves the
+/// nearer child in the lane's hand.
+fn solve_node(s: &Shared, lane: &mut Lane, node: Node, cutoff: f64) -> Outcome {
+    let ws = &mut lane.ws;
+    let (lb, ub) = (&mut lane.lb, &mut lane.ub);
+    materialize_bounds(&node.delta, &s.root_lb, &s.root_ub, lb, ub);
+    let lp = match &node.basis {
+        Some(basis) => match solve_warm(&s.prep, ws, lb, ub, basis, s.deadline) {
+            Ok(o) => {
+                lane.warm_lps += 1;
+                o
+            }
+            // Past the deadline a cold solve could only stall too.
+            Err(_) if past(s.deadline) => {
+                lane.warm_lps += 1;
+                LpOutcome::Stalled
+            }
+            Err(_) => {
+                lane.fallbacks += 1;
+                lane.cold_lps += 1;
+                solve_cold(&s.prep, ws, lb, ub, s.deadline)
+            }
+        },
+        None => {
+            lane.cold_lps += 1;
+            solve_cold(&s.prep, ws, lb, ub, s.deadline)
+        }
+    };
+    let mut sol = match lp {
+        LpOutcome::Infeasible => return Outcome::Fathomed,
+        LpOutcome::Unbounded => return Outcome::Unbounded(node.seq == 0),
+        LpOutcome::Stalled => return Outcome::Stalled,
+        LpOutcome::Optimal(sol) if beats(sol.objective, cutoff) => sol,
+        LpOutcome::Optimal(_) => return Outcome::Fathomed,
+    };
+    // The most fractional integer variable.
+    let mut branch: Option<(usize, f64)> = None;
+    let mut best_frac = INT_TOL;
+    for &j in &s.int_vars {
+        let v = sol.values[j];
+        let frac = (v - v.round()).abs();
+        if frac > best_frac {
+            best_frac = frac;
+            branch = Some((j, v));
+        }
+    }
+    let Some((var, value)) = branch else {
+        // Integral: snap in place; the LP values are not needed again.
+        snap_integers(&mut sol.values, &s.int_vars);
+        if s.model.check_feasible(&sol.values, 1e-5).is_err() {
+            return Outcome::Fathomed;
+        }
+        let objective = s.model.objective_value(&sol.values);
+        return Outcome::Integral(sol.values, objective);
+    };
+    let basis = Arc::new(ws.snapshot_basis());
+    let floor = value.floor();
+    // The merge numbers the far child; the near one never reaches the heap.
+    let child = |lower: bool| Node {
+        bound: sol.objective,
+        seq: u64::MAX,
+        delta: Some(Arc::new(BoundDelta {
+            var,
+            lower,
+            value: if lower { floor + 1.0 } else { floor },
+            parent: node.delta.clone(),
+        })),
+        basis: Some(Arc::clone(&basis)),
+    };
+    // Dive toward the nearer integer.
+    let up_is_near = value - floor > 0.5;
+    lane.node = Some(child(up_is_near));
+    Outcome::Branch {
+        objective: sol.objective,
+        far: child(!up_is_near),
+    }
 }
 
 fn snap_integers(values: &mut [f64], int_vars: &[usize]) {
@@ -853,6 +913,30 @@ mod tests {
                 s.objective,
                 reference.objective
             );
+        }
+    }
+
+    /// Lanes merge in a fixed order, so the whole search repeats at any
+    /// thread count: the same nodes, pivots, incumbents and solution.
+    #[test]
+    fn search_is_identical_at_any_thread_count() {
+        let m = branching_model();
+        let run = |threads| solve(&m, &SolveOptions { threads, ..opts() }).unwrap();
+        let reference = run(1);
+        for threads in [2, 3, 4, 8] {
+            let s = run(threads);
+            assert_eq!(s.values, reference.values, "threads={threads}");
+            assert_eq!(s.nodes, reference.nodes, "threads={threads}");
+            let (a, b) = (&s.stats, &reference.stats);
+            assert_eq!(a.lp_pivots, b.lp_pivots, "threads={threads}");
+            assert_eq!(a.basis_repair_pivots, b.basis_repair_pivots);
+            let objectives = |st: &SolverStats| {
+                st.incumbent_timeline
+                    .iter()
+                    .map(|e| e.objective)
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(objectives(a), objectives(b), "threads={threads}");
         }
     }
 

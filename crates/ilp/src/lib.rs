@@ -8,21 +8,23 @@
 //! - [`Model`] — variables (continuous/integer/binary with bounds), linear
 //!   constraints (`≤`, `≥`, `=`), and a linear objective to *minimize*;
 //! - a **bounded-variable two-phase primal simplex** for LP relaxations
-//!   ([`solve_lp`]);
+//!   ([`solve_lp`]) over a condensed tableau: one bounded logical per row,
+//!   no slack or artificial columns, and one column per nonbasic variable
+//!   only;
 //! - **parallel branch-and-bound** over the integer variables ([`solve`])
-//!   with best-first work sharing, depth-first diving, warm-started node
-//!   LPs, a wall-clock budget, and anytime incumbents — mirroring the
-//!   paper's "15-minute best-effort" solver usage. Each worker's tableau
-//!   stays live from node to node and is pivoted to the next node's basis
-//!   rather than rebuilt;
+//!   with best-first lanes merged in a fixed order, depth-first diving,
+//!   warm-started node LPs, a wall-clock budget, and anytime incumbents —
+//!   mirroring the paper's "15-minute best-effort" solver usage. Each
+//!   lane's tableau stays live from node to node and is pivoted to the next
+//!   node's basis rather than rebuilt;
 //! - a [`SolverStats`] report on every solution (node throughput, LP
 //!   pivots, warm-start hit rate, basis-repair pivots and full tableau
 //!   rebuilds, incumbent timeline).
 //!
-//! The solver is deterministic: identical models yield identical objectives
-//! regardless of the configured thread count
-//! ([`SolveOptions::threads`]), and on one thread an identical search
-//! (the same nodes, pivots and solution).
+//! The solver is deterministic: an identical model runs an identical search
+//! (the same nodes, pivots and solution) at any configured thread count
+//! ([`SolveOptions::threads`]); threads change only how fast it goes, and
+//! so where a wall-clock budget stops it.
 //!
 //! # Example
 //!

@@ -3,7 +3,7 @@
 //! Scheduling models are full of rows the simplex should never see:
 //! singleton rows (`a·x ≤ b`) that are really variable bounds, rows whose
 //! variables are all fixed, and empty rows. Folding them away shrinks the
-//! dense tableau quadratically, and tightening integer bounds to integral
+//! tableau and every pivot's work, and tightening integer bounds to integral
 //! values removes fractional vertices before the first pivot.
 //!
 //! On top of the row reductions, an activity-based **bound propagation**

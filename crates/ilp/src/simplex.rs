@@ -1,41 +1,62 @@
-//! Bounded-variable two-phase primal simplex over a dense tableau, with
-//! warm-started reoptimization for branch-and-bound.
+//! Bounded-variable primal and dual simplex over a condensed (dictionary)
+//! tableau, with warm-started reoptimization for branch-and-bound.
 //!
-//! Variable bounds are handled natively (nonbasic variables rest at either
-//! bound; the ratio test includes bound flips), which keeps binary-heavy
-//! scheduling models — the PathDriver-Wash workload — at half the row count
-//! of the textbook formulation.
+//! Every constraint row `i` gets one **logical** variable, its activity
+//! `r_i = a_i·x`, bounded by the row's relation: `≤ b` gives `[−∞, b]`,
+//! `≥ b` gives `[b, ∞]` and `= b` gives `[b, b]`. The system `Ax − r = 0`
+//! then has `n + m` variables and a zero right-hand side, and every bound —
+//! structural or logical — is handled natively: a nonbasic variable rests
+//! at one of its bounds, and the ratio test includes bound flips. No slack
+//! or artificial columns exist.
+//!
+//! The tableau is stored in dictionary form (Jordan exchange): one row per
+//! basic variable, one column per **nonbasic** variable only, so it holds
+//! `m × n` doubles whatever the row relations. Row `i` expresses the basic
+//! variable of that row as `Σ_k T[i][k] · x_{nonbasic[k]}`. Next to it the
+//! workspace keeps the basic values `β` (the right-hand side of the
+//! dictionary at the current point), the value of every nonbasic slot, and
+//! the reduced-cost row. A pivot swaps the entering slot with the leaving
+//! row in place in `O(m·n)` and updates the reduced costs in `O(n)`.
+//!
+//! A cold solve starts from the all-logical basis (`T = A`). Phase 1
+//! minimizes the sum of the bound infeasibilities of the basic variables;
+//! a basic variable that reaches its violated bound blocks the step there
+//! and leaves at that bound. Phase 2 then minimizes `cᵀx` from the
+//! feasible basis.
 //!
 //! The solver is split for reuse across branch-and-bound nodes:
 //!
-//! - [`Prepared`] holds the canonical constraint matrix built **once** per
-//!   model (fixed column layout: structurals, then one slack per inequality
-//!   row, then one artificial per row), so a node solve starts from a flat
-//!   `memcpy` instead of re-assembling rows.
-//! - [`Workspace`] owns every mutable buffer (tableau, basic values, reduced
-//!   costs, pivot row). A branch-and-bound worker keeps one workspace and
-//!   reuses it for every node it processes — zero per-node allocations.
+//! - [`Prepared`] holds the model's constraint matrix in compressed sparse
+//!   rows, the logical bounds and the costs, built **once** per model.
+//! - [`Workspace`] owns every mutable buffer (tableau, basic and nonbasic
+//!   values, reduced costs, bounds). A branch-and-bound worker keeps one
+//!   workspace and reuses it for every node it processes — zero per-node
+//!   allocations.
 //! - [`Basis`] snapshots a parent node's optimal basis. A child LP differs
 //!   from its parent by a single variable bound, so the parent basis stays
 //!   dual feasible and the child is reoptimized with the **dual simplex**,
 //!   skipping phase 1 entirely on the hot path.
 //!
-//! The workspace's tableau stays **live** from one node to the next. Every
-//! row operation is also applied to the unshifted right-hand side, so the
-//! tableau carries `B⁻¹b` and any node's basic values follow from it, the
-//! node's lower bounds and its columns at their upper bound in one
-//! O(m·ncols) pass. A warm solve therefore pivots in only the columns of the
-//! node's basis that the live basis lacks: none for a dive child, which
-//! inherits the basis its parent just left behind, and a few for a node
-//! popped from elsewhere in the tree. The tableau is rebuilt from the raw
-//! matrix (a full Gauss-Jordan elimination) only when a needed pivot is
-//! numerically too small or more than m pivots have accumulated since the
-//! last build, which bounds round-off drift.
+//! The workspace's tableau stays **live** from one node to the next. A warm
+//! solve pivots in only the basic variables of the node's basis that the
+//! live basis lacks — none for a dive child, which inherits the basis its
+//! parent just left behind, and a few for a node popped from elsewhere in
+//! the tree — then moves each nonbasic variable whose resting value changed
+//! and updates `β` by that column alone. The tableau is rebuilt (from the
+//! all-logical basis, pivoting in the node's basic structurals) only when a
+//! needed pivot is numerically too small or more than m basis changes have
+//! accumulated since the last build, which bounds round-off drift.
+//!
+//! Both ratio tests break near-ties toward the largest pivot, and the dual
+//! ratio test skips pivots below [`REL_PIVOT_TOL`] of the leaving row's
+//! largest entry: one such pivot on a big-M row can blow the basic values
+//! up past any repair. A row that only such pivots could repair gets the
+//! tableau rebuilt at the current basis once; if that does not help, the
+//! warm solve gives up and the caller solves the node cold.
 //!
 //! A deadline is checked before every pivot — in both phases, the dual
 //! simplex, the basis repair and the rebuild. One pivot on a large tableau
-//! costs milliseconds while a rebuild can take seconds, so a solve stops
-//! within one pivot of its deadline.
+//! costs milliseconds, so a solve stops within one pivot of its deadline.
 //!
 //! The standalone entry points ([`solve_lp`], [`solve_lp_with_bounds`],
 //! [`solve_lp_with_deadline`]) build a `Prepared`/`Workspace` pair
@@ -99,7 +120,7 @@ pub fn solve_lp_with_deadline(
     solve_cold(&prep, &mut ws, lb, ub, deadline)
 }
 
-/// Per-column simplex status.
+/// Per-variable simplex status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum Status {
     Basic,
@@ -108,9 +129,10 @@ pub(crate) enum Status {
     Upper,
 }
 
-/// A basis snapshot: which column is basic in each row, plus the resting
-/// bound of every nonbasic column. Enough to reconstruct the tableau of the
-/// node that produced it — or of a child differing only in variable bounds.
+/// A basis snapshot: which variable is basic in each row, plus the status
+/// of every variable — the `n` structurals, then one logical per row.
+/// Enough to reconstruct the tableau of the node that produced it — or of a
+/// child differing only in variable bounds.
 #[derive(Debug, Clone)]
 pub(crate) struct Basis {
     pub(crate) cols: Vec<usize>,
@@ -138,13 +160,16 @@ enum Step {
 enum Dual {
     PrimalFeasible,
     Infeasible,
+    /// Only pivots below the relative pivot tolerance could repair the
+    /// leaving row.
+    Tiny,
     Stalled,
 }
 
 /// How bringing the tableau to a target basis ended.
 enum Load {
     Loaded,
-    /// Some column's best pivot fell below [`REBUILD_TOL`].
+    /// Some variable's best pivot fell below [`REBUILD_TOL`].
     Singular,
     /// The deadline passed between two pivots.
     Stalled,
@@ -163,20 +188,24 @@ pub(crate) enum WarmError {
 const RC_TOL: f64 = 1e-9;
 const PIVOT_TOL: f64 = 1e-9;
 const DEGENERATE_STREAK: u32 = 60;
-/// A basis column whose best pivot falls below this is treated as singular.
+/// A basic variable whose best pivot falls below this is treated as
+/// singular.
 const REBUILD_TOL: f64 = 1e-8;
+/// The dual ratio test skips pivots below this fraction of the largest
+/// entry in the leaving row.
+const REL_PIVOT_TOL: f64 = 1e-9;
+/// Phase 1 declares a basis feasible once its summed bound violation is at
+/// most this.
+const PHASE1_TOL: f64 = 1e-6;
 
 /// Source of [`Prepared::id`].
 static NEXT_PREPARED_ID: AtomicU64 = AtomicU64::new(1);
 
-/// The canonical constraint matrix of one model, built once and shared by
-/// every node solve (read-only).
+/// The constraint matrix of one model, built once and shared by every node
+/// solve (read-only).
 ///
-/// Column layout (fixed, independent of node bounds):
-/// `[0, n)` structurals · `[n, art0)` slacks (`+1` per `≤` row, `−1` per `≥`
-/// row, in constraint order) · `[art0, ncols)` one artificial per row
-/// (stored as zero here; materialized as an identity entry when a tableau is
-/// loaded).
+/// Variables are numbered `[0, n)` for the structurals and `n + i` for the
+/// logical of row `i`.
 #[derive(Debug, Clone)]
 pub(crate) struct Prepared {
     /// Identifies the matrix, so a [`Workspace`] can tell whether its live
@@ -184,75 +213,71 @@ pub(crate) struct Prepared {
     id: u64,
     n: usize,
     m: usize,
-    ncols: usize,
-    art0: usize,
-    /// Dense `m × ncols` matrix, row-major.
-    a: Vec<f64>,
-    /// Unshifted right-hand sides.
-    rhs: Vec<f64>,
-    /// Phase-2 cost (structural objective coefficients; 0 elsewhere).
+    /// Compressed sparse rows: row `i`'s entries are
+    /// `cols[starts[i]..starts[i + 1]]` with values `vals[…]`, duplicate
+    /// terms summed and zeros dropped.
+    starts: Vec<usize>,
+    cols: Vec<usize>,
+    vals: Vec<f64>,
+    /// Bounds of each row's logical (its activity), from the relation.
+    row_lo: Vec<f64>,
+    row_hi: Vec<f64>,
+    /// Objective coefficient of every structural.
     cost: Vec<f64>,
-    /// Slack column of each row (`None` for equality rows).
-    slack_of_row: Vec<Option<usize>>,
 }
 
 impl Prepared {
     pub(crate) fn new(model: &Model) -> Self {
         let n = model.num_vars();
         let m = model.num_constraints();
-        let n_slacks = model
-            .constraints
-            .iter()
-            .filter(|c| c.rel != Relation::Eq)
-            .count();
-        let art0 = n + n_slacks;
-        let ncols = art0 + m;
-
-        let mut a = vec![0.0; m * ncols];
-        let mut rhs = Vec::with_capacity(m);
-        let mut slack_of_row = Vec::with_capacity(m);
-        let mut next_slack = n;
-        for (i, c) in model.constraints.iter().enumerate() {
-            let row = &mut a[i * ncols..(i + 1) * ncols];
+        let mut starts = Vec::with_capacity(m + 1);
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        let (mut row_lo, mut row_hi) = (Vec::with_capacity(m), Vec::with_capacity(m));
+        // Dense accumulator, cleared through the row's own terms.
+        let mut acc = vec![0.0; n];
+        let mut touched = Vec::new();
+        starts.push(0);
+        for c in &model.constraints {
             for &(v, coef) in c.expr.terms() {
-                row[v.0] += coef;
+                if acc[v.0] == 0.0 {
+                    touched.push(v.0);
+                }
+                acc[v.0] += coef;
             }
-            slack_of_row.push(match c.rel {
-                Relation::Le => {
-                    row[next_slack] = 1.0;
-                    next_slack += 1;
-                    Some(next_slack - 1)
+            touched.sort_unstable();
+            touched.dedup();
+            for &j in &touched {
+                if acc[j] != 0.0 {
+                    cols.push(j);
+                    vals.push(acc[j]);
                 }
-                Relation::Ge => {
-                    row[next_slack] = -1.0;
-                    next_slack += 1;
-                    Some(next_slack - 1)
-                }
-                Relation::Eq => None,
-            });
-            rhs.push(c.rhs);
+                acc[j] = 0.0;
+            }
+            touched.clear();
+            starts.push(cols.len());
+            let (lo, hi) = match c.rel {
+                Relation::Le => (f64::NEG_INFINITY, c.rhs),
+                Relation::Ge => (c.rhs, f64::INFINITY),
+                Relation::Eq => (c.rhs, c.rhs),
+            };
+            row_lo.push(lo);
+            row_hi.push(hi);
         }
-
-        let mut cost = vec![0.0; ncols];
-        for (j, cj) in cost.iter_mut().enumerate().take(n) {
-            *cj = model.vars[j].obj;
-        }
-
         Prepared {
             id: NEXT_PREPARED_ID.fetch_add(1, Ordering::Relaxed),
             n,
             m,
-            ncols,
-            art0,
-            a,
-            rhs,
-            cost,
-            slack_of_row,
+            starts,
+            cols,
+            vals,
+            row_lo,
+            row_hi,
+            cost: model.vars.iter().map(|v| v.obj).collect(),
         }
     }
 
     fn iter_limit(&self) -> u64 {
-        200 * (self.m as u64 + self.ncols as u64) + 2_000
+        200 * (2 * self.m as u64 + self.n as u64) + 2_000
     }
 }
 
@@ -260,25 +285,34 @@ impl Prepared {
 /// buffer is resized on first use with a given [`Prepared`] and then reused
 /// allocation-free.
 ///
-/// Between solves the tableau stays valid for the model it was built from:
-/// column `basis[i]` of `rows` is the `i`-th identity column, and `binv_b`
-/// has seen every row operation `rows` has.
+/// Between solves the tableau stays valid for the model it was built from,
+/// and `beta[i] = Σ_k tab[i·n + k] · xn[k]` holds for every row.
 #[derive(Debug, Default)]
 pub(crate) struct Workspace {
-    rows: Vec<f64>,
-    /// The unshifted right-hand side under the tableau's row operations
-    /// (`B⁻¹b`).
-    binv_b: Vec<f64>,
+    /// `m × n`, row-major: row `i` expresses `basis[i]` in the nonbasic
+    /// variables, column `k` belongs to `nonbasic[k]`.
+    tab: Vec<f64>,
+    /// Value of each row's basic variable.
     beta: Vec<f64>,
+    /// Value of each nonbasic slot's variable.
+    xn: Vec<f64>,
+    /// Reduced cost of each nonbasic slot.
+    d: Vec<f64>,
+    /// Phase-1 reduced costs (scratch).
+    d1: Vec<f64>,
+    /// The new pivot row while a pivot runs, and its nonzero slots
+    /// (scratch).
+    prow: Vec<f64>,
+    nz: Vec<usize>,
     basis: Vec<usize>,
+    nonbasic: Vec<usize>,
+    /// Per variable: its status, and its row (basic) or slot (nonbasic).
     status: Vec<Status>,
-    upper: Vec<f64>,
-    rc: Vec<f64>,
-    pivot_row: Vec<f64>,
-    /// Per-column offset of the basic values from `binv_b` (scratch for
-    /// [`Solver::basic_values`]).
-    shift: Vec<f64>,
-    row_of: Vec<usize>,
+    pos: Vec<usize>,
+    /// Per variable: the node's bounds (structurals) or the row's
+    /// (logicals).
+    lo: Vec<f64>,
+    hi: Vec<f64>,
     degenerate_streak: u32,
     /// [`Prepared::id`] of the matrix the tableau was built from (0: none).
     built_from: u64,
@@ -299,26 +333,47 @@ impl Workspace {
         Workspace::default()
     }
 
-    /// Restarts the tableau from the raw matrix of `prep`.
-    fn reset(&mut self, prep: &Prepared) {
-        self.rows.clear();
-        self.rows.extend_from_slice(&prep.a);
-        self.binv_b.clear();
-        self.binv_b.extend_from_slice(&prep.rhs);
+    /// Restarts from the all-logical basis of `prep` (`T = A`), every
+    /// structural nonbasic at its lower bound in `lb`.
+    fn reset(&mut self, prep: &Prepared, lb: &[f64], ub: &[f64]) {
+        let (n, m) = (prep.n, prep.m);
+        self.tab.clear();
+        self.tab.resize(m * n, 0.0);
         self.beta.clear();
+        for i in 0..m {
+            let row = &mut self.tab[i * n..(i + 1) * n];
+            let mut activity = 0.0;
+            for e in prep.starts[i]..prep.starts[i + 1] {
+                let (j, a) = (prep.cols[e], prep.vals[e]);
+                row[j] = a;
+                activity += a * lb[j];
+            }
+            self.beta.push(activity);
+        }
+        self.xn.clear();
+        self.xn.extend_from_slice(&lb[..n]);
+        self.d.clear();
+        self.d.extend_from_slice(&prep.cost);
+        self.d1.clear();
+        self.d1.resize(n, 0.0);
+        self.prow.clear();
+        self.prow.resize(n, 0.0);
         self.basis.clear();
+        self.basis.extend(n..n + m);
+        self.nonbasic.clear();
+        self.nonbasic.extend(0..n);
         self.status.clear();
-        self.status.resize(prep.ncols, Status::Lower);
-        self.upper.clear();
-        self.upper.resize(prep.ncols, f64::INFINITY);
-        self.rc.clear();
-        self.rc.resize(prep.ncols, 0.0);
-        self.pivot_row.clear();
-        self.pivot_row.resize(prep.ncols, 0.0);
-        self.shift.clear();
-        self.shift.resize(prep.ncols, 0.0);
-        self.row_of.clear();
-        self.row_of.resize(prep.ncols, usize::MAX);
+        self.status.resize(n, Status::Lower);
+        self.status.resize(n + m, Status::Basic);
+        self.pos.clear();
+        self.pos.extend(0..n);
+        self.pos.extend(0..m);
+        self.lo.clear();
+        self.lo.extend_from_slice(&lb[..n]);
+        self.lo.extend_from_slice(&prep.row_lo);
+        self.hi.clear();
+        self.hi.extend_from_slice(&ub[..n]);
+        self.hi.extend_from_slice(&prep.row_hi);
         self.degenerate_streak = 0;
         self.built_from = prep.id;
         self.etas = 0;
@@ -330,6 +385,91 @@ impl Workspace {
             cols: self.basis.clone(),
             status: self.status.clone(),
         }
+    }
+
+    /// The value a nonbasic variable rests at: the bound its status names,
+    /// or the other one if that bound is infinite.
+    fn resting(&self, j: usize) -> f64 {
+        let (lo, hi) = (self.lo[j], self.hi[j]);
+        let at_upper = match self.status[j] {
+            Status::Upper => hi.is_finite(),
+            _ => !lo.is_finite(),
+        };
+        if at_upper {
+            hi
+        } else {
+            lo
+        }
+    }
+
+    /// Jordan exchange: the nonbasic variable of slot `q` becomes basic in
+    /// row `r`, whose basic variable takes slot `q`. The point does not
+    /// move — each variable keeps its value — so the caller sets the
+    /// leaver's status.
+    fn exchange(&mut self, n: usize, r: usize, q: usize) {
+        let piv = self.tab[r * n + q];
+        debug_assert!(piv.abs() > PIVOT_TOL, "pivot element too small");
+        let inv = 1.0 / piv;
+        for (p, &t) in self.prow.iter_mut().zip(&self.tab[r * n..(r + 1) * n]) {
+            *p = -t * inv;
+        }
+        self.prow[q] = 0.0;
+        // `x += f · prow`, over the pivot row's nonzeros only when it is
+        // sparse (skipped entries would add exact zeros).
+        self.nz.clear();
+        self.nz.extend((0..n).filter(|&k| self.prow[k] != 0.0));
+        let sparse = self.nz.len() * 4 < n;
+        let (prow, nz) = (&self.prow, &self.nz);
+        let axpy = |x: &mut [f64], f: f64| {
+            if sparse {
+                for &k in nz {
+                    x[k] += f * prow[k];
+                }
+            } else {
+                for (x, p) in x.iter_mut().zip(prow) {
+                    *x += f * p;
+                }
+            }
+        };
+        for (i, row) in self.tab.chunks_exact_mut(n).enumerate() {
+            let f = row[q];
+            if i == r || f == 0.0 {
+                continue;
+            }
+            if f.abs() > 1e-12 {
+                axpy(row, f);
+            }
+            row[q] = f * inv;
+        }
+        let f = self.d[q];
+        if f != 0.0 {
+            axpy(&mut self.d, f);
+            self.d[q] = f * inv;
+        }
+        let row = &mut self.tab[r * n..(r + 1) * n];
+        row.copy_from_slice(&self.prow);
+        row[q] = inv;
+
+        let (entering, leaver) = (self.nonbasic[q], self.basis[r]);
+        self.basis[r] = entering;
+        self.nonbasic[q] = leaver;
+        self.pos[entering] = r;
+        self.pos[leaver] = q;
+        self.status[entering] = Status::Basic;
+        std::mem::swap(&mut self.beta[r], &mut self.xn[q]);
+        self.etas += 1;
+    }
+
+    /// Moves nonbasic slot `q` to `value`, carrying every basic value along
+    /// its column.
+    fn shift_nonbasic(&mut self, n: usize, q: usize, value: f64) {
+        let delta = value - self.xn[q];
+        if delta != 0.0 {
+            for (b, row) in self.beta.iter_mut().zip(self.tab.chunks_exact(n)) {
+                *b += row[q] * delta;
+            }
+        }
+        self.xn[q] = value;
     }
 }
 
@@ -346,8 +486,8 @@ pub(crate) fn solve_cold(
             return LpOutcome::Infeasible;
         }
     }
+    ws.reset(prep, lb, ub);
     let mut s = Solver { prep, ws, deadline };
-    s.load_cold(lb, ub);
     match s.phase1() {
         Phase1::Feasible => {}
         Phase1::Infeasible => return LpOutcome::Infeasible,
@@ -358,7 +498,7 @@ pub(crate) fn solve_cold(
         Phase2::Unbounded => return LpOutcome::Unbounded,
         Phase2::Stalled => return LpOutcome::Stalled,
     }
-    LpOutcome::Optimal(s.extract(lb))
+    LpOutcome::Optimal(s.extract())
 }
 
 /// Solves one LP warm-started from a parent basis: moves the tableau to
@@ -379,33 +519,45 @@ pub(crate) fn solve_warm(
         }
     }
     debug_assert_eq!(basis.cols.len(), prep.m);
-    debug_assert_eq!(basis.status.len(), prep.ncols);
+    debug_assert_eq!(basis.status.len(), prep.n + prep.m);
     let mut s = Solver { prep, ws, deadline };
-    match s.load_basis(basis) {
+    match s.load_basis(basis, lb, ub) {
         Load::Loaded => {}
         Load::Singular => return Err(WarmError::Singular),
         Load::Stalled => return Err(WarmError::Stalled),
     }
-    s.set_structural_uppers(lb, ub);
-    for j in prep.art0..prep.ncols {
-        s.ws.upper[j] = 0.0;
-    }
-    s.basic_values(lb);
-    match s.dual_simplex() {
-        Dual::PrimalFeasible => {}
-        Dual::Infeasible => return Ok(LpOutcome::Infeasible),
-        Dual::Stalled => return Err(WarmError::Stalled),
+    s.settle(lb, ub);
+    // A leaving row that only too small pivots could repair is often
+    // round-off in a long-lived tableau: unless the load just built it,
+    // rebuild it at the current basis once before giving up on the warm
+    // start.
+    let mut refreshed = s.ws.etas == 0;
+    loop {
+        match s.dual_simplex() {
+            Dual::PrimalFeasible => break,
+            Dual::Infeasible => return Ok(LpOutcome::Infeasible),
+            Dual::Tiny if !refreshed => {
+                refreshed = true;
+                let current = s.ws.snapshot_basis();
+                match s.rebuild(&current, lb, ub) {
+                    Load::Loaded => s.settle(lb, ub),
+                    Load::Singular => return Err(WarmError::Singular),
+                    Load::Stalled => return Err(WarmError::Stalled),
+                }
+            }
+            Dual::Tiny | Dual::Stalled => return Err(WarmError::Stalled),
+        }
     }
     match s.phase2() {
         Phase2::Optimal => {}
         Phase2::Unbounded => return Ok(LpOutcome::Unbounded),
         Phase2::Stalled => return Err(WarmError::Stalled),
     }
-    Ok(LpOutcome::Optimal(s.extract(lb)))
+    Ok(LpOutcome::Optimal(s.extract()))
 }
 
 /// Whether `deadline` has passed; read before every pivot, where one clock
-/// read is noise next to an O(m·ncols) elimination.
+/// read is noise next to an O(m·n) exchange.
 pub(crate) fn past(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
 }
@@ -417,107 +569,42 @@ struct Solver<'a> {
 }
 
 impl Solver<'_> {
-    fn set_structural_uppers(&mut self, lb: &[f64], ub: &[f64]) {
-        for j in 0..self.prep.n {
-            self.ws.upper[j] = ub[j] - lb[j];
-        }
-    }
-
-    /// Loads the classic phase-1 start: slack basis where the slack sign
-    /// works out, artificial basis elsewhere.
-    fn load_cold(&mut self, lb: &[f64], ub: &[f64]) {
-        let prep = self.prep;
-        self.ws.reset(prep);
-        self.set_structural_uppers(lb, ub);
-        let ws = &mut *self.ws;
-        let nc = prep.ncols;
-        for i in 0..prep.m {
-            let row = &mut ws.rows[i * nc..(i + 1) * nc];
-            // Shifted right-hand side: rhs_i − Σ_j a_ij · lb_j.
-            let mut r = prep.rhs[i]
-                - row[..prep.n]
-                    .iter()
-                    .zip(lb)
-                    .filter(|(&a, _)| a != 0.0)
-                    .map(|(&a, &l)| a * l)
-                    .sum::<f64>();
-            // Normalize rhs >= 0 by flipping the working row (the canonical
-            // matrix in `prep` is untouched).
-            if r < 0.0 {
-                for x in row.iter_mut() {
-                    *x = -*x;
-                }
-                r = -r;
-                ws.binv_b[i] = -ws.binv_b[i];
-            }
-            // A +1 slack can start basic; otherwise the row's artificial.
-            let basic = match prep.slack_of_row[i] {
-                Some(sj) if row[sj] > 0.0 => sj,
-                _ => {
-                    let aj = prep.art0 + i;
-                    row[aj] = 1.0;
-                    aj
-                }
-            };
-            ws.basis.push(basic);
-            ws.status[basic] = Status::Basic;
-            ws.beta.push(r);
-        }
-        // Artificials not in the basis can never move.
-        for j in prep.art0..nc {
-            if ws.status[j] != Status::Basic {
-                ws.upper[j] = 0.0;
-            }
-        }
-    }
-
     /// Brings the tableau to `basis`. A live tableau of this model that has
     /// taken at most m basis changes since its last build is pivoted there
     /// directly; otherwise, or if a pivot is too small, it is rebuilt.
-    fn load_basis(&mut self, basis: &Basis) -> Load {
-        let ws = &mut *self.ws;
-        ws.degenerate_streak = 0;
-        if ws.built_from == self.prep.id && ws.etas <= self.prep.m {
-            let before = ws.etas;
+    fn load_basis(&mut self, basis: &Basis, lb: &[f64], ub: &[f64]) -> Load {
+        self.ws.degenerate_streak = 0;
+        if self.ws.built_from == self.prep.id && self.ws.etas <= self.prep.m {
+            let before = self.ws.etas;
             let entered = self.enter_basis(basis);
             self.ws.repair_pivots += (self.ws.etas - before) as u64;
             if !matches!(entered, Load::Singular) {
                 return entered;
             }
         }
-        self.load_warm(basis)
+        self.rebuild(basis, lb, ub)
     }
 
-    /// Rebuilds the tableau for `basis` from the raw matrix: starting from
-    /// the artificial identity basis, every basic column is pivoted in
-    /// (Gauss-Jordan elimination with partial pivoting).
-    fn load_warm(&mut self, basis: &Basis) -> Load {
-        let prep = self.prep;
-        let ws = &mut *self.ws;
-        ws.reset(prep);
-        ws.refactorizations += 1;
-        for i in 0..prep.m {
-            let aj = prep.art0 + i;
-            ws.rows[i * prep.ncols + aj] = 1.0;
-            ws.basis.push(aj);
-            ws.status[aj] = Status::Basic;
-        }
+    /// Rebuilds the tableau for `basis` from the raw matrix: from the
+    /// all-logical basis, every basic structural of `basis` is pivoted in.
+    fn rebuild(&mut self, basis: &Basis, lb: &[f64], ub: &[f64]) -> Load {
+        self.ws.reset(self.prep, lb, ub);
+        self.ws.refactorizations += 1;
         let entered = self.enter_basis(basis);
         self.ws.etas = 0;
         entered
     }
 
-    /// Pivots each column of `target` that the tableau's basis lacks into
-    /// the row, among those whose basic column `target` drops, with the
+    /// Pivots each basic variable of `target` that the tableau lacks into
+    /// the row, among those whose basic variable `target` drops, with the
     /// largest-magnitude entry; then adopts `target`'s nonbasic statuses.
-    /// Stops early — [`Load::Singular`] if some column's best pivot is below
-    /// [`REBUILD_TOL`], [`Load::Stalled`] once the deadline passes (a full
-    /// rebuild of a large tableau can take seconds); the tableau stays
+    /// Stops early — [`Load::Singular`] if some variable's best pivot is
+    /// below [`REBUILD_TOL`], [`Load::Stalled`] once the deadline passes (a
+    /// rebuild of a large tableau pivots many times); the tableau stays
     /// consistent either way.
     fn enter_basis(&mut self, target: &Basis) -> Load {
-        let prep = self.prep;
+        let (n, m) = (self.prep.n, self.prep.m);
         let ws = &mut *self.ws;
-        let nc = prep.ncols;
         for &c in &target.cols {
             if ws.status[c] == Status::Basic {
                 continue;
@@ -525,9 +612,10 @@ impl Solver<'_> {
             if past(self.deadline) {
                 return Load::Stalled;
             }
+            let q = ws.pos[c];
             let (mut row, mut best_abs) = (0, 0.0);
-            for r in 0..prep.m {
-                let a = ws.rows[r * nc + c].abs();
+            for r in 0..m {
+                let a = ws.tab[r * n + q].abs();
                 if a > best_abs && target.status[ws.basis[r]] != Status::Basic {
                     best_abs = a;
                     row = r;
@@ -537,131 +625,125 @@ impl Solver<'_> {
                 return Load::Singular;
             }
             let leaver = ws.basis[row];
+            ws.exchange(n, row, q);
             ws.status[leaver] = target.status[leaver];
-            Self::eliminate(ws, nc, prep.m, row, c);
-            ws.basis[row] = c;
-            ws.status[c] = Status::Basic;
         }
         ws.status.copy_from_slice(&target.status);
         Load::Loaded
     }
 
-    /// Basic values for the node bounds `lb` (and the uppers already in
-    /// the workspace): `beta = B⁻¹b − Σ_j T_j · (lb_j + [j at upper] u_j)`,
-    /// in the shifted space where every structural's lower bound is zero.
-    fn basic_values(&mut self, lb: &[f64]) {
-        let prep = self.prep;
+    /// Installs the node bounds `lb`/`ub` and moves every nonbasic variable
+    /// to the bound its status names, updating `β` column by column for
+    /// the ones that moved.
+    fn settle(&mut self, lb: &[f64], ub: &[f64]) {
+        let n = self.prep.n;
         let ws = &mut *self.ws;
-        let nc = prep.ncols;
-        for (j, s) in ws.shift.iter_mut().enumerate() {
-            let base = if j < prep.n { lb[j] } else { 0.0 };
-            *s = match ws.status[j] {
-                Status::Upper => base + ws.upper[j],
-                _ => base,
-            };
-        }
-        ws.beta.clear();
-        for (i, &b) in ws.binv_b.iter().enumerate() {
-            let row = &ws.rows[i * nc..(i + 1) * nc];
-            let shifted: f64 = row.iter().zip(&ws.shift).map(|(t, s)| t * s).sum();
-            ws.beta.push(b - shifted);
-        }
-    }
-
-    /// Reduced costs `rc_j = c_j − c_Bᵀ T_j` into the workspace buffer.
-    fn reduced_costs(&mut self, cost: &[f64]) {
-        let ws = &mut *self.ws;
-        let nc = self.prep.ncols;
-        ws.rc.copy_from_slice(cost);
-        for i in 0..self.prep.m {
-            let cb = cost[ws.basis[i]];
-            if cb != 0.0 {
-                let row = &ws.rows[i * nc..(i + 1) * nc];
-                for (rcj, &t) in ws.rc.iter_mut().zip(row) {
-                    *rcj -= cb * t;
-                }
+        ws.lo[..n].copy_from_slice(&lb[..n]);
+        ws.hi[..n].copy_from_slice(&ub[..n]);
+        for q in 0..n {
+            let value = ws.resting(ws.nonbasic[q]);
+            if value != ws.xn[q] {
+                ws.shift_nonbasic(n, q, value);
             }
         }
     }
 
-    /// One primal simplex iteration for the given costs. `allow_artificial`
-    /// permits artificial columns to enter (phase 1 only).
-    fn step(&mut self, cost: &[f64], allow_artificial: bool) -> Step {
-        self.reduced_costs(cost);
-        let prep = self.prep;
-        let ws = &mut *self.ws;
-        let nc = prep.ncols;
-        let bland = ws.degenerate_streak >= DEGENERATE_STREAK;
-
-        // Entering column: eligible if improving given its status.
-        let mut entering: Option<(usize, bool)> = None; // (col, from_lower)
-        let mut best = RC_TOL;
-        for (j, &rcj) in ws.rc.iter().enumerate() {
-            if ws.status[j] == Status::Basic {
-                continue;
-            }
-            if !allow_artificial && j >= prep.art0 {
-                continue;
-            }
-            let (eligible, from_lower, score) = match ws.status[j] {
-                Status::Lower => (rcj < -RC_TOL, true, -rcj),
-                Status::Upper => (rcj > RC_TOL, false, rcj),
-                Status::Basic => unreachable!(),
+    /// The entering slot for reduced costs `rc`: Dantzig's largest
+    /// improving `|rc|` (lowest variable index on ties), or under Bland's
+    /// rule the lowest-index improving variable. Fixed variables never
+    /// enter. Returns the slot and its direction (`+1` up from its lower
+    /// bound, `−1` down from its upper).
+    fn price(&self, rc: &[f64], bland: bool) -> Option<(usize, f64)> {
+        let ws = &*self.ws;
+        let mut entering: Option<(usize, f64)> = None;
+        let (mut best, mut best_var) = (RC_TOL, usize::MAX);
+        for (q, &rcq) in rc.iter().enumerate() {
+            let j = ws.nonbasic[q];
+            let (score, dir) = match ws.status[j] {
+                Status::Lower => (-rcq, 1.0),
+                Status::Upper => (rcq, -1.0),
+                Status::Basic => unreachable!("slot {q} holds a basic variable"),
             };
-            if eligible {
-                if bland {
-                    entering = Some((j, from_lower));
-                    break;
-                }
-                if score > best {
-                    best = score;
-                    entering = Some((j, from_lower));
-                }
+            if score <= RC_TOL || ws.hi[j] <= ws.lo[j] {
+                continue;
+            }
+            let better = if bland {
+                j < best_var
+            } else {
+                score > best || (score == best && j < best_var)
+            };
+            if better {
+                best = score;
+                best_var = j;
+                entering = Some((q, dir));
             }
         }
-        let Some((q, from_lower)) = entering else {
+        entering
+    }
+
+    /// One primal iteration for reduced costs `rc`. In `phase1` a basic
+    /// variable outside its bounds may move freely away from feasibility
+    /// and blocks only where it reaches its violated bound.
+    fn step(&mut self, rc_phase1: bool) -> Step {
+        let (n, m) = (self.prep.n, self.prep.m);
+        let bland = self.ws.degenerate_streak >= DEGENERATE_STREAK;
+        let rc = if rc_phase1 { &self.ws.d1 } else { &self.ws.d };
+        let Some((q, dir)) = self.price(rc, bland) else {
             return Step::Converged;
         };
+        let ws = &mut *self.ws;
+        let e = ws.nonbasic[q];
 
-        // Ratio test.
-        let mut t_limit = ws.upper[q]; // bound-flip distance
+        // Ratio test over the basic variables; the entering variable's own
+        // range is the bound-flip distance.
+        let mut t_limit = ws.hi[e] - ws.lo[e];
         let mut leaving: Option<(usize, Status)> = None; // (row, bound the leaver hits)
-        for i in 0..prep.m {
-            let c = ws.rows[i * nc + q];
-            if c.abs() <= PIVOT_TOL {
+        let mut best_abs = 0.0;
+        for i in 0..m {
+            let a = ws.tab[i * n + q] * dir;
+            if a.abs() <= PIVOT_TOL {
                 continue;
             }
-            let ub_b = ws.upper[ws.basis[i]];
-            // Movement t >= 0 changes basics by -t*c (from lower) or +t*c
-            // (from upper).
-            let (dist, hits) = if from_lower {
-                if c > 0.0 {
-                    (ws.beta[i] / c, Status::Lower)
-                } else if ub_b.is_finite() {
-                    ((ub_b - ws.beta[i]) / -c, Status::Upper)
-                } else {
+            let b = ws.basis[i];
+            let (x, lo, hi) = (ws.beta[i], ws.lo[b], ws.hi[b]);
+            let below = rc_phase1 && x < lo - FEAS_TOL;
+            let above = rc_phase1 && x > hi + FEAS_TOL;
+            // Moving at rate `a`, x_b rises toward `hi` or falls toward
+            // `lo` — or, infeasible in phase 1, toward its violated bound.
+            let (dist, hits) = if a > 0.0 {
+                if below {
+                    ((lo - x) / a, Status::Lower)
+                } else if above || !hi.is_finite() {
                     continue;
+                } else {
+                    ((hi - x) / a, Status::Upper)
                 }
-            } else if c < 0.0 {
-                (ws.beta[i] / -c, Status::Lower)
-            } else if ub_b.is_finite() {
-                ((ub_b - ws.beta[i]) / c, Status::Upper)
-            } else {
+            } else if above {
+                ((x - hi) / -a, Status::Upper)
+            } else if below || !lo.is_finite() {
                 continue;
+            } else {
+                ((x - lo) / -a, Status::Lower)
             };
             let dist = dist.max(0.0);
+            // Ties with the bound-flip distance keep the cheaper flip; ties
+            // between rows take the larger pivot, or under Bland's rule the
+            // lower variable index.
             let replace = match leaving {
-                // Ties with the bound-flip distance keep the cheaper flip.
                 None => dist < t_limit,
                 Some((r, _)) => {
                     dist < t_limit - PIVOT_TOL
                         || ((dist - t_limit).abs() <= PIVOT_TOL
-                            && bland
-                            && ws.basis[i] < ws.basis[r])
+                            && if bland {
+                                b < ws.basis[r]
+                            } else {
+                                a.abs() > best_abs
+                            })
                 }
             };
             if replace {
                 t_limit = t_limit.min(dist);
+                best_abs = a.abs();
                 leaving = Some((i, hits));
             }
         }
@@ -669,97 +751,83 @@ impl Solver<'_> {
         if leaving.is_none() && t_limit.is_infinite() {
             return Step::Unbounded;
         }
-
         let t = t_limit;
         if t <= PIVOT_TOL {
             ws.degenerate_streak += 1;
         } else {
             ws.degenerate_streak = 0;
         }
-
-        // Update basic values.
-        for i in 0..prep.m {
-            let c = ws.rows[i * nc + q];
-            if from_lower {
-                ws.beta[i] -= t * c;
-            } else {
-                ws.beta[i] += t * c;
-            }
-        }
         ws.pivots += 1;
-
         match leaving {
             None => {
                 // Pure bound flip.
-                ws.status[q] = if from_lower {
+                ws.status[e] = if dir > 0.0 {
                     Status::Upper
                 } else {
                     Status::Lower
                 };
-                Step::Moved
+                let value = ws.resting(e);
+                ws.shift_nonbasic(n, q, value);
             }
             Some((r, hits)) => {
-                // Pivot: q enters the basis in row r.
+                // Pivot: e enters the basis in row r; the leaver lands
+                // exactly on the bound it hits.
+                ws.shift_nonbasic(n, q, ws.xn[q] + dir * t);
                 let leaver = ws.basis[r];
+                ws.beta[r] = match hits {
+                    Status::Lower => ws.lo[leaver],
+                    _ => ws.hi[leaver],
+                };
+                ws.exchange(n, r, q);
                 ws.status[leaver] = hits;
-                let entering_value = if from_lower { t } else { ws.upper[q] - t };
-                Self::eliminate(ws, nc, prep.m, r, q);
-                ws.basis[r] = q;
-                ws.status[q] = Status::Basic;
-                ws.beta[r] = entering_value;
-                Step::Moved
             }
         }
+        Step::Moved
     }
 
-    /// Row-reduces column `q` to the `r`-th identity column, carrying
-    /// `B⁻¹b` along.
-    fn eliminate(ws: &mut Workspace, nc: usize, m: usize, r: usize, q: usize) {
-        let piv = ws.rows[r * nc + q];
-        debug_assert!(piv.abs() > PIVOT_TOL, "pivot element too small");
-        let inv = 1.0 / piv;
-        for x in ws.rows[r * nc..(r + 1) * nc].iter_mut() {
-            *x *= inv;
-        }
-        ws.binv_b[r] *= inv;
-        let pivot_b = ws.binv_b[r];
-        ws.pivot_row.copy_from_slice(&ws.rows[r * nc..(r + 1) * nc]);
-        for i in 0..m {
-            if i == r {
+    /// Phase-1 reduced costs `d1 = Σ_i w_i T[i]` over the basic variables
+    /// outside their bounds (`w = −1` below, `+1` above) and their summed
+    /// violation.
+    fn phase1_costs(&mut self) -> f64 {
+        let n = self.prep.n;
+        let ws = &mut *self.ws;
+        ws.d1.fill(0.0);
+        let mut violation = 0.0;
+        for i in 0..self.prep.m {
+            let b = ws.basis[i];
+            let x = ws.beta[i];
+            let w = if x < ws.lo[b] - FEAS_TOL {
+                violation += ws.lo[b] - x;
+                -1.0
+            } else if x > ws.hi[b] + FEAS_TOL {
+                violation += x - ws.hi[b];
+                1.0
+            } else {
                 continue;
-            }
-            let f = ws.rows[i * nc + q];
-            if f.abs() > 1e-12 {
-                let row = &mut ws.rows[i * nc..(i + 1) * nc];
-                for (x, p) in row.iter_mut().zip(&ws.pivot_row) {
-                    *x -= f * p;
-                }
-                row[q] = 0.0; // clean cancellation
-                ws.binv_b[i] -= f * pivot_b;
+            };
+            for (c, &t) in ws.d1.iter_mut().zip(&ws.tab[i * n..(i + 1) * n]) {
+                *c += w * t;
             }
         }
-        ws.etas += 1;
+        violation
     }
 
     fn phase1(&mut self) -> Phase1 {
-        let prep = self.prep;
-        let nc = prep.ncols;
-        if !self.ws.basis.iter().any(|&b| b >= prep.art0) {
-            return Phase1::Feasible;
-        }
-        let mut cost = vec![0.0; nc];
-        for cj in cost.iter_mut().skip(prep.art0) {
-            *cj = 1.0;
-        }
-        let iter_limit = prep.iter_limit();
+        let iter_limit = self.prep.iter_limit();
         let mut iters = 0u64;
         loop {
+            let violation = self.phase1_costs();
+            if violation == 0.0 {
+                return Phase1::Feasible;
+            }
             if past(self.deadline) {
                 return Phase1::Stalled;
             }
-            match self.step(&cost, true) {
-                Step::Converged => break,
-                Step::Unbounded => break, // phase-1 objective is bounded below by 0
+            match self.step(true) {
+                Step::Converged if violation <= PHASE1_TOL => return Phase1::Feasible,
+                Step::Converged => return Phase1::Infeasible,
+                // Every improving direction reaches some violated bound.
+                Step::Unbounded => return Phase1::Stalled,
                 Step::Moved => {}
             }
             iters += 1;
@@ -767,58 +835,16 @@ impl Solver<'_> {
                 return Phase1::Stalled;
             }
         }
-        let ws = &mut *self.ws;
-        let infeas: f64 = (0..prep.m)
-            .filter(|&i| ws.basis[i] >= prep.art0)
-            .map(|i| ws.beta[i])
-            .sum();
-        if infeas > 1e-6 {
-            return Phase1::Infeasible;
-        }
-        // Drive basic artificials (at zero) out of the basis where possible.
-        for i in 0..prep.m {
-            if ws.basis[i] < prep.art0 {
-                continue;
-            }
-            if past(self.deadline) {
-                return Phase1::Stalled;
-            }
-            let pivot_col = (0..prep.art0)
-                .find(|&j| ws.status[j] != Status::Basic && ws.rows[i * nc + j].abs() > 1e-7);
-            if let Some(q) = pivot_col {
-                let leaver = ws.basis[i];
-                ws.status[leaver] = Status::Lower;
-                ws.upper[leaver] = 0.0;
-                Self::eliminate(ws, nc, prep.m, i, q);
-                ws.basis[i] = q;
-                // Zero-displacement pivot: the solution point is unchanged,
-                // so the entering variable keeps its current (bound) value.
-                ws.beta[i] = match ws.status[q] {
-                    Status::Lower => 0.0,
-                    Status::Upper => ws.upper[q],
-                    Status::Basic => unreachable!("entering column was nonbasic"),
-                };
-                ws.status[q] = Status::Basic;
-            }
-            // If no pivot column exists the row is redundant; the artificial
-            // stays basic at zero and is clamped there.
-        }
-        // Clamp all artificials to zero so they never move again.
-        for j in prep.art0..nc {
-            ws.upper[j] = 0.0;
-        }
-        Phase1::Feasible
     }
 
     fn phase2(&mut self) -> Phase2 {
-        let prep = self.prep;
-        let iter_limit = prep.iter_limit();
+        let iter_limit = self.prep.iter_limit();
         let mut iters = 0u64;
         loop {
             if past(self.deadline) {
                 return Phase2::Stalled;
             }
-            match self.step(&prep.cost, false) {
+            match self.step(false) {
                 Step::Converged => return Phase2::Optimal,
                 Step::Unbounded => return Phase2::Unbounded,
                 Step::Moved => {}
@@ -835,23 +861,21 @@ impl Solver<'_> {
     /// violations one leaving row at a time while keeping the reduced costs
     /// sign-feasible.
     fn dual_simplex(&mut self) -> Dual {
-        let prep = self.prep;
-        let nc = prep.ncols;
-        let iter_limit = prep.iter_limit();
+        let (n, m) = (self.prep.n, self.prep.m);
+        let iter_limit = self.prep.iter_limit();
         let mut iters = 0u64;
         loop {
+            let ws = &mut *self.ws;
             // Most-violated leaving row (deterministic: first on ties).
-            let ws = &*self.ws;
-            let mut leaving: Option<(usize, bool)> = None; // (row, below_lower)
+            let mut leaving: Option<(usize, bool)> = None; // (row, below its lower bound)
             let mut worst = FEAS_TOL;
-            for i in 0..prep.m {
-                let b = ws.beta[i];
-                let ub_b = ws.upper[ws.basis[i]];
-                if -b > worst {
-                    worst = -b;
+            for i in 0..m {
+                let (x, b) = (ws.beta[i], ws.basis[i]);
+                if ws.lo[b] - x > worst {
+                    worst = ws.lo[b] - x;
                     leaving = Some((i, true));
-                } else if ub_b.is_finite() && b - ub_b > worst {
-                    worst = b - ub_b;
+                } else if x - ws.hi[b] > worst {
+                    worst = x - ws.hi[b];
                     leaving = Some((i, false));
                 }
             }
@@ -862,68 +886,71 @@ impl Solver<'_> {
                 return Dual::Stalled;
             }
 
-            self.reduced_costs(&prep.cost);
-            let ws = &mut *self.ws;
-
-            // Entering column: smallest dual ratio |rc_j| / |T_rj| among
-            // sign-compatible nonbasic columns; ties break on the lowest
-            // index for determinism.
-            let mut entering: Option<usize> = None;
-            let mut best_ratio = f64::INFINITY;
-            for j in 0..prep.art0 {
-                if ws.status[j] == Status::Basic {
-                    continue;
+            // Entering slot by a two-pass (Harris) ratio test over the
+            // movable nonbasic variables that push the leaver toward its
+            // violated bound: the first pass bounds the dual step with every
+            // reduced cost relaxed by RC_TOL, the second takes the largest
+            // pivot |T_rk| among the ratios within that bound (lowest
+            // variable index on ties).
+            let row = &ws.tab[r * n..(r + 1) * n];
+            // Pivots this far below the row's largest entry amplify
+            // round-off past repair.
+            let tol = row
+                .iter()
+                .fold(PIVOT_TOL, |acc, t| acc.max(REL_PIVOT_TOL * t.abs()));
+            let mut tiny = false;
+            // The reduced cost's slack toward dual infeasibility, for a
+            // compatible variable.
+            let mut slack = |k: usize, t: f64| -> Option<f64> {
+                let j = ws.nonbasic[k];
+                if t.abs() <= PIVOT_TOL || ws.hi[j] <= ws.lo[j] {
+                    return None;
                 }
-                let t = ws.rows[r * nc + j];
-                if t.abs() <= PIVOT_TOL {
-                    continue;
-                }
-                // Fixed columns (upper 0) cannot re-enter meaningfully.
-                if ws.upper[j] <= 0.0 {
-                    continue;
-                }
-                let compatible = match (below, ws.status[j]) {
-                    (true, Status::Lower) => t < 0.0,
-                    (true, Status::Upper) => t > 0.0,
-                    (false, Status::Lower) => t > 0.0,
-                    (false, Status::Upper) => t < 0.0,
-                    (_, Status::Basic) => unreachable!(),
+                let sl = match ws.status[j] {
+                    Status::Lower if (t > 0.0) == below => ws.d[k].max(0.0),
+                    Status::Upper if (t < 0.0) == below => (-ws.d[k]).max(0.0),
+                    _ => return None,
                 };
-                if !compatible {
-                    continue;
+                if t.abs() <= tol {
+                    tiny = true;
+                    return None;
                 }
-                let ratio = ws.rc[j].abs() / t.abs();
-                if ratio < best_ratio - RC_TOL {
-                    best_ratio = ratio;
-                    entering = Some(j);
+                Some(sl)
+            };
+            let mut bound = f64::INFINITY;
+            for (k, &t) in row.iter().enumerate() {
+                if let Some(sl) = slack(k, t) {
+                    bound = bound.min((sl + RC_TOL) / t.abs());
+                }
+            }
+            let mut entering: Option<usize> = None;
+            let (mut best_abs, mut best_var) = (0.0, usize::MAX);
+            for (k, &t) in row.iter().enumerate() {
+                let Some(sl) = slack(k, t) else { continue };
+                let j = ws.nonbasic[k];
+                if sl / t.abs() <= bound
+                    && (t.abs() > best_abs || (t.abs() == best_abs && j < best_var))
+                {
+                    best_abs = t.abs();
+                    best_var = j;
+                    entering = Some(k);
                 }
             }
             let Some(q) = entering else {
-                // No compatible column: the violated row cannot be repaired;
-                // the LP is infeasible (dual unbounded).
-                return Dual::Infeasible;
+                // No compatible variable: the violated row cannot be
+                // repaired; the LP is infeasible (dual unbounded) — unless
+                // only too small pivots could repair it.
+                return if tiny { Dual::Tiny } else { Dual::Infeasible };
             };
 
-            // Pivot: basis[r] leaves to the violated bound, q enters.
-            let target = if below { 0.0 } else { ws.upper[ws.basis[r]] };
-            let t_rq = ws.rows[r * nc + q];
-            let delta = (ws.beta[r] - target) / t_rq;
-            let q_old = match ws.status[q] {
-                Status::Lower => 0.0,
-                Status::Upper => ws.upper[q],
-                Status::Basic => unreachable!(),
-            };
-            for i in 0..prep.m {
-                if i != r {
-                    ws.beta[i] -= ws.rows[i * nc + q] * delta;
-                }
-            }
+            // Pivot: the leaver lands on its violated bound, q enters.
             let leaver = ws.basis[r];
+            let target = if below { ws.lo[leaver] } else { ws.hi[leaver] };
+            let delta = (target - ws.beta[r]) / ws.tab[r * n + q];
+            ws.shift_nonbasic(n, q, ws.xn[q] + delta);
+            ws.beta[r] = target;
+            ws.exchange(n, r, q);
             ws.status[leaver] = if below { Status::Lower } else { Status::Upper };
-            Self::eliminate(ws, nc, prep.m, r, q);
-            ws.basis[r] = q;
-            ws.status[q] = Status::Basic;
-            ws.beta[r] = q_old + delta;
             ws.pivots += 1;
 
             iters += 1;
@@ -933,28 +960,16 @@ impl Solver<'_> {
         }
     }
 
-    /// Recovers original-space structural values.
-    fn extract(&mut self, lb: &[f64]) -> LpSolution {
-        let prep = self.prep;
-        let ws = &mut *self.ws;
-        for x in ws.row_of.iter_mut() {
-            *x = usize::MAX;
-        }
-        for (i, &b) in ws.basis.iter().enumerate() {
-            ws.row_of[b] = i;
-        }
-        let mut values = Vec::with_capacity(prep.n);
-        let mut objective = 0.0;
-        for (j, &lo) in lb.iter().enumerate().take(prep.n) {
-            let shifted = match ws.status[j] {
-                Status::Lower => 0.0,
-                Status::Upper => ws.upper[j],
-                Status::Basic => ws.beta[ws.row_of[j]],
-            };
-            let v = lo + shifted;
-            objective += prep.cost[j] * v;
-            values.push(v);
-        }
+    /// The structural values and objective at the current basis.
+    fn extract(&self) -> LpSolution {
+        let ws = &*self.ws;
+        let values: Vec<f64> = (0..self.prep.n)
+            .map(|j| match ws.status[j] {
+                Status::Basic => ws.beta[ws.pos[j]],
+                _ => ws.xn[ws.pos[j]],
+            })
+            .collect();
+        let objective = values.iter().zip(&self.prep.cost).map(|(v, c)| v * c).sum();
         LpSolution { values, objective }
     }
 }
@@ -1413,5 +1428,126 @@ mod tests {
         assert!(after_first > 0, "an LP with pivots recorded none");
         let _ = solve_cold(&prep, &mut ws, &lb0, &ub0, None);
         assert!(ws.pivots >= 2 * after_first);
+    }
+
+    /// A tiny bounded LP: at most 4 variables in `[0, ub]`, at most 3 rows
+    /// of any relation.
+    fn tiny_lp() -> impl Strategy<Value = RandomLp> {
+        (1usize..=4).prop_flat_map(|n| {
+            let row = (proptest::collection::vec(-3i32..=3, n), 0u8..3, -5i32..=8);
+            (
+                proptest::collection::vec(-5i32..=5, n),
+                proptest::collection::vec(1u8..=4, n),
+                proptest::collection::vec(row, 0..=3),
+            )
+                .prop_map(|(obj, ub, rows)| RandomLp { obj, ub, rows })
+        })
+    }
+
+    /// The optimum of `p` by enumeration, independent of the simplex code:
+    /// every vertex of the bounded feasible set is the solution of `n`
+    /// linearly independent hyperplanes among the variable bounds and the
+    /// rows taken at equality, so the best feasible such point is optimal;
+    /// `None` when no such point is feasible.
+    fn enumerate_vertices(p: &RandomLp) -> Option<f64> {
+        let n = p.obj.len();
+        // Hyperplanes `a·x = b`: x_j = 0, x_j = ub_j, then each row.
+        let mut planes: Vec<(Vec<f64>, f64)> = Vec::new();
+        for j in 0..n {
+            let unit: Vec<f64> = (0..n).map(|k| f64::from(u8::from(k == j))).collect();
+            planes.push((unit.clone(), 0.0));
+            planes.push((unit, f64::from(p.ub[j])));
+        }
+        for (coeffs, _, rhs) in &p.rows {
+            planes.push((
+                coeffs.iter().map(|&a| f64::from(a)).collect(),
+                f64::from(*rhs),
+            ));
+        }
+        let feasible = |x: &[f64]| {
+            let tol = 1e-7;
+            x.iter()
+                .zip(&p.ub)
+                .all(|(&v, &u)| v >= -tol && v <= f64::from(u) + tol)
+                && p.rows.iter().all(|(coeffs, rel, rhs)| {
+                    let lhs: f64 = coeffs.iter().zip(x).map(|(&a, v)| f64::from(a) * v).sum();
+                    let rhs = f64::from(*rhs);
+                    match rel {
+                        0 => lhs <= rhs + tol,
+                        1 => lhs >= rhs - tol,
+                        _ => (lhs - rhs).abs() <= tol,
+                    }
+                })
+        };
+        let mut best: Option<f64> = None;
+        // Every n-subset of the hyperplanes, as a bit mask.
+        for mask in 0u32..(1 << planes.len()) {
+            if mask.count_ones() as usize != n {
+                continue;
+            }
+            let mut sys: Vec<Vec<f64>> = (0..planes.len())
+                .filter(|&i| mask >> i & 1 == 1)
+                .map(|i| {
+                    let mut r = planes[i].0.clone();
+                    r.push(planes[i].1);
+                    r
+                })
+                .collect();
+            // Gaussian elimination with partial pivoting.
+            let mut singular = false;
+            for c in 0..n {
+                let piv = (c..n)
+                    .max_by(|&a, &b| sys[a][c].abs().total_cmp(&sys[b][c].abs()))
+                    .unwrap();
+                if sys[piv][c].abs() < 1e-9 {
+                    singular = true;
+                    break;
+                }
+                sys.swap(c, piv);
+                let pivot_row = sys[c].clone();
+                for (r, row) in sys.iter_mut().enumerate() {
+                    if r != c {
+                        let f = row[c] / pivot_row[c];
+                        for (x, p) in row.iter_mut().zip(&pivot_row).skip(c) {
+                            *x -= f * p;
+                        }
+                    }
+                }
+            }
+            if singular {
+                continue;
+            }
+            let x: Vec<f64> = (0..n).map(|r| sys[r][n] / sys[r][r]).collect();
+            if feasible(&x) {
+                let obj: f64 = x.iter().zip(&p.obj).map(|(v, &c)| v * f64::from(c)).sum();
+                if best.is_none_or(|b| obj < b) {
+                    best = Some(obj);
+                }
+            }
+        }
+        best
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `solve_lp` agrees with vertex enumeration: the same optimal
+        /// objective at a feasible point, or infeasible exactly when no
+        /// vertex is feasible.
+        #[test]
+        fn solve_lp_matches_vertex_enumeration(p in tiny_lp()) {
+            let m = build_lp(&p);
+            match (solve_lp(&m), enumerate_vertices(&p)) {
+                (LpOutcome::Optimal(s), Some(best)) => {
+                    prop_assert!(
+                        (s.objective - best).abs() < 1e-6,
+                        "simplex {} != enumeration {best}", s.objective
+                    );
+                    prop_assert!(m.check_feasible(&s.values, 1e-6).is_ok());
+                }
+                (LpOutcome::Infeasible, None) => {}
+                other => prop_assert!(false, "simplex and enumeration disagree: {other:?}"),
+            }
+        }
     }
 }

@@ -94,8 +94,9 @@ fn pdw_dominates_dawo_on_every_benchmark() {
 #[test]
 fn average_improvements_land_in_the_papers_bands() {
     // Paper averages: N_wash 17.73 %, L_wash 24.56 %, T_delay 33.10 %,
-    // T_assay 9.28 %. We require the same ordering of effect sizes at
-    // meaningful magnitude, with generous tolerances.
+    // T_assay 9.28 %. We require each average to clear a floor of
+    // meaningful magnitude, with generous tolerances; the paper's ordering
+    // of effect sizes is not asserted.
     let all = run_all();
     let n = all.len() as f64;
     let avg = |f: &dyn Fn(&Comparison) -> f64| all.iter().map(f).sum::<f64>() / n;
