@@ -35,8 +35,9 @@
 //! Because every surviving cache entry equals its cold recomputation, a
 //! repaired plan is **bit-identical to a cold solve on the mutated
 //! instance** (differentially tested by the chaos harness across budgets ×
-//! threads × partitions) while skipping most of the work — see
-//! `BENCH_repair.json`.
+//! threads × partitions) while skipping most of the work: `tests/repair.rs`
+//! gates the fast path at ≥ 10x a cold solve, and the `serve-repair`
+//! benchmark workload traces the `repair.*` layers.
 
 use std::time::Instant;
 

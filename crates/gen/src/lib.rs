@@ -478,7 +478,8 @@ fn unit(rng: &mut StdRng) -> f64 {
 /// probability `reuse` (and, among those, become repair deltas with
 /// probability `delta_ratio`), otherwise they touch the next fresh entry
 /// until the pool is exhausted. The stream is a pure function of the
-/// options — the serve tests and `bench_serve` replay identical traffic.
+/// options — the serve tests, `pdw serve` and the `serve-solve` and
+/// `serve-repair` benchmark workloads replay identical traffic.
 pub fn request_stream(opts: &StreamOptions) -> Vec<StreamEvent> {
     assert!(opts.pool > 0, "request_stream needs a non-empty pool");
     let mut rng = StdRng::seed_from_u64(opts.seed ^ 0x5e4e_57a7_ea00_0001);

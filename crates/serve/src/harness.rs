@@ -2,9 +2,10 @@
 //! [`request_stream`](pdw_gen::request_stream) against a [`PlanServer`]
 //! and summarizes latency/throughput.
 //!
-//! The harness is the shared driver of the serve tests, `bench_serve`, and
-//! the `pdw serve` CLI demo: [`materialize`] turns stream events into
-//! concrete requests over an instance pool (sampling repair deltas with
+//! The harness replays traffic for the serve tests, the `pdw serve`
+//! CLI demo and the serve workloads of the `benchmark` command:
+//! [`materialize`] turns stream events into concrete requests over an
+//! instance pool (sampling repair deltas with
 //! [`pdw_gen::fault_delta`]), and [`run_open_loop`] submits them —
 //! optionally paced to their arrival times — then waits out every ticket
 //! and builds a [`LoadReport`]. Identical `(options, pool)` inputs replay
@@ -209,7 +210,7 @@ pub fn run_open_loop(server: &PlanServer, requests: &[TimedRequest], pace: bool)
 
 /// Percentile over an unsorted sample (nearest-rank on the sorted data);
 /// 0 for an empty sample.
-pub fn percentile(samples: &mut [f64], q: f64) -> f64 {
+pub(crate) fn percentile(samples: &mut [f64], q: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }

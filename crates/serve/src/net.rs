@@ -1169,7 +1169,7 @@ struct ServedResponse {
 }
 
 // ---------------------------------------------------------------------------
-// Socket load driver (soak tests, bench_serve --socket)
+// Socket load runner (the socket soak and chaos-sweep tests)
 // ---------------------------------------------------------------------------
 
 /// One socket-load request: a pool index that arrives `at_us` after
@@ -1185,7 +1185,7 @@ pub struct SocketJob {
 }
 
 /// Aggregate results of one socket load run.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct SocketLoadReport {
     /// Requests attempted.
     pub requests: usize,

@@ -296,7 +296,7 @@ fn chaos_sweep_has_zero_untyped_errors_and_no_duplicate_solves() {
 }
 
 /// The 1k-request open-loop soak through a chaos proxy at client counts
-/// {1, 8}: the first connection is torn at the handshake, the second at
+/// {1, 4, 8}: the first connection is torn at the handshake, the second at
 /// the answer to its first `SolveKey` (with one client, the cold key's
 /// `NeedInstance`), the third at its frame 2 (with one client, the plan
 /// answering the follow-up `Solve`). All served, all verified, solve
@@ -311,7 +311,7 @@ fn socket_soak_1k_requests_through_the_chaos_proxy() {
             budget: None,
         })
         .collect();
-    for clients in [1usize, 8] {
+    for clients in [1usize, 4, 8] {
         let (plan, sock) = tcp_server();
         let specs = (0..3)
             .map(|frame| ChaosSpec {

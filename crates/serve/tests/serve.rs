@@ -1,10 +1,12 @@
 //! Deterministic integration tests of the plan server: stampede
 //! single-flight, deadline expiry mid-batch, admission-control shedding,
-//! LRU churn bit-identity, and the 1k-request chaos soak.
+//! LRU churn bit-identity, the 1k-request chaos soak, a paced seeded
+//! stream over the bundled corpus, and warm restarts from a persistent
+//! memo store.
 //!
-//! Every test runs at worker counts {1, 8} and drives time through the
-//! injectable [`ManualClock`] (or ignores time entirely), so outcomes do
-//! not depend on scheduling luck.
+//! The concurrency tests run at worker counts {1, 8} and drive time
+//! through the injectable [`ManualClock`] (or ignore time entirely), so
+//! outcomes do not depend on scheduling luck.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -14,7 +16,7 @@ use pdw_assay::benchmarks;
 use pdw_gen::{request_stream, StreamOptions};
 use pdw_serve::{
     materialize, run_open_loop, HookPoint, InMemoryMemoStore, Instance, ManualClock, MemoStore,
-    PlanServer, Rejected, ServeConfig, ServeError, ServeRequest, Submission, WallClock,
+    PlanServer, Rejected, ServeConfig, ServeError, ServeRequest, Served, Submission, WallClock,
 };
 use pdw_synth::synthesize;
 
@@ -40,6 +42,32 @@ fn faulted_pool(n: usize) -> Vec<Arc<Instance>> {
         }
     }
     pool
+}
+
+/// Every bundled benchmark (the Table II suite plus the demo),
+/// synthesized once.
+fn bundled_pool() -> Vec<Arc<Instance>> {
+    benchmarks::suite()
+        .into_iter()
+        .chain([benchmarks::demo()])
+        .map(|bench| {
+            let synthesis = synthesize(&bench).expect("bundled benchmark synthesizes");
+            Arc::new(Instance::new(bench, synthesis))
+        })
+        .collect()
+}
+
+/// The served response of a completed row; any shed or error fails.
+fn served_row<'a>(row: &'a Submission, context: &str) -> &'a Served {
+    match row {
+        Submission::Done {
+            response: Ok(s), ..
+        } => s,
+        Submission::Done {
+            response: Err(e), ..
+        } => panic!("{context}: failed: {e}"),
+        Submission::Shed(r) => panic!("{context}: shed: {r}"),
+    }
 }
 
 fn solve(instance: &Arc<Instance>) -> ServeRequest {
@@ -385,6 +413,73 @@ fn soak_1k_requests_with_injected_panics() {
     }
 }
 
+/// A seeded, reuse-heavy stream with repair deltas over the bundled
+/// corpus, paced at a light and a heavy arrival rate against 2 workers:
+/// every served solve is oracle-verified and bit-identical to its cold
+/// solve, every repair session's terminal plan verifies on its mutated
+/// chip, and a memo hit is served at least 10x faster than a cold solve
+/// (service-time medians).
+#[test]
+fn bundled_stream_serves_verified_plans_and_fast_memo_hits() {
+    let pool = bundled_pool();
+    let cfg = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let cold: Vec<_> = pool
+        .iter()
+        .map(|i| {
+            plan_resilient(i.bench(), i.synthesis(), &cfg.planner)
+                .served
+                .expect("bundled corpus serves")
+        })
+        .collect();
+    for mean_gap_us in [1_000, 100] {
+        let events = request_stream(&StreamOptions {
+            seed: 7,
+            requests: 150,
+            pool: pool.len(),
+            mean_gap_us,
+            reuse: 0.7,
+            delta_ratio: 0.1,
+        });
+        let server = PlanServer::start(cfg.clone());
+        let run = run_open_loop(&server, &materialize(&events, &pool, None), true);
+        for (i, row) in run.rows.iter().enumerate() {
+            let served = served_row(row, &format!("gap {mean_gap_us}us request {i}"));
+            if served.repaired {
+                continue;
+            }
+            let index = events[i].pool_index;
+            assert_eq!(
+                served.plan.result.schedule, cold[index].schedule,
+                "gap {mean_gap_us}us request {i}: served solve differs from its cold solve"
+            );
+            assert_verified(
+                pool[index].bench(),
+                pool[index].synthesis(),
+                &served.plan.result,
+            );
+        }
+        for instance in &pool {
+            if let Some((synthesis, Some(last))) = server.repair_state(instance) {
+                assert_verified(instance.bench(), &synthesis, &last);
+            }
+        }
+        let report = run.report;
+        assert!(
+            report.memo_hits > 0,
+            "gap {mean_gap_us}us: no memo hits under a reuse-heavy stream"
+        );
+        assert!(
+            report.memo_hit_speedup >= 10.0,
+            "gap {mean_gap_us}us: memo-hit speedup {:.1}x below 10x",
+            report.memo_hit_speedup
+        );
+        server.shutdown();
+    }
+}
+
 #[test]
 fn warm_restart_serves_persisted_artifacts() {
     let path =
@@ -444,6 +539,59 @@ fn warm_restart_serves_persisted_artifacts() {
     assert_eq!(stats.persist_rejected, 0);
     assert_eq!(stats.persist_entries, 1);
     server.shutdown();
+    let _ = std::fs::remove_file(&path);
+
+    // The bundled corpus: a paced solve-only stream against a fresh store,
+    // then the identical stream against a restarted server on that store.
+    let pool = bundled_pool();
+    let events = request_stream(&StreamOptions {
+        seed: 11,
+        requests: 120,
+        pool: pool.len(),
+        mean_gap_us: 300,
+        reuse: 0.5,
+        delta_ratio: 0.0,
+    });
+    let requests = materialize(&events, &pool, None);
+    let cfg = ServeConfig {
+        workers: 2,
+        memo_path: Some(path.clone()),
+        ..ServeConfig::default()
+    };
+    let pass = |label: &str| {
+        let server = PlanServer::start(cfg.clone());
+        let run = run_open_loop(&server, &requests, true);
+        let schedules: Vec<_> = run
+            .rows
+            .iter()
+            .enumerate()
+            .map(|(i, row)| {
+                served_row(row, &format!("{label} pass request {i}"))
+                    .plan
+                    .result
+                    .schedule
+                    .clone()
+            })
+            .collect();
+        let stats = server.stats();
+        server.shutdown();
+        (schedules, stats)
+    };
+    let (cold_plans, _) = pass("cold");
+    let (warm_plans, warm_stats) = pass("warm");
+    assert_eq!(warm_stats.solves, 0, "the restarted server re-solved");
+    assert!(
+        warm_stats.persist_hits > 0,
+        "no request was served from the persistent store after restart"
+    );
+    assert_eq!(
+        warm_stats.persist_rejected, 0,
+        "a persisted artifact failed certificate re-verification"
+    );
+    assert!(
+        cold_plans == warm_plans,
+        "a restarted plan diverged from its cold-pass counterpart"
+    );
     let _ = std::fs::remove_file(&path);
 }
 

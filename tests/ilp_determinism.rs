@@ -2,9 +2,11 @@
 //! small synthetic assays whose Eq. 1–26 ILP proves optimality. Every solve
 //! must be adopted and proved optimal, each Eq. 26 objective must equal the
 //! instance's screened optimum (as must their sum), and the same instance
-//! must build and search the same ILP every time: identical node and pivot
-//! counts and a byte-identical plan — also when the planner runs through a
-//! shared `PlanContext` instead of a one-shot call.
+//! must build and search the same ILP every time and at any thread count:
+//! identical node and pivot counts and a byte-identical plan — also when
+//! the planner runs through a shared `PlanContext` instead of a one-shot
+//! call. Each search ends by proving optimality, not at its budget, so the
+//! comparison does not depend on how fast the machine is.
 
 use std::time::Duration;
 
@@ -47,13 +49,13 @@ fn spec(ops: usize, edges: usize, seed: u64) -> SyntheticSpec {
     }
 }
 
-/// The ILP on, single-threaded, with a budget no instance reaches.
-fn config() -> PdwConfig {
+/// The ILP on at `threads`, with a budget no instance reaches.
+fn config_at(threads: usize) -> PdwConfig {
     PdwConfig {
         ilp: true,
         // Generous: unoptimized builds search far slower than release.
         ilp_budget: Duration::from_secs(120),
-        threads: 1,
+        threads,
         ..PdwConfig::default()
     }
 }
@@ -65,35 +67,51 @@ fn solve(spec: &SyntheticSpec, config: &PdwConfig) -> WashResult {
         .unwrap_or_else(|| panic!("{}: unservable", spec.name))
 }
 
+/// Each instance is solved twice at one thread, then at two and eight:
+/// every search proves optimality with the same nodes, pivots and plan.
 #[test]
 fn ilp_solves_are_optimal_and_repeat_exactly() {
-    let config = config();
     let weights = Weights::default();
     let mut sum = 0.0;
     for (ops, edges, seed, optimum) in SPECS {
         let spec = spec(ops, edges, seed);
-        let first = solve(&spec, &config);
-        let second = solve(&spec, &config);
-        for r in [&first, &second] {
-            assert!(r.solver.used_ilp, "{}: ILP plan not adopted", spec.name);
-            assert!(r.solver.optimal, "{}: optimality not proved", spec.name);
+        let runs: Vec<(usize, WashResult)> = [1, 1, 2, 8]
+            .into_iter()
+            .map(|threads| (threads, solve(&spec, &config_at(threads))))
+            .collect();
+        for (threads, r) in &runs {
+            assert!(
+                r.solver.used_ilp,
+                "{} at {threads} threads: ILP plan not adopted",
+                spec.name
+            );
+            assert!(
+                r.solver.optimal,
+                "{} at {threads} threads: optimality not proved",
+                spec.name
+            );
         }
-        let (a, b) = (
-            first.solver.stats.as_ref().expect("ILP stats"),
-            second.solver.stats.as_ref().expect("ILP stats"),
-        );
-        assert_eq!(a.nodes, b.nodes, "{}: node counts differ", spec.name);
-        assert_eq!(
-            a.lp_pivots, b.lp_pivots,
-            "{}: pivot counts differ",
-            spec.name
-        );
-        assert_eq!(
-            canonical_digest(&first.schedule),
-            canonical_digest(&second.schedule),
-            "{}: plans differ",
-            spec.name
-        );
+        let (_, first) = &runs[0];
+        let a = first.solver.stats.as_ref().expect("ILP stats");
+        for (threads, r) in &runs[1..] {
+            let b = r.solver.stats.as_ref().expect("ILP stats");
+            assert_eq!(
+                a.nodes, b.nodes,
+                "{} at {threads} threads: node counts differ",
+                spec.name
+            );
+            assert_eq!(
+                a.lp_pivots, b.lp_pivots,
+                "{} at {threads} threads: pivot counts differ",
+                spec.name
+            );
+            assert_eq!(
+                canonical_digest(&first.schedule),
+                canonical_digest(&r.schedule),
+                "{} at {threads} threads: plans differ",
+                spec.name
+            );
+        }
         let objective = objective_of(&first.schedule, &weights);
         assert!(
             (objective - optimum).abs() < 1e-9,
@@ -112,7 +130,7 @@ fn ilp_solves_are_optimal_and_repeat_exactly() {
 /// planned on first serves the plan a one-shot [`pdw`] call serves.
 #[test]
 fn shared_context_ilp_plans_match_one_shot_calls() {
-    let config = config();
+    let config = config_at(1);
     for (ops, edges, seed, _) in SPECS {
         let spec = spec(ops, edges, seed);
         let (bench, synthesis) = pdw_gen::instance(&spec).expect("spec synthesizes");
