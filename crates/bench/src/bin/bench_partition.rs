@@ -34,7 +34,7 @@
 use std::time::Instant;
 
 use pathdriver_wash::{
-    plan_partitioned_with, PdwConfig, RungKind, StreamExecutor, Weights, WorkerChaos,
+    plan_partitioned_with, ChaosSpec, PdwConfig, RungKind, StreamExecutor, Weights,
 };
 use pdw_assay::benchmarks::Benchmark;
 use pdw_synth::Synthesis;
@@ -160,7 +160,10 @@ fn main() {
         // stdin/stdout, exactly like `pdw worker`.
         let stdin = std::io::stdin();
         let stdout = std::io::stdout();
-        let chaos = WorkerChaos::from_env().expect("PDW_WORKER_CHAOS parses");
+        let chaos = ChaosSpec::from_worker_env().unwrap_or_else(|e| {
+            eprintln!("bench_partition --worker: {e}");
+            std::process::exit(2)
+        });
         pathdriver_wash::run_worker(&mut stdin.lock(), &mut stdout.lock(), chaos)
             .expect("worker protocol");
         return;

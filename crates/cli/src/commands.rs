@@ -4,8 +4,8 @@ use std::fmt;
 use std::time::Duration;
 
 use pathdriver_wash::{
-    plan_partitioned_with, verify, DawoPlanner, NetAddr, NetListener, PdwConfig, PdwPlanner,
-    PlanContext, Planner, StreamExecutor, WorkerChaos, SCHEMA_VERSION,
+    plan_partitioned_with, verify, ChaosSpec, DawoPlanner, NetAddr, NetListener, PdwConfig,
+    PdwPlanner, PlanContext, Planner, StreamExecutor, SCHEMA_VERSION,
 };
 use pdw_assay::benchmarks::{self, Benchmark};
 use pdw_sim::Metrics;
@@ -612,7 +612,7 @@ fn cmd_worker(args: &[String]) -> Result<(), CliError> {
             other => return err(format!("unknown option `{other}`")),
         }
     }
-    let chaos = WorkerChaos::from_env().unwrap_or_else(|e| {
+    let chaos = ChaosSpec::from_worker_env().unwrap_or_else(|e| {
         eprintln!("pdw worker: {e}");
         std::process::exit(2)
     });

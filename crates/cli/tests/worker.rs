@@ -5,8 +5,8 @@
 //!
 //! - worker plans are bit-identical to in-process plans on the mega
 //!   family;
-//! - workers killed or corrupting their replies mid-plan (chaos `die:1`,
-//!   `corrupt:1`) degrade to in-process replanning with one typed event
+//! - workers killed or corrupting their replies mid-plan (chaos
+//!   `disconnect:1`, `corrupt:1`) degrade to in-process replanning with one typed event
 //!   per fallback, never a wrong or missing plan;
 //! - a worker that cannot be reached at all (a dead port, a nonexistent
 //!   argv) burns the lane's respawn budget and falls back;
@@ -239,12 +239,12 @@ fn bit_identity(connector: Connector) {
 
 #[test]
 fn killed_workers_degrade_to_in_process_with_typed_events() {
-    chaos_sweep("die:1", &[Connector::Spawn]);
+    chaos_sweep("disconnect:1", &[Connector::Spawn]);
 }
 
 #[test]
 fn dead_socket_peer_degrades_to_in_process_with_typed_events() {
-    chaos_sweep("die:1", &[Connector::Dial]);
+    chaos_sweep("disconnect:1", &[Connector::Dial]);
 }
 
 #[test]
@@ -316,11 +316,11 @@ fn respawn_budget_exhaustion_degrades_the_lane_in_process() {
     for connector in CONNECTORS {
         let label = format!("exhausted lane over {connector:?}");
         // One lane, so every job queues behind the same dying worker.
-        let (executor, _peer) = fleet(connector, Some("die:1"), 1);
+        let (executor, _peer) = fleet(connector, Some("disconnect:1"), 1);
         let report = plan_through(&label, &executor, (&bench, &s), &reference);
         assert_eq!(
             report.remote_jobs, 0,
-            "{label}: die:1 never completes a job"
+            "{label}: disconnect:1 never completes a job"
         );
         assert_eq!(
             report.exhausted_lanes, 1,
@@ -356,7 +356,7 @@ fn respawn_budget_exhaustion_degrades_the_lane_in_process() {
 /// block on it or sit listening until the deadline).
 #[test]
 fn malformed_chaos_specs_are_refused_at_startup() {
-    for spec in ["die:0", "dei:1", "corrupt:x", "die:1:2"] {
+    for spec in ["disconnect:0", "dei:1", "corrupt:x", "disconnect:1:2"] {
         for args in [&["worker"][..], &["worker", "--listen", "127.0.0.1:0"]] {
             let label = format!("PDW_WORKER_CHAOS={spec} pdw {}", args.join(" "));
             let mut child = Command::new(env!("CARGO_BIN_EXE_pdw"))

@@ -33,7 +33,6 @@ use std::time::Instant;
 use pdw_assay::benchmarks::Benchmark;
 use pdw_biochip::{CellSet, Chip, Coord, ScratchPool};
 use pdw_contam::{analyze, Analysis, NecessityOptions, WashRequirement};
-use pdw_sched::Schedule;
 use pdw_synth::Synthesis;
 
 use crate::config::CandidatePolicy;
@@ -260,11 +259,6 @@ impl<'a> PlanContext<'a> {
     /// The instance's chip.
     pub fn chip(&self) -> &'a Chip {
         &self.synthesis.chip
-    }
-
-    /// The instance's wash-free base schedule.
-    pub fn base_schedule(&self) -> &'a Schedule {
-        &self.synthesis.schedule
     }
 
     /// The shared routing-scratch pool.

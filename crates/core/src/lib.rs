@@ -115,9 +115,10 @@ pub use resilient::{
 };
 pub use stats::PipelineStats;
 pub use transport::{
-    NetAddr, NetListener, NetRequest, NetResponse, NetStream, TransportError, WireError,
+    ChaosMode, ChaosSpec, NetAddr, NetListener, NetRequest, NetResponse, NetStream, TransportError,
+    WireError,
 };
 pub use worker::{
     run_worker, ExecutorEvent, ExecutorReport, RegionRequest, SolveRequest, StreamExecutor,
-    WorkerChaos, WorkerRequest, WorkerResponse,
+    WorkerRequest, WorkerResponse,
 };

@@ -24,10 +24,13 @@
 //!   classifies `WouldBlock`/`TimedOut` as [`TransportError::Timeout`],
 //!   version skew as its own variant, and every other codec failure as a
 //!   torn frame.
+//! - [`ChaosSpec`] / [`send_faulted`] — the one fault grammar and the one
+//!   frame-level fault applier, shared by the `pdw worker` loop
+//!   (`PDW_WORKER_CHAOS`) and the serve crate's chaos proxy.
 //!
-//! Region jobs sent to `pdw worker --listen` peers use only [`NetAddr`]
-//! and [`NetStream`] from here; the worker protocol's client and server
-//! both live in [`crate::worker`].
+//! The worker protocol takes only [`NetAddr`], [`NetStream`] and the
+//! chaos grammar from here; its client and server both live in
+//! [`crate::worker`].
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -259,18 +262,6 @@ impl NetStream {
             }
         }
     }
-
-    /// A human-readable peer label for events and logs.
-    pub fn peer_label(&self) -> String {
-        match self {
-            NetStream::Tcp(s) => s
-                .peer_addr()
-                .map(|a| a.to_string())
-                .unwrap_or_else(|_| "tcp:?".to_string()),
-            #[cfg(unix)]
-            NetStream::Unix(_) => "unix-peer".to_string(),
-        }
-    }
 }
 
 impl Read for NetStream {
@@ -453,26 +444,16 @@ pub fn send_frame(
         })
 }
 
-/// Reads one whole frame under a read deadline and a frame-length cap.
-/// `Ok(None)` is a clean EOF at a frame boundary (the peer hung up
-/// politely); every other failure is typed.
+/// Reads one whole frame under a read deadline and a frame-length cap: a
+/// one-shot [`FrameReader::poll_frame`]. `Ok(None)` is a clean EOF at a
+/// frame boundary (the peer hung up politely); every other failure is
+/// typed.
 pub fn recv_frame(
     stream: &mut NetStream,
     cap: usize,
     timeout: Duration,
 ) -> Result<Option<Vec<u8>>, TransportError> {
-    let _ = stream.set_read_timeout(Some(timeout));
-    let mut tracked = TrackedReader {
-        inner: stream,
-        last_kind: None,
-    };
-    match codec::read_frame_capped(&mut tracked, cap) {
-        Ok(frame) => Ok(frame),
-        Err(e) => {
-            let kind = tracked.last_kind;
-            Err(classify_codec(e, kind, timeout))
-        }
-    }
+    FrameReader::new(cap).poll_frame(stream, timeout)
 }
 
 /// A resumable [`recv_frame`] for tick-polled server loops: one reader
@@ -715,18 +696,6 @@ pub fn send_request(
     send_frame(stream, &frame, timeout)
 }
 
-/// Receives and decodes one [`NetRequest`] (`Ok(None)` = clean EOF).
-pub fn recv_request(
-    stream: &mut NetStream,
-    cap: usize,
-    timeout: Duration,
-) -> Result<Option<NetRequest>, TransportError> {
-    match recv_frame(stream, cap, timeout)? {
-        None => Ok(None),
-        Some(frame) => decode_net(FrameType::NetRequest, &frame).map(Some),
-    }
-}
-
 /// Encodes and sends one [`NetResponse`].
 pub fn send_response(
     stream: &mut NetStream,
@@ -776,6 +745,201 @@ pub fn hello() -> NetRequest {
     NetRequest::Hello {
         codec_version: SCHEMA_VERSION,
     }
+}
+
+// ---------------------------------------------------------------------------
+// Fault injection: one grammar for every chaos site
+// ---------------------------------------------------------------------------
+
+/// What a fault does to the frame it strikes (see [`send_faulted`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChaosMode {
+    /// Write nothing and close. The chaos proxy applies a `drop` at frame
+    /// 0 on accept, before it dials upstream.
+    Drop,
+    /// Wait this many milliseconds, then write the frame and go on.
+    Delay(u64),
+    /// Write only this many of the frame's bytes, then close.
+    Truncate(usize),
+    /// Flip the frame's last byte (its digest trailer), write it, then
+    /// close.
+    Corrupt,
+    /// Write nothing, now or later, and hold the stream open.
+    BlackHole,
+    /// Write nothing and close.
+    Disconnect,
+}
+
+/// Which frame stream to fault, and how. The grammar, parsed by
+/// [`parse`](Self::parse) and printed by `Display`:
+///
+/// | spec | the faulted frame |
+/// |------|-------------------|
+/// | `drop:N` | nothing is written; the stream closes |
+/// | `delay:N:MS` | written after `MS` ms; the stream goes on |
+/// | `truncate:N:BYTES` | its first `BYTES` bytes are written; the stream closes |
+/// | `corrupt:N` | written with its digest trailer's last byte flipped; the stream closes |
+/// | `blackhole:N` | swallowed, with every later frame; the stream stays open |
+/// | `disconnect:N` | nothing is written; the stream closes |
+///
+/// `N` ≥ 1 picks the faulted stream: the chaos proxy's `N`th accepted
+/// connection, or the answer to the `N`th request one `pdw worker` loop
+/// serves (`PDW_WORKER_CHAOS`, read by [`from_worker_env`](Self::from_worker_env)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChaosSpec {
+    /// The fault.
+    pub mode: ChaosMode,
+    /// The 1-based index of the faulted connection (proxy) or request
+    /// (worker); every other one passes unharmed.
+    pub nth: usize,
+    /// The 0-based frame of the proxy's faulted connection that the fault
+    /// strikes; earlier frames pass verbatim. The grammar leaves it at 0,
+    /// and a worker, which answers each request with one frame, ignores
+    /// it.
+    pub frame: usize,
+}
+
+impl ChaosSpec {
+    /// Parses the grammar (see the [type docs](Self)). Every error names
+    /// the whole spec.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        let mut parts = s.split(':');
+        let mode = parts.next().unwrap_or("");
+        let nth: usize = parts
+            .next()
+            .ok_or_else(|| format!("chaos spec '{s}' needs mode:N"))?
+            .parse()
+            .map_err(|e| format!("chaos spec '{s}': bad connection index: {e}"))?;
+        if nth == 0 {
+            return Err(format!("chaos spec '{s}': connection index is 1-based"));
+        }
+        let param = parts.next();
+        if parts.next().is_some() {
+            return Err(format!("chaos spec '{s}': too many fields"));
+        }
+        let need = |name: &str| {
+            param
+                .ok_or_else(|| format!("chaos spec '{s}' needs {name}"))
+                .and_then(|p| {
+                    p.parse::<u64>()
+                        .map_err(|e| format!("chaos spec '{s}': {e}"))
+                })
+        };
+        let mode = match mode {
+            "drop" => ChaosMode::Drop,
+            "delay" => ChaosMode::Delay(need("mode:N:MS")?),
+            "truncate" => ChaosMode::Truncate(need("mode:N:BYTES")? as usize),
+            "corrupt" => ChaosMode::Corrupt,
+            "blackhole" => ChaosMode::BlackHole,
+            "disconnect" => ChaosMode::Disconnect,
+            other => return Err(format!("chaos spec '{s}': unknown mode '{other}'")),
+        };
+        if param.is_some() && !matches!(mode, ChaosMode::Delay(_) | ChaosMode::Truncate(_)) {
+            return Err(format!("chaos spec '{s}': mode takes no parameter"));
+        }
+        Ok(ChaosSpec {
+            mode,
+            nth,
+            frame: 0,
+        })
+    }
+
+    /// Every mode, faulting connection `nth` — the sweep used by the
+    /// chaos tests and CI.
+    pub fn all_modes(nth: usize) -> Vec<ChaosSpec> {
+        [
+            ChaosMode::Drop,
+            ChaosMode::Delay(50),
+            ChaosMode::Truncate(16),
+            ChaosMode::Corrupt,
+            ChaosMode::BlackHole,
+            ChaosMode::Disconnect,
+        ]
+        .into_iter()
+        .map(|mode| ChaosSpec {
+            mode,
+            nth,
+            frame: 0,
+        })
+        .collect()
+    }
+
+    /// The fault a `pdw worker` loop injects, read from
+    /// `PDW_WORKER_CHAOS`: unset or empty is `None`. A malformed spec is
+    /// refused, and so is `blackhole`: a spawned lane has no read
+    /// deadline, so a swallowed answer would hang it. A refusal is one
+    /// line naming the whole spec, so a mistyped chaos run cannot pass
+    /// with a healthy worker.
+    pub fn from_worker_env() -> Result<Option<Self>, String> {
+        let spec = std::env::var_os("PDW_WORKER_CHAOS").unwrap_or_default();
+        Self::for_worker(&spec.to_string_lossy())
+    }
+
+    pub(crate) fn for_worker(spec: &str) -> Result<Option<Self>, String> {
+        if spec.is_empty() {
+            return Ok(None);
+        }
+        match Self::parse(spec) {
+            Ok(s) if s.mode == ChaosMode::BlackHole => Err(format!(
+                "PDW_WORKER_CHAOS: chaos spec '{spec}': a worker cannot black-hole its answers"
+            )),
+            Ok(s) => Ok(Some(s)),
+            Err(e) => Err(format!("PDW_WORKER_CHAOS: {e}")),
+        }
+    }
+}
+
+impl std::fmt::Display for ChaosSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.mode {
+            ChaosMode::Drop => write!(f, "drop:{}", self.nth),
+            ChaosMode::Delay(ms) => write!(f, "delay:{}:{ms}", self.nth),
+            ChaosMode::Truncate(n) => write!(f, "truncate:{}:{n}", self.nth),
+            ChaosMode::Corrupt => write!(f, "corrupt:{}", self.nth),
+            ChaosMode::BlackHole => write!(f, "blackhole:{}", self.nth),
+            ChaosMode::Disconnect => write!(f, "disconnect:{}", self.nth),
+        }
+    }
+}
+
+/// What a stream does after [`send_faulted`] sent its faulted frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AfterFault {
+    /// Later frames pass unharmed.
+    Continue,
+    /// The stream closes.
+    Close,
+    /// The stream stays open, but every later frame is swallowed.
+    Swallow,
+}
+
+/// Sends one encoded frame to `w` faulted by `mode` (see [`ChaosMode`]),
+/// flushes, and says what the stream does next. Both chaos sites — the
+/// `pdw worker` loop and the chaos proxy — fault frames through this one
+/// function.
+pub fn send_faulted(w: &mut impl Write, frame: &[u8], mode: ChaosMode) -> io::Result<AfterFault> {
+    let after = match mode {
+        ChaosMode::Drop | ChaosMode::Disconnect => return Ok(AfterFault::Close),
+        ChaosMode::BlackHole => return Ok(AfterFault::Swallow),
+        ChaosMode::Delay(ms) => {
+            std::thread::sleep(Duration::from_millis(ms));
+            w.write_all(frame)?;
+            AfterFault::Continue
+        }
+        ChaosMode::Truncate(n) => {
+            w.write_all(&frame[..n.min(frame.len())])?;
+            AfterFault::Close
+        }
+        ChaosMode::Corrupt => {
+            if let Some((last, body)) = frame.split_last() {
+                w.write_all(body)?;
+                w.write_all(&[last ^ 0x80])?;
+            }
+            AfterFault::Close
+        }
+    };
+    w.flush()?;
+    Ok(after)
 }
 
 #[cfg(test)]
@@ -889,6 +1053,55 @@ mod tests {
             Ok(NetResponse::HelloAck { key_first, .. }) => assert_eq!(key_first, None),
             other => panic!("expected a HelloAck, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn chaos_spec_grammar_round_trips() {
+        for s in [
+            "drop:1",
+            "delay:2:500",
+            "truncate:3:64",
+            "corrupt:4",
+            "blackhole:5",
+            "disconnect:6",
+        ] {
+            let spec = ChaosSpec::parse(s).unwrap();
+            assert_eq!(spec.to_string(), s, "display drifted for {s}");
+        }
+        assert!(ChaosSpec::parse("drop:0").is_err(), "1-based index");
+        assert!(ChaosSpec::parse("drop").is_err());
+        assert!(ChaosSpec::parse("delay:1").is_err(), "delay needs MS");
+        assert!(ChaosSpec::parse("corrupt:1:9").is_err(), "no parameter");
+        assert!(ChaosSpec::parse("melt:1").is_err());
+        assert_eq!(ChaosSpec::all_modes(2).len(), 6);
+        assert!(ChaosSpec::all_modes(2).iter().all(|s| s.nth == 2));
+    }
+
+    #[test]
+    fn each_chaos_mode_faults_one_frame_as_documented() {
+        let frame = codec::encode_frame(FrameType::NetRequest, &hello());
+        let sent = |mode| {
+            let mut out = Vec::new();
+            let after = send_faulted(&mut out, &frame, mode).unwrap();
+            (out, after)
+        };
+        assert_eq!(sent(ChaosMode::Drop), (vec![], AfterFault::Close));
+        assert_eq!(sent(ChaosMode::Disconnect), (vec![], AfterFault::Close));
+        assert_eq!(sent(ChaosMode::BlackHole), (vec![], AfterFault::Swallow));
+        assert_eq!(
+            sent(ChaosMode::Delay(1)),
+            (frame.clone(), AfterFault::Continue)
+        );
+        assert_eq!(
+            sent(ChaosMode::Truncate(16)),
+            (frame[..16].to_vec(), AfterFault::Close)
+        );
+        let (corrupt, after) = sent(ChaosMode::Corrupt);
+        assert_eq!(after, AfterFault::Close);
+        assert!(matches!(
+            codec::check_frame(&corrupt),
+            Err(CodecError::DigestMismatch { .. })
+        ));
     }
 
     #[test]

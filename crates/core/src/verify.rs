@@ -55,7 +55,7 @@ use crate::config::{PdwConfig, Weights};
 use crate::context::PlanContext;
 use crate::pdw::WashResult;
 use crate::planner::{DawoPlanner, GreedyPlanner, PdwPlanner, Planner};
-use crate::resilient::plan_resilient;
+use crate::resilient::{plan_resilient, PlanOutcome};
 
 /// Knobs of a verification run.
 #[derive(Debug, Clone)]
@@ -416,6 +416,60 @@ impl fmt::Display for ChaosReport {
     }
 }
 
+/// `list`, or `[1]` when it is empty: the thread and partition counts a
+/// chaos sweep runs when its options name none.
+fn or_one(list: &[usize]) -> &[usize] {
+    if list.is_empty() {
+        &[1]
+    } else {
+        list
+    }
+}
+
+/// The planner configuration at one chaos grid point: ILP off, so every
+/// rung is deterministic.
+fn chaos_config(threads: usize, budget: Option<Duration>) -> PdwConfig {
+    PdwConfig {
+        ilp: false,
+        threads,
+        pipeline_budget: budget,
+        ..PdwConfig::default()
+    }
+}
+
+/// The serving contract, fault-aware: a plan served on `chip` must pass
+/// the validator and the contamination oracle. Violations are pushed to
+/// `failures`, prefixed with `at`.
+fn check_served(
+    at: &str,
+    chip: &Chip,
+    bench: &Benchmark,
+    schedule: &Schedule,
+    failures: &mut Vec<String>,
+) {
+    if let Err(e) = validate(chip, &bench.graph, schedule) {
+        failures.push(format!("{at}: served plan invalid: {e}"));
+    }
+    let oracle = propagate(chip, &bench.graph, schedule);
+    if !oracle.is_clean() {
+        failures.push(format!(
+            "{at}: served plan dirty: {} oracle violation(s)",
+            oracle.violations.len()
+        ));
+    }
+}
+
+/// `true` when two outcomes served the same rung and, if any, the same
+/// plan: schedule and metrics.
+fn same_outcome(a: &PlanOutcome, b: &PlanOutcome) -> bool {
+    a.rung == b.rung
+        && match (&a.served, &b.served) {
+            (Some(x), Some(y)) => x.schedule == y.schedule && x.metrics == y.metrics,
+            (None, None) => true,
+            _ => false,
+        }
+}
+
 /// Sweeps [`plan_resilient`](crate::plan_resilient) over deadline points ×
 /// thread counts on one (already faulted) instance, checking the ladder's
 /// contract (see the [module docs](self)). `synthesis` should carry the
@@ -430,29 +484,14 @@ pub fn chaos_instance(
     let mut failures: Vec<String> = Vec::new();
     let mut solves = 0usize;
     let mut served = 0usize;
-    let threads = if opts.threads.is_empty() {
-        vec![1]
-    } else {
-        opts.threads.clone()
-    };
-    let partitions = if opts.partitions.is_empty() {
-        vec![1]
-    } else {
-        opts.partitions.clone()
-    };
     for budget in &opts.budgets {
-        for &k in &partitions {
+        for &k in or_one(&opts.partitions) {
             // Baseline outcome of the first thread count at this
             // (deadline, partition-count) point; the others must match it
             // bit for bit.
-            let mut baseline: Option<crate::resilient::PlanOutcome> = None;
-            for &t in &threads {
-                let config = PdwConfig {
-                    ilp: false,
-                    threads: t,
-                    pipeline_budget: *budget,
-                    ..PdwConfig::default()
-                };
+            let mut baseline: Option<PlanOutcome> = None;
+            for &t in or_one(&opts.threads) {
+                let config = chaos_config(t, *budget);
                 let point = format!("budget {budget:?}, {t} threads, {k} partitions");
                 // Both ladders promise to never panic; hold them to that.
                 let outcome = match std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -488,40 +527,17 @@ pub fn chaos_instance(
                 // re-verification on the damaged chip.
                 if let Some(r) = &outcome.served {
                     served += 1;
-                    if let Err(e) = validate(&synthesis.chip, &bench.graph, &r.schedule) {
-                        failures.push(format!("{point}: served plan invalid: {e}"));
-                    }
-                    let oracle = propagate(&synthesis.chip, &bench.graph, &r.schedule);
-                    if !oracle.is_clean() {
-                        failures.push(format!(
-                            "{point}: served plan dirty: {} oracle violation(s)",
-                            oracle.violations.len()
-                        ));
-                    }
+                    check_served(&point, &synthesis.chip, bench, &r.schedule, &mut failures);
                 }
 
                 // Outcome identity across thread counts.
                 match &baseline {
                     None => baseline = Some(outcome),
-                    Some(base) => {
-                        if outcome.rung != base.rung {
-                            failures.push(format!(
-                                "{point}: served rung {:?} differs from baseline {:?}",
-                                outcome.rung, base.rung
-                            ));
-                        } else {
-                            match (&base.served, &outcome.served) {
-                                (Some(a), Some(b))
-                                    if a.schedule != b.schedule || a.metrics != b.metrics =>
-                                {
-                                    failures.push(format!(
-                                        "{point}: served plan differs from baseline"
-                                    ));
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
+                    Some(base) if !same_outcome(base, &outcome) => failures.push(format!(
+                        "{point}: served outcome (rung {:?}) differs from baseline (rung {:?})",
+                        outcome.rung, base.rung
+                    )),
+                    Some(_) => {}
                 }
             }
         }
@@ -561,38 +577,23 @@ pub fn chaos_repair_instance(
     let mut failures: Vec<String> = Vec::new();
     let mut solves = 0usize;
     let mut served = 0usize;
-    let threads = if opts.threads.is_empty() {
-        vec![1]
-    } else {
-        opts.threads.clone()
-    };
-    let partitions = if opts.partitions.is_empty() {
-        vec![1]
-    } else {
-        opts.partitions.clone()
-    };
     for budget in &opts.budgets {
-        for &k in &partitions {
+        for &k in or_one(&opts.partitions) {
             // Per-step outcomes of the first thread count at this point;
             // the other thread counts must reproduce them bit for bit.
-            let mut baseline: Option<Vec<crate::resilient::PlanOutcome>> = None;
-            for &t in &threads {
-                let config = PdwConfig {
-                    ilp: false,
-                    threads: t,
-                    pipeline_budget: *budget,
-                    ..PdwConfig::default()
-                };
+            let mut baseline: Option<Vec<PlanOutcome>> = None;
+            for &t in or_one(&opts.threads) {
                 let point = format!("budget {budget:?}, {t} threads, {k} partitions");
                 let mut session =
-                    RepairSession::new(bench.clone(), synthesis.clone(), config).with_partitions(k);
+                    RepairSession::new(bench.clone(), synthesis.clone(), chaos_config(t, *budget))
+                        .with_partitions(k);
                 if std::panic::catch_unwind(AssertUnwindSafe(|| session.plan())).is_err() {
                     failures.push(format!("{point}: initial plan panicked"));
                     continue;
                 }
 
                 // The seeded delta sequence: three fault deltas, one delay.
-                let mut steps: Vec<crate::resilient::PlanOutcome> = Vec::new();
+                let mut steps: Vec<PlanOutcome> = Vec::new();
                 for step in 0u64..4 {
                     let delta = if step < 3 {
                         match pdw_gen::fault_delta(session.synthesis(), 0xC0DE ^ step) {
@@ -618,47 +619,23 @@ pub fn chaos_repair_instance(
                             }
                         };
                     solves += 1;
+                    let at = format!("{point}, step {step} ({delta})");
 
                     // Serving contract on the mutated chip.
                     if let Some(r) = &outcome.served {
                         served += 1;
                         let chip = &session.synthesis().chip;
-                        if let Err(e) = validate(chip, &bench.graph, &r.schedule) {
-                            failures.push(format!("{point}, step {step} ({delta}): invalid: {e}"));
-                        }
-                        let oracle = propagate(chip, &bench.graph, &r.schedule);
-                        if !oracle.is_clean() {
-                            failures.push(format!(
-                                "{point}, step {step} ({delta}): dirty: {} violation(s)",
-                                oracle.violations.len()
-                            ));
-                        }
+                        check_served(&at, chip, bench, &r.schedule, &mut failures);
                     }
 
                     // The incremental-replanning contract: repaired ≡ cold.
                     let cold = session.cold_reference();
-                    if outcome.rung != cold.rung {
+                    if !same_outcome(&outcome, &cold) {
                         failures.push(format!(
-                            "{point}, step {step} ({delta}): repaired rung {:?} != cold {:?}",
+                            "{at}: repaired outcome (rung {:?}) differs from a cold solve of \
+                             the mutated instance (rung {:?})",
                             outcome.rung, cold.rung
                         ));
-                    }
-                    match (&outcome.served, &cold.served) {
-                        (Some(a), Some(b)) => {
-                            if a.schedule != b.schedule || a.metrics != b.metrics {
-                                failures.push(format!(
-                                    "{point}, step {step} ({delta}): repaired plan differs \
-                                     from a cold solve of the mutated instance"
-                                ));
-                            }
-                        }
-                        (Some(_), None) | (None, Some(_)) => {
-                            failures.push(format!(
-                                "{point}, step {step} ({delta}): repaired served-ness \
-                                 differs from cold"
-                            ));
-                        }
-                        (None, None) => {}
                     }
                     steps.push(outcome);
                 }
@@ -675,15 +652,7 @@ pub fn chaos_repair_instance(
                             ));
                         }
                         for (i, (a, b)) in base.iter().zip(&steps).enumerate() {
-                            let agree = a.rung == b.rung
-                                && match (&a.served, &b.served) {
-                                    (Some(x), Some(y)) => {
-                                        x.schedule == y.schedule && x.metrics == y.metrics
-                                    }
-                                    (None, None) => true,
-                                    _ => false,
-                                };
-                            if !agree {
+                            if !same_outcome(a, b) {
                                 failures.push(format!(
                                     "{point}, step {i}: repaired outcome differs from baseline \
                                      thread count"

@@ -26,12 +26,16 @@
 //! # Chaos injection
 //!
 //! For fault-tolerance tests the env var `PDW_WORKER_CHAOS` makes a worker
-//! misbehave deterministically ([`WorkerChaos`]): `die:N` exits without
-//! replying to the Nth request the loop serves; `corrupt:N` answers the
-//! Nth request with a frame whose digest trailer is flipped, then exits.
-//! Respawned workers start a fresh count, so a chaotic fleet keeps failing
-//! until the executor's fallback path absorbs the work. Any other
-//! non-empty value is refused before the worker reads a frame.
+//! misbehave deterministically. It holds a [`ChaosSpec`] in the one fault
+//! grammar the chaos proxy also speaks ([`ChaosSpec::from_worker_env`]):
+//! the worker answers the Nth request its loop serves through
+//! [`send_faulted`], and exits when the fault closes the stream —
+//! `disconnect:N` exits without replying, `corrupt:N` replies with a
+//! flipped digest trailer and exits, `truncate:N:BYTES` sends a torn
+//! frame and exits, `delay:N:MS` replies late and carries on. Respawned
+//! workers start a fresh count, so a chaotic fleet keeps failing until
+//! the executor's fallback path absorbs the work. A malformed spec, or
+//! `blackhole`, is refused before the worker reads a frame.
 //!
 //! [`SCHEMA_VERSION`]: crate::codec::SCHEMA_VERSION
 
@@ -54,7 +58,7 @@ use crate::groups::WashGroup;
 use crate::par::{panic_message, resolve_threads};
 use crate::partition::{region_front_end, RegionJob};
 use crate::resilient::plan_resilient;
-use crate::transport::NetAddr;
+use crate::transport::{send_faulted, AfterFault, ChaosSpec, NetAddr};
 
 /// One region front-end job, self-contained: region views preserve parent
 /// coordinates and ids, so the planned groups are valid on the whole chip
@@ -105,48 +109,10 @@ pub enum WorkerResponse {
     Error(String),
 }
 
-/// Deterministic misbehavior for fault-tolerance tests, parsed from
-/// `PDW_WORKER_CHAOS` by [`WorkerChaos::from_env`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum WorkerChaos {
-    /// Serve every request faithfully.
-    #[default]
-    None,
-    /// Exit without replying to the `n`th request the loop serves.
-    Die(usize),
-    /// Reply to the `n`th request with a digest-corrupted frame, then exit.
-    Corrupt(usize),
-}
-
-impl WorkerChaos {
-    /// Reads `PDW_WORKER_CHAOS`. Unset or empty is [`WorkerChaos::None`];
-    /// any value other than `die:N` or `corrupt:N` (N ≥ 1) is an error
-    /// naming the spec, so a mistyped chaos run cannot pass with a healthy
-    /// worker.
-    pub fn from_env() -> Result<Self, String> {
-        let spec = std::env::var_os("PDW_WORKER_CHAOS").unwrap_or_default();
-        Self::parse(&spec.to_string_lossy())
-    }
-
-    fn parse(spec: &str) -> Result<Self, String> {
-        if spec.is_empty() {
-            return Ok(WorkerChaos::None);
-        }
-        let nth = |n: &str| n.parse::<usize>().ok().filter(|&n| n > 0);
-        match spec.split_once(':') {
-            Some(("die", n)) => nth(n).map(WorkerChaos::Die),
-            Some(("corrupt", n)) => nth(n).map(WorkerChaos::Corrupt),
-            _ => None,
-        }
-        .ok_or_else(|| {
-            format!("bad PDW_WORKER_CHAOS `{spec}` (expected die:N or corrupt:N with N >= 1)")
-        })
-    }
-}
-
 /// Runs the worker loop until `reader` reaches a clean EOF (the client
 /// closed the stream): one request frame in, one response frame out,
-/// flushed. `chaos` injects a deterministic fault (see the module docs).
+/// flushed. `chaos` faults the answer to its `nth` request (see the
+/// module docs); when that fault closes the stream, the process exits.
 ///
 /// Returns a [`CodecError`] when the request stream itself is unreadable —
 /// truncated, version-skewed, corrupt — which a worker binary should
@@ -155,7 +121,7 @@ impl WorkerChaos {
 pub fn run_worker<R: Read, W: Write>(
     reader: &mut R,
     writer: &mut W,
-    chaos: WorkerChaos,
+    chaos: Option<ChaosSpec>,
 ) -> Result<(), CodecError> {
     let mut served = 0usize;
     loop {
@@ -164,24 +130,17 @@ pub fn run_worker<R: Read, W: Write>(
         };
         let request: WorkerRequest = codec::decode_frame(FrameType::WorkerRequest, &frame)?;
         served += 1;
+        let out = codec::encode_frame(FrameType::WorkerResponse, &handle(request));
         match chaos {
-            WorkerChaos::Die(n) if served == n => std::process::exit(3),
-            WorkerChaos::Corrupt(n) if served == n => {
-                let mut out = codec::encode_frame(
-                    FrameType::WorkerResponse,
-                    &WorkerResponse::Error("chaos".to_string()),
-                );
-                let last = out.len() - 1;
-                out[last] ^= 0xff;
-                let _ = writer.write_all(&out);
-                let _ = writer.flush();
-                std::process::exit(4);
+            Some(spec) if spec.nth == served => {
+                let after = send_faulted(writer, &out, spec.mode)
+                    .map_err(|e| CodecError::Io(e.to_string()))?;
+                if after == AfterFault::Close {
+                    std::process::exit(3);
+                }
             }
-            _ => {}
+            _ => codec::write_frame(writer, &out)?,
         }
-        let response = handle(request);
-        let out = codec::encode_frame(FrameType::WorkerResponse, &response);
-        codec::write_frame(writer, &out)?;
     }
 }
 
@@ -640,7 +599,7 @@ mod tests {
         }
         let mut reader = std::io::Cursor::new(input);
         let mut output = Vec::new();
-        run_worker(&mut reader, &mut output, WorkerChaos::None).expect("worker loop runs clean");
+        run_worker(&mut reader, &mut output, None).expect("worker loop runs clean");
         let mut responses = Vec::new();
         let mut r = std::io::Cursor::new(output);
         while let Some(frame) = codec::read_frame(&mut r).expect("response stream intact") {
@@ -705,12 +664,21 @@ mod tests {
 
     #[test]
     fn chaos_specs_parse_strictly() {
-        assert_eq!(WorkerChaos::parse(""), Ok(WorkerChaos::None));
-        assert_eq!(WorkerChaos::parse("die:2"), Ok(WorkerChaos::Die(2)));
-        assert_eq!(WorkerChaos::parse("corrupt:1"), Ok(WorkerChaos::Corrupt(1)));
-        for bad in ["die:0", "dei:1", "corrupt:x", "die", "die:1:2", "drop:1"] {
-            let err = WorkerChaos::parse(bad).expect_err(bad);
-            assert!(err.contains(&format!("`{bad}`")), "{err}");
+        assert_eq!(ChaosSpec::for_worker(""), Ok(None));
+        assert_eq!(
+            ChaosSpec::for_worker("disconnect:2"),
+            Ok(ChaosSpec::parse("disconnect:2").ok())
+        );
+        for bad in [
+            "disconnect:0",
+            "dei:1",
+            "corrupt:x",
+            "disconnect:1:2",
+            "disconnect",
+            "blackhole:1",
+        ] {
+            let err = ChaosSpec::for_worker(bad).expect_err(bad);
+            assert!(err.contains(&format!("'{bad}'")), "{err}");
         }
     }
 
@@ -725,7 +693,7 @@ mod tests {
         let mut reader = std::io::Cursor::new(frame[..frame.len() - 5].to_vec());
         let mut output = Vec::new();
         assert!(matches!(
-            run_worker(&mut reader, &mut output, WorkerChaos::None),
+            run_worker(&mut reader, &mut output, None),
             Err(CodecError::Truncated { .. })
         ));
         assert!(output.is_empty());

@@ -207,11 +207,6 @@ impl Model {
         self.vars[var.0].ub
     }
 
-    /// Name of `var`.
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.vars[var.0].name
-    }
-
     /// Objective value of an assignment (indexed by `VarId`).
     pub fn objective_value(&self, values: &[f64]) -> f64 {
         self.vars

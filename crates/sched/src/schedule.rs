@@ -123,14 +123,6 @@ impl Schedule {
             .filter_map(|(i, t)| t.as_ref().map(|t| (TaskId(i as u32), t)))
     }
 
-    /// Iterates over `(id, task)` mutably for all live tasks.
-    pub fn tasks_mut(&mut self) -> impl Iterator<Item = (TaskId, &mut Task)> {
-        self.tasks
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, t)| t.as_mut().map(|t| (TaskId(i as u32), t)))
-    }
-
     /// Number of live tasks.
     pub fn task_count(&self) -> usize {
         self.tasks.iter().filter(|t| t.is_some()).count()

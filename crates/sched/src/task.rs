@@ -171,16 +171,6 @@ impl Task {
         self.path = path;
     }
 
-    /// Replaces the task's duration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `duration` is zero.
-    pub fn set_duration(&mut self, duration: Time) {
-        assert!(duration > 0, "task duration must be nonzero");
-        self.duration = duration;
-    }
-
     /// Returns `true` if this task's active window overlaps `other`'s
     /// (half-open intervals `[start, end)`).
     pub fn time_overlaps(&self, other: &Task) -> bool {

@@ -1,11 +1,15 @@
-//! Chaos suite: the degradation ladder on damaged chips under hostile
-//! deadlines.
+//! Chaos suite: the degradation ladder and incremental repair on damaged
+//! chips under hostile deadlines.
 //!
 //! Every test here sweeps seeded fault corpora against tiny pipeline
 //! budgets and asserts the fault-tolerance contract end to end: the solver
 //! never panics, every served plan is physically valid and oracle-clean on
 //! the chip *as damaged*, every rejected rung carries a typed reason, and
-//! outcomes are bit-identical at any thread count.
+//! outcomes are bit-identical at any thread count. The repair sweeps drive
+//! the full acceptance grid — pipeline budgets × thread counts × partition
+//! counts — and hold every repaired plan bit-identical to a cold solve of
+//! the mutated instance. The unit tests inside `verify.rs` keep single
+//! points fast.
 
 use std::time::Duration;
 
@@ -142,4 +146,55 @@ fn resilient_batch_is_deterministic_across_threads_under_tiny_deadlines() {
             }
         }
     }
+}
+
+fn full_grid() -> verify::ChaosOptions {
+    verify::ChaosOptions {
+        budgets: vec![Some(Duration::ZERO), Some(Duration::from_nanos(1)), None],
+        threads: vec![1, 8],
+        partitions: vec![1, 2],
+    }
+}
+
+#[test]
+fn repair_matches_cold_solves_across_the_full_chaos_grid() {
+    let bench = benchmarks::demo();
+    let s = synthesize(&bench).unwrap();
+    let report = verify::chaos_repair_instance("demo", &bench, &s, &full_grid());
+    assert!(report.passed(), "{:#?}", report.failures);
+    assert!(report.served > 0, "no repair ever served a plan");
+    // 3 budgets × 2 partition counts × 2 thread counts, up to 4 steps each.
+    assert!(
+        report.solves >= 12,
+        "grid under-swept: only {} repair solves",
+        report.solves
+    );
+}
+
+#[test]
+fn repair_chaos_holds_on_seeded_faulted_instances() {
+    let opts = verify::ChaosOptions {
+        budgets: vec![None],
+        threads: vec![1, 2],
+        partitions: vec![1],
+    };
+    let mut seen = 0;
+    for seed in 0..6 {
+        if let Some(report) = verify::chaos_repair_seed(seed, &opts) {
+            assert!(report.passed(), "seed {seed}: {:#?}", report.failures);
+            seen += 1;
+        }
+    }
+    assert!(seen > 1, "only {seen}/6 repair chaos seeds ran");
+}
+
+#[test]
+fn ladder_chaos_still_holds_beside_repair() {
+    // Guard the pre-repair contract on the same grid: the ladder itself
+    // stays panic-free, typed, and thread-identical.
+    let bench = benchmarks::demo();
+    let s = synthesize(&bench).unwrap();
+    let report = verify::chaos_instance("demo", &bench, &s, &full_grid());
+    assert!(report.passed(), "{:#?}", report.failures);
+    assert!(report.served > 0);
 }
