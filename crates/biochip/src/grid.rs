@@ -11,7 +11,10 @@ use crate::{FlowPortId, WastePortId};
 /// `x` grows to the right, `y` grows downward. Coordinates are compared
 /// lexicographically by `(y, x)` so that iteration order matches row-major
 /// grid order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// A coordinate serializes as one unsigned word, `x | y << 16`, and reads
+/// back through a range-checked `u32`, so every word that fits is a cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Coord {
     /// Column index.
     pub x: u16,
@@ -35,6 +38,19 @@ impl Coord {
     /// Returns `true` if `other` is 4-connected adjacent to `self`.
     pub fn is_adjacent(self, other: Coord) -> bool {
         self.manhattan(other) == 1
+    }
+}
+
+impl Serialize for Coord {
+    fn serialize<S: serde::Sink + ?Sized>(&self, out: &mut S) {
+        (u32::from(self.x) | u32::from(self.y) << 16).serialize(out);
+    }
+}
+
+impl Deserialize for Coord {
+    fn deserialize<S: serde::Source + ?Sized>(src: &mut S) -> Result<Self, serde::Error> {
+        let word = u32::deserialize(src).map_err(|e| e.context("Coord"))?;
+        Ok(Coord::new(word as u16, (word >> 16) as u16))
     }
 }
 

@@ -74,30 +74,96 @@ impl Hash for FlowPath {
     }
 }
 
-// Manual impls (the derive would serialize the derived `mask`): same wire
-// format as the former derive — an object holding only `cells`.
+// Manual impls (the derive would serialize the derived `mask`): a path is
+// its first cell and one ASCII byte per move, `R`/`L`/`D`/`U` for +x/−x/+y/−y
+// (`y` grows downward). Decoding walks the moves and hands the cells to
+// `FlowPath::new`, which still checks adjacency and repeats.
 impl Serialize for FlowPath {
     fn serialize<S: serde::Sink + ?Sized>(&self, out: &mut S) {
-        out.map(1);
-        out.key("cells");
-        self.cells.serialize(out);
+        // The moves go into a stack buffer; only a path longer than it
+        // allocates.
+        let mut stack = [0u8; 256];
+        let mut heap = Vec::new();
+        let steps = match stack.get_mut(..self.cells.len() - 1) {
+            Some(steps) => steps,
+            None => {
+                heap.resize(self.cells.len() - 1, 0);
+                &mut heap[..]
+            }
+        };
+        for (step, w) in steps.iter_mut().zip(self.cells.windows(2)) {
+            *step = match (w[1].x.wrapping_sub(w[0].x), w[1].y.wrapping_sub(w[0].y)) {
+                (1, 0) => b'R',
+                (u16::MAX, 0) => b'L',
+                (0, 1) => b'D',
+                _ => b'U',
+            };
+        }
+        out.map(2);
+        out.key("start");
+        self.cells[0].serialize(out);
+        out.key("steps");
+        out.str(std::str::from_utf8(steps).expect("moves are ASCII"));
     }
+}
+
+/// The cells visited from `start` by the moves in `steps`.
+fn walk(start: Coord, steps: &[u8]) -> Result<Vec<Coord>, serde::Error> {
+    let mut cells = Vec::with_capacity(steps.len() + 1);
+    let mut at = start;
+    cells.push(at);
+    for (i, &step) in steps.iter().enumerate() {
+        let (x, y) = match step {
+            b'R' => (at.x.checked_add(1), Some(at.y)),
+            b'L' => (at.x.checked_sub(1), Some(at.y)),
+            b'D' => (Some(at.x), at.y.checked_add(1)),
+            b'U' => (Some(at.x), at.y.checked_sub(1)),
+            _ => {
+                return Err(serde::Error::custom(format_args!(
+                    "step {i} is byte {step:#04x}, not one of R, L, D, U"
+                )))
+            }
+        };
+        let (Some(x), Some(y)) = (x, y) else {
+            return Err(serde::Error::custom(format_args!(
+                "step {i} leaves the grid's u16 range from {at}"
+            )));
+        };
+        at = Coord::new(x, y);
+        cells.push(at);
+    }
+    Ok(cells)
 }
 
 impl Deserialize for FlowPath {
     fn deserialize<S: serde::Source + ?Sized>(src: &mut S) -> Result<Self, serde::Error> {
         let len = src.map().map_err(|e| e.context("FlowPath"))?;
+        let mut start: Option<Coord> = None;
+        // The moves, held only if they come before `start`.
+        let mut early: Option<Vec<u8>> = None;
         let mut cells: Option<Vec<Coord>> = None;
         for _ in 0..len {
-            match src.field(&["cells"])? {
-                0 if cells.is_none() => {
-                    cells = Some(Vec::deserialize(src).map_err(|e| e.context("FlowPath.cells"))?)
+            match src.field(&["start", "steps"])? {
+                0 if start.is_none() => {
+                    start = Some(Coord::deserialize(src).map_err(|e| e.context("FlowPath.start"))?)
+                }
+                1 if cells.is_none() && early.is_none() => {
+                    let steps = src.str().map_err(|e| e.context("FlowPath.steps"))?;
+                    match start {
+                        Some(start) => cells = Some(walk(start, steps.as_bytes())?),
+                        None => early = Some(steps.as_bytes().to_vec()),
+                    }
                 }
                 _ => src.skip()?,
             }
         }
-        let cells = cells.map_or_else(|| serde::missing("FlowPath", "cells"), Ok)?;
-        FlowPath::new(cells).map_err(serde::Error::custom)
+        let cells = match (cells, early, start) {
+            (Some(cells), _, _) => cells,
+            (None, Some(steps), Some(start)) => walk(start, &steps)?,
+            (None, Some(_), None) => serde::missing("FlowPath", "start")?,
+            (None, None, _) => serde::missing("FlowPath", "steps")?,
+        };
+        FlowPath::new(cells).map_err(|e| serde::Error::custom(e).context("FlowPath.steps"))
     }
 }
 

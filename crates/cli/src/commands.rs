@@ -929,7 +929,9 @@ fn cmd_run_connect(opts: &RunOptions, addr: &str) -> Result<(), CliError> {
     );
     println!(
         "  memo hit: {}, degraded: {}, retries: {} — certificate verified",
-        remote.memo_hit, remote.degraded, remote.retries
+        remote.memo_hit,
+        remote.degraded,
+        remote.retried.len()
     );
     Ok(())
 }

@@ -49,7 +49,7 @@ use crate::resilient::RungKind;
 /// encoding, the frame layout, or the canonical shape of a framed type;
 /// decoders reject mismatches with [`CodecError::VersionSkew`] and the
 /// memo key shifts so stale persisted entries are evicted, not served.
-pub const SCHEMA_VERSION: u8 = 3;
+pub const SCHEMA_VERSION: u8 = 4;
 
 /// Frame magic: the first four bytes of every encoded frame.
 pub const MAGIC: [u8; 4] = *b"PDWC";

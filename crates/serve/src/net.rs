@@ -787,8 +787,9 @@ pub struct RemotePlan {
     pub memo_hit: bool,
     /// `true` when the plan was deadline-degraded.
     pub degraded: bool,
-    /// Transport retries this request burned before succeeding.
-    pub retries: u32,
+    /// The retryable transport faults this request retried through, in
+    /// order (empty when the first attempt succeeded).
+    pub retried: Vec<TransportError>,
 }
 
 /// A retrying plan client. One connection, lazily dialed and re-dialed:
@@ -985,7 +986,7 @@ impl PlanClient {
         let start = Instant::now();
         let deadline = budget.map(|b| start + b);
         let hash = instance_hash(bench, synthesis);
-        let mut attempt = 0u32;
+        let mut retried = Vec::new();
         loop {
             if deadline.is_some_and(|d| d <= Instant::now()) {
                 return Err(ClientError::Serve(WireError::DeadlineExpired {
@@ -994,18 +995,20 @@ impl PlanClient {
             }
             match self.solve_once(hash, bench, synthesis, config, deadline) {
                 Ok(mut plan) => {
-                    plan.retries = attempt;
+                    plan.retried = retried;
                     return Ok(plan);
                 }
-                Err(ClientError::Transport(e)) if e.retryable() && attempt < self.cfg.retries => {
+                Err(ClientError::Transport(e))
+                    if e.retryable() && retried.len() < self.cfg.retries as usize =>
+                {
                     self.disconnect();
                     self.retries_total += 1;
-                    let mut pause = self.backoff(attempt);
+                    let mut pause = self.backoff(retried.len() as u32);
                     if let Some(d) = deadline {
                         pause = pause.min(d.saturating_duration_since(Instant::now()));
                     }
                     std::thread::sleep(pause);
-                    attempt += 1;
+                    retried.push(e);
                 }
                 Err(e) => return Err(e),
             }
@@ -1156,7 +1159,7 @@ impl PlanClient {
             artifact: *served.artifact,
             memo_hit: served.memo_hit,
             degraded: served.degraded,
-            retries: 0,
+            retried: Vec::new(),
         })
     }
 }
@@ -1201,6 +1204,8 @@ pub struct SocketLoadReport {
     pub serve_errors: usize,
     /// Transport retries burned across all clients.
     pub retries: u64,
+    /// The transport faults that served requests retried through.
+    pub retried: Vec<TransportError>,
     /// One line per failed request: `"<kind>: <display>"` — every entry
     /// here is typed by construction; an untyped failure is a panic.
     pub errors: Vec<String>,
@@ -1237,6 +1242,7 @@ pub fn run_socket_load(
         transport_errors: usize,
         serve_errors: usize,
         retries: u64,
+        retried: Vec<TransportError>,
         errors: Vec<String>,
         latencies_ms: Vec<f64>,
     }
@@ -1254,6 +1260,7 @@ pub fn run_socket_load(
                         transport_errors: 0,
                         serve_errors: 0,
                         retries: 0,
+                        retried: Vec::new(),
                         errors: Vec::new(),
                         latencies_ms: Vec::new(),
                     };
@@ -1277,6 +1284,7 @@ pub fn run_socket_load(
                                 if plan.degraded {
                                     out.degraded += 1;
                                 }
+                                out.retried.extend(plan.retried);
                             }
                             Err(e) => {
                                 match &e {
@@ -1306,6 +1314,7 @@ pub fn run_socket_load(
         transport_errors: 0,
         serve_errors: 0,
         retries: 0,
+        retried: Vec::new(),
         errors: Vec::new(),
         p50_ms: 0.0,
         p99_ms: 0.0,
@@ -1319,6 +1328,7 @@ pub fn run_socket_load(
         report.transport_errors += lane.transport_errors;
         report.serve_errors += lane.serve_errors;
         report.retries += lane.retries;
+        report.retried.extend(lane.retried);
         report.errors.extend(lane.errors);
         latencies.extend(lane.latencies_ms);
     }

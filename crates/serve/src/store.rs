@@ -376,14 +376,12 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A log written by the schema-v2 codec (FNV-1a digest trailer): one
-    /// `put` of the demo's certified greedy artifact.
-    const V2_LOG: &[u8] = include_bytes!("../../../tests/golden/memo_record_v2.bin");
-
-    #[test]
-    fn a_real_v2_record_is_evicted_as_stale_and_compacted_away() {
-        let path = temp_path("v2");
-        std::fs::write(&path, V2_LOG).unwrap();
+    /// Opens a log written by an older codec: one `put` of the demo's
+    /// certified greedy artifact. Its record must be evicted as stale and
+    /// compacted off disk.
+    fn assert_old_log_is_evicted_and_compacted_away(log: &[u8], tag: &str) {
+        let path = temp_path(tag);
+        std::fs::write(&path, log).unwrap();
         let (store, report) = FileMemoStore::open(&path).unwrap();
         assert_eq!(
             report,
@@ -392,10 +390,29 @@ mod tests {
                 ..StoreLoadReport::default()
             }
         );
-        assert!(store.is_empty(), "a v2 record must not be served");
+        assert!(store.is_empty(), "an old record must not be served");
         drop(store);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Schema v2: an FNV-1a digest trailer.
+    #[test]
+    fn a_real_v2_record_is_evicted_as_stale_and_compacted_away() {
+        assert_old_log_is_evicted_and_compacted_away(
+            include_bytes!("../../../tests/golden/memo_record_v2.bin"),
+            "v2",
+        );
+    }
+
+    /// Schema v3: every coordinate a two-key map, every path a list of
+    /// them.
+    #[test]
+    fn a_real_v3_record_is_evicted_as_stale_and_compacted_away() {
+        assert_old_log_is_evicted_and_compacted_away(
+            include_bytes!("../../../tests/golden/memo_record_v3.bin"),
+            "v3",
+        );
     }
 
     #[test]

@@ -15,8 +15,8 @@ use pathdriver_wash::codec::{
 };
 use pathdriver_wash::transport::{encode_plan_frame, hello, recv_response, send_request};
 use pathdriver_wash::{
-    config_fingerprint, instance_hash, plan_resilient, NetAddr, NetListener, NetRequest,
-    NetResponse, TransportError, WireError, SCHEMA_VERSION,
+    config_fingerprint, instance_hash, plan_resilient, CodecError, NetAddr, NetListener,
+    NetRequest, NetResponse, TransportError, WireError, SCHEMA_VERSION,
 };
 use pdw_assay::benchmarks::{self, Benchmark};
 use pdw_serve::{
@@ -105,7 +105,7 @@ fn tcp_and_unix_roundtrips_are_bit_identical_to_in_process() {
         );
         assert_eq!(first.artifact.result.metrics, reference.metrics);
         assert!(!first.memo_hit, "{addr}: first solve is cold");
-        assert_eq!(first.retries, 0);
+        assert!(first.retried.is_empty());
         assert!(client.rtt().is_some(), "{addr}: handshake measured an RTT");
 
         let second = client
@@ -280,6 +280,18 @@ fn chaos_sweep_has_zero_untyped_errors_and_no_duplicate_solves() {
             assert!(
                 report.retries >= 1,
                 "{label}: the faulted connection forced a retry"
+            );
+        }
+        // A corrupted frame reaches the client whole and fails its digest;
+        // a clean close would also force a retry, so name the fault seen.
+        if spec.mode == ChaosMode::Corrupt {
+            assert!(
+                report.retried.iter().any(|e| matches!(
+                    e,
+                    TransportError::TornFrame(CodecError::DigestMismatch { .. })
+                )),
+                "{label}: the client retried {:?}, not a digest mismatch",
+                report.retried
             );
         }
         // Retry safety: solves == unique memo keys, retries included.

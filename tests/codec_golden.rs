@@ -80,28 +80,41 @@ fn unhex(text: &str) -> Vec<u8> {
         .collect()
 }
 
-/// The default config frame as the schema-v2 codec wrote it (FNV-1a
-/// trailer). The value encoding did not change in v3, so the two frames
-/// differ only in the version byte and the 8-byte digest trailer, and the
-/// version is checked before the digest: a v2 frame is typed skew, not a
-/// digest mismatch.
-#[test]
-fn schema_v2_config_frame_is_version_skew() {
+/// Reads the default config frame as an older codec wrote it and checks
+/// it is typed skew. A config holds no coordinates and no paths, so its
+/// value encoding is the same in v2, v3 and v4: the frames differ only in
+/// the version byte and the 8-byte digest trailer, and the version is
+/// checked before the digest, so an old frame is typed skew, not a digest
+/// mismatch.
+fn assert_old_config_frame_is_version_skew(version: u8, fixture: &str) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden/codec_config_frame_v2.hex");
-    let v2 = unhex(&fs::read_to_string(&path).expect("v2 fixture"));
+        .join("../../tests/golden")
+        .join(fixture);
+    let old = unhex(&fs::read_to_string(&path).expect("old config frame fixture"));
     assert_eq!(
-        check_frame(&v2).unwrap_err(),
+        check_frame(&old).unwrap_err(),
         CodecError::VersionSkew {
-            found: 2,
+            found: version,
             expected: SCHEMA_VERSION
         }
     );
-    let v3 = encode_frame(FrameType::Config, &PdwConfig::default());
-    assert_eq!(v2.len(), v3.len());
-    let body = 5..v3.len() - 8;
-    assert_eq!((&v2[..4], &v2[body.clone()]), (&v3[..4], &v3[body]));
-    assert_eq!((v2[4], v3[4]), (2, SCHEMA_VERSION));
+    let now = encode_frame(FrameType::Config, &PdwConfig::default());
+    assert_eq!(old.len(), now.len());
+    let body = 5..now.len() - 8;
+    assert_eq!((&old[..4], &old[body.clone()]), (&now[..4], &now[body]));
+    assert_eq!((old[4], now[4]), (version, SCHEMA_VERSION));
+}
+
+/// The schema-v2 frame has an FNV-1a trailer.
+#[test]
+fn schema_v2_config_frame_is_version_skew() {
+    assert_old_config_frame_is_version_skew(2, "codec_config_frame_v2.hex");
+}
+
+/// The schema-v3 frame has an XXH64 trailer and, like v4, no coordinate.
+#[test]
+fn schema_v3_config_frame_is_version_skew() {
+    assert_old_config_frame_is_version_skew(3, "codec_config_frame_v3.hex");
 }
 
 #[test]

@@ -21,7 +21,7 @@ use pathdriver_wash::{
     PdwConfig, PlanArtifact, PlanDelta, Weights,
 };
 use pdw_assay::OpId;
-use pdw_biochip::Chip;
+use pdw_biochip::{Chip, Coord, FlowPath};
 use pdw_gen::{instance, spec_strategy, Skip};
 use pdw_synth::Synthesis;
 use serde::{Deserialize, Serialize, Value};
@@ -611,6 +611,104 @@ fn decode_semantics_match_across_byte_and_value_sources() {
         decode_frame::<Probe>(FrameType::Config, &frame),
         Err(CodecError::Truncated { .. })
     ));
+}
+
+/// The schema-v4 word of a cell, `x | y << 16`.
+fn word(x: u16, y: u16) -> Value {
+    Value::Int(i64::from(u32::from(x) | u32::from(y) << 16))
+}
+
+/// A `FlowPath` document: a start value and a step string.
+fn path_doc(start: Value, steps: &str) -> Value {
+    obj(&[("start", start), ("steps", Value::Str(steps.into()))])
+}
+
+/// Hostile coordinate words and step strings decode to typed errors on
+/// every source — canonical bytes through `decode_frame`, the `Value`
+/// tree and JSON text — never to a panic or a wrong path.
+#[test]
+fn hostile_coord_words_and_step_strings_are_typed_errors() {
+    use Value::{Int, Str, UInt};
+    for doc in [Int(1 << 32), UInt(u64::MAX), Int(-1)] {
+        check_parity::<Coord>(&doc, Err("out of range for u32"));
+    }
+    let cases = [
+        (
+            "a start word above u32::MAX",
+            path_doc(Int(1 << 32), "R"),
+            "FlowPath.start",
+        ),
+        (
+            "a step byte other than RLDU",
+            path_doc(word(1, 1), "RDx"),
+            "step 2 is byte 0x78, not one of R, L, D, U",
+        ),
+        ("a step past x = 0", path_doc(word(0, 3), "L"), "u16 range"),
+        ("a step past y = 0", path_doc(word(3, 0), "U"), "u16 range"),
+        (
+            "a step past x = u16::MAX",
+            path_doc(word(u16::MAX, 3), "R"),
+            "u16 range",
+        ),
+        (
+            "a step past y = u16::MAX",
+            path_doc(word(3, u16::MAX), "DD"),
+            "step 0 leaves",
+        ),
+        (
+            "a step string that revisits a cell",
+            path_doc(word(1, 1), "RDLU"),
+            "cell (1, 1) appears more than once",
+        ),
+        (
+            "steps with no start",
+            obj(&[("steps", Str("R".into()))]),
+            "FlowPath: missing field `start`",
+        ),
+        (
+            "a start with no steps",
+            obj(&[("start", word(1, 1))]),
+            "FlowPath: missing field `steps`",
+        ),
+        (
+            "steps that are not a string",
+            obj(&[("start", word(1, 1)), ("steps", Int(1))]),
+            "FlowPath.steps",
+        ),
+    ];
+    for (what, doc, part) in &cases {
+        eprintln!("path: {what}");
+        check_parity::<FlowPath>(doc, Err(part));
+    }
+    // Fields in either order walk the same cells.
+    let reordered = obj(&[("steps", Str("RD".into())), ("start", word(1, 1))]);
+    let cells = [Coord::new(1, 1), Coord::new(2, 1), Coord::new(2, 2)];
+    let frame = encode_frame(FrameType::Config, &reordered);
+    let back: FlowPath = decode_frame(FrameType::Config, &frame).expect("reordered path decodes");
+    assert_eq!(back.cells(), cells);
+}
+
+/// The extreme cells and a one-cell path round-trip through canonical
+/// bytes and through JSON, and a path's steps spell its moves.
+#[test]
+fn extreme_coords_and_one_cell_paths_round_trip() {
+    for c in [Coord::new(0, 0), Coord::new(u16::MAX, u16::MAX)] {
+        assert_eq!(canonical_bytes(&c).len(), 9, "one tagged word");
+        assert_eq!(assert_fixed_point(FrameType::Config, &c), c);
+        let json = serde_json::to_string(&c).expect("a coord renders");
+        assert_eq!(serde_json::from_str::<Coord>(&json).expect("json"), c);
+        let one = FlowPath::new(vec![c]).expect("one cell is a path");
+        assert_eq!(assert_fixed_point(FrameType::Config, &one), one);
+        let json = serde_json::to_string(&one).expect("a path renders");
+        assert_eq!(serde_json::from_str::<FlowPath>(&json).expect("json"), one);
+    }
+    let moves = "RDLLUURR";
+    let doc = path_doc(word(5, 5), moves);
+    let path: FlowPath = Deserialize::from_value(&doc).expect("a simple walk");
+    assert_eq!(path.len(), moves.len() + 1);
+    assert_eq!(path.cells().last(), Some(&Coord::new(6, 4)));
+    assert_eq!(path.to_value(), doc);
+    assert_eq!(canonical_bytes(&path), canonical_bytes(&doc));
 }
 
 /// A canonical payload of `depth` nested one-element arrays.

@@ -12,6 +12,14 @@
 //! merge. A performance change to routing, grouping or merging must leave
 //! every digest unchanged; a deliberate plan change re-pins the table from
 //! the `actual` listing the failure prints.
+//!
+//! The digests hash canonical bytes, so they also move with a
+//! `SCHEMA_VERSION` bump that changes how a plan's values encode (schema
+//! v4 did: a `Coord` became one word and a `FlowPath` a step string). Such
+//! a re-pin is justified only by showing the plans did not move: on a
+//! scratch copy of the change, revert just the encoding impls and run this
+//! test against the previous table; it must pass unchanged. Then re-pin
+//! from the `actual` listing, and record every old → new digest.
 
 use pathdriver_wash::codec::canonical_bytes;
 use pathdriver_wash::{
@@ -101,47 +109,47 @@ fn row(name: String, bench: &Benchmark, s: &Synthesis) -> Row {
 
 #[rustfmt::skip]
 const PINNED: &[(&str, u64, u64, u64, u64)] = &[
-    ("demo", 0x28450f8ad4822dd6, 0x485d1ba13b3ee4f5, 0x92918503c15a7785, 0x168f973b694e036e),
-    ("PCR", 0x3b36c0c5bc81980a, 0x8492b7202b1df0de, 0xe21df8c870133a54, 0xe49dbb1b160d5feb),
-    ("IVD", 0x8661d83f22792f3c, 0xbd5f858de0276755, 0xb0a088edbb90d5e2, 0x442c00d0d315c0d4),
-    ("ProteinSplit", 0x621ff32d423809b4, 0xd3930c84b271073e, 0x78cf85348ae1909e, 0x54837743cdd4ba49),
-    ("Kinase act-1", 0x4c16dec28c84de1a, 0xbbb81340d624b18c, 0x4752478216e82c88, 0x54db7001d1c5bd94),
-    ("Kinase act-2", 0xfb6db1322949710a, 0x32ad2a30429251dc, 0x887573abb7f966d1, 0x17c5fcea53ba6d30),
-    ("Synthetic1", 0xe92477fca2b2c436, 0x96bfa975b06711c7, 0x753cfc2fa5e45a9c, 0xc1c2d060d0c40388),
-    ("Synthetic2", 0xf0ffedd9057a0d0e, 0x6ceca7c17592195b, 0x1dc9f8dc8cc5b994, 0x0f937c8a48ef528d),
-    ("Synthetic3", 0x3b078ba355671d1f, 0x83562eb88e0adcd9, 0x44f2e84f3459f9c1, 0x45f9fcffdebfc9a6),
-    ("seed-0", 0x99cf2455db83f039, 0xb6ed751a144bd417, 0x125dc33bfa60ee16, 0xff3f3a76a55a534f),
-    ("seed-1", 0x0f7f40b08e3105d7, 0x761682c5116ecfc6, 0xb3c86e70f7e873d1, 0x320c57d9029318eb),
-    ("seed-2", 0xfecbca2b9015300d, 0x52969cd8206654c9, 0xe51e5cfcb969dd64, 0xd831b926f6d85594),
-    ("seed-3", 0x3337ee50ea53795e, 0x2b71dd707d48eadd, 0x7d3b3c507f0d9e66, 0xfdb2a1310d059647),
-    ("seed-4", 0x2cf08aa958c5c9b1, 0x558a644fc6ec602e, 0xee9ae2d0185d8d8b, 0xe1d86cb251e4b972),
-    ("seed-5", 0xeffe5061a3f87f31, 0x18a78d7f02eebb5a, 0x8ac505173da00052, 0xb5ef35c77248e894),
-    ("seed-6", 0x5bf3673a74673349, 0xe7903e3203907403, 0xea91014d81c94778, 0xaa927213caf5afc7),
-    ("seed-7", 0xb285c1c3846fd39d, 0x3164876f010faea3, 0x8673075ebfdaa788, 0xe161fffd3dc2cc0e),
-    ("seed-8", 0x79fb40dde2675840, 0x2401e01f68cbb080, 0xb418918b29995abc, 0xb9eafb40a39b5d8e),
-    ("seed-9", 0x3753b95bf70fbd30, 0xf153de211b224cda, 0xc55668c258c53a39, 0xc66156a836398fa1),
-    ("seed-10", 0xee1938fb872c1bbf, 0x8bae49f6b457c0ff, 0xbeb68afa285ebc2d, 0x9780ae53163c60c5),
-    ("seed-11", 0x248d249ddba5fc01, 0xef3391f08bbc8d68, 0x06ea48d594177244, 0xb09df13c91b26a86),
-    ("seed-12", 0x117709ed6730aa9c, 0x2c171a385b851cf5, 0xad5d744097f47a6d, 0x11c9bffd4652cfbb),
-    ("seed-13", 0xe1902a7a396b08a8, 0xc9dfb969c2b81665, 0x53b78a262cbf65bd, 0xabd1ddfcb0a1ccfc),
-    ("seed-14", 0x4ba68b0ee8c469d1, 0xfaaeb04d2ae63677, 0x0bc081229b1f3c08, 0x294fa3aaaecbb307),
-    ("seed-15", 0x18f428cdee54d04d, 0xf46f6fd385cdb334, 0x0340c60392ec0d39, 0x478712e21f6243c9),
-    ("seed-16", 0xbaa4057ff753ed77, 0xba6cc007e2188998, 0xfa54fcce889d467d, 0xde745bde2609f766),
-    ("seed-17", 0x91dc2a6f98b0d800, 0x725b16534cf983c7, 0x4aee5f75480ca236, 0x0f82385dcdf3cd1a),
-    ("seed-18", 0xef7070f406616980, 0x02dd068ddc2c32c9, 0x641ae764394656fd, 0x29f88d300b72e41f),
-    ("seed-19", 0x058d03701dd74626, 0xe54722bb4bdc6259, 0xb35400e6356b2066, 0x5b39277ea1d9a689),
-    ("seed-20", 0x5b4bb899083f3f12, 0xa7d63652438a3bdb, 0xa119e9f44a10dd00, 0x21b3d770cc2a39d3),
-    ("seed-21", 0x757c1296e6f2ac6c, 0xcf296fd9feacab0a, 0xd99eecc9e048cfd5, 0x87b1843ce49d9f49),
-    ("seed-22", 0xadea24d33de191c4, 0xb98f99489767e6a6, 0x2c3df951acb920ab, 0x4f09bf20d99ee019),
-    ("seed-23", 0xc4a68b3f3b6add21, 0x934ce61267bfaa3d, 0x37775b4e566c5c00, 0xfb26211333b297b2),
-    ("seed-24", 0xb2a45ee44f46beee, 0x35cfd687c0065236, 0x63550952b53f57f2, 0x0fc63002818882bd),
-    ("seed-25", 0x94497aa534106988, 0xe50da4dab4badf0c, 0xb5e44a139ef5ab6c, 0x75e128830456c285),
-    ("seed-26", 0x8f89546f5bfe9a69, 0x51a4fa0af520e0bb, 0x77a78ba27c2e9e65, 0xdf8e316c8612dac2),
-    ("seed-27", 0x9fc0ea8a6be697e3, 0xe65d6ab3f05a44dc, 0x47ffe922e92b0aec, 0x1c1c5c69aa25988e),
-    ("seed-28", 0xae7edeae5ee72ae1, 0xd71d35cf2225bbf8, 0xfedf97837105e937, 0x6db651d340f40e62),
-    ("seed-29", 0x3a327ec1d3015114, 0xddfe14e99042acf8, 0xc20cbacd475dc4e1, 0xf5ff390592b75d33),
-    ("seed-30", 0x7bc253251ff96d72, 0x609d74cdbbc75f8e, 0x58424412355529b0, 0xb71f5598f44cbf4d),
-    ("seed-31", 0x8d1a93f18680f778, 0xdc05fcc6031aa80c, 0x5f854b2cf493f657, 0xd663726bc5f70ee4),
+    ("demo", 0x57e01b35720b7e48, 0xf6a6edbe85a1e131, 0xfafc09d21899603f, 0x18d9e661338400f2),
+    ("PCR", 0xaff90c6c82787b8a, 0x611a07569270ef14, 0xb216af13425b8e8c, 0xffbeab170954acbb),
+    ("IVD", 0xb6f7929f878f5925, 0x49b2fc4751c470e0, 0xeffa3697708bbd88, 0xb97c5f59360495cf),
+    ("ProteinSplit", 0x32612049fda1757b, 0xac4b9baedf9115aa, 0x4760e85b5e385d42, 0x1d1d3aff477924e1),
+    ("Kinase act-1", 0x5246c405a00df7bd, 0x230d060a9625c821, 0x393372abdf12d516, 0x9455f53184649857),
+    ("Kinase act-2", 0x604aa2ae50002b92, 0xdd5f35d54e42f66b, 0x2fb8ec6d7ba0105a, 0x6aa3c1e6da14f8cb),
+    ("Synthetic1", 0xa8a3e18301311f20, 0x8f6e605857afb335, 0x920d905c59f38af0, 0xe815bce1bdf6709f),
+    ("Synthetic2", 0x13ac91d632734f35, 0x6a240bd0ca6e2d5e, 0x37846d360fcd748b, 0x2e52c0dbe66d7f3d),
+    ("Synthetic3", 0xf46321fe34247d2b, 0x9686f945d7ea60fb, 0x6acecc685505ebc1, 0xd36be9ecd5daad14),
+    ("seed-0", 0x616cc7b93fcd0132, 0x071df583f984e775, 0x7f865c39db608260, 0xe00e7a82b2e92094),
+    ("seed-1", 0x1bbbe8300fda75f9, 0x105be9d2b650fb12, 0x1b68d45b849feb7b, 0x6bcfe514bc552035),
+    ("seed-2", 0xdf3f7295c9fa18d0, 0xec99f2a02c08760f, 0x383d68a57c090716, 0xc84c355f80c6deb3),
+    ("seed-3", 0xaa6a0e00b15c0f98, 0x683f91eeb36a4344, 0xf10f578b61a5e94b, 0x1ee9998b3596ab57),
+    ("seed-4", 0x9b19b7e3ac908405, 0x4392cf49bf9e4d22, 0x2a596838dda7f953, 0xa6b3a70623be267f),
+    ("seed-5", 0x971c34d4194aa4f5, 0x787c6686b7710910, 0x7c10b233935bf901, 0x27a6716eaa99b0f6),
+    ("seed-6", 0x7b06a73b46797506, 0xbe24687df73c6e88, 0xa8d22d24e900a42a, 0x352b1333d85fff85),
+    ("seed-7", 0xebf70cc5b9beda38, 0x87d1116ae7632d12, 0x25d66d7a498f4055, 0x5306649b3c8d4932),
+    ("seed-8", 0x34c1ec15c094257d, 0xcd2db10738568a2c, 0xcd2d94feeb1c43c9, 0x15fa0b208a738bb7),
+    ("seed-9", 0xbd065f2e221b1d4d, 0x679651fc28215329, 0x72cd3a31b90361b8, 0x85f29e6695a1f234),
+    ("seed-10", 0x0ec73e7201c51878, 0x34675b5976595bbd, 0xbc27c3817a8fbf59, 0x429939be9f6a59b0),
+    ("seed-11", 0xab7d44bb7eb78787, 0xe0affc99dd49fd9c, 0x00e98370cd8f7a9a, 0xce91b81192ac8417),
+    ("seed-12", 0x7d288d124586383d, 0xc2742a69900bf336, 0x16fda7d057393dbb, 0x6fd6b64f58c1f78e),
+    ("seed-13", 0xa77889f5bfd3f9ba, 0xdf4c24d3f7e5a208, 0x381ebebea0c9f0e8, 0x3904eb5bedd57772),
+    ("seed-14", 0x5b150d7af8656517, 0x0ab2788d4c8499fd, 0x374c392c445307b3, 0x7525533df3b061f5),
+    ("seed-15", 0x96f890f7872ecbb6, 0x72535771ce8fd502, 0xd4dc6ba9e96d3543, 0xe1a9dff636f2309d),
+    ("seed-16", 0x62a5ba6e389e4148, 0x6e337c6af2711434, 0x1153aba2236e6c65, 0x5c20254736f4ad62),
+    ("seed-17", 0xacc6ef8f9b2c998c, 0x2eaf24cbe71e5d59, 0x0f9440b7f5850e8a, 0x5d99f9a54018aaad),
+    ("seed-18", 0xee5e733ba1cacff7, 0xe77ae3b143cc753a, 0x219b6abb58e7e1dc, 0x1c43bfb8174c1190),
+    ("seed-19", 0x7715198497396d76, 0xa407db609f3fa667, 0x83a461b6862875a4, 0x7c15bd45da91cf37),
+    ("seed-20", 0x3c7155e2d70e3642, 0x73b5c19e519b473c, 0x8c09d937401b84ef, 0x31e1853a5586c665),
+    ("seed-21", 0x62bfae178ec35b25, 0xfeae3e2d59fe3b46, 0x61b2a0be483533f4, 0x75d152f03e858688),
+    ("seed-22", 0x0b0818086b3b1027, 0xe63224983c45fdcc, 0x28fe1072c2ee8eca, 0xb639ccb5f9591c72),
+    ("seed-23", 0x39da411803db3f06, 0x0ad0be886166afb7, 0x09a8f42ab7d9c81f, 0x04a7d14879e8f0b0),
+    ("seed-24", 0xd7d442c80aaa5da6, 0x2ac2e7d8223c3d2e, 0x9212d17428a71e99, 0x93c0afd5e074b3aa),
+    ("seed-25", 0x1fc907eb1a54652e, 0x4d675c20475b54df, 0xcc4a2c55a36272cb, 0x6d3fc0fb9140d97f),
+    ("seed-26", 0x9bad802a10b544ce, 0x54d56590b9068244, 0xa023d1aafaa07d26, 0x62e16f20c1e44e6f),
+    ("seed-27", 0xfd5b23c6427d6ab3, 0x579b6acc1fdc2528, 0xefcbca770a870765, 0x5f3c23128d2684ef),
+    ("seed-28", 0x2139616c6e26c277, 0xfd21fe626a37ad09, 0x64cd56f3e1547bef, 0xcb032cef54b9a477),
+    ("seed-29", 0xbc37fef8ddef6718, 0x220233903c081c10, 0x48c5b9453d4d62e5, 0x4a6971a032de2a84),
+    ("seed-30", 0x9e5143a90eea28f6, 0x18f69381e42913b1, 0xcc371341a5de8b89, 0x2e0f11a8955fed8f),
+    ("seed-31", 0xf638b92a7a0db611, 0x8233bbf0c4abcb51, 0xfb300a35a3c06e32, 0x60d174a62ce36b36),
 ];
 
 #[test]
@@ -165,7 +173,7 @@ fn front_end_groups_and_schedules_match_the_pinned_digests() {
     }
 }
 
-const PINNED_MEGA_SCHEDULE: u64 = 0xd228e662c22d7d64;
+const PINNED_MEGA_SCHEDULE: u64 = 0x14200a667aa4b618;
 
 #[test]
 fn partitioned_mega_schedule_matches_the_pinned_digest() {
