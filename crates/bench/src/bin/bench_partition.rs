@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! bench_partition [--smoke] [--subprocess] [--out FILE] [--side N] [--ops N] [--seed N]
+//! bench_partition [--smoke] [--out FILE] [--side N] [--ops N] [--seed N]
 //! ```
 //!
 //! The full run sweeps K ∈ {1, 4, 16} partitions × {1, 8} worker threads on
@@ -22,20 +22,13 @@
 //! objective, and writes `BENCH_partition_smoke.json` (or `--out FILE`) —
 //! the CI regression gate.
 //!
-//! `--subprocess` adds a column: every K ≥ 2 point is re-measured with
-//! region front ends running in out-of-process workers (this binary
-//! re-executed with `--worker`), and the subprocess schedule is asserted
-//! bit-identical to the in-process one.
-//!
 //! Not every `--side`/`--ops`/`--seed` synthesizes (513×513 with 64 ops
 //! does not on seeds 5 and 6): such a spec prints the synthesis error and
 //! exits 1.
 
 use std::time::Instant;
 
-use pathdriver_wash::{
-    plan_partitioned_with, ChaosSpec, PdwConfig, RungKind, StreamExecutor, Weights,
-};
+use pathdriver_wash::{plan_partitioned, PdwConfig, RungKind, Weights};
 use pdw_assay::benchmarks::Benchmark;
 use pdw_synth::Synthesis;
 use serde::Serialize;
@@ -45,12 +38,6 @@ use serde::Serialize;
 struct Point {
     partitions: usize,
     threads: usize,
-    /// Where region front ends ran: `in-process` or `subprocess`.
-    executor: String,
-    /// Region jobs answered by a worker process (0 in-process).
-    subprocess_jobs: usize,
-    /// Region jobs replanned in-process after a worker failure.
-    subprocess_fallbacks: usize,
     wall_s: f64,
     objective: f64,
     n_wash: usize,
@@ -74,19 +61,14 @@ struct Report {
     /// Worst `objective(K) / objective(K=1) − 1` over the sweep at 8
     /// threads (how much plan quality the cuts cost).
     objective_gap: f64,
-    /// `wall(subprocess) / wall(in-process) − 1` at (K=max, 8 threads):
-    /// what crossing a process boundary costs. `None` without
-    /// `--subprocess`.
-    subprocess_overhead: Option<f64>,
 }
 
 fn print_point(p: &Point) {
     println!(
-        "K={:<3} t={} [{}] wall {:>8.3}s objective {:>12.1} (N_wash {}, rung {}, \
-         {} regions, {} skipped, {} refused, {} seam groups, {} remote, {} fallback)",
+        "K={:<3} t={} wall {:>8.3}s objective {:>12.1} (N_wash {}, rung {}, \
+         {} regions, {} skipped, {} refused, {} seam groups)",
         p.partitions,
         p.threads,
-        p.executor,
         p.wall_s,
         p.objective,
         p.n_wash,
@@ -95,35 +77,22 @@ fn print_point(p: &Point) {
         p.regions_skipped,
         p.regions_refused,
         p.seam_groups,
-        p.subprocess_jobs,
-        p.subprocess_fallbacks,
     );
 }
 
-fn solve(
-    bench: &Benchmark,
-    s: &Synthesis,
-    partitions: usize,
-    threads: usize,
-    executor: Option<&StreamExecutor>,
-) -> (Point, pdw_sched::Schedule) {
+fn solve(bench: &Benchmark, s: &Synthesis, partitions: usize, threads: usize) -> Point {
     let config = PdwConfig {
         ilp: false,
         threads,
         ..PdwConfig::default()
     };
     let t0 = Instant::now();
-    let outcome = plan_partitioned_with(bench, s, &config, partitions, executor);
+    let outcome = plan_partitioned(bench, s, &config, partitions);
     let wall_s = t0.elapsed().as_secs_f64();
-    let report = executor.map(StreamExecutor::report).unwrap_or_default();
     let r = outcome.served.expect("mega instance serves a plan");
-    let schedule = r.schedule.clone();
     let point = Point {
         partitions,
         threads,
-        executor: executor.map_or("in-process", StreamExecutor::name).into(),
-        subprocess_jobs: report.remote_jobs,
-        subprocess_fallbacks: report.fallbacks,
         wall_s,
         objective: r.objective(&Weights::default()),
         n_wash: r.metrics.n_wash,
@@ -143,7 +112,7 @@ fn solve(
             "partitioned rung rejected at K={partitions}, {threads} threads"
         );
     }
-    (point, schedule)
+    point
 }
 
 fn arg_value(args: &[String], flag: &str) -> Option<u64> {
@@ -155,21 +124,7 @@ fn arg_value(args: &[String], flag: &str) -> Option<u64> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--worker") {
-        // Child mode for --subprocess: a framed region-planning loop on
-        // stdin/stdout, exactly like `pdw worker`.
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        let chaos = ChaosSpec::from_worker_env().unwrap_or_else(|e| {
-            eprintln!("bench_partition --worker: {e}");
-            std::process::exit(2)
-        });
-        pathdriver_wash::run_worker(&mut stdin.lock(), &mut stdout.lock(), chaos)
-            .expect("worker protocol");
-        return;
-    }
     let smoke = args.iter().any(|a| a == "--smoke");
-    let subprocess = args.iter().any(|a| a == "--subprocess");
     let out_path = args
         .iter()
         .position(|a| a == "--out")
@@ -202,31 +157,11 @@ fn main() {
     );
 
     let ks: &[usize] = if smoke { &[1, 4] } else { &[1, 4, 16] };
-    let worker_cmd = std::env::current_exe()
-        .map(|exe| vec![exe.display().to_string(), "--worker".to_string()])
-        .expect("locate own binary");
     let mut points = Vec::new();
     for &k in ks {
         for threads in [1usize, 8] {
-            let (p, schedule) = solve(&bench, &s, k, threads, None);
+            let p = solve(&bench, &s, k, threads);
             print_point(&p);
-            // The --subprocess column: same point, front ends in worker
-            // processes, schedule asserted bit-identical.
-            if subprocess && k >= 2 {
-                let executor = StreamExecutor::spawn(worker_cmd.clone(), threads);
-                let (sp, sp_schedule) = solve(&bench, &s, k, threads, Some(&executor));
-                print_point(&sp);
-                assert_eq!(
-                    sp_schedule, schedule,
-                    "K={k} t={threads}: subprocess schedule diverged from in-process"
-                );
-                assert_eq!(
-                    sp.subprocess_fallbacks, 0,
-                    "K={k} t={threads}: healthy workers fell back"
-                );
-                assert!(sp.subprocess_jobs > 0, "K={k} t={threads}: no remote jobs");
-                points.push(sp);
-            }
             points.push(p);
         }
     }
@@ -235,7 +170,7 @@ fn main() {
     let at = |k: usize, t: usize| {
         points
             .iter()
-            .find(|p| p.partitions == k && p.threads == t && p.executor == "in-process")
+            .find(|p| p.partitions == k && p.threads == t)
             .expect("swept point")
     };
     let whole_8t = at(1, 8);
@@ -246,23 +181,11 @@ fn main() {
         .filter(|p| p.threads == 8)
         .map(|p| p.objective / whole_8t.objective - 1.0)
         .fold(0.0f64, f64::max);
-    // Transport cost of crossing a process boundary per region job, at the
-    // widest sweep point (only meaningful with --subprocess).
-    let subprocess_overhead = points
-        .iter()
-        .find(|p| p.partitions == k_max && p.threads == 8 && p.executor != "in-process")
-        .map(|p| p.wall_s / at(k_max, 8).wall_s - 1.0);
     println!(
         "speedup K={k_max} vs whole-chip: {speedup_8t:.2}x at 8 threads, \
          {speedup_1t:.2}x at 1 thread; worst objective gap {:.2}%",
         objective_gap * 100.0
     );
-    if let Some(overhead) = subprocess_overhead {
-        println!(
-            "subprocess overhead at K={k_max}, 8 threads: {:+.1}% (bit-identical schedules)",
-            overhead * 100.0
-        );
-    }
 
     if smoke {
         // The CI regression gate: cutting the chip may not cost more than
@@ -283,7 +206,6 @@ fn main() {
         speedup_8t,
         speedup_1t,
         objective_gap,
-        subprocess_overhead,
     };
     pdw_bench::models::write_report(out_path, &report);
 }

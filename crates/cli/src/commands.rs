@@ -4,8 +4,8 @@ use std::fmt;
 use std::time::Duration;
 
 use pathdriver_wash::{
-    plan_partitioned_with, verify, ChaosSpec, DawoPlanner, NetAddr, NetListener, PdwConfig,
-    PdwPlanner, PlanContext, Planner, StreamExecutor, SCHEMA_VERSION,
+    plan_partitioned_ctx, verify, DawoPlanner, NetAddr, NetListener, PdwConfig, PdwPlanner,
+    PlanContext, Planner, SCHEMA_VERSION,
 };
 use pdw_assay::benchmarks::{self, Benchmark};
 use pdw_sim::Metrics;
@@ -30,14 +30,6 @@ usage:
   pdw serve --drain <addr>         ask a listening server to drain gracefully
                                    (stop accepting, finish in-flight work)
   pdw verify [options]             differentially verify every solver
-  pdw worker                       run as a region/solve worker: read framed
-                                   codec requests on stdin, write framed
-                                   plan artifacts on stdout (spawned by the
-                                   subprocess region executor; not intended
-                                   for interactive use)
-  pdw worker --listen <addr>       serve the same framed worker protocol over
-                                   a socket, one connection per executor lane
-                                   (dialed by `pdw run --socket-workers`)
   pdw export <benchmark> <file>    write a benchmark as JSON (edit & re-run)
 
 options for `run`:
@@ -52,16 +44,6 @@ options for `run`:
                        plan them in parallel, and stitch at the seams
                        (default 1 = whole-chip planning; clamped to the
                        number of viable cuts)
-  --subprocess <n>     with --partitions: plan region front ends in n
-                       out-of-process `pdw worker` children instead of
-                       in-process threads (0 = all cores); plans are
-                       bit-identical, and a killed or corrupted worker
-                       degrades to in-process replanning of its jobs
-  --socket-workers <a,b,..>
-                       with --partitions: plan region front ends on remote
-                       `pdw worker --listen` peers (one lane per address);
-                       same bit-identity and in-process-fallback contract
-                       as --subprocess, with reconnect-with-backoff
   --connect <addr>     client mode: send the solve to a `pdw serve --listen`
                        endpoint instead of planning locally; the served
                        artifact is certificate-verified before printing.
@@ -161,7 +143,6 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
         Some("repair") => cmd_repair(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("verify") => cmd_verify(&args[1..]),
-        Some("worker") => cmd_worker(&args[1..]),
         Some("export") => cmd_export(&args[1..]),
         Some("help") | None => {
             println!("{USAGE}");
@@ -210,8 +191,6 @@ struct RunOptions {
     pipeline_budget: Option<Duration>,
     threads: usize,
     partitions: usize,
-    subprocess: Option<usize>,
-    socket_workers: Option<String>,
     connect: Option<String>,
     ilp: bool,
     validate: bool,
@@ -228,8 +207,6 @@ fn parse_run(args: &[String]) -> Result<RunOptions, CliError> {
     let mut pipeline_budget = None;
     let mut threads = 0usize;
     let mut partitions = 1usize;
-    let mut subprocess: Option<usize> = None;
-    let mut socket_workers: Option<String> = None;
     let mut connect: Option<String> = None;
     let mut ilp = true;
     // Release runs are timing-sensitive; debug runs get the safety net.
@@ -288,24 +265,6 @@ fn parse_run(args: &[String]) -> Result<RunOptions, CliError> {
                     return err("--partitions needs at least 1");
                 }
             }
-            "--subprocess" => {
-                let v = it
-                    .next()
-                    .ok_or(CliError("--subprocess needs a worker count".into()))?;
-                subprocess = Some(
-                    v.parse()
-                        .map_err(|_| CliError(format!("bad worker count `{v}`")))?,
-                );
-            }
-            "--socket-workers" => {
-                socket_workers = Some(
-                    it.next()
-                        .ok_or(CliError(
-                            "--socket-workers needs a comma-separated address list".into(),
-                        ))?
-                        .clone(),
-                )
-            }
             "--connect" => {
                 connect = Some(
                     it.next()
@@ -353,8 +312,6 @@ fn parse_run(args: &[String]) -> Result<RunOptions, CliError> {
         pipeline_budget,
         threads,
         partitions,
-        subprocess,
-        socket_workers,
         connect,
         ilp,
         validate,
@@ -591,64 +548,11 @@ fn cmd_repair(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Region/solve worker mode: a framed request/response loop that a
-/// [`StreamExecutor`] spawns (stdin/stdout) or dials (`--listen`). The
-/// protocol is identical — only the byte stream differs. Over stdin the
-/// loop runs until EOF; over a socket each accepted connection gets its
-/// own loop until the peer hangs up. A malformed `PDW_WORKER_CHAOS` exits
-/// 2 with a one-line error before any frame is read.
-fn cmd_worker(args: &[String]) -> Result<(), CliError> {
-    let mut listen: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--listen" => {
-                listen = Some(
-                    it.next()
-                        .ok_or(CliError("--listen needs an address".into()))?
-                        .clone(),
-                )
-            }
-            other => return err(format!("unknown option `{other}`")),
-        }
-    }
-    let chaos = ChaosSpec::from_worker_env().unwrap_or_else(|e| {
-        eprintln!("pdw worker: {e}");
-        std::process::exit(2)
-    });
-    let Some(listen) = listen else {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        return pathdriver_wash::run_worker(&mut stdin.lock(), &mut stdout.lock(), chaos)
-            .map_err(|e| CliError(format!("worker protocol error: {e}")));
-    };
-    let addr = NetAddr::parse(&listen).map_err(CliError)?;
-    let listener = NetListener::bind(&addr).map_err(|e| CliError(e.to_string()))?;
-    // Stderr, not stdout: stdout stays a clean protocol channel by habit.
-    eprintln!("pdw worker: listening on {}", listener.local_addr());
-    loop {
-        let stream = listener
-            .accept()
-            .map_err(|e| CliError(format!("accept failed: {e}")))?;
-        std::thread::spawn(move || {
-            let mut reader = stream;
-            let Ok(mut writer) = reader.try_clone() else {
-                return;
-            };
-            // A torn connection ends this loop; the listener keeps going —
-            // the dialing executor redials within its respawn budget.
-            if let Err(e) = pathdriver_wash::run_worker(&mut reader, &mut writer, chaos) {
-                eprintln!("pdw worker: connection ended: {e}");
-            }
-        });
-    }
-}
-
 /// `pdw serve --listen`: put a [`pdw_serve::PlanServer`] on a socket and
 /// serve framed solve requests until a client sends the admin `Drain`
 /// frame, then finish in-flight work and exit cleanly.
 fn cmd_serve_listen(args: &[String]) -> Result<(), CliError> {
-    use pdw_serve::{NetConfig, PlanServer, ServeConfig, SocketServer};
+    use pdw_serve::{NetConfig, PlanServer, ServeConfig, SocketServer, WallClock};
     use std::sync::Arc;
 
     let mut listen: Option<String> = None;
@@ -697,14 +601,19 @@ fn cmd_serve_listen(args: &[String]) -> Result<(), CliError> {
     }
     let listen = listen.ok_or(CliError("--listen needs an address".into()))?;
     let addr = NetAddr::parse(&listen).map_err(CliError)?;
+    let store = open_memo_store(memo_path.as_deref())?;
     let listener = NetListener::bind(&addr).map_err(|e| CliError(e.to_string()))?;
 
-    let server = Arc::new(PlanServer::start(ServeConfig {
-        workers: workers.max(1),
-        queue_cost_budget: shed_budget,
-        memo_path,
-        ..ServeConfig::default()
-    }));
+    let server = Arc::new(PlanServer::start_with_store(
+        ServeConfig {
+            workers: workers.max(1),
+            queue_cost_budget: shed_budget,
+            ..ServeConfig::default()
+        },
+        Arc::new(WallClock::new()),
+        None,
+        store,
+    ));
     let mut net_cfg = NetConfig::default();
     if let Some(ms) = idle_ms {
         net_cfg.idle_timeout = Duration::from_millis(ms.max(1));
@@ -745,6 +654,19 @@ fn cmd_serve_listen(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Opens `--memo-path`'s persistent store before the server starts, so a
+/// path that cannot be opened or created is an error naming it.
+fn open_memo_store(
+    path: Option<&std::path::Path>,
+) -> Result<Option<std::sync::Arc<dyn pdw_serve::MemoStore>>, CliError> {
+    let Some(path) = path else {
+        return Ok(None);
+    };
+    let (store, _) = pdw_serve::FileMemoStore::open(path)
+        .map_err(|e| CliError(format!("cannot open memo store {}: {e}", path.display())))?;
+    Ok(Some(std::sync::Arc::new(store)))
+}
+
 /// `pdw serve --drain ADDR`: ask a listening server to drain and exit.
 fn cmd_serve_drain(args: &[String]) -> Result<(), CliError> {
     use pdw_serve::{ClientConfig, PlanClient};
@@ -763,7 +685,7 @@ fn cmd_serve_drain(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    use pdw_serve::{materialize, run_open_loop, Instance, PlanServer, ServeConfig};
+    use pdw_serve::{materialize, run_open_loop, Instance, PlanServer, ServeConfig, WallClock};
     use std::sync::Arc;
 
     if args.iter().any(|a| a == "--listen") {
@@ -819,6 +741,8 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         }
     }
 
+    let store = open_memo_store(memo_path.as_deref())?;
+
     // The pool: the demo instance plus seeded fault-injected variants, so
     // the stream exercises distinct chip hashes through the context LRU.
     let bench = benchmarks::demo();
@@ -854,12 +778,16 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         workers,
         gap_us
     );
-    let server = PlanServer::start(ServeConfig {
-        workers,
-        queue_cost_budget: shed_budget,
-        memo_path,
-        ..ServeConfig::default()
-    });
+    let server = PlanServer::start_with_store(
+        ServeConfig {
+            workers,
+            queue_cost_budget: shed_budget,
+            ..ServeConfig::default()
+        },
+        Arc::new(WallClock::new()),
+        None,
+        store,
+    );
     let run = run_open_loop(&server, &timed, true);
     server.shutdown();
 
@@ -958,36 +886,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         .plan(&mut ctx)
         .map_err(|e| CliError(format!("dawo failed: {e}")))?;
     let p = if opts.partitions > 1 {
-        let executor = if let Some(list) = &opts.socket_workers {
-            let addrs = list
-                .split(',')
-                .map(NetAddr::parse)
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(CliError)?;
-            Some(StreamExecutor::dial(addrs))
-        } else if let Some(workers) = opts.subprocess {
-            let exe = std::env::current_exe()
-                .map_err(|e| CliError(format!("cannot locate pdw binary: {e}")))?;
-            let argv = vec![exe.display().to_string(), "worker".into()];
-            Some(StreamExecutor::spawn(argv, workers))
-        } else {
-            None
-        };
-        let outcome = plan_partitioned_with(bench, &s, &config, opts.partitions, executor.as_ref());
-        if let Some(executor) = &executor {
-            let report = executor.report();
-            let label = match executor.name() {
-                "socket" => "socket workers",
-                name => name,
-            };
-            println!(
-                "{label}: {} region job(s) remote, {} fallback(s)",
-                report.remote_jobs, report.fallbacks
-            );
-            for event in report.events {
-                println!("  {event:?}");
-            }
-        }
+        let outcome = plan_partitioned_ctx(&mut ctx, &config, opts.partitions);
         // Every rung reports its wall time, the Partitioned one included.
         print_ladder(&outcome);
         let rungs: Vec<String> = outcome
@@ -1524,21 +1423,12 @@ mod tests {
 
     #[test]
     fn run_parsing_socket_options() {
-        let args: Vec<String> = [
-            "PCR",
-            "--partitions",
-            "4",
-            "--socket-workers",
-            "127.0.0.1:7901,unix:/tmp/w.sock",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        let args: Vec<String> = ["PCR", "--partitions", "4"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         let o = parse_run(&args).unwrap();
-        assert_eq!(
-            o.socket_workers.as_deref(),
-            Some("127.0.0.1:7901,unix:/tmp/w.sock")
-        );
+        assert_eq!(o.partitions, 4);
         assert!(o.connect.is_none());
 
         let args: Vec<String> = ["PCR", "--connect", "127.0.0.1:7900"]
@@ -1548,9 +1438,8 @@ mod tests {
         let o = parse_run(&args).unwrap();
         assert_eq!(o.connect.as_deref(), Some("127.0.0.1:7900"));
 
-        // Both flags need their operand.
+        // --connect needs its operand.
         assert!(parse_run(&["PCR".into(), "--connect".into()]).is_err());
-        assert!(parse_run(&["PCR".into(), "--socket-workers".into()]).is_err());
     }
 
     #[test]

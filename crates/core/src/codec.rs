@@ -29,7 +29,7 @@
 //!   verified schedule) as a first-class, durable value: schedule +
 //!   metrics + ladder rung + a [`VerificationCertificate`] binding it to
 //!   the instance and config that produced it. Artifacts are what the
-//!   persistent memo store keeps and what `pdw worker` returns.
+//!   persistent memo store keeps and what `pdw serve --listen` returns.
 //! - **Canonical hashes** — [`chip_hash`], [`instance_hash`], and
 //!   [`config_fingerprint`] (the serve-layer cache keys) now hash the
 //!   binary encoding instead of JSON text, and [`memo_key`] mixes
@@ -49,7 +49,7 @@ use crate::resilient::RungKind;
 /// encoding, the frame layout, or the canonical shape of a framed type;
 /// decoders reject mismatches with [`CodecError::VersionSkew`] and the
 /// memo key shifts so stale persisted entries are evicted, not served.
-pub const SCHEMA_VERSION: u8 = 4;
+pub const SCHEMA_VERSION: u8 = 5;
 
 /// Frame magic: the first four bytes of every encoded frame.
 pub const MAGIC: [u8; 4] = *b"PDWC";
@@ -214,10 +214,8 @@ pub enum FrameType {
     Delta = 4,
     /// A [`PlanArtifact`].
     Artifact = 5,
-    /// A [`WorkerRequest`](crate::worker::WorkerRequest).
-    WorkerRequest = 6,
-    /// A [`WorkerResponse`](crate::worker::WorkerResponse).
-    WorkerResponse = 7,
+    // Tags 6 and 7 framed the retired region-worker protocol; they stay
+    // unassigned, so a frame of either kind is an unexpected type.
     /// A persistent memo-store record.
     MemoRecord = 8,
     /// A [`NetRequest`](crate::transport::NetRequest) (socket transport).
@@ -235,8 +233,6 @@ impl FrameType {
             3 => FrameType::Config,
             4 => FrameType::Delta,
             5 => FrameType::Artifact,
-            6 => FrameType::WorkerRequest,
-            7 => FrameType::WorkerResponse,
             8 => FrameType::MemoRecord,
             9 => FrameType::NetRequest,
             10 => FrameType::NetResponse,
@@ -1039,11 +1035,8 @@ pub fn instance_hash(bench: &Benchmark, synthesis: &Synthesis) -> u64 {
 ///
 /// `threads` is deliberately excluded — every planner is documented
 /// thread-count-invariant, so two solves differing only in the thread knob
-/// must share one memo entry. (The region-executor choice is likewise
-/// excluded by construction: it never enters [`PdwConfig`], because
-/// subprocess region planning is bit-identical to in-process.) Budgets are
-/// included: a deadline-degraded plan is a different result family than an
-/// unbounded one.
+/// must share one memo entry. Budgets are included: a deadline-degraded
+/// plan is a different result family than an unbounded one.
 pub fn config_fingerprint(config: &PdwConfig) -> u64 {
     let mut h = Xxh64::new();
     h.write_u64(config.weights.alpha.to_bits());

@@ -88,7 +88,6 @@ mod stats;
 mod timeline;
 pub mod transport;
 pub mod verify;
-pub mod worker;
 
 pub use codec::{
     chip_hash, config_fingerprint, instance_hash, memo_key, CodecError, PlanArtifact,
@@ -104,7 +103,7 @@ pub use groups::{
     build_groups, enumerate_candidates, merge_groups, spot_cluster_groups, Candidate, WashGroup,
     WashPart,
 };
-pub use partition::{plan_partitioned, plan_partitioned_ctx, plan_partitioned_with};
+pub use partition::{plan_partitioned, plan_partitioned_ctx};
 pub use pdw::{pdw, PdwError, SolverReport, WashResult};
 pub use pdw_ilp::{IncumbentEvent, SolverStats};
 pub use planner::{plan_batch, DawoPlanner, GreedyPlanner, PdwPlanner, Planner};
@@ -115,10 +114,6 @@ pub use resilient::{
 };
 pub use stats::PipelineStats;
 pub use transport::{
-    ChaosMode, ChaosSpec, NetAddr, NetListener, NetRequest, NetResponse, NetStream, TransportError,
-    WireError,
-};
-pub use worker::{
-    run_worker, ExecutorEvent, ExecutorReport, RegionRequest, SolveRequest, StreamExecutor,
-    WorkerRequest, WorkerResponse,
+    ChaosMode, ChaosSpec, NetAddr, NetListener, NetRequest, NetResponse, NetStream, SolveRequest,
+    TransportError, WireError,
 };

@@ -60,24 +60,12 @@ use crate::planner::Planner;
 use crate::resilient::RungRejection;
 use crate::resilient::{attempt_rung, plan_resilient_ctx, PlanOutcome, RungAttempt, RungKind};
 use crate::stats::StageTimer;
-use crate::worker::StreamExecutor;
 
-/// One region front-end job: a carved view's chip plus the requirements it
-/// plans. Region views preserve the parent grid's coordinates and ids, so
-/// the job is self-contained — it may be planned on another thread or in a
-/// `pdw worker` process and the groups come back directly valid.
-#[derive(Debug)]
-pub(crate) struct RegionJob<'a> {
-    /// The carved view's chip (parent dimensions, band faults applied).
-    pub(crate) chip: &'a Chip,
-    /// The wash requirements this job's front end plans.
-    pub(crate) requirements: &'a [WashRequirement],
-}
-
-/// The front end for one region job or the seam set: grouping,
-/// spot-cluster splitting, and (optionally) merging. Region jobs run it
-/// single-threaded — the parallelism lives across jobs, never inside one.
-pub(crate) fn region_front_end(
+/// The front end for one span bucket or the seam set: grouping,
+/// spot-cluster splitting, and (optionally) merging. Span buckets run it
+/// single-threaded — the parallelism lives across buckets, never inside
+/// one.
+fn region_front_end(
     chip: &Chip,
     schedule: &Schedule,
     requirements: &[WashRequirement],
@@ -112,65 +100,6 @@ pub fn plan_partitioned_ctx(
     config: &PdwConfig,
     partitions: usize,
 ) -> PlanOutcome {
-    partitioned_ladder(ctx, config, partitions, None)
-}
-
-/// One-shot wrapper for [`plan_partitioned_ctx`]: builds a throwaway
-/// [`PlanContext`] for the instance. Never panics.
-pub fn plan_partitioned(
-    bench: &Benchmark,
-    synthesis: &Synthesis,
-    config: &PdwConfig,
-    partitions: usize,
-) -> PlanOutcome {
-    let mut ctx = PlanContext::new(bench, synthesis);
-    plan_partitioned_ctx(&mut ctx, config, partitions)
-}
-
-/// [`plan_partitioned`] with region front ends planned by `executor` in
-/// `pdw worker` processes (`None` plans them on scoped threads here). The
-/// executor only changes *where* region front ends run; the served plan is
-/// bit-identical either way. Never panics.
-pub fn plan_partitioned_with(
-    bench: &Benchmark,
-    synthesis: &Synthesis,
-    config: &PdwConfig,
-    partitions: usize,
-    executor: Option<&StreamExecutor>,
-) -> PlanOutcome {
-    let mut ctx = PlanContext::new(bench, synthesis);
-    partitioned_ladder(&mut ctx, config, partitions, executor)
-}
-
-/// The partitioned pipeline as a [`Planner`], so [`attempt_rung`]'s panic
-/// isolation and timing apply unchanged.
-struct ExecutorPlanner<'e> {
-    config: PdwConfig,
-    partitions: usize,
-    executor: Option<&'e StreamExecutor>,
-}
-
-impl Planner for ExecutorPlanner<'_> {
-    fn name(&self) -> &'static str {
-        "partitioned"
-    }
-
-    fn plan(&self, ctx: &mut PlanContext<'_>) -> Result<WashResult, PdwError> {
-        if self.partitions <= 1 {
-            run_pipeline(ctx, &self.config)
-        } else {
-            run_partitioned_pipeline(ctx, &self.config, self.partitions, self.executor)
-        }
-    }
-}
-
-/// The partitioned rung, then the standard ladder on any rejection.
-fn partitioned_ladder(
-    ctx: &mut PlanContext<'_>,
-    config: &PdwConfig,
-    partitions: usize,
-    executor: Option<&StreamExecutor>,
-) -> PlanOutcome {
     if partitions <= 1 {
         return plan_resilient_ctx(ctx, config);
     }
@@ -183,13 +112,12 @@ fn partitioned_ladder(
             wall_s: 0.0,
         });
     } else {
-        let planner = ExecutorPlanner {
+        let planner = PartitionedPlanner {
             config: PdwConfig {
                 pipeline_budget: deadline.remaining(),
                 ..config.clone()
             },
             partitions,
-            executor,
         };
         let (served, rejection, wall_s) = attempt_rung(&planner, ctx);
         attempts.push(RungAttempt {
@@ -219,6 +147,35 @@ fn partitioned_ladder(
     outcome
 }
 
+/// One-shot wrapper for [`plan_partitioned_ctx`]: builds a throwaway
+/// [`PlanContext`] for the instance. Never panics.
+pub fn plan_partitioned(
+    bench: &Benchmark,
+    synthesis: &Synthesis,
+    config: &PdwConfig,
+    partitions: usize,
+) -> PlanOutcome {
+    let mut ctx = PlanContext::new(bench, synthesis);
+    plan_partitioned_ctx(&mut ctx, config, partitions)
+}
+
+/// The partitioned pipeline (`partitions ≥ 2`) as a [`Planner`], so
+/// [`attempt_rung`]'s panic isolation and timing apply unchanged.
+struct PartitionedPlanner {
+    config: PdwConfig,
+    partitions: usize,
+}
+
+impl Planner for PartitionedPlanner {
+    fn name(&self) -> &'static str {
+        "partitioned"
+    }
+
+    fn plan(&self, ctx: &mut PlanContext<'_>) -> Result<WashResult, PdwError> {
+        run_partitioned_pipeline(ctx, &self.config, self.partitions)
+    }
+}
+
 /// The partitioned pipeline proper (see the [module docs](self)). Requires
 /// `partitions ≥ 2`; a partition that clamps to a single region falls back
 /// to the unpartitioned [`run_pipeline`].
@@ -226,7 +183,6 @@ fn run_partitioned_pipeline(
     ctx: &mut PlanContext<'_>,
     config: &PdwConfig,
     partitions: usize,
-    executor: Option<&StreamExecutor>,
 ) -> Result<WashResult, PdwError> {
     let bench = ctx.bench();
     let synthesis = ctx.synthesis();
@@ -355,42 +311,32 @@ fn run_partitioned_pipeline(
     // — no reachability fields, no routing, no candidate enumeration.
     timer.stats.regions_skipped = band_live.iter().filter(|live| !**live).count();
 
-    // Plan every live bucket's front end — on scoped threads here, or in
-    // `pdw worker` processes through the executor; either way one serial
-    // front end per bucket (the parallelism is across
-    // buckets). A bucket that panics — e.g. a cluster-split bridge cell
-    // landing outside its view — refuses: its requirements are replanned on
-    // the whole chip as seam work.
-    let jobs: Vec<RegionJob<'_>> = work
-        .iter()
-        .map(|(_, view, reqs)| RegionJob {
-            chip: view.chip(),
-            requirements: reqs,
-        })
-        .collect();
+    // Plan every live bucket's front end on scoped threads, one serial
+    // front end per bucket (the parallelism is across buckets). A bucket
+    // that panics — e.g. a cluster-split bridge cell landing outside its
+    // view — refuses: its requirements are replanned on the whole chip as
+    // seam work.
     let fronts = timer.stage(
         |s| &mut s.grouping_s,
-        || match executor {
-            Some(executor) => executor.run(&jobs, &synthesis.schedule, candidates, merging),
-            None => try_par_map_ctx(&jobs, config.threads, ScratchPool::new, |pool, _, job| {
-                region_front_end(
-                    job.chip,
-                    &synthesis.schedule,
-                    job.requirements,
-                    candidates,
-                    merging,
-                    1,
-                    pool,
-                )
-            }),
+        || {
+            try_par_map_ctx(
+                &work,
+                config.threads,
+                ScratchPool::new,
+                |pool, _, (_, view, reqs)| {
+                    region_front_end(
+                        view.chip(),
+                        &synthesis.schedule,
+                        reqs,
+                        candidates,
+                        merging,
+                        1,
+                        pool,
+                    )
+                },
+            )
         },
     );
-    if let Some(executor) = executor {
-        let report = executor.report();
-        timer.stats.subprocess_jobs = report.remote_jobs;
-        timer.stats.subprocess_fallbacks = report.fallbacks;
-        timer.stats.subprocess_exhausted = report.exhausted_lanes;
-    }
     let mut groups: Vec<WashGroup> = Vec::new();
     let mut cross_groups: Vec<WashGroup> = Vec::new();
     for (front, (key, _, reqs)) in fronts.into_iter().zip(&work) {

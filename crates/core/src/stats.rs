@@ -81,16 +81,6 @@ pub struct PipelineStats {
     /// Fewer viable cuts existed than requested regions; the partition was
     /// clamped.
     pub partition_clamped: bool,
-    /// Region jobs answered by an out-of-process `pdw worker`
-    /// (0 when planning ran in-process).
-    pub subprocess_jobs: usize,
-    /// Region jobs that fell back to in-process planning after a worker
-    /// transport failure (death, pipe loss, corrupt frame). The plan is
-    /// unaffected — only where it was computed changed.
-    pub subprocess_fallbacks: usize,
-    /// Executor lanes that exhausted their per-run respawn budget and
-    /// degraded to in-process planning for their remaining jobs.
-    pub subprocess_exhausted: usize,
     /// This result was produced by [`RepairSession::repair`]
     /// (0 = a cold/initial solve).
     ///
@@ -162,12 +152,6 @@ impl PipelineStats {
         }
         if self.regions_refused > 0 {
             out.push("some regions refused their front end; replanned as seam work".into());
-        }
-        if self.subprocess_fallbacks > 0 {
-            out.push("some region workers failed; jobs replanned in-process".into());
-        }
-        if self.subprocess_exhausted > 0 {
-            out.push("worker respawn budget exhausted; lane degraded to in-process".into());
         }
         out
     }

@@ -1,11 +1,8 @@
 //! The socket transport seam: the canonical codec's frames over TCP and
 //! Unix-domain byte streams, with every failure mode typed.
 //!
-//! ROADMAP items 1 and 2 converge here: the framed request/response loop
-//! in [`crate::worker`] already works over *any* byte stream, so crossing
-//! machines is "just" a transport — except a real network is exactly
-//! where faults live. This module supplies the hardened plumbing every
-//! networked caller shares:
+//! A real network is exactly where faults live. This module supplies the
+//! hardened plumbing every networked caller shares:
 //!
 //! - [`NetAddr`] / [`NetStream`] / [`NetListener`] — one address grammar
 //!   (`unix:PATH` or TCP `host:port`) and one stream type over both
@@ -24,13 +21,9 @@
 //!   classifies `WouldBlock`/`TimedOut` as [`TransportError::Timeout`],
 //!   version skew as its own variant, and every other codec failure as a
 //!   torn frame.
-//! - [`ChaosSpec`] / [`send_faulted`] — the one fault grammar and the one
-//!   frame-level fault applier, shared by the `pdw worker` loop
-//!   (`PDW_WORKER_CHAOS`) and the serve crate's chaos proxy.
-//!
-//! The worker protocol takes only [`NetAddr`], [`NetStream`] and the
-//! chaos grammar from here; its client and server both live in
-//! [`crate::worker`].
+//! - [`ChaosSpec`] / [`send_faulted`] — the fault grammar and the
+//!   frame-level fault applier the serve crate's chaos proxy injects
+//!   faults with.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -39,10 +32,12 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
+use pdw_assay::benchmarks::Benchmark;
+use pdw_synth::Synthesis;
 use serde::{Deserialize, Serialize, Sink};
 
 use crate::codec::{self, CodecError, FrameType, PlanArtifact, SCHEMA_VERSION};
-use crate::worker::SolveRequest;
+use crate::config::PdwConfig;
 
 /// Typed transport failures — the socket-level mirror of [`CodecError`].
 /// Every variant is something a retry loop can reason about: connect
@@ -527,6 +522,17 @@ pub fn decode_net<T: Deserialize>(ty: FrameType, frame: &[u8]) -> Result<T, Tran
 // The plan-serving wire protocol (DESIGN.md §13)
 // ---------------------------------------------------------------------------
 
+/// A whole planning instance: the body of a [`NetRequest::Solve`].
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct SolveRequest {
+    /// The bioassay benchmark.
+    pub bench: Benchmark,
+    /// The synthesized chip + base schedule.
+    pub synthesis: Synthesis,
+    /// The planner configuration.
+    pub config: PdwConfig,
+}
+
 /// What a plan client may send a `pdw serve --listen` endpoint. The
 /// first frame on every connection must be `Hello`; after
 /// the `HelloAck`, `Ping`, `SolveKey` and `Solve` interleave freely.
@@ -783,19 +789,16 @@ pub enum ChaosMode {
 /// | `disconnect:N` | nothing is written; the stream closes |
 ///
 /// `N` ≥ 1 picks the faulted stream: the chaos proxy's `N`th accepted
-/// connection, or the answer to the `N`th request one `pdw worker` loop
-/// serves (`PDW_WORKER_CHAOS`, read by [`from_worker_env`](Self::from_worker_env)).
+/// connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosSpec {
     /// The fault.
     pub mode: ChaosMode,
-    /// The 1-based index of the faulted connection (proxy) or request
-    /// (worker); every other one passes unharmed.
+    /// The 1-based index of the faulted connection; every other one
+    /// passes unharmed.
     pub nth: usize,
-    /// The 0-based frame of the proxy's faulted connection that the fault
-    /// strikes; earlier frames pass verbatim. The grammar leaves it at 0,
-    /// and a worker, which answers each request with one frame, ignores
-    /// it.
+    /// The 0-based frame of the faulted connection that the fault
+    /// strikes; earlier frames pass verbatim. The grammar leaves it at 0.
     pub frame: usize,
 }
 
@@ -863,30 +866,6 @@ impl ChaosSpec {
         })
         .collect()
     }
-
-    /// The fault a `pdw worker` loop injects, read from
-    /// `PDW_WORKER_CHAOS`: unset or empty is `None`. A malformed spec is
-    /// refused, and so is `blackhole`: a spawned lane has no read
-    /// deadline, so a swallowed answer would hang it. A refusal is one
-    /// line naming the whole spec, so a mistyped chaos run cannot pass
-    /// with a healthy worker.
-    pub fn from_worker_env() -> Result<Option<Self>, String> {
-        let spec = std::env::var_os("PDW_WORKER_CHAOS").unwrap_or_default();
-        Self::for_worker(&spec.to_string_lossy())
-    }
-
-    pub(crate) fn for_worker(spec: &str) -> Result<Option<Self>, String> {
-        if spec.is_empty() {
-            return Ok(None);
-        }
-        match Self::parse(spec) {
-            Ok(s) if s.mode == ChaosMode::BlackHole => Err(format!(
-                "PDW_WORKER_CHAOS: chaos spec '{spec}': a worker cannot black-hole its answers"
-            )),
-            Ok(s) => Ok(Some(s)),
-            Err(e) => Err(format!("PDW_WORKER_CHAOS: {e}")),
-        }
-    }
 }
 
 impl std::fmt::Display for ChaosSpec {
@@ -914,9 +893,8 @@ pub enum AfterFault {
 }
 
 /// Sends one encoded frame to `w` faulted by `mode` (see [`ChaosMode`]),
-/// flushes, and says what the stream does next. Both chaos sites — the
-/// `pdw worker` loop and the chaos proxy — fault frames through this one
-/// function.
+/// flushes, and says what the stream does next. The chaos proxy faults
+/// frames through this function.
 pub fn send_faulted(w: &mut impl Write, frame: &[u8], mode: ChaosMode) -> io::Result<AfterFault> {
     let after = match mode {
         ChaosMode::Drop | ChaosMode::Disconnect => return Ok(AfterFault::Close),
@@ -1075,6 +1053,43 @@ mod tests {
         assert!(ChaosSpec::parse("melt:1").is_err());
         assert_eq!(ChaosSpec::all_modes(2).len(), 6);
         assert!(ChaosSpec::all_modes(2).iter().all(|s| s.nth == 2));
+    }
+
+    #[test]
+    fn chaos_specs_parse_strictly() {
+        for bad in [
+            "disconnect:0",
+            "dei:1",
+            "corrupt:x",
+            "disconnect:1:2",
+            "disconnect",
+            "delay:1:x",
+        ] {
+            let err = ChaosSpec::parse(bad).expect_err(bad);
+            assert!(err.contains(&format!("'{bad}'")), "{err}");
+        }
+    }
+
+    /// A `Solve` request torn mid-frame is a typed truncation, never a
+    /// partial instance.
+    #[test]
+    fn truncated_request_stream_is_a_typed_error() {
+        let bench = pdw_assay::benchmarks::demo();
+        let req = NetRequest::Solve {
+            id: 1,
+            budget_us: None,
+            solve: Box::new(SolveRequest {
+                synthesis: pdw_synth::synthesize(&bench).unwrap(),
+                bench,
+                config: PdwConfig::default(),
+            }),
+        };
+        let frame = codec::encode_frame(FrameType::NetRequest, &req);
+        let mut reader = std::io::Cursor::new(&frame[..frame.len() - 5]);
+        assert!(matches!(
+            codec::read_frame(&mut reader),
+            Err(CodecError::Truncated { .. })
+        ));
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! A deterministic in-repo chaos proxy for socket fault injection.
 //!
 //! [`ChaosProxy`] sits between a [`PlanClient`](crate::net::PlanClient)
-//! (or a dialing [`StreamExecutor`](pathdriver_wash::StreamExecutor)) and
-//! a real endpoint, forwarding bytes verbatim except on the connections its
-//! [`ChaosSpec`]s name, where it misbehaves in one precisely chosen way.
-//! The grammar is the one `PDW_WORKER_CHAOS` uses (see [`ChaosSpec`]), and
-//! the faulted frame goes through the same applier,
+//! and a real endpoint, forwarding bytes verbatim except on the connections
+//! its [`ChaosSpec`]s name, where it misbehaves in one precisely chosen way.
+//! The grammar is [`ChaosSpec`]'s, and the faulted frame goes through the
+//! transport's applier,
 //! [`send_faulted`](pathdriver_wash::transport::send_faulted). Faults are
 //! keyed to the *n*-th accepted connection, so a test run is bit-for-bit
 //! reproducible: no clocks, no randomness, no `nth` drift between runs.

@@ -415,6 +415,16 @@ mod tests {
         );
     }
 
+    /// Schema v4: every coordinate one word, every path a step string, and
+    /// three region-worker counters in the plan's pipeline stats.
+    #[test]
+    fn a_real_v4_record_is_evicted_as_stale_and_compacted_away() {
+        assert_old_log_is_evicted_and_compacted_away(
+            include_bytes!("../../../tests/golden/memo_record_v4.bin"),
+            "v4",
+        );
+    }
+
     #[test]
     fn torn_tail_keeps_the_clean_prefix() {
         let path = temp_path("torn");

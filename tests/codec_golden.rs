@@ -1,7 +1,7 @@
 //! Golden-file test pinning the canonical binary encoding.
 //!
-//! The codec is the wire and disk format: persistent memo stores and
-//! worker pipes both speak it, so its byte layout is a compatibility
+//! The codec is the wire and disk format: persistent memo stores and the
+//! plan-serving socket both speak it, so its byte layout is a compatibility
 //! contract, not an implementation detail. This test freezes the exact
 //! encoded bytes of a small deterministic payload (the default
 //! [`PdwConfig`] frame) and the canonical digests of the demo instance,
@@ -82,7 +82,7 @@ fn unhex(text: &str) -> Vec<u8> {
 
 /// Reads the default config frame as an older codec wrote it and checks
 /// it is typed skew. A config holds no coordinates and no paths, so its
-/// value encoding is the same in v2, v3 and v4: the frames differ only in
+/// value encoding is the same in v2 to v5: the frames differ only in
 /// the version byte and the 8-byte digest trailer, and the version is
 /// checked before the digest, so an old frame is typed skew, not a digest
 /// mismatch.
@@ -115,6 +115,13 @@ fn schema_v2_config_frame_is_version_skew() {
 #[test]
 fn schema_v3_config_frame_is_version_skew() {
     assert_old_config_frame_is_version_skew(3, "codec_config_frame_v3.hex");
+}
+
+/// The schema-v4 frame: v5 changed only the shape of `PipelineStats`,
+/// which a config does not hold.
+#[test]
+fn schema_v4_config_frame_is_version_skew() {
+    assert_old_config_frame_is_version_skew(4, "codec_config_frame_v4.hex");
 }
 
 #[test]

@@ -94,24 +94,28 @@ fn dead_regions_are_skipped_and_counted() {
 
 #[test]
 fn stitched_mega_plans_with_injected_faults_stay_oracle_clean() {
-    // The stitch invariant under chip faults: region views inherit the
-    // parent's fault set, the rung gate re-validates fault-aware, and the
-    // contamination oracle must find the stitched plan clean.
+    // The stitch invariant with and without chip faults: region views
+    // inherit the parent's fault set, the rung gate re-validates
+    // fault-aware, and the contamination oracle must find the stitched plan
+    // clean. Each seed plans its pristine mega instance and its faulted
+    // twin.
     for seed in [1u64, 2] {
         let spec = pdw_gen::mega_spec(65, 12, seed);
         let (bench, pristine) = pdw_gen::mega_instance(&spec).expect("mega instance synthesizes");
-        let s = pdw_gen::inject_faults(&pristine, seed);
-        let outcome = plan_partitioned(&bench, &s, &config(), 4);
-        assert!(outcome.is_served(), "seed {seed}: {outcome}");
-        let served = outcome.served.as_ref().unwrap();
-        pdw_sim::validate(&s.chip, &bench.graph, &served.schedule)
-            .unwrap_or_else(|e| panic!("seed {seed}: stitched plan invalid: {e}"));
-        let report = pdw_sim::propagate(&s.chip, &bench.graph, &served.schedule);
-        assert!(
-            report.is_clean(),
-            "seed {seed}: contamination in stitched plan: {:?}",
-            report.violations
-        );
+        let faulted = pdw_gen::inject_faults(&pristine, seed);
+        for (s, twin) in [(&pristine, "pristine"), (&faulted, "faulted")] {
+            let outcome = plan_partitioned(&bench, s, &config(), 4);
+            assert!(outcome.is_served(), "seed {seed} {twin}: {outcome}");
+            let served = outcome.served.as_ref().unwrap();
+            pdw_sim::validate(&s.chip, &bench.graph, &served.schedule)
+                .unwrap_or_else(|e| panic!("seed {seed} {twin}: stitched plan invalid: {e}"));
+            let report = pdw_sim::propagate(&s.chip, &bench.graph, &served.schedule);
+            assert!(
+                report.is_clean(),
+                "seed {seed} {twin}: contamination in stitched plan: {:?}",
+                report.violations
+            );
+        }
     }
 }
 
