@@ -36,7 +36,7 @@ fn edge_key(a: Coord, b: Coord) -> (Coord, Coord) {
     }
 }
 
-/// A set of physical faults on a chip (see the [module docs](self)).
+/// A set of physical faults on a chip (see the `fault` module docs).
 ///
 /// Internally every component is kept sorted and deduplicated, so
 /// membership queries on the routing hot path are binary searches and two
@@ -209,7 +209,7 @@ impl FaultSet {
 /// (a field repair).
 ///
 /// Deltas drive incremental replanning: the planner engine maps a delta to
-/// the grid cells it can possibly affect ([`FaultDelta::footprint_cells`])
+/// the grid cells it can possibly affect ([`FaultDelta::cells`])
 /// and invalidates only the cached state that footprint touches. Deltas
 /// that *add* faults only shrink reachability, so caches whose stored
 /// artifacts avoid the footprint survive verbatim; deltas that *remove*

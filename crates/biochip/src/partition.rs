@@ -4,8 +4,8 @@
 //! A partition slices the grid into `K` column bands. Each band becomes a
 //! [`Region`] carrying a full-dimension sub-chip view: cells outside the
 //! band are blanked to [`CellKind::Empty`] and ports outside the band are
-//! disabled through the region's [`FaultSet`], while coordinates, device
-//! ids, and port ids are all preserved. A path routed inside a region view
+//! disabled through the region's [`FaultSet`](crate::FaultSet), while
+//! coordinates, device ids, and port ids are all preserved. A path routed inside a region view
 //! is therefore directly valid on the whole chip, and the view's lazily
 //! computed [`PortReach`](crate::PortReach) is automatically per-region.
 //!

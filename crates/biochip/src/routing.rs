@@ -662,8 +662,8 @@ impl Drop for PooledScratch<'_> {
 /// per-port fields it actually re-ran BFS for, so callers can observe how
 /// much of the cache survived a fault delta. `PartialEq` compares only the
 /// distance fields — generation bookkeeping is observability metadata, and
-/// a carried-forward reach must compare equal to a cold
-/// [`compute`](Self::compute) for the same chip.
+/// a carried-forward reach must compare equal to a cold `compute` for the
+/// same chip.
 #[derive(Debug, Clone)]
 pub struct PortReach {
     flow: Vec<Vec<u32>>,
@@ -749,7 +749,7 @@ impl PortReach {
     ///
     /// The per-field decision rules are exact graph arguments, not
     /// heuristics, so the result is bit-identical to a cold
-    /// [`compute`](Self::compute) on `chip`:
+    /// `compute` on `chip`:
     ///
     /// - blocking cell `c` changes a field only if `c` was reachable in it;
     /// - unblocking `c` changes a field only if some grid neighbor of `c`

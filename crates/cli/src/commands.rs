@@ -3,13 +3,16 @@
 use std::fmt;
 use std::time::Duration;
 
+use pathdriver_wash::codec::gate;
 use pathdriver_wash::{
-    plan_partitioned_ctx, verify, DawoPlanner, NetAddr, NetListener, PdwConfig, PdwPlanner,
-    PlanContext, Planner, SCHEMA_VERSION,
+    plan_partitioned_ctx, verify, DawoPlanner, GateRejection, NetAddr, NetListener, PdwConfig,
+    PdwPlanner, PlanContext, Planner, SCHEMA_VERSION,
 };
 use pdw_assay::benchmarks::{self, Benchmark};
 use pdw_sim::Metrics;
 use pdw_synth::{synthesize, Synthesis};
+
+use CliError::{Runtime, Usage};
 
 /// Usage text printed on errors and `pdw help`.
 pub const USAGE: &str = "\
@@ -107,18 +110,30 @@ options for `verify`:
 
 /// A CLI-level error with a user-facing message.
 #[derive(Debug)]
-pub struct CliError(String);
+pub enum CliError {
+    /// The command line itself is wrong: an unknown command, or a missing
+    /// or unparsable argument. The usage text belongs after the message.
+    Usage(String),
+    /// The command ran and failed; the message alone says why.
+    Runtime(String),
+}
 
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        match self {
+            CliError::Usage(msg) | CliError::Runtime(msg) => f.write_str(msg),
+        }
     }
 }
 
 impl std::error::Error for CliError {}
 
 fn err<T>(msg: impl Into<String>) -> Result<T, CliError> {
-    Err(CliError(msg.into()))
+    Err(Runtime(msg.into()))
+}
+
+fn usage_err<T>(msg: impl Into<String>) -> Result<T, CliError> {
+    Err(Usage(msg.into()))
 }
 
 fn builtin(name: &str) -> Option<Benchmark> {
@@ -148,7 +163,7 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
             println!("{USAGE}");
             Ok(())
         }
-        Some(other) => err(format!("unknown command `{other}`")),
+        Some(other) => usage_err(format!("unknown command `{other}`")),
     }
 }
 
@@ -172,9 +187,9 @@ fn cmd_list() -> Result<(), CliError> {
 }
 
 fn cmd_show(name: Option<&str>) -> Result<(), CliError> {
-    let name = name.ok_or(CliError("`show` needs a benchmark name".into()))?;
-    let bench = builtin(name).ok_or_else(|| CliError(format!("no benchmark `{name}`")))?;
-    let s = synthesize(&bench).map_err(|e| CliError(format!("synthesis failed: {e}")))?;
+    let name = name.ok_or(Usage("`show` needs a benchmark name".into()))?;
+    let bench = builtin(name).ok_or_else(|| Usage(format!("no benchmark `{name}`")))?;
+    let s = synthesize(&bench).map_err(|e| Runtime(format!("synthesis failed: {e}")))?;
     println!("{}", bench.graph);
     println!("{}", s.chip.grid());
     for d in s.chip.devices() {
@@ -220,55 +235,51 @@ fn parse_run(args: &[String]) -> Result<RunOptions, CliError> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--assay" => {
-                let path = it.next().ok_or(CliError("--assay needs a file".into()))?;
+                let path = it.next().ok_or(Usage("--assay needs a file".into()))?;
                 let text = std::fs::read_to_string(path)
-                    .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
+                    .map_err(|e| Runtime(format!("cannot read {path}: {e}")))?;
                 let b: Benchmark = serde_json::from_str(&text)
-                    .map_err(|e| CliError(format!("invalid assay JSON: {e}")))?;
+                    .map_err(|e| Runtime(format!("invalid assay JSON: {e}")))?;
                 // serde bypasses the builder's checks; re-validate.
                 b.graph
                     .revalidate()
-                    .map_err(|e| CliError(format!("invalid assay graph: {e}")))?;
+                    .map_err(|e| Runtime(format!("invalid assay graph: {e}")))?;
                 bench = Some(b);
             }
             "--budget" => {
-                let v = it.next().ok_or(CliError("--budget needs seconds".into()))?;
-                budget = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad budget `{v}`")))?;
+                let v = it.next().ok_or(Usage("--budget needs seconds".into()))?;
+                budget = v.parse().map_err(|_| Usage(format!("bad budget `{v}`")))?;
             }
             "--pipeline-budget" => {
                 let v = it
                     .next()
-                    .ok_or(CliError("--pipeline-budget needs milliseconds".into()))?;
-                pipeline_budget =
-                    Some(Duration::from_millis(v.parse().map_err(|_| {
-                        CliError(format!("bad pipeline budget `{v}`"))
-                    })?));
+                    .ok_or(Usage("--pipeline-budget needs milliseconds".into()))?;
+                pipeline_budget = Some(Duration::from_millis(
+                    v.parse()
+                        .map_err(|_| Usage(format!("bad pipeline budget `{v}`")))?,
+                ));
             }
             "--threads" => {
-                let v = it
-                    .next()
-                    .ok_or(CliError("--threads needs a count".into()))?;
+                let v = it.next().ok_or(Usage("--threads needs a count".into()))?;
                 threads = v
                     .parse()
-                    .map_err(|_| CliError(format!("bad thread count `{v}`")))?;
+                    .map_err(|_| Usage(format!("bad thread count `{v}`")))?;
             }
             "--partitions" => {
                 let v = it
                     .next()
-                    .ok_or(CliError("--partitions needs a count".into()))?;
+                    .ok_or(Usage("--partitions needs a count".into()))?;
                 partitions = v
                     .parse()
-                    .map_err(|_| CliError(format!("bad partition count `{v}`")))?;
+                    .map_err(|_| Usage(format!("bad partition count `{v}`")))?;
                 if partitions == 0 {
-                    return err("--partitions needs at least 1");
+                    return usage_err("--partitions needs at least 1");
                 }
             }
             "--connect" => {
                 connect = Some(
                     it.next()
-                        .ok_or(CliError("--connect needs an address".into()))?
+                        .ok_or(Usage("--connect needs an address".into()))?
                         .clone(),
                 )
             }
@@ -278,14 +289,14 @@ fn parse_run(args: &[String]) -> Result<RunOptions, CliError> {
             "--json" => {
                 json = Some(
                     it.next()
-                        .ok_or(CliError("--json needs a file".into()))?
+                        .ok_or(Usage("--json needs a file".into()))?
                         .clone(),
                 )
             }
             "--svg" => {
                 svg = Some(
                     it.next()
-                        .ok_or(CliError("--svg needs a directory".into()))?
+                        .ok_or(Usage("--svg needs a directory".into()))?
                         .clone(),
                 )
             }
@@ -294,18 +305,17 @@ fn parse_run(args: &[String]) -> Result<RunOptions, CliError> {
             "--heatmap" => {
                 heatmap = Some(
                     it.next()
-                        .ok_or(CliError("--heatmap needs a file".into()))?
+                        .ok_or(Usage("--heatmap needs a file".into()))?
                         .clone(),
                 )
             }
             name if bench.is_none() && !name.starts_with('-') => {
-                bench =
-                    Some(builtin(name).ok_or_else(|| CliError(format!("no benchmark `{name}`")))?);
+                bench = Some(builtin(name).ok_or_else(|| Usage(format!("no benchmark `{name}`")))?);
             }
-            other => return err(format!("unknown option `{other}`")),
+            other => return usage_err(format!("unknown option `{other}`")),
         }
     }
-    let bench = bench.ok_or(CliError("`run` needs a benchmark name or --assay".into()))?;
+    let bench = bench.ok_or(Usage("`run` needs a benchmark name or --assay".into()))?;
     Ok(RunOptions {
         bench,
         budget,
@@ -388,58 +398,52 @@ fn parse_repair(args: &[String]) -> Result<RepairOptions, CliError> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--steps" => {
-                let v = it.next().ok_or(CliError("--steps needs a count".into()))?;
+                let v = it.next().ok_or(Usage("--steps needs a count".into()))?;
                 steps = v
                     .parse()
-                    .map_err(|_| CliError(format!("bad step count `{v}`")))?;
+                    .map_err(|_| Usage(format!("bad step count `{v}`")))?;
             }
             "--seed" => {
-                let v = it.next().ok_or(CliError("--seed needs a value".into()))?;
-                seed = v.parse().map_err(|_| CliError(format!("bad seed `{v}`")))?;
+                let v = it.next().ok_or(Usage("--seed needs a value".into()))?;
+                seed = v.parse().map_err(|_| Usage(format!("bad seed `{v}`")))?;
             }
             "--delay" => {
-                let v = it.next().ok_or(CliError("--delay needs seconds".into()))?;
-                delay = Some(
-                    v.parse()
-                        .map_err(|_| CliError(format!("bad delay `{v}`")))?,
-                );
+                let v = it.next().ok_or(Usage("--delay needs seconds".into()))?;
+                delay = Some(v.parse().map_err(|_| Usage(format!("bad delay `{v}`")))?);
             }
             "--threads" => {
-                let v = it
-                    .next()
-                    .ok_or(CliError("--threads needs a count".into()))?;
+                let v = it.next().ok_or(Usage("--threads needs a count".into()))?;
                 threads = v
                     .parse()
-                    .map_err(|_| CliError(format!("bad thread count `{v}`")))?;
+                    .map_err(|_| Usage(format!("bad thread count `{v}`")))?;
             }
             "--partitions" => {
                 let v = it
                     .next()
-                    .ok_or(CliError("--partitions needs a count".into()))?;
+                    .ok_or(Usage("--partitions needs a count".into()))?;
                 partitions = v
                     .parse()
-                    .map_err(|_| CliError(format!("bad partition count `{v}`")))?;
+                    .map_err(|_| Usage(format!("bad partition count `{v}`")))?;
                 if partitions == 0 {
-                    return err("--partitions needs at least 1");
+                    return usage_err("--partitions needs at least 1");
                 }
             }
             "--pipeline-budget" => {
                 let v = it
                     .next()
-                    .ok_or(CliError("--pipeline-budget needs milliseconds".into()))?;
-                pipeline_budget =
-                    Some(Duration::from_millis(v.parse().map_err(|_| {
-                        CliError(format!("bad pipeline budget `{v}`"))
-                    })?));
+                    .ok_or(Usage("--pipeline-budget needs milliseconds".into()))?;
+                pipeline_budget = Some(Duration::from_millis(
+                    v.parse()
+                        .map_err(|_| Usage(format!("bad pipeline budget `{v}`")))?,
+                ));
             }
             name if bench.is_none() && !name.starts_with('-') => {
-                bench =
-                    Some(builtin(name).ok_or_else(|| CliError(format!("no benchmark `{name}`")))?);
+                bench = Some(builtin(name).ok_or_else(|| Usage(format!("no benchmark `{name}`")))?);
             }
-            other => return err(format!("unknown option `{other}`")),
+            other => return usage_err(format!("unknown option `{other}`")),
         }
     }
-    let bench = bench.ok_or(CliError("`repair` needs a benchmark name".into()))?;
+    let bench = bench.ok_or(Usage("`repair` needs a benchmark name".into()))?;
     Ok(RepairOptions {
         bench,
         steps,
@@ -462,8 +466,7 @@ fn cmd_repair(args: &[String]) -> Result<(), CliError> {
 
     let opts = parse_repair(args)?;
     let bench = opts.bench;
-    let s: Synthesis =
-        synthesize(&bench).map_err(|e| CliError(format!("synthesis failed: {e}")))?;
+    let s: Synthesis = synthesize(&bench).map_err(|e| Runtime(format!("synthesis failed: {e}")))?;
     let config = PdwConfig {
         ilp: false,
         threads: opts.threads,
@@ -566,7 +569,7 @@ fn cmd_serve_listen(args: &[String]) -> Result<(), CliError> {
             "--listen" => {
                 listen = Some(
                     it.next()
-                        .ok_or(CliError("--listen needs an address".into()))?
+                        .ok_or(Usage("--listen needs an address".into()))?
                         .clone(),
                 )
             }
@@ -574,35 +577,35 @@ fn cmd_serve_listen(args: &[String]) -> Result<(), CliError> {
                 workers = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .ok_or(CliError("--workers needs a number".into()))?
+                    .ok_or(Usage("--workers needs a number".into()))?
             }
             "--shed-budget" => {
                 shed_budget = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .ok_or(CliError("--shed-budget needs a number".into()))?
+                    .ok_or(Usage("--shed-budget needs a number".into()))?
             }
             "--memo-path" => {
                 memo_path = Some(
                     it.next()
                         .map(std::path::PathBuf::from)
-                        .ok_or(CliError("--memo-path needs a file".into()))?,
+                        .ok_or(Usage("--memo-path needs a file".into()))?,
                 )
             }
             "--idle-ms" => {
                 idle_ms = Some(
                     it.next()
                         .and_then(|v| v.parse().ok())
-                        .ok_or(CliError("--idle-ms needs milliseconds".into()))?,
+                        .ok_or(Usage("--idle-ms needs milliseconds".into()))?,
                 )
             }
-            other => return err(format!("unknown option `{other}`")),
+            other => return usage_err(format!("unknown option `{other}`")),
         }
     }
-    let listen = listen.ok_or(CliError("--listen needs an address".into()))?;
-    let addr = NetAddr::parse(&listen).map_err(CliError)?;
+    let listen = listen.ok_or(Usage("--listen needs an address".into()))?;
+    let addr = NetAddr::parse(&listen).map_err(Usage)?;
     let store = open_memo_store(memo_path.as_deref())?;
-    let listener = NetListener::bind(&addr).map_err(|e| CliError(e.to_string()))?;
+    let listener = NetListener::bind(&addr).map_err(|e| Runtime(e.to_string()))?;
 
     let server = Arc::new(PlanServer::start_with_store(
         ServeConfig {
@@ -663,7 +666,7 @@ fn open_memo_store(
         return Ok(None);
     };
     let (store, _) = pdw_serve::FileMemoStore::open(path)
-        .map_err(|e| CliError(format!("cannot open memo store {}: {e}", path.display())))?;
+        .map_err(|e| Runtime(format!("cannot open memo store {}: {e}", path.display())))?;
     Ok(Some(std::sync::Arc::new(store)))
 }
 
@@ -674,12 +677,12 @@ fn cmd_serve_drain(args: &[String]) -> Result<(), CliError> {
         .iter()
         .position(|a| a == "--drain")
         .and_then(|i| args.get(i + 1))
-        .ok_or(CliError("--drain needs an address".into()))?;
-    let addr = NetAddr::parse(addr).map_err(CliError)?;
+        .ok_or(Usage("--drain needs an address".into()))?;
+    let addr = NetAddr::parse(addr).map_err(Usage)?;
     let mut client = PlanClient::new(addr, ClientConfig::default());
     let in_flight = client
         .drain()
-        .map_err(|e| CliError(format!("drain failed: {e}")))?;
+        .map_err(|e| Runtime(format!("drain failed: {e}")))?;
     println!("drain acknowledged; {in_flight} request(s) still in flight");
     Ok(())
 }
@@ -711,7 +714,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         let mut num = |name: &str| -> Result<u64, CliError> {
             it.next()
                 .and_then(|v| v.parse().ok())
-                .ok_or_else(|| CliError(format!("{name} needs a number")))
+                .ok_or_else(|| Usage(format!("{name} needs a number")))
         };
         match arg.as_str() {
             "--requests" => requests = num("--requests")? as usize,
@@ -727,17 +730,17 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
                 memo_path = Some(
                     it.next()
                         .map(std::path::PathBuf::from)
-                        .ok_or(CliError("--memo-path needs a file".into()))?,
+                        .ok_or(Usage("--memo-path needs a file".into()))?,
                 )
             }
             "--json" => {
                 json = Some(
                     it.next()
                         .cloned()
-                        .ok_or(CliError("--json needs a file".into()))?,
+                        .ok_or(Usage("--json needs a file".into()))?,
                 )
             }
-            other => return err(format!("unknown option `{other}`")),
+            other => return usage_err(format!("unknown option `{other}`")),
         }
     }
 
@@ -746,7 +749,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     // The pool: the demo instance plus seeded fault-injected variants, so
     // the stream exercises distinct chip hashes through the context LRU.
     let bench = benchmarks::demo();
-    let base = synthesize(&bench).map_err(|e| CliError(format!("synthesis failed: {e}")))?;
+    let base = synthesize(&bench).map_err(|e| Runtime(format!("synthesis failed: {e}")))?;
     let mut pool = vec![Arc::new(Instance::new(bench.clone(), base.clone()))];
     let mut fault_seed = seed;
     while pool.len() < pool_size {
@@ -822,7 +825,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             &path,
             serde_json::to_string_pretty(r).expect("serializable"),
         )
-        .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+        .map_err(|e| Runtime(format!("cannot write {path}: {e}")))?;
         println!("  report written to {path}");
     }
     Ok(())
@@ -836,13 +839,13 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 fn cmd_run_connect(opts: &RunOptions, addr: &str) -> Result<(), CliError> {
     use pdw_serve::{ClientConfig, PlanClient};
     let bench = &opts.bench;
-    let s: Synthesis = synthesize(bench).map_err(|e| CliError(format!("synthesis failed: {e}")))?;
-    let addr = NetAddr::parse(addr).map_err(CliError)?;
+    let s: Synthesis = synthesize(bench).map_err(|e| Runtime(format!("synthesis failed: {e}")))?;
+    let addr = NetAddr::parse(addr).map_err(Usage)?;
     let mut client = PlanClient::new(addr, ClientConfig::default());
     let config = pdw_serve::ServeConfig::default().planner;
     let remote = client
         .solve(bench, &s, &config, opts.pipeline_budget)
-        .map_err(|e| CliError(format!("remote solve failed: {e}")))?;
+        .map_err(|e| Runtime(format!("remote solve failed: {e}")))?;
     let result = &remote.artifact.result;
     println!(
         "remote plan for {} via {}: rung {}, {} wash(es), makespan {} s",
@@ -870,7 +873,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         return cmd_run_connect(&opts, &addr);
     }
     let bench = &opts.bench;
-    let s: Synthesis = synthesize(bench).map_err(|e| CliError(format!("synthesis failed: {e}")))?;
+    let s: Synthesis = synthesize(bench).map_err(|e| Runtime(format!("synthesis failed: {e}")))?;
     let base = Metrics::measure(&bench.graph, &s.schedule);
     let config = PdwConfig {
         ilp: opts.ilp,
@@ -884,7 +887,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let mut ctx = PlanContext::new(bench, &s);
     let d = DawoPlanner
         .plan(&mut ctx)
-        .map_err(|e| CliError(format!("dawo failed: {e}")))?;
+        .map_err(|e| Runtime(format!("dawo failed: {e}")))?;
     let p = if opts.partitions > 1 {
         let outcome = plan_partitioned_ctx(&mut ctx, &config, opts.partitions);
         // Every rung reports its wall time, the Partitioned one included.
@@ -895,7 +898,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             .map(|a| format!("{} {:.3}s", a.rung, a.wall_s))
             .collect();
         outcome.served.ok_or_else(|| {
-            CliError(format!(
+            Runtime(format!(
                 "partitioned planner served no plan (rungs tried: {})",
                 rungs.join(", ")
             ))
@@ -903,21 +906,19 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     } else {
         PdwPlanner::new(config)
             .plan(&mut ctx)
-            .map_err(|e| CliError(format!("pdw failed: {e}")))?
+            .map_err(|e| Runtime(format!("pdw failed: {e}")))?
     };
 
     if opts.validate {
         for (name, sched) in [("dawo", &d.schedule), ("pdw", &p.schedule)] {
-            pdw_sim::validate(&s.chip, &bench.graph, sched)
-                .map_err(|e| CliError(format!("{name}: invalid schedule: {e}")))?;
-            let report = pdw_sim::propagate(&s.chip, &bench.graph, sched);
-            if !report.is_clean() {
-                return err(format!(
-                    "{name}: contamination oracle found {} violation(s); first: {}",
-                    report.violations.len(),
-                    report.violations[0]
-                ));
-            }
+            gate(&s.chip, &bench.graph, sched).map_err(|e| {
+                Runtime(match e {
+                    GateRejection::Invalid(e) => format!("{name}: invalid schedule: {e}"),
+                    GateRejection::Contaminated(_) => {
+                        format!("{name}: contamination oracle found {e}")
+                    }
+                })
+            })?;
         }
         println!("validate: both schedules physically valid and oracle-clean");
     }
@@ -1023,7 +1024,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         );
         let svg =
             pdw_viz::heatmap::contamination(&s.chip, analysis.events.iter().map(|e| (e.cell, 1)));
-        std::fs::write(path, svg).map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+        std::fs::write(path, svg).map_err(|e| Runtime(format!("cannot write {path}: {e}")))?;
         println!("wrote {path}");
     }
 
@@ -1084,12 +1085,12 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             path,
             serde_json::to_string_pretty(&out).expect("serializable"),
         )
-        .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+        .map_err(|e| Runtime(format!("cannot write {path}: {e}")))?;
         println!("wrote {path}");
     }
 
     if let Some(dir) = &opts.svg {
-        std::fs::create_dir_all(dir).map_err(|e| CliError(format!("cannot create {dir}: {e}")))?;
+        std::fs::create_dir_all(dir).map_err(|e| Runtime(format!("cannot create {dir}: {e}")))?;
         let writes = [
             ("chip.svg", pdw_viz::svg::chip(&s.chip, None)),
             ("base.svg", pdw_viz::svg::gantt(&s.chip, &s.schedule)),
@@ -1099,7 +1100,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         for (name, content) in writes {
             let path = format!("{dir}/{name}");
             std::fs::write(&path, content)
-                .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+                .map_err(|e| Runtime(format!("cannot write {path}: {e}")))?;
             println!("wrote {path}");
         }
     }
@@ -1138,7 +1139,7 @@ fn parse_verify(args: &[String]) -> Result<VerifyCliOptions, CliError> {
             "--partitions" => {
                 let v = it
                     .next()
-                    .ok_or(CliError("--partitions needs a comma-separated list".into()))?;
+                    .ok_or(Usage("--partitions needs a comma-separated list".into()))?;
                 partitions = v
                     .split(',')
                     .map(|p| {
@@ -1146,39 +1147,37 @@ fn parse_verify(args: &[String]) -> Result<VerifyCliOptions, CliError> {
                             .parse::<usize>()
                             .ok()
                             .filter(|&k| k >= 1)
-                            .ok_or_else(|| CliError(format!("bad partition count `{p}`")))
+                            .ok_or_else(|| Usage(format!("bad partition count `{p}`")))
                     })
                     .collect::<Result<Vec<usize>, CliError>>()?;
                 if partitions.is_empty() {
-                    return err("--partitions needs at least one count");
+                    return usage_err("--partitions needs at least one count");
                 }
             }
             "--seeds" => {
-                let v = it.next().ok_or(CliError("--seeds needs a count".into()))?;
+                let v = it.next().ok_or(Usage("--seeds needs a count".into()))?;
                 seeds = v
                     .parse()
-                    .map_err(|_| CliError(format!("bad seed count `{v}`")))?;
+                    .map_err(|_| Usage(format!("bad seed count `{v}`")))?;
                 seeds_explicit = true;
             }
             "--seed" => {
-                let v = it.next().ok_or(CliError("--seed needs a value".into()))?;
-                single_seed = Some(v.parse().map_err(|_| CliError(format!("bad seed `{v}`")))?);
+                let v = it.next().ok_or(Usage("--seed needs a value".into()))?;
+                single_seed = Some(v.parse().map_err(|_| Usage(format!("bad seed `{v}`")))?);
             }
             "--no-ilp" => opts.ilp = false,
             "--budget" => {
-                let v = it.next().ok_or(CliError("--budget needs seconds".into()))?;
-                opts.ilp_budget = Duration::from_secs(
-                    v.parse()
-                        .map_err(|_| CliError(format!("bad budget `{v}`")))?,
-                );
+                let v = it.next().ok_or(Usage("--budget needs seconds".into()))?;
+                opts.ilp_budget =
+                    Duration::from_secs(v.parse().map_err(|_| Usage(format!("bad budget `{v}`")))?);
             }
             "--repro" => {
                 repro = it
                     .next()
-                    .ok_or(CliError("--repro needs a file".into()))?
+                    .ok_or(Usage("--repro needs a file".into()))?
                     .clone();
             }
-            other => return err(format!("unknown option `{other}`")),
+            other => return usage_err(format!("unknown option `{other}`")),
         }
     }
     Ok(VerifyCliOptions {
@@ -1261,7 +1260,7 @@ fn cmd_chaos(cli: &VerifyCliOptions) -> Result<(), CliError> {
     } else {
         let body = failures.join("\n");
         std::fs::write(&cli.repro, format!("{body}\n"))
-            .map_err(|e| CliError(format!("cannot write {}: {e}", cli.repro)))?;
+            .map_err(|e| Runtime(format!("cannot write {}: {e}", cli.repro)))?;
         eprintln!("{body}");
         err(format!(
             "verify --faults: {} failure(s); details in {}",
@@ -1352,7 +1351,7 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
     } else {
         let body = failures.join("\n");
         std::fs::write(&cli.repro, format!("{body}\n"))
-            .map_err(|e| CliError(format!("cannot write {}: {e}", cli.repro)))?;
+            .map_err(|e| Runtime(format!("cannot write {}: {e}", cli.repro)))?;
         eprintln!("{body}");
         err(format!(
             "verify: {} failure(s); details in {}",
@@ -1365,16 +1364,16 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
 fn cmd_export(args: &[String]) -> Result<(), CliError> {
     let name = args
         .first()
-        .ok_or(CliError("`export` needs a benchmark".into()))?;
+        .ok_or(Usage("`export` needs a benchmark".into()))?;
     let path = args
         .get(1)
-        .ok_or(CliError("`export` needs a target file".into()))?;
-    let bench = builtin(name).ok_or_else(|| CliError(format!("no benchmark `{name}`")))?;
+        .ok_or(Usage("`export` needs a target file".into()))?;
+    let bench = builtin(name).ok_or_else(|| Usage(format!("no benchmark `{name}`")))?;
     std::fs::write(
         path,
         serde_json::to_string_pretty(&bench).expect("serializable"),
     )
-    .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+    .map_err(|e| Runtime(format!("cannot write {path}: {e}")))?;
     println!("wrote {path}");
     Ok(())
 }

@@ -8,6 +8,7 @@
 //! pdw show demo                            # chip + ASCII Gantt
 //! ```
 
+use std::io::Write;
 use std::process::ExitCode;
 
 mod commands;
@@ -17,9 +18,14 @@ fn main() -> ExitCode {
     match commands::dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("pdw: {e}");
-            eprintln!();
-            eprintln!("{}", commands::USAGE);
+            // A failed write to stderr must not turn the exit code into a
+            // panic's: the error is reported best-effort, and the exit
+            // code stays 1 either way.
+            let mut stderr = std::io::stderr().lock();
+            let _ = writeln!(stderr, "pdw: {e}");
+            if matches!(e, commands::CliError::Usage(_)) {
+                let _ = writeln!(stderr, "\n{}", commands::USAGE);
+            }
             ExitCode::FAILURE
         }
     }

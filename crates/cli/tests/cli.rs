@@ -26,16 +26,57 @@ fn assert_refused(out: &Output, needle: &str) {
 
 #[test]
 fn serve_refuses_a_memo_path_it_cannot_open_in_both_modes() {
-    let missing = std::env::temp_dir()
-        .join(format!("pdw-cli-{}-no-such-dir", std::process::id()))
-        .join("memo.log");
-    let path = missing.to_str().expect("utf-8 temp path");
-    let replay = pdw(&["serve", "--requests", "5", "--memo-path", path]);
-    assert_refused(&replay, path);
+    let path = missing_memo_path();
+    let replay = pdw(&["serve", "--requests", "5", "--memo-path", &path]);
+    assert_refused(&replay, &path);
     // The store opens before the socket binds, so no listener is left
     // behind either.
-    let listen = pdw(&["serve", "--listen", "127.0.0.1:0", "--memo-path", path]);
-    assert_refused(&listen, path);
+    let listen = pdw(&["serve", "--listen", "127.0.0.1:0", "--memo-path", &path]);
+    assert_refused(&listen, &path);
+}
+
+/// A path under a directory that does not exist, unique to this process.
+fn missing_memo_path() -> String {
+    std::env::temp_dir()
+        .join(format!("pdw-cli-{}-no-such-dir", std::process::id()))
+        .join("memo.log")
+        .to_str()
+        .expect("utf-8 temp path")
+        .to_string()
+}
+
+#[test]
+fn a_runtime_error_prints_one_line_and_no_usage() {
+    let path = missing_memo_path();
+    let out = pdw(&["serve", "--requests", "5", "--memo-path", &path]);
+    assert_refused(&out, &path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "stderr: {stderr}");
+    assert!(!stderr.contains("usage:"), "stderr: {stderr}");
+}
+
+#[test]
+fn an_unknown_command_prints_the_usage() {
+    let out = pdw(&["wibble"]);
+    assert_refused(&out, "unknown command `wibble`");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage:"), "stderr: {stderr}");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn an_unwritable_stderr_still_exits_1() {
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full");
+    let path = missing_memo_path();
+    let out = Command::new(env!("CARGO_BIN_EXE_pdw"))
+        .args(["serve", "--memo-path", &path])
+        .stderr(full)
+        .output()
+        .expect("run pdw");
+    assert_eq!(out.status.code(), Some(1), "a failed error write panics");
 }
 
 #[test]

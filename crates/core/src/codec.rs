@@ -30,14 +30,22 @@
 //!   metrics + ladder rung + a [`VerificationCertificate`] binding it to
 //!   the instance and config that produced it. Artifacts are what the
 //!   persistent memo store keeps and what `pdw serve --listen` returns.
+//! - **The plan gate** — [`gate`] is the one "validate, then replay the
+//!   oracle" check: the ladder, repair, the chaos verifier, artifact
+//!   verification and `pdw run --validate` all call it. Its
+//!   [`OracleReplay`] is what a certificate is sealed from.
 //! - **Canonical hashes** — [`chip_hash`], [`instance_hash`], and
 //!   [`config_fingerprint`] (the serve-layer cache keys) now hash the
 //!   binary encoding instead of JSON text, and [`memo_key`] mixes
 //!   [`SCHEMA_VERSION`] into the memo-cache key so an entry persisted by
 //!   an older codec can never be served by a newer one.
 
+use std::fmt;
+
 use pdw_assay::benchmarks::Benchmark;
+use pdw_assay::AssayGraph;
 use pdw_biochip::Chip;
+use pdw_sched::Schedule;
 use pdw_synth::Synthesis;
 use serde::{Deserialize, Serialize};
 
@@ -860,14 +868,101 @@ impl FrameAccumulator {
 }
 
 // ---------------------------------------------------------------------------
-// Plan artifacts
+// The plan gate and plan artifacts
 // ---------------------------------------------------------------------------
+
+/// The oracle's replay counters over one schedule, exactly the five values
+/// a certificate's oracle digest hashes: violations, deposits, dissolved,
+/// checks, and ineffective washes.
+///
+/// The fields are private, so the only way to hold one is to have replayed
+/// the oracle — through [`gate`] or [`PlanArtifact::verify`]. A
+/// certificate sealed from it ([`PlanArtifact::sealed`]) therefore always
+/// reflects a real replay of that schedule on that chip.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OracleReplay {
+    violations: u64,
+    deposits: u64,
+    dissolved: u64,
+    checks: u64,
+    ineffective_washes: u64,
+}
+
+/// Why [`gate`] refused a schedule.
+#[derive(Debug, Clone)]
+pub enum GateRejection {
+    /// [`pdw_sim::validate`] found the schedule physically inexecutable on
+    /// the chip as given, faults included.
+    Invalid(pdw_sim::SimError),
+    /// The schedule validates, but the [`pdw_sim::propagate`] replay found
+    /// contamination.
+    Contaminated(pdw_sim::OracleReport),
+}
+
+impl fmt::Display for GateRejection {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GateRejection::Invalid(e) => write!(f, "{e}"),
+            GateRejection::Contaminated(report) => {
+                let first = report
+                    .violations
+                    .first()
+                    .map(|v| v.to_string())
+                    .unwrap_or_default();
+                write!(
+                    f,
+                    "{} violation(s); first: {first}",
+                    report.violations.len()
+                )
+            }
+        }
+    }
+}
+
+/// The plan gate: a schedule is servable on `chip` only if
+/// [`pdw_sim::validate`] accepts it and the [`pdw_sim::propagate`] oracle
+/// replays it clean. Returns the replay's counters, from which a
+/// certificate can be sealed without replaying again.
+///
+/// # Errors
+///
+/// [`GateRejection::Invalid`] or [`GateRejection::Contaminated`].
+pub fn gate(
+    chip: &Chip,
+    graph: &AssayGraph,
+    schedule: &Schedule,
+) -> Result<OracleReplay, GateRejection> {
+    pdw_sim::validate(chip, graph, schedule).map_err(GateRejection::Invalid)?;
+    let (replay, report) = replay(chip, graph, schedule);
+    if report.is_clean() {
+        Ok(replay)
+    } else {
+        Err(GateRejection::Contaminated(report))
+    }
+}
+
+/// Replays the oracle over `schedule`: its counters and the full report.
+fn replay(
+    chip: &Chip,
+    graph: &AssayGraph,
+    schedule: &Schedule,
+) -> (OracleReplay, pdw_sim::OracleReport) {
+    let report = pdw_sim::propagate(chip, graph, schedule);
+    let replay = OracleReplay {
+        violations: report.violations.len() as u64,
+        deposits: report.deposits as u64,
+        dissolved: report.dissolved as u64,
+        checks: report.checks as u64,
+        ineffective_washes: report.ineffective_washes.len() as u64,
+    };
+    (replay, report)
+}
 
 /// Digests binding a [`PlanArtifact`] to its independent re-verification.
 ///
 /// The validator digest covers what [`pdw_sim::validate`] judged (the
 /// schedule and the chip it ran against); the oracle digest covers what
-/// [`pdw_sim::propagate`] observed (its replay counters over that
+/// [`pdw_sim::propagate`] observed (its [`OracleReplay`] counters over that
 /// schedule). A consumer re-runs both checks against the *requester's*
 /// instance and recomputes both digests — a persisted artifact whose
 /// certificate no longer reproduces is rejected, never served.
@@ -903,24 +998,23 @@ pub struct PlanArtifact {
 
 impl PlanArtifact {
     /// Re-verifies the artifact against a concrete instance: the schedule
-    /// must validate on the chip, replay clean through the oracle, and
-    /// reproduce both certificate digests. Returns a human-readable reason
-    /// on any failure.
-    pub fn verify(&self, bench: &Benchmark, synthesis: &Synthesis) -> Result<(), String> {
+    /// must pass the [`gate`] on the chip and reproduce both certificate
+    /// digests. Returns the gate's replay, or a human-readable reason on
+    /// any failure.
+    pub fn verify(&self, bench: &Benchmark, synthesis: &Synthesis) -> Result<OracleReplay, String> {
         self.verify_hashed(instance_hash(bench, synthesis), bench, synthesis)
     }
 
     /// [`verify`](Self::verify) for a caller that already holds the
     /// instance's canonical hash: `expect_instance` must be
-    /// [`instance_hash`]`(bench, synthesis)`. Everything else — validator,
-    /// oracle replay, both digests — still runs against `bench` and
-    /// `synthesis`.
+    /// [`instance_hash`]`(bench, synthesis)`. Everything else — the gate
+    /// and both digests — still runs against `bench` and `synthesis`.
     pub fn verify_hashed(
         &self,
         expect_instance: u64,
         bench: &Benchmark,
         synthesis: &Synthesis,
-    ) -> Result<(), String> {
+    ) -> Result<OracleReplay, String> {
         if self.codec_version != SCHEMA_VERSION {
             return Err(format!(
                 "artifact codec v{} does not match build v{SCHEMA_VERSION}",
@@ -933,55 +1027,58 @@ impl PlanArtifact {
                 self.instance_hash
             ));
         }
-        pdw_sim::validate(&synthesis.chip, &bench.graph, &self.result.schedule)
-            .map_err(|e| format!("validator rejected schedule: {e}"))?;
-        let report = pdw_sim::propagate(&synthesis.chip, &bench.graph, &self.result.schedule);
-        if !report.is_clean() {
-            return Err(format!("oracle found contamination: {report}"));
-        }
-        let recomputed = Self::seal_digests(&synthesis.chip, &self.result, &report);
+        let replay =
+            gate(&synthesis.chip, &bench.graph, &self.result.schedule).map_err(|rejection| {
+                match rejection {
+                    GateRejection::Invalid(e) => format!("validator rejected schedule: {e}"),
+                    GateRejection::Contaminated(report) => {
+                        format!("oracle found contamination: {report}")
+                    }
+                }
+            })?;
+        let recomputed = Self::seal_digests(&synthesis.chip, &self.result, &replay);
         if recomputed != self.certificate {
             return Err(format!(
                 "certificate digests do not reproduce (stored {:?}, recomputed {recomputed:?})",
                 self.certificate
             ));
         }
-        Ok(())
+        Ok(replay)
     }
 
-    /// Computes both certificate digests from a completed verification.
+    /// Computes both certificate digests from a replay of `result`'s
+    /// schedule on `chip`.
     pub fn seal_digests(
         chip: &Chip,
         result: &WashResult,
-        oracle: &pdw_sim::OracleReport,
+        replay: &OracleReplay,
     ) -> VerificationCertificate {
         let mut validated = canonical_bytes(&result.schedule);
         validated.extend_from_slice(&chip_hash(chip).to_le_bytes());
         let mut o = Xxh64::new();
-        o.write_u64(oracle.violations.len() as u64);
-        o.write_u64(oracle.deposits as u64);
-        o.write_u64(oracle.dissolved as u64);
-        o.write_u64(oracle.checks as u64);
-        o.write_u64(oracle.ineffective_washes.len() as u64);
+        o.write_u64(replay.violations);
+        o.write_u64(replay.deposits);
+        o.write_u64(replay.dissolved);
+        o.write_u64(replay.checks);
+        o.write_u64(replay.ineffective_washes);
         VerificationCertificate {
             validator_digest: xxh64(&validated),
             oracle_digest: o.finish(),
         }
     }
 
-    /// Builds a certified artifact by running the verification once (the
-    /// caller is expected to have already gated on it — this recomputes
-    /// the digests from a fresh replay, so the certificate is honest).
-    pub fn certified(
+    /// Builds an artifact whose certificate is sealed from `replay`, the
+    /// replay of `result`'s schedule on `chip` that the caller already
+    /// holds — for a served plan, the ladder's own gate replay.
+    pub fn sealed(
         instance_hash: u64,
         config_fingerprint: u64,
         rung: RungKind,
-        bench: &Benchmark,
-        synthesis: &Synthesis,
+        chip: &Chip,
         result: WashResult,
+        replay: &OracleReplay,
     ) -> Self {
-        let report = pdw_sim::propagate(&synthesis.chip, &bench.graph, &result.schedule);
-        let certificate = Self::seal_digests(&synthesis.chip, &result, &report);
+        let certificate = Self::seal_digests(chip, &result, replay);
         PlanArtifact {
             codec_version: SCHEMA_VERSION,
             instance_hash,
@@ -990,6 +1087,29 @@ impl PlanArtifact {
             result,
             certificate,
         }
+    }
+
+    /// Builds a certified artifact by replaying the oracle over `result`'s
+    /// schedule and sealing from that replay. The caller is expected to
+    /// have already gated the plan; one that holds the gate's
+    /// [`OracleReplay`] should call [`sealed`](Self::sealed) instead.
+    pub fn certified(
+        instance_hash: u64,
+        config_fingerprint: u64,
+        rung: RungKind,
+        bench: &Benchmark,
+        synthesis: &Synthesis,
+        result: WashResult,
+    ) -> Self {
+        let (replay, _) = replay(&synthesis.chip, &bench.graph, &result.schedule);
+        Self::sealed(
+            instance_hash,
+            config_fingerprint,
+            rung,
+            &synthesis.chip,
+            result,
+            &replay,
+        )
     }
 
     /// Encodes the artifact as a checked frame.

@@ -183,8 +183,8 @@ impl ContextParts {
     }
 }
 
-/// Reusable solve state for one benchmark instance (see the
-/// [module docs](self)).
+/// Reusable solve state for one benchmark instance (see the `context`
+/// module docs).
 pub struct PlanContext<'a> {
     bench: &'a Benchmark,
     synthesis: &'a Synthesis,

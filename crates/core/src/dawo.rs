@@ -14,14 +14,13 @@
 
 use pdw_assay::benchmarks::Benchmark;
 use pdw_contam::{Classification, NecessityOptions};
-use pdw_sim::Metrics;
 use pdw_synth::Synthesis;
 
 use crate::config::CandidatePolicy;
 use crate::context::{FrontEndKey, PlanContext};
 use crate::greedy::insert_washes;
 use crate::groups::spot_cluster_groups_pooled;
-use crate::pdw::{PdwError, SolverReport, WashResult};
+use crate::pdw::{finish, PdwError, SolverReport, WashResult};
 use crate::stats::StageTimer;
 
 /// Runs the DAWO baseline on a synthesized assay.
@@ -92,21 +91,17 @@ pub(crate) fn run_dawo(ctx: &mut PlanContext<'_>) -> Result<WashResult, PdwError
         |s| &mut s.greedy_s,
         || insert_washes(&synthesis.chip, &synthesis.schedule, &groups, false),
     );
-
-    pdw_sim::validate(&synthesis.chip, &bench.graph, &out.schedule).map_err(PdwError::Invalid)?;
-    pdw_contam::verify_clean(&synthesis.chip, &bench.graph, &out.schedule)
-        .map_err(PdwError::Dirty)?;
-    let metrics = Metrics::measure(&bench.graph, &out.schedule);
     timer.stats.groups = out.groups.len();
     timer.stats.candidates = out.groups.iter().map(|g| g.candidates.len()).sum();
-    Ok(WashResult {
-        schedule: out.schedule,
-        metrics,
+    finish(
+        bench,
+        synthesis,
+        out.schedule,
         exemptions,
-        integrated: 0,
-        solver: SolverReport::greedy(),
-        pipeline: timer.seal(),
-    })
+        0,
+        SolverReport::greedy(),
+        timer.seal(),
+    )
 }
 
 #[cfg(test)]

@@ -90,8 +90,8 @@ pub mod transport;
 pub mod verify;
 
 pub use codec::{
-    chip_hash, config_fingerprint, instance_hash, memo_key, CodecError, PlanArtifact,
-    VerificationCertificate, SCHEMA_VERSION,
+    chip_hash, config_fingerprint, instance_hash, memo_key, CodecError, GateRejection,
+    OracleReplay, PlanArtifact, VerificationCertificate, SCHEMA_VERSION,
 };
 pub use config::{CandidatePolicy, PdwConfig, Weights};
 pub use context::{ContextParts, FrontEndKey, PlanContext, RequirementOverrides};
@@ -103,14 +103,13 @@ pub use groups::{
     build_groups, enumerate_candidates, merge_groups, spot_cluster_groups, Candidate, WashGroup,
     WashPart,
 };
-pub use partition::{plan_partitioned, plan_partitioned_ctx};
 pub use pdw::{pdw, PdwError, SolverReport, WashResult};
 pub use pdw_ilp::{IncumbentEvent, SolverStats};
 pub use planner::{plan_batch, DawoPlanner, GreedyPlanner, PdwPlanner, Planner};
 pub use repair::{PlanDelta, RepairSession};
 pub use resilient::{
-    plan_resilient, plan_resilient_batch, plan_resilient_ctx, PlanOutcome, RungAttempt, RungKind,
-    RungRejection,
+    plan_partitioned, plan_partitioned_ctx, plan_resilient, plan_resilient_batch,
+    plan_resilient_ctx, PlanOutcome, RungAttempt, RungKind, RungRejection,
 };
 pub use stats::PipelineStats;
 pub use transport::{

@@ -5,10 +5,11 @@
 //!
 //! The whole-chip pipeline walls on mega-grids: candidate enumeration and
 //! the port-reachability fields are super-linear in chip area. The
-//! partitioned pipeline ([`plan_partitioned`]) instead
+//! partitioned pipeline ([`plan_partitioned`](crate::plan_partitioned))
+//! instead
 //!
 //! 1. cuts the grid into `K` column bands along low-traffic boundaries
-//!    ([`pdw_biochip::partition`]),
+//!    ([`pdw_biochip::partition()`]),
 //! 2. buckets wash requirements by the **span** of their contaminating
 //!    path — the contiguous run of bands the source task's flow path
 //!    touches. Single-band buckets plan on their region's view; cross-cut
@@ -30,24 +31,22 @@
 //! coordinates, device ids, and port ids, a path enumerated inside a region
 //! is directly valid on the whole chip — stitching needs no translation.
 //!
-//! `K ≤ 1` (and a partition that clamps to one region) delegates verbatim
-//! to the unpartitioned ladder, so its output is bit-identical to
-//! [`plan_resilient`](crate::plan_resilient) at any thread count. For
-//! `K ≥ 2` the partitioned plan is attempted as its own ladder rung,
-//! re-verified by the fault-aware validator and the contamination oracle,
-//! and on any rejection the standard PDW → greedy → DAWO ladder takes over
-//! with the remaining budget.
+//! The pipeline is the first rung of the one degradation ladder (see
+//! [`plan_partitioned_ctx`](crate::plan_partitioned_ctx)), which puts its
+//! plan through the same gate as every other rung and falls through to
+//! PDW → greedy → DAWO on any rejection. `K ≤ 1` leaves the rung out, so
+//! the output is bit-identical to [`plan_resilient`](crate::plan_resilient)
+//! at any thread count; a partition that clamps to one region runs the
+//! unpartitioned pipeline inside the rung.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Duration;
 
-use pdw_assay::benchmarks::Benchmark;
 use pdw_biochip::partition::{Partition, Region};
 use pdw_biochip::{CellKind, Chip, Coord, FlowPortId, ScratchPool, WastePortId};
 use pdw_contam::{Classification, NecessityOptions, Source, WashRequirement};
 use pdw_ilp::{solve, Model, Relation, SolveOptions, SolveStatus, VarId};
 use pdw_sched::Schedule;
-use pdw_synth::Synthesis;
 
 use crate::config::{CandidatePolicy, PdwConfig};
 use crate::context::PlanContext;
@@ -56,9 +55,6 @@ use crate::greedy::insert_washes_protected;
 use crate::groups::{merge_groups_pooled, spot_cluster_groups_pooled, WashGroup};
 use crate::par::try_par_map_ctx;
 use crate::pdw::{finish, run_pipeline, PdwError, SolverReport, WashResult};
-use crate::planner::Planner;
-use crate::resilient::RungRejection;
-use crate::resilient::{attempt_rung, plan_resilient_ctx, PlanOutcome, RungAttempt, RungKind};
 use crate::stats::StageTimer;
 
 /// The front end for one span bucket or the seam set: grouping,
@@ -90,96 +86,11 @@ fn region_front_end(
     }
 }
 
-/// Solves the context's instance with the partitioned ladder: the
-/// partitioned rung first (for `partitions ≥ 2`), then the standard
-/// degradation ladder on any rejection. `partitions ≤ 1` delegates verbatim
-/// to [`plan_resilient_ctx`] — bit-identical output at any thread count.
-/// Never panics.
-pub fn plan_partitioned_ctx(
-    ctx: &mut PlanContext<'_>,
-    config: &PdwConfig,
-    partitions: usize,
-) -> PlanOutcome {
-    if partitions <= 1 {
-        return plan_resilient_ctx(ctx, config);
-    }
-    let deadline = Deadline::start(config.pipeline_budget);
-    let mut attempts: Vec<RungAttempt> = Vec::new();
-    if deadline.expired() {
-        attempts.push(RungAttempt {
-            rung: RungKind::Partitioned,
-            rejection: Some(RungRejection::DeadlineExpired),
-            wall_s: 0.0,
-        });
-    } else {
-        let planner = PartitionedPlanner {
-            config: PdwConfig {
-                pipeline_budget: deadline.remaining(),
-                ..config.clone()
-            },
-            partitions,
-        };
-        let (served, rejection, wall_s) = attempt_rung(&planner, ctx);
-        attempts.push(RungAttempt {
-            rung: RungKind::Partitioned,
-            rejection,
-            wall_s,
-        });
-        if let Some(result) = served {
-            return PlanOutcome {
-                served: Some(result),
-                rung: Some(RungKind::Partitioned),
-                attempts,
-            };
-        }
-    }
-    // The partitioned rung did not serve: the standard ladder takes over
-    // with whatever budget remains.
-    let mut outcome = plan_resilient_ctx(
-        ctx,
-        &PdwConfig {
-            pipeline_budget: deadline.remaining(),
-            ..config.clone()
-        },
-    );
-    attempts.extend(outcome.attempts);
-    outcome.attempts = attempts;
-    outcome
-}
-
-/// One-shot wrapper for [`plan_partitioned_ctx`]: builds a throwaway
-/// [`PlanContext`] for the instance. Never panics.
-pub fn plan_partitioned(
-    bench: &Benchmark,
-    synthesis: &Synthesis,
-    config: &PdwConfig,
-    partitions: usize,
-) -> PlanOutcome {
-    let mut ctx = PlanContext::new(bench, synthesis);
-    plan_partitioned_ctx(&mut ctx, config, partitions)
-}
-
-/// The partitioned pipeline (`partitions ≥ 2`) as a [`Planner`], so
-/// [`attempt_rung`]'s panic isolation and timing apply unchanged.
-struct PartitionedPlanner {
-    config: PdwConfig,
-    partitions: usize,
-}
-
-impl Planner for PartitionedPlanner {
-    fn name(&self) -> &'static str {
-        "partitioned"
-    }
-
-    fn plan(&self, ctx: &mut PlanContext<'_>) -> Result<WashResult, PdwError> {
-        run_partitioned_pipeline(ctx, &self.config, self.partitions)
-    }
-}
-
-/// The partitioned pipeline proper (see the [module docs](self)). Requires
-/// `partitions ≥ 2`; a partition that clamps to a single region falls back
-/// to the unpartitioned [`run_pipeline`].
-fn run_partitioned_pipeline(
+/// The partitioned pipeline proper (see the [module docs](self)): the
+/// ladder's partitioned rung. Requires `partitions ≥ 2`; a partition that
+/// clamps to a single region falls back to the unpartitioned
+/// [`run_pipeline`].
+pub(crate) fn run_partitioned_pipeline(
     ctx: &mut PlanContext<'_>,
     config: &PdwConfig,
     partitions: usize,
@@ -655,6 +566,7 @@ fn coordinate_seams(groups: &mut [WashGroup], part: &Partition, budget: Duration
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{plan_partitioned, RungKind};
     use pdw_assay::benchmarks;
     use pdw_synth::synthesize;
 

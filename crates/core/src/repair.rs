@@ -25,12 +25,12 @@
 //!    what a cold solve would recompute, so the replanned plan provably
 //!    reattaches to the same prefix — the certification *counts* the
 //!    unchanged prefix tasks rather than trusting the splice;
-//! 4. the repaired plan is re-verified with the fault-aware
-//!    [`pdw_sim::validate`] + [`pdw_sim::propagate`] oracle before serving,
-//!    exactly like [`plan_resilient`](crate::plan_resilient) — including on
-//!    the fast path, where a delta that misses every cache entry *and*
-//!    every path of the served plan re-serves the cached plan after
-//!    re-verification instead of replanning at all.
+//! 4. the repaired plan passes the plan [`gate`] (the fault-aware
+//!    [`pdw_sim::validate`] + [`pdw_sim::propagate`] oracle) before
+//!    serving, exactly like [`plan_resilient`](crate::plan_resilient) —
+//!    including on the fast path, where a delta that misses every cache
+//!    entry *and* every path of the served plan re-serves the cached plan
+//!    after re-verification instead of replanning at all.
 //!
 //! Because every surviving cache entry equals its cold recomputation, a
 //! repaired plan is **bit-identical to a cold solve on the mutated
@@ -47,10 +47,10 @@ use pdw_biochip::{CellSet, Coord, FaultDelta};
 use pdw_contam::WashRequirement;
 use pdw_synth::Synthesis;
 
+use crate::codec::gate;
 use crate::config::PdwConfig;
 use crate::context::{ContextParts, PlanContext};
-use crate::partition::plan_partitioned_ctx;
-use crate::resilient::{PlanOutcome, RungAttempt, RungKind, RungRejection};
+use crate::resilient::{plan_partitioned_ctx, PlanOutcome, RungAttempt, RungKind, RungRejection};
 use crate::timeline::frozen_prefix_len;
 
 /// A typed, single-step change to a planned instance.
@@ -107,7 +107,7 @@ struct RepairAccounting {
 }
 
 /// An owning, incrementally-repairable planning session over one instance
-/// (see the [module docs](self)).
+/// (see the `repair` module docs).
 pub struct RepairSession {
     bench: Benchmark,
     synthesis: Synthesis,
@@ -203,7 +203,7 @@ impl RepairSession {
 
     /// Applies `delta` to the owned instance and repairs the plan,
     /// invalidating only the cached state the delta's footprint touches
-    /// (see the [module docs](self) for the invalidation rules). The
+    /// (see the `repair` module docs for the invalidation rules). The
     /// returned outcome carries `repair_*` counters in its
     /// [`PipelineStats`](crate::PipelineStats).
     ///
@@ -395,17 +395,13 @@ impl RepairSession {
     ) -> Option<PlanOutcome> {
         let last = self.last.as_ref()?;
         let served = last.served.as_ref()?;
-        let chip = &self.synthesis.chip;
-        let graph = &self.bench.graph;
-        if pdw_sim::validate(chip, graph, &served.schedule).is_err() {
-            return None;
-        }
-        if !pdw_sim::propagate(chip, graph, &served.schedule).is_clean() {
-            return None;
-        }
+        let replay = gate(&self.synthesis.chip, &self.bench.graph, &served.schedule).ok()?;
         self.repairs += 1;
         acct.cache_served = true;
         let mut outcome = last.clone();
+        // The plan now serves on the mutated chip: its certificate must
+        // come from this replay, not the one on the chip before the delta.
+        outcome.replay = Some(replay);
         if let Some(w) = outcome.served.as_mut() {
             w.pipeline.repair_prefix_frozen = w.schedule.tasks().count();
             Self::stamp(&mut w.pipeline, self.repairs, acct);
@@ -420,6 +416,7 @@ impl RepairSession {
     fn reject(&self, msg: String, wall_s: f64) -> PlanOutcome {
         PlanOutcome {
             served: None,
+            replay: None,
             rung: None,
             attempts: vec![RungAttempt {
                 rung: if self.partitions > 1 {
@@ -501,7 +498,6 @@ impl RepairSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::Planner;
     use crate::resilient::attempt_rung;
     use pdw_assay::benchmarks;
     use pdw_biochip::FlowPortId;
@@ -655,21 +651,6 @@ mod tests {
         );
     }
 
-    /// A planner that panics mid-solve, for pool-unwind coverage.
-    struct PanickyRepairPlanner;
-
-    impl Planner for PanickyRepairPlanner {
-        fn name(&self) -> &'static str {
-            "panicky-repair"
-        }
-
-        fn plan(&self, ctx: &mut PlanContext<'_>) -> Result<crate::WashResult, crate::PdwError> {
-            // Check something out of the pool first, as a real worker would.
-            let _guard = ctx.scratch_pool().checkout(ctx.chip());
-            panic!("repair worker dies mid-solve");
-        }
-    }
-
     #[test]
     fn scratch_pool_survives_a_panicking_repair_worker() {
         let mut s = session();
@@ -678,9 +659,13 @@ mod tests {
         let available = parts.pool.available();
         assert!(available > 0, "a served plan leaves warm scratch behind");
         let mut ctx = PlanContext::from_parts(&s.bench, &s.synthesis, parts);
-        let (served, rejection, _) = attempt_rung(&PanickyRepairPlanner, &mut ctx);
-        assert!(served.is_none());
-        assert!(matches!(rejection, Some(RungRejection::Panicked(_))));
+        // A rung that panics mid-solve, after checking something out of
+        // the pool as a real worker would.
+        let (gated, _) = attempt_rung(&mut ctx, |ctx| {
+            let _guard = ctx.scratch_pool().checkout(ctx.chip());
+            panic!("repair worker dies mid-solve")
+        });
+        assert!(matches!(gated, Err(RungRejection::Panicked(_))));
         let parts = ctx.into_parts();
         assert_eq!(
             parts.pool.available(),

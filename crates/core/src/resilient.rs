@@ -1,11 +1,13 @@
-//! The graceful-degradation ladder: PDW → greedy → DAWO.
+//! The graceful-degradation ladder: (partitioned →) PDW → greedy → DAWO.
 //!
-//! [`plan_resilient`] is the fault-tolerant entry point of the planner
-//! engine. It walks a ladder of planners from strongest to cheapest — the
-//! full ILP-refined PathDriver-Wash pipeline, its greedy warm start, the
-//! DAWO baseline — under one shared [`Deadline`] and one shared
-//! [`PlanContext`], and serves the first rung whose plan survives
-//! *independent* fault-aware re-verification:
+//! [`plan_resilient`] and [`plan_partitioned`] are the fault-tolerant entry
+//! points of the planner engine, and they share one ladder. It walks the
+//! planners from strongest to cheapest — the partitioned pipeline (only
+//! when ≥ 2 regions are asked for), the full ILP-refined PathDriver-Wash
+//! pipeline, its greedy warm start, the DAWO baseline — under one shared
+//! [`Deadline`] and one shared [`PlanContext`], and serves the first rung
+//! whose plan passes the plan [`gate`]: *independent* fault-aware
+//! re-verification by
 //!
 //! - [`pdw_sim::validate`] — physical executability, including the chip's
 //!   [`FaultSet`](pdw_biochip::FaultSet): a path through a clogged cell, a
@@ -13,20 +15,28 @@
 //! - [`pdw_sim::propagate`] — the contamination-propagation oracle, which
 //!   likewise reports fault crossings.
 //!
+//! The gate's [`OracleReplay`] travels with the served plan
+//! ([`PlanOutcome::replay`]), so a certificate is sealed from it
+//! ([`PlanArtifact::sealed`](crate::PlanArtifact::sealed)) without
+//! replaying the oracle a second time.
+//!
 //! Every rung is wrapped in `catch_unwind`, so a planner panic (e.g. an
 //! internal assertion tripped by a heavily damaged chip) is converted into
-//! a typed [`RungRejection::Panicked`] and the ladder moves on. A rung that
-//! would start after the deadline has expired is skipped with
-//! [`RungRejection::DeadlineExpired`] — except the cheap rungs, which run
-//! with a fully-degraded (zero-remaining) budget so that even a zero
-//! deadline still serves a plan when one exists. The returned
-//! [`PlanOutcome`] records, for every rung attempted, whether it served or
-//! why it was rejected, plus its wall time.
+//! a typed [`RungRejection::Panicked`] and the ladder moves on. The
+//! partitioned and PDW rungs are skipped with
+//! [`RungRejection::DeadlineExpired`] once the deadline has passed; the
+//! cheap rungs always run, with a fully-degraded (zero-remaining) budget,
+//! so that even a zero deadline still serves a plan when one exists. The
+//! returned [`PlanOutcome`] records, for every rung attempted, whether it
+//! served or why it was rejected, plus its wall time.
+//!
+//! `partitions ≤ 1` leaves the partitioned rung out, so
+//! [`plan_partitioned`] at `K = 1` is [`plan_resilient`] exactly.
 //!
 //! Determinism: for budgets `None` and `Some(0)` (and any budget that has
 //! certainly expired by the first checkpoint), the outcome's schedule is a
-//! pure function of `(instance, config)` — bit-identical at any thread
-//! count. Intermediate budgets race wall clock by design.
+//! pure function of `(instance, config, partitions)` — bit-identical at
+//! any thread count. Intermediate budgets race wall clock by design.
 
 use std::fmt;
 use std::panic::AssertUnwindSafe;
@@ -35,18 +45,21 @@ use std::time::Instant;
 use pdw_assay::benchmarks::Benchmark;
 use pdw_synth::Synthesis;
 
+use crate::codec::{gate, GateRejection, OracleReplay};
 use crate::config::PdwConfig;
 use crate::context::PlanContext;
+use crate::dawo::run_dawo;
 use crate::deadline::Deadline;
-use crate::pdw::WashResult;
-use crate::planner::{DawoPlanner, GreedyPlanner, PdwPlanner, Planner};
+use crate::par::panic_message;
+use crate::partition::run_partitioned_pipeline;
+use crate::pdw::{run_pipeline, PdwError, WashResult};
 
 /// A rung of the degradation ladder, strongest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum RungKind {
     /// The partitioned planner: regions planned in parallel, stitched at
-    /// the seams (only attempted by
-    /// [`plan_partitioned`](crate::plan_partitioned) with ≥ 2 regions).
+    /// the seams (only attempted by [`plan_partitioned`] with ≥ 2
+    /// regions).
     Partitioned,
     /// The full PathDriver-Wash pipeline (ILP refinement per the config).
     Pdw,
@@ -116,6 +129,9 @@ pub struct PlanOutcome {
     /// The served plan, already validated and oracle-clean on the (possibly
     /// faulted) chip. `None` when every rung was rejected.
     pub served: Option<WashResult>,
+    /// The gate's oracle replay of the served plan: `Some` exactly when
+    /// `served` is. A certificate for the plan is sealed from it.
+    pub replay: Option<OracleReplay>,
     /// The rung that served, when one did.
     pub rung: Option<RungKind>,
     /// Every rung attempted, strongest first, each with its disposition.
@@ -151,138 +167,112 @@ impl fmt::Display for PlanOutcome {
     }
 }
 
-/// Runs one rung: the planner under `catch_unwind`, then independent
-/// fault-aware re-verification of whatever it produced.
-pub(crate) fn attempt_rung(
-    planner: &dyn Planner,
-    ctx: &mut PlanContext<'_>,
-) -> (Option<WashResult>, Option<RungRejection>, f64) {
+/// Runs one rung under `catch_unwind`, then puts whatever it produced
+/// through the plan [`gate`]. The wall time covers the rung, not the gate.
+pub(crate) fn attempt_rung<'a>(
+    ctx: &mut PlanContext<'a>,
+    rung: impl FnOnce(&mut PlanContext<'a>) -> Result<WashResult, PdwError>,
+) -> (Result<(WashResult, OracleReplay), RungRejection>, f64) {
     let t = Instant::now();
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| planner.plan(ctx)));
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| rung(ctx)));
     let wall_s = t.elapsed().as_secs_f64();
     let result = match outcome {
-        Err(payload) => {
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            return (None, Some(RungRejection::Panicked(msg)), wall_s);
-        }
-        Ok(Err(e)) => {
-            return (
-                None,
-                Some(RungRejection::PlannerError(e.to_string())),
-                wall_s,
-            )
-        }
+        Err(payload) => return (Err(RungRejection::Panicked(panic_message(payload))), wall_s),
+        Ok(Err(e)) => return (Err(RungRejection::PlannerError(e.to_string())), wall_s),
         Ok(Ok(result)) => result,
     };
-    // Independent acceptance gate: the planner's own checks already ran,
-    // but the ladder re-verifies with the fault-aware validator and the
-    // contamination oracle before serving — a rung may only serve a plan
-    // that is executable and clean on the chip *as damaged*.
-    let chip = &ctx.synthesis().chip;
-    let graph = &ctx.bench().graph;
-    if let Err(e) = pdw_sim::validate(chip, graph, &result.schedule) {
-        return (
-            None,
-            Some(RungRejection::InvalidPlan(e.to_string())),
-            wall_s,
-        );
-    }
-    let oracle = pdw_sim::propagate(chip, graph, &result.schedule);
-    if !oracle.is_clean() {
-        let first = oracle
-            .violations
-            .first()
-            .map(|v| v.to_string())
-            .unwrap_or_default();
-        return (
-            None,
-            Some(RungRejection::ContaminatedPlan(format!(
-                "{} violation(s); first: {first}",
-                oracle.violations.len()
-            ))),
-            wall_s,
-        );
-    }
-    (Some(result), None, wall_s)
+    // The planner's own checks already ran, but a rung may only serve a
+    // plan that the gate finds executable and clean on the chip *as
+    // damaged*.
+    let gated = match gate(&ctx.synthesis().chip, &ctx.bench().graph, &result.schedule) {
+        Ok(replay) => Ok((result, replay)),
+        Err(e @ GateRejection::Invalid(_)) => Err(RungRejection::InvalidPlan(e.to_string())),
+        Err(e @ GateRejection::Contaminated(_)) => {
+            Err(RungRejection::ContaminatedPlan(e.to_string()))
+        }
+    };
+    (gated, wall_s)
 }
 
-/// Solves the context's instance with the degradation ladder (see the
-/// [module docs](self)). `config` configures the strongest rung; the
-/// ladder derives the cheaper rungs from it. Never panics.
-pub fn plan_resilient_ctx(ctx: &mut PlanContext<'_>, config: &PdwConfig) -> PlanOutcome {
+/// The one degradation ladder (see the [module docs](self)): the rungs
+/// `[Partitioned if partitions ≥ 2, Pdw, Greedy, Dawo]` under one
+/// [`Deadline`], serving the first whose plan passes the gate.
+fn ladder(ctx: &mut PlanContext<'_>, config: &PdwConfig, partitions: usize) -> PlanOutcome {
+    const RUNGS: [RungKind; 4] = [
+        RungKind::Partitioned,
+        RungKind::Pdw,
+        RungKind::Greedy,
+        RungKind::Dawo,
+    ];
     let deadline = Deadline::start(config.pipeline_budget);
     let mut attempts: Vec<RungAttempt> = Vec::new();
-
-    // Rung 1: the full pipeline. Skipped outright once the deadline is
-    // gone — its value over the greedy rung is exactly the expensive
-    // stages the deadline no longer affords.
-    if deadline.expired() {
-        attempts.push(RungAttempt {
-            rung: RungKind::Pdw,
-            rejection: Some(RungRejection::DeadlineExpired),
-            wall_s: 0.0,
-        });
-    } else {
-        let planner = PdwPlanner::new(PdwConfig {
+    let first = if partitions >= 2 { 0 } else { 1 };
+    for &rung in &RUNGS[first..] {
+        // The strong rungs are skipped outright once the deadline is gone:
+        // their value over the greedy rung is exactly the expensive stages
+        // the deadline no longer affords. Greedy and DAWO always run; with
+        // zero remaining budget greedy's front end degrades to its
+        // cheapest variant, which is precisely the wanted behavior.
+        if matches!(rung, RungKind::Partitioned | RungKind::Pdw) && deadline.expired() {
+            attempts.push(RungAttempt {
+                rung,
+                rejection: Some(RungRejection::DeadlineExpired),
+                wall_s: 0.0,
+            });
+            continue;
+        }
+        let budgeted = PdwConfig {
             pipeline_budget: deadline.remaining(),
             ..config.clone()
+        };
+        let (gated, wall_s) = attempt_rung(ctx, |ctx| match rung {
+            RungKind::Partitioned => run_partitioned_pipeline(ctx, &budgeted, partitions),
+            RungKind::Pdw => run_pipeline(ctx, &budgeted),
+            RungKind::Greedy => run_pipeline(
+                ctx,
+                &PdwConfig {
+                    ilp: false,
+                    exact_paths: false,
+                    ..budgeted
+                },
+            ),
+            RungKind::Dawo => run_dawo(ctx),
         });
-        let (served, rejection, wall_s) = attempt_rung(&planner, ctx);
-        attempts.push(RungAttempt {
-            rung: RungKind::Pdw,
-            rejection,
-            wall_s,
-        });
-        if let Some(result) = served {
-            return PlanOutcome {
-                served: Some(result),
-                rung: Some(RungKind::Pdw),
-                attempts,
-            };
+        match gated {
+            Ok((result, replay)) => {
+                attempts.push(RungAttempt {
+                    rung,
+                    rejection: None,
+                    wall_s,
+                });
+                return PlanOutcome {
+                    served: Some(result),
+                    replay: Some(replay),
+                    rung: Some(rung),
+                    attempts,
+                };
+            }
+            Err(rejection) => attempts.push(RungAttempt {
+                rung,
+                rejection: Some(rejection),
+                wall_s,
+            }),
         }
     }
-
-    // Rung 2: the greedy warm start. Runs even on an expired deadline —
-    // with zero remaining budget its front end degrades to the cheapest
-    // variant, which is precisely the wanted behavior.
-    let planner = GreedyPlanner::new(PdwConfig {
-        exact_paths: false,
-        pipeline_budget: deadline.remaining(),
-        ..config.clone()
-    });
-    let (served, rejection, wall_s) = attempt_rung(&planner, ctx);
-    attempts.push(RungAttempt {
-        rung: RungKind::Greedy,
-        rejection,
-        wall_s,
-    });
-    if let Some(result) = served {
-        return PlanOutcome {
-            served: Some(result),
-            rung: Some(RungKind::Greedy),
-            attempts,
-        };
-    }
-
-    // Rung 3: the DAWO baseline — no budget knobs, cheapest construction.
-    let (served, rejection, wall_s) = attempt_rung(&DawoPlanner, ctx);
-    attempts.push(RungAttempt {
-        rung: RungKind::Dawo,
-        rejection,
-        wall_s,
-    });
-    let rung = served.as_ref().map(|_| RungKind::Dawo);
     PlanOutcome {
-        served,
-        rung,
+        served: None,
+        replay: None,
+        rung: None,
         attempts,
     }
+}
+
+/// Solves the context's instance with the degradation ladder PDW → greedy
+/// → DAWO, serving the first rung whose plan passes the plan
+/// [`gate`](crate::codec::gate). `config` configures the strongest rung;
+/// the ladder derives the cheaper rungs from it. Never panics.
+pub fn plan_resilient_ctx(ctx: &mut PlanContext<'_>, config: &PdwConfig) -> PlanOutcome {
+    ladder(ctx, config, 1)
 }
 
 /// One-shot wrapper for [`plan_resilient_ctx`]: builds a throwaway
@@ -290,6 +280,32 @@ pub fn plan_resilient_ctx(ctx: &mut PlanContext<'_>, config: &PdwConfig) -> Plan
 pub fn plan_resilient(bench: &Benchmark, synthesis: &Synthesis, config: &PdwConfig) -> PlanOutcome {
     let mut ctx = PlanContext::new(bench, synthesis);
     plan_resilient_ctx(&mut ctx, config)
+}
+
+/// Solves the context's instance with the partitioned pipeline (see the
+/// `partition` module docs) as the ladder's first rung, for
+/// `partitions ≥ 2`; on any rejection the PDW → greedy → DAWO rungs take
+/// over with the remaining budget. `partitions ≤ 1` is
+/// [`plan_resilient_ctx`] exactly — bit-identical output at any thread
+/// count. Never panics.
+pub fn plan_partitioned_ctx(
+    ctx: &mut PlanContext<'_>,
+    config: &PdwConfig,
+    partitions: usize,
+) -> PlanOutcome {
+    ladder(ctx, config, partitions)
+}
+
+/// One-shot wrapper for [`plan_partitioned_ctx`]: builds a throwaway
+/// [`PlanContext`] for the instance. Never panics.
+pub fn plan_partitioned(
+    bench: &Benchmark,
+    synthesis: &Synthesis,
+    config: &PdwConfig,
+    partitions: usize,
+) -> PlanOutcome {
+    let mut ctx = PlanContext::new(bench, synthesis);
+    plan_partitioned_ctx(&mut ctx, config, partitions)
 }
 
 /// Solves a corpus of instances resiliently, fanning across `threads`
@@ -318,6 +334,7 @@ pub fn plan_resilient_batch(
     .map(|row| {
         row.unwrap_or_else(|msg| PlanOutcome {
             served: None,
+            replay: None,
             rung: None,
             attempts: [RungKind::Pdw, RungKind::Greedy, RungKind::Dawo]
                 .into_iter()
@@ -352,6 +369,53 @@ mod tests {
         assert_eq!(outcome.attempts.len(), 1);
         assert!(outcome.attempts[0].rejection.is_none());
         assert!(outcome.is_served());
+        assert!(outcome.replay.is_some(), "a served plan carries its replay");
+    }
+
+    /// The demo's served plan, with the instance it was planned for.
+    fn demo_plan() -> (benchmarks::Benchmark, pdw_synth::Synthesis, WashResult) {
+        let bench = benchmarks::demo();
+        let s = synthesize(&bench).unwrap();
+        let config = PdwConfig {
+            ilp: false,
+            ..PdwConfig::default()
+        };
+        let served = plan_resilient(&bench, &s, &config).served.unwrap();
+        (bench, s, served)
+    }
+
+    #[test]
+    fn a_rung_plan_without_its_washes_is_rejected_as_contaminated() {
+        let (bench, s, mut unwashed) = demo_plan();
+        let washes: Vec<_> = unwashed
+            .schedule
+            .tasks()
+            .filter(|(_, t)| t.kind().is_wash())
+            .map(|(id, _)| id)
+            .collect();
+        assert!(!washes.is_empty(), "the demo needs washes");
+        for id in washes {
+            unwashed.schedule.remove_task(id);
+        }
+        let mut ctx = PlanContext::new(&bench, &s);
+        let (gated, _) = attempt_rung(&mut ctx, |_| Ok(unwashed));
+        assert!(
+            matches!(gated, Err(RungRejection::ContaminatedPlan(_))),
+            "{gated:?}"
+        );
+    }
+
+    #[test]
+    fn a_physically_invalid_rung_plan_is_rejected_as_invalid() {
+        let (bench, s, mut invalid) = demo_plan();
+        // An operation cut shorter than it needs cannot execute.
+        invalid.schedule.ops_mut()[0].duration = 0;
+        let mut ctx = PlanContext::new(&bench, &s);
+        let (gated, _) = attempt_rung(&mut ctx, |_| Ok(invalid));
+        assert!(
+            matches!(gated, Err(RungRejection::InvalidPlan(_))),
+            "{gated:?}"
+        );
     }
 
     #[test]

@@ -32,11 +32,11 @@
 //! [`chaos_seed`] is the fault-tolerance counterpart: it replays the seeded
 //! instance family with seeded chip damage ([`pdw_gen::inject_faults`])
 //! under a sweep of pipeline deadlines (including zero), driving
-//! [`plan_resilient`](crate::plan_resilient) and asserting the ladder's
-//! contract — never a panic, every served plan fault-aware-valid and
-//! oracle-clean on the damaged chip, every non-served rung carrying a typed
-//! rejection, and bit-identical outcomes across thread counts at the
-//! deterministic deadline points.
+//! [`plan_resilient`] and asserting the ladder's contract — never a panic,
+//! every served plan fault-aware-valid and oracle-clean on the damaged
+//! chip, every non-served rung carrying a typed rejection, and
+//! bit-identical outcomes across thread counts at the deterministic
+//! deadline points.
 
 use std::fmt;
 use std::panic::AssertUnwindSafe;
@@ -51,6 +51,7 @@ use pdw_sched::Schedule;
 use pdw_sim::{propagate, validate, Metrics, OracleReport};
 use pdw_synth::Synthesis;
 
+use crate::codec::{gate, GateRejection};
 use crate::config::{PdwConfig, Weights};
 use crate::context::PlanContext;
 use crate::pdw::WashResult;
@@ -361,10 +362,9 @@ pub struct ChaosOptions {
     /// deterministic.
     pub threads: Vec<usize>,
     /// Partition counts swept per deadline point. `1` (the default) drives
-    /// [`plan_resilient`](crate::plan_resilient) exactly as before; larger
-    /// counts drive [`plan_partitioned`](crate::plan_partitioned) and hold
-    /// the stitched plan to the same fault-aware-validate + oracle
-    /// contract.
+    /// [`plan_resilient`] exactly as before; larger counts drive
+    /// [`plan_partitioned`](crate::plan_partitioned) and hold the stitched
+    /// plan to the same fault-aware-validate + oracle contract.
     pub partitions: Vec<usize>,
 }
 
@@ -447,15 +447,13 @@ fn check_served(
     schedule: &Schedule,
     failures: &mut Vec<String>,
 ) {
-    if let Err(e) = validate(chip, &bench.graph, schedule) {
-        failures.push(format!("{at}: served plan invalid: {e}"));
-    }
-    let oracle = propagate(chip, &bench.graph, schedule);
-    if !oracle.is_clean() {
-        failures.push(format!(
+    match gate(chip, &bench.graph, schedule) {
+        Ok(_) => {}
+        Err(GateRejection::Invalid(e)) => failures.push(format!("{at}: served plan invalid: {e}")),
+        Err(GateRejection::Contaminated(oracle)) => failures.push(format!(
             "{at}: served plan dirty: {} oracle violation(s)",
             oracle.violations.len()
-        ));
+        )),
     }
 }
 
@@ -470,9 +468,9 @@ fn same_outcome(a: &PlanOutcome, b: &PlanOutcome) -> bool {
         }
 }
 
-/// Sweeps [`plan_resilient`](crate::plan_resilient) over deadline points ×
-/// thread counts on one (already faulted) instance, checking the ladder's
-/// contract (see the [module docs](self)). `synthesis` should carry the
+/// Sweeps [`plan_resilient`] over deadline points × thread counts on one
+/// (already faulted) instance, checking the ladder's contract (see the
+/// [module docs](self)). `synthesis` should carry the
 /// injected [`FaultSet`](pdw_biochip::FaultSet); a pristine chip is also
 /// legal and simply checks the ladder under deadlines alone.
 pub fn chaos_instance(
@@ -498,7 +496,7 @@ pub fn chaos_instance(
                     if k <= 1 {
                         plan_resilient(bench, synthesis, &config)
                     } else {
-                        crate::partition::plan_partitioned(bench, synthesis, &config, k)
+                        crate::plan_partitioned(bench, synthesis, &config, k)
                     }
                 })) {
                     Ok(o) => o,

@@ -112,7 +112,7 @@ pub fn instance(spec: &SyntheticSpec) -> Result<(Benchmark, Synthesis), Skip> {
 
 /// Number of vertical port bands [`mega_instance`] lays out for a grid of
 /// `width` columns — one flow and one waste port per band, so a
-/// [`partition`](pdw_biochip::partition) cut leaves every region able to
+/// [`partition`](pdw_biochip::partition()) cut leaves every region able to
 /// wash on its own.
 pub fn mega_bands(width: u16) -> u16 {
     (width / 16).clamp(2, 16)

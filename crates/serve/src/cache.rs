@@ -35,7 +35,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 use pathdriver_wash::codec::canonical_bytes;
-use pathdriver_wash::{ContextParts, PlanArtifact, RungKind, WashResult};
+use pathdriver_wash::{ContextParts, OracleReplay, PlanArtifact, RungKind, WashResult};
 
 /// A memoized, oracle-verified plan as served to requesters.
 #[derive(Debug, Clone)]
@@ -44,6 +44,9 @@ pub struct ServedPlan {
     pub result: WashResult,
     /// The degradation-ladder rung that produced it.
     pub rung: RungKind,
+    /// The gate's oracle replay of the plan on its instance's chip, which
+    /// its certificate is sealed from.
+    replay: OracleReplay,
     /// The plan's certified artifact, filled the first time the plan
     /// leaves the process (a socket response or the persistent store) and
     /// shared by every later one — in-process callers never pay for it.
@@ -51,13 +54,20 @@ pub struct ServedPlan {
 }
 
 impl ServedPlan {
-    /// A plan with no certified artifact yet.
-    pub fn new(result: WashResult, rung: RungKind) -> Self {
+    /// A gated plan with no certified artifact yet: `replay` is the gate's
+    /// replay of `result`'s schedule on the instance it serves.
+    pub fn new(result: WashResult, rung: RungKind, replay: OracleReplay) -> Self {
         ServedPlan {
             result,
             rung,
+            replay,
             certified: OnceLock::new(),
         }
+    }
+
+    /// The gate's oracle replay of the plan.
+    pub(crate) fn replay(&self) -> &OracleReplay {
+        &self.replay
     }
 
     /// The certified artifact, if the plan has been certified.
@@ -397,7 +407,8 @@ mod tests {
         // A second claimant with an expired budget gives up instead of
         // deadlocking on the in-flight marker.
         assert!(matches!(memo.claim(7, || true), MemoClaim::Expired));
-        let plan = Arc::new(ServedPlan::new(dummy_result(), RungKind::Dawo));
+        let (result, replay) = dummy_result();
+        let plan = Arc::new(ServedPlan::new(result, RungKind::Dawo, replay));
         lead.fulfill(Arc::clone(&plan));
         match memo.claim(7, || false) {
             MemoClaim::Hit(got) => assert!(Arc::ptr_eq(&got, &plan)),
@@ -417,9 +428,11 @@ mod tests {
         assert!(matches!(memo.claim(9, || false), MemoClaim::Lead(_)));
     }
 
-    fn dummy_result() -> WashResult {
+    fn dummy_result() -> (WashResult, OracleReplay) {
         let bench = pdw_assay::benchmarks::demo();
         let s = pdw_synth::synthesize(&bench).unwrap();
-        pathdriver_wash::dawo(&bench, &s).unwrap()
+        let result = pathdriver_wash::dawo(&bench, &s).unwrap();
+        let replay = pathdriver_wash::codec::gate(&s.chip, &bench.graph, &result.schedule).unwrap();
+        (result, replay)
     }
 }

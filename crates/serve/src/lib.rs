@@ -2,9 +2,11 @@
 //!
 //! The engine underneath ([`pathdriver_wash`]) already solves instances
 //! fast — batched fan-out, a graceful-degradation ladder, incremental
-//! repair. This crate is the serving layer ROADMAP item 1 asks for: a
-//! [`PlanServer`] that takes heavy request traffic and turns it into as
-//! few ladder runs as possible.
+//! repair. This crate is the serving layer on top: a [`PlanServer`] that
+//! takes heavy request traffic and turns it into as few ladder runs as
+//! possible, and a socket front end ([`SocketServer`], [`PlanClient`])
+//! that ships each plan with a certificate sealed from the ladder's own
+//! oracle replay.
 //!
 //! The request path is **queue → batcher → ladder → caches**:
 //!
@@ -45,8 +47,7 @@ pub use cache::{CertifiedPlan, ServedPlan};
 pub use clock::{Clock, ManualClock, WallClock};
 pub use harness::{materialize, run_open_loop, LoadReport, LoadRun, Submission, TimedRequest};
 pub use net::{
-    run_socket_load, ClientConfig, ClientError, NetConfig, NetServeStats, PlanClient, RemotePlan,
-    SocketJob, SocketLoadReport, SocketServer,
+    ClientConfig, ClientError, NetConfig, NetServeStats, PlanClient, RemotePlan, SocketServer,
 };
 pub use proxy::{ChaosMode, ChaosProxy, ChaosSpec};
 pub use server::{

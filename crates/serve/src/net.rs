@@ -52,7 +52,6 @@ use pdw_assay::benchmarks::Benchmark;
 use pdw_synth::Synthesis;
 
 use crate::cache::ServedPlan;
-use crate::harness::percentile;
 use crate::server::{Instance, PlanServer, Rejected, Response, ServeError, ServeRequest};
 
 /// Socket-side configuration of a [`SocketServer`].
@@ -1169,170 +1168,4 @@ struct ServedResponse {
     memo_hit: bool,
     degraded: bool,
     artifact: Box<PlanArtifact>,
-}
-
-// ---------------------------------------------------------------------------
-// Socket load runner (the socket soak and chaos-sweep tests)
-// ---------------------------------------------------------------------------
-
-/// One socket-load request: a pool index that arrives `at_us` after
-/// stream start.
-#[derive(Debug, Clone, Copy)]
-pub struct SocketJob {
-    /// Arrival time, microseconds after run start (ignored unpaced).
-    pub at_us: u64,
-    /// Which `(bench, synthesis)` pool entry to solve.
-    pub pool_index: usize,
-    /// Per-request deadline budget.
-    pub budget: Option<Duration>,
-}
-
-/// Aggregate results of one socket load run.
-#[derive(Debug, Clone)]
-pub struct SocketLoadReport {
-    /// Requests attempted.
-    pub requests: usize,
-    /// Requests served a verified plan.
-    pub served: usize,
-    /// Served responses that hit the server's memo cache.
-    pub memo_hits: usize,
-    /// Served responses that were deadline-degraded.
-    pub degraded: usize,
-    /// Requests that ended in a typed transport error.
-    pub transport_errors: usize,
-    /// Requests that ended in a typed serve error.
-    pub serve_errors: usize,
-    /// Transport retries burned across all clients.
-    pub retries: u64,
-    /// The transport faults that served requests retried through.
-    pub retried: Vec<TransportError>,
-    /// One line per failed request: `"<kind>: <display>"` — every entry
-    /// here is typed by construction; an untyped failure is a panic.
-    pub errors: Vec<String>,
-    /// Median end-to-end latency of served requests, ms.
-    pub p50_ms: f64,
-    /// 99th-percentile latency of served requests, ms.
-    pub p99_ms: f64,
-    /// Wall time of the whole run, seconds.
-    pub wall_s: f64,
-}
-
-/// Drives `jobs` against a socket endpoint from `clients` concurrent
-/// [`PlanClient`]s (job *i* goes to client *i* mod `clients`; each client
-/// gets a distinct jitter seed). With `pace`, submissions honor their
-/// `at_us` arrival times against real wall time. Every job's outcome is
-/// typed: served plans are certificate-verified, failures are collected
-/// as [`ClientError`] strings.
-pub fn run_socket_load(
-    addr: &NetAddr,
-    pool: &[(Benchmark, Synthesis)],
-    config: &PdwConfig,
-    jobs: &[SocketJob],
-    clients: usize,
-    client_cfg: ClientConfig,
-    pace: bool,
-) -> SocketLoadReport {
-    assert!(!pool.is_empty(), "socket load needs a non-empty pool");
-    let clients = clients.max(1);
-    let wall0 = Instant::now();
-    struct LaneOut {
-        served: usize,
-        memo_hits: usize,
-        degraded: usize,
-        transport_errors: usize,
-        serve_errors: usize,
-        retries: u64,
-        retried: Vec<TransportError>,
-        errors: Vec<String>,
-        latencies_ms: Vec<f64>,
-    }
-    let lanes: Vec<LaneOut> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|lane| {
-                scope.spawn(move || {
-                    let mut cfg = client_cfg;
-                    cfg.jitter_seed = client_cfg.jitter_seed.wrapping_add(lane as u64);
-                    let mut client = PlanClient::new(addr.clone(), cfg);
-                    let mut out = LaneOut {
-                        served: 0,
-                        memo_hits: 0,
-                        degraded: 0,
-                        transport_errors: 0,
-                        serve_errors: 0,
-                        retries: 0,
-                        retried: Vec::new(),
-                        errors: Vec::new(),
-                        latencies_ms: Vec::new(),
-                    };
-                    for job in jobs.iter().skip(lane).step_by(clients) {
-                        if pace {
-                            let target = Duration::from_micros(job.at_us);
-                            let elapsed = wall0.elapsed();
-                            if target > elapsed {
-                                std::thread::sleep(target - elapsed);
-                            }
-                        }
-                        let (bench, synthesis) = &pool[job.pool_index % pool.len()];
-                        let t = Instant::now();
-                        match client.solve(bench, synthesis, config, job.budget) {
-                            Ok(plan) => {
-                                out.served += 1;
-                                out.latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
-                                if plan.memo_hit {
-                                    out.memo_hits += 1;
-                                }
-                                if plan.degraded {
-                                    out.degraded += 1;
-                                }
-                                out.retried.extend(plan.retried);
-                            }
-                            Err(e) => {
-                                match &e {
-                                    ClientError::Transport(_) => out.transport_errors += 1,
-                                    ClientError::Serve(_) => out.serve_errors += 1,
-                                }
-                                out.errors.push(e.to_string());
-                            }
-                        }
-                    }
-                    out.retries = client.retries_total();
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("load lane panicked"))
-            .collect()
-    });
-    let wall_s = wall0.elapsed().as_secs_f64();
-    let mut report = SocketLoadReport {
-        requests: jobs.len(),
-        served: 0,
-        memo_hits: 0,
-        degraded: 0,
-        transport_errors: 0,
-        serve_errors: 0,
-        retries: 0,
-        retried: Vec::new(),
-        errors: Vec::new(),
-        p50_ms: 0.0,
-        p99_ms: 0.0,
-        wall_s,
-    };
-    let mut latencies: Vec<f64> = Vec::new();
-    for lane in lanes {
-        report.served += lane.served;
-        report.memo_hits += lane.memo_hits;
-        report.degraded += lane.degraded;
-        report.transport_errors += lane.transport_errors;
-        report.serve_errors += lane.serve_errors;
-        report.retries += lane.retries;
-        report.retried.extend(lane.retried);
-        report.errors.extend(lane.errors);
-        latencies.extend(lane.latencies_ms);
-    }
-    report.p50_ms = percentile(&mut latencies, 0.50);
-    report.p99_ms = percentile(&mut latencies, 0.99);
-    report
 }

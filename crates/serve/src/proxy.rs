@@ -4,8 +4,7 @@
 //! and a real endpoint, forwarding bytes verbatim except on the connections
 //! its [`ChaosSpec`]s name, where it misbehaves in one precisely chosen way.
 //! The grammar is [`ChaosSpec`]'s, and the faulted frame goes through the
-//! transport's applier,
-//! [`send_faulted`](pathdriver_wash::transport::send_faulted). Faults are
+//! transport's applier, [`send_faulted`]. Faults are
 //! keyed to the *n*-th accepted connection, so a test run is bit-for-bit
 //! reproducible: no clocks, no randomness, no `nth` drift between runs.
 //! Because retries reconnect, "fault connection *n*" composes naturally

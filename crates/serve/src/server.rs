@@ -22,15 +22,19 @@
 //!    certificate re-verifies against the requester's instance
 //!    ([`PlanArtifact::verify`]) — then promoted into the in-memory memo.
 //!    Fresh non-degraded solves are certified and written back, so the
-//!    store survives restarts. A plan is certified at most once: the
-//!    [`CertifiedPlan`] lives on its memo entry, and the socket front end
-//!    and the store share it ([`PlanServer::certify`]);
+//!    store survives restarts. A plan is certified at most once, and
+//!    certifying runs no oracle: the certificate is sealed from the gate
+//!    replay the [`ServedPlan`] carries (the ladder's own, or the store
+//!    re-verification's). The [`CertifiedPlan`] lives on its memo entry,
+//!    and the socket front end and the store share it
+//!    ([`PlanServer::certify`]);
 //! 3. **the ladder** — cache misses run
 //!    [`plan_resilient_ctx`] under the request's remaining budget mapped
 //!    onto `pipeline_budget`, so a tight deadline degrades the solve
-//!    (PDW → greedy → DAWO) instead of failing it. Deadline-degraded plans
-//!    are served to their requester but *not* memoized — the memo stays
-//!    canonical;
+//!    (PDW → greedy → DAWO) instead of failing it, and the served plan
+//!    keeps the gate's [`OracleReplay`](pathdriver_wash::OracleReplay).
+//!    Deadline-degraded plans are served to their requester but *not*
+//!    memoized — the memo stays canonical;
 //! 4. **repair routing** — a [`ServeRequest::Repair`] against a known
 //!    instance goes through that instance's [`RepairSession`]
 //!    (delta-scoped cache invalidation) instead of a cold solve. Sessions
@@ -466,7 +470,8 @@ struct Inner {
     counters: Counters,
 }
 
-/// The long-running plan server (see the [module docs](self)).
+/// The long-running plan server: queue → batcher → degradation ladder →
+/// caches (see the crate docs).
 pub struct PlanServer {
     inner: Arc<Inner>,
     handles: Mutex<Vec<JoinHandle<()>>>,
@@ -815,16 +820,22 @@ impl Inner {
         // and replaced by the fresh solve below.
         if let Some(store) = &self.store {
             if let Some(artifact) = store.get(key) {
-                let matches = artifact.instance_hash == instance.instance_hash
-                    && artifact.config_fingerprint == self.config_fp
-                    && artifact
+                let verified = if artifact.config_fingerprint == self.config_fp {
+                    artifact
                         .verify_hashed(instance.instance_hash, &instance.bench, &instance.synthesis)
-                        .is_ok();
-                if matches {
+                        .ok()
+                } else {
+                    None
+                };
+                if let Some(replay) = verified {
                     self.counters.persist_hits.fetch_add(1, Ordering::Relaxed);
                     // The stored artifact was just re-verified: it is the
                     // entry's certified artifact, shared with the store.
-                    let plan = Arc::new(ServedPlan::new(artifact.result.clone(), artifact.rung));
+                    let plan = Arc::new(ServedPlan::new(
+                        artifact.result.clone(),
+                        artifact.rung,
+                        replay,
+                    ));
                     plan.certify_with(|| artifact);
                     // Promote into the in-memory memo: later requests hit
                     // without touching the store again.
@@ -888,7 +899,8 @@ impl Inner {
                 // part of the memo key and memoizes normally.
                 let degraded = tightened && deadline_marked;
                 let rung = outcome.rung.expect("served implies a rung");
-                let plan = Arc::new(ServedPlan::new(result, rung));
+                let replay = outcome.replay.expect("served implies a replay");
+                let plan = Arc::new(ServedPlan::new(result, rung, replay));
                 if degraded {
                     lead.abandon();
                 } else {
@@ -920,16 +932,18 @@ impl Inner {
         }
     }
 
+    /// The plan's certified artifact, sealed from the gate replay the plan
+    /// carries — certification runs no oracle of its own.
     fn certify<'p>(&self, instance: &Instance, plan: &'p ServedPlan) -> &'p CertifiedPlan {
         plan.certify_with(|| {
             self.counters.certifications.fetch_add(1, Ordering::Relaxed);
-            Arc::new(PlanArtifact::certified(
+            Arc::new(PlanArtifact::sealed(
                 instance.instance_hash,
                 self.config_fp,
                 plan.rung,
-                &instance.bench,
-                &instance.synthesis,
+                &instance.synthesis.chip,
                 plan.result.clone(),
+                plan.replay(),
             ))
         })
     }
@@ -967,6 +981,7 @@ impl Inner {
                 plan: Arc::new(ServedPlan::new(
                     result,
                     outcome.rung.expect("served implies a rung"),
+                    outcome.replay.expect("served implies a replay"),
                 )),
                 memo_hit: false,
                 repaired: true,

@@ -16,12 +16,12 @@ use pathdriver_wash::codec::{
 use pathdriver_wash::transport::{encode_plan_frame, hello, recv_response, send_request};
 use pathdriver_wash::{
     config_fingerprint, instance_hash, plan_resilient, CodecError, NetAddr, NetListener,
-    NetRequest, NetResponse, TransportError, WireError, SCHEMA_VERSION,
+    NetRequest, NetResponse, PlanArtifact, TransportError, WireError, SCHEMA_VERSION,
 };
 use pdw_assay::benchmarks::{self, Benchmark};
 use pdw_serve::{
-    run_socket_load, ChaosMode, ChaosProxy, ChaosSpec, ClientConfig, ClientError, Instance,
-    NetConfig, PlanClient, PlanServer, ServeConfig, ServeRequest, SocketJob, SocketServer,
+    ChaosMode, ChaosProxy, ChaosSpec, ClientConfig, ClientError, Instance, NetConfig, PlanClient,
+    PlanServer, ServeConfig, ServeRequest, SocketServer,
 };
 use pdw_synth::{synthesize, Synthesis};
 use serde::{Serialize, Value};
@@ -220,6 +220,134 @@ fn deadline_smaller_than_transit_expires_typed_without_a_solve() {
     assert_eq!(plan.stats().solves, 0, "no ladder run was wasted on it");
     sock.drain();
     plan.shutdown();
+}
+
+/// One socket-load request: a pool index that arrives `at_us` after
+/// stream start.
+#[derive(Debug, Clone, Copy)]
+struct SocketJob {
+    /// Arrival time, microseconds after run start (ignored unpaced).
+    at_us: u64,
+    /// Which `(bench, synthesis)` pool entry to solve.
+    pool_index: usize,
+    /// Per-request deadline budget.
+    budget: Option<Duration>,
+}
+
+/// Aggregate results of one socket load run.
+#[derive(Debug, Clone, Default)]
+struct SocketLoadReport {
+    /// Requests attempted.
+    requests: usize,
+    /// Requests served a verified plan.
+    served: usize,
+    /// Served responses that hit the server's memo cache.
+    memo_hits: usize,
+    /// Requests that ended in a typed transport error.
+    transport_errors: usize,
+    /// Requests that ended in a typed serve error.
+    serve_errors: usize,
+    /// Transport retries burned across all clients.
+    retries: u64,
+    /// The transport faults that served requests retried through.
+    retried: Vec<TransportError>,
+    /// One line per failed request: `"<kind>: <display>"` — every entry
+    /// here is typed by construction; an untyped failure is a panic.
+    errors: Vec<String>,
+    /// Latencies of served requests, ms.
+    latencies_ms: Vec<f64>,
+    /// Median latency of served requests, ms.
+    p50_ms: f64,
+    /// 99th-percentile latency of served requests, ms.
+    p99_ms: f64,
+}
+
+/// Drives `jobs` against a socket endpoint from `clients` concurrent
+/// [`PlanClient`]s (job *i* goes to client *i* mod `clients`; each client
+/// gets a distinct jitter seed). With `pace`, submissions honor their
+/// `at_us` arrival times against real wall time. Every job's outcome is
+/// typed: served plans are certificate-verified, failures are collected
+/// as [`ClientError`] strings.
+fn run_socket_load(
+    addr: &NetAddr,
+    pool: &[(Benchmark, Synthesis)],
+    config: &pathdriver_wash::PdwConfig,
+    jobs: &[SocketJob],
+    clients: usize,
+    client_cfg: ClientConfig,
+    pace: bool,
+) -> SocketLoadReport {
+    let wall0 = Instant::now();
+    let lanes: Vec<SocketLoadReport> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|lane| {
+                scope.spawn(move || {
+                    let mut cfg = client_cfg;
+                    cfg.jitter_seed = client_cfg.jitter_seed.wrapping_add(lane as u64);
+                    let mut client = PlanClient::new(addr.clone(), cfg);
+                    let mut out = SocketLoadReport::default();
+                    for job in jobs.iter().skip(lane).step_by(clients) {
+                        if pace {
+                            let target = Duration::from_micros(job.at_us);
+                            let elapsed = wall0.elapsed();
+                            if target > elapsed {
+                                std::thread::sleep(target - elapsed);
+                            }
+                        }
+                        let (bench, synthesis) = &pool[job.pool_index % pool.len()];
+                        let t = Instant::now();
+                        match client.solve(bench, synthesis, config, job.budget) {
+                            Ok(plan) => {
+                                out.served += 1;
+                                out.latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
+                                if plan.memo_hit {
+                                    out.memo_hits += 1;
+                                }
+                                out.retried.extend(plan.retried);
+                            }
+                            Err(e) => {
+                                match &e {
+                                    ClientError::Transport(_) => out.transport_errors += 1,
+                                    ClientError::Serve(_) => out.serve_errors += 1,
+                                }
+                                out.errors.push(e.to_string());
+                            }
+                        }
+                    }
+                    out.retries = client.retries_total();
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("load lane panicked"))
+            .collect()
+    });
+    let mut report = SocketLoadReport {
+        requests: jobs.len(),
+        ..SocketLoadReport::default()
+    };
+    for lane in lanes {
+        report.served += lane.served;
+        report.memo_hits += lane.memo_hits;
+        report.transport_errors += lane.transport_errors;
+        report.serve_errors += lane.serve_errors;
+        report.retries += lane.retries;
+        report.retried.extend(lane.retried);
+        report.errors.extend(lane.errors);
+        report.latencies_ms.extend(lane.latencies_ms);
+    }
+    // Nearest-rank percentiles on the sorted sample.
+    report.latencies_ms.sort_by(f64::total_cmp);
+    let rank = |q: f64| {
+        let n = report.latencies_ms.len();
+        report.latencies_ms[((n.max(1) - 1) as f64 * q).round() as usize]
+    };
+    if !report.latencies_ms.is_empty() {
+        (report.p50_ms, report.p99_ms) = (rank(0.50), rank(0.99));
+    }
+    report
 }
 
 /// The chaos sweep: every fault mode against the first proxied connection,
@@ -726,6 +854,33 @@ fn spliced_plan_frames_are_byte_identical_to_encoded_responses() {
         }
     }
     assert_eq!(plan.stats().certifications, 9, "one certification each");
+    plan.shutdown();
+}
+
+/// The server seals a plan's certificate from the ladder's own gate
+/// replay; the artifact it builds is byte-for-byte the one a fresh oracle
+/// replay ([`PlanArtifact::certified`]) builds from the same instance,
+/// rung and result, for every bundled instance.
+#[test]
+fn sealed_certificates_match_fresh_replays_on_every_bundled_instance() {
+    let plan = PlanServer::start(ServeConfig::default());
+    let served = bundled_served(&plan);
+    assert_eq!(served.len(), 9);
+    for (instance, entry) in &served {
+        let fresh = PlanArtifact::certified(
+            instance.instance_hash(),
+            config_fingerprint(&wire_config()),
+            entry.rung,
+            instance.bench(),
+            instance.synthesis(),
+            entry.result.clone(),
+        );
+        assert!(
+            plan.certify(instance, entry).bytes() == canonical_bytes(&fresh),
+            "{}: sealed certificate differs from a fresh replay's",
+            instance.bench().name
+        );
+    }
     plan.shutdown();
 }
 

@@ -101,7 +101,7 @@ pub fn build_chip(bench: &Benchmark) -> Result<Chip, SynthError> {
 ///
 /// This is the layout of the `mega` instance family: every column band of
 /// the chip owns a complete port pair, so a vertical
-/// [`partition`](pdw_biochip::partition) cut leaves each region able to
+/// [`partition`](pdw_biochip::partition()) cut leaves each region able to
 /// route complete `[flow port → … → waste port]` wash paths on its own.
 /// `bands` is clamped to what the grid width can carry.
 ///
