@@ -4,7 +4,7 @@
 //!
 //! Usage: `cargo run -p pdw-bench --bin table1 --release`
 
-use pathdriver_wash::{PdwConfig, PdwPlanner, PlanContext, Planner};
+use pathdriver_wash::{pdw, PdwConfig};
 use pdw_assay::benchmarks;
 use pdw_sched::TaskKind;
 use pdw_synth::synthesize;
@@ -43,10 +43,7 @@ fn main() {
     println!("\n== wash-free schedule (Fig. 2(b) analogue) ==");
     println!("{}", s.schedule);
 
-    let mut ctx = PlanContext::new(&bench, &s);
-    let r = PdwPlanner::new(PdwConfig::default())
-        .plan(&mut ctx)
-        .expect("pdw succeeds");
+    let r = pdw(&bench, &s, &PdwConfig::default()).expect("pdw succeeds");
     println!("== optimized schedule with washes (Fig. 3 analogue) ==");
     println!("{}", r.schedule);
     println!("wash paths:");

@@ -15,9 +15,7 @@
 
 use std::time::Duration;
 
-use pathdriver_wash::{
-    DawoPlanner, PdwConfig, PdwPlanner, PlanContext, Planner, SolverStats, WashResult,
-};
+use pathdriver_wash::{dawo_ctx, pdw_ctx, PdwConfig, PlanContext, SolverStats, WashResult};
 use pdw_assay::benchmarks::{self, Benchmark};
 use pdw_sim::Metrics;
 use pdw_synth::{synthesize, Synthesis};
@@ -83,10 +81,8 @@ pub fn run_benchmark(bench: &Benchmark, config: &PdwConfig) -> Row {
     // Both methods run against one shared PlanContext: the instance's
     // necessity analyses and routing state are computed once.
     let mut ctx = PlanContext::new(bench, &synthesis);
-    let d: WashResult = DawoPlanner.plan(&mut ctx).expect("dawo succeeds");
-    let p: WashResult = PdwPlanner::new(config.clone())
-        .plan(&mut ctx)
-        .expect("pdw succeeds");
+    let d: WashResult = dawo_ctx(&mut ctx).expect("dawo succeeds");
+    let p: WashResult = pdw_ctx(&mut ctx, config).expect("pdw succeeds");
     Row {
         name: bench.name.clone(),
         sizes: (bench.op_count(), bench.device_count(), bench.edge_count()),

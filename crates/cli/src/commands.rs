@@ -1,12 +1,13 @@
 //! Command parsing and execution for the `pdw` binary.
 
 use std::fmt;
+use std::io::{self, Write};
 use std::time::Duration;
 
 use pathdriver_wash::codec::gate;
 use pathdriver_wash::{
-    plan_partitioned_ctx, verify, DawoPlanner, GateRejection, NetAddr, NetListener, PdwConfig,
-    PdwPlanner, PlanContext, Planner, SCHEMA_VERSION,
+    dawo_ctx, pdw_ctx, plan_partitioned_ctx, verify, GateRejection, NetAddr, NetListener,
+    PdwConfig, PlanContext, SCHEMA_VERSION,
 };
 use pdw_assay::benchmarks::{self, Benchmark};
 use pdw_sim::Metrics;
@@ -136,6 +137,24 @@ fn usage_err<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(Usage(msg.into()))
 }
 
+/// Writes `args` to stdout. A failed write (a closed pipe, a full disk)
+/// is a [`CliError::Runtime`] — exit code 1 — instead of `print!`'s panic.
+fn write_stdout(args: fmt::Arguments<'_>) -> Result<(), CliError> {
+    let mut stdout = io::stdout().lock();
+    stdout
+        .write_fmt(args)
+        .and_then(|()| stdout.flush())
+        .map_err(|e| Runtime(format!("cannot write to stdout: {e}")))
+}
+
+/// `println!` through [`write_stdout`]: returns the write error from the
+/// enclosing function.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))?
+    };
+}
+
 fn builtin(name: &str) -> Option<Benchmark> {
     let all: Vec<Benchmark> = benchmarks::suite()
         .into_iter()
@@ -160,7 +179,7 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
         Some("verify") => cmd_verify(&args[1..]),
         Some("export") => cmd_export(&args[1..]),
         Some("help") | None => {
-            println!("{USAGE}");
+            out!("{USAGE}");
             Ok(())
         }
         Some(other) => usage_err(format!("unknown command `{other}`")),
@@ -168,12 +187,15 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_list() -> Result<(), CliError> {
-    println!(
+    out!(
         "{:<14} {:>4} {:>4} {:>4}  grid",
-        "name", "|O|", "|D|", "|E|"
+        "name",
+        "|O|",
+        "|D|",
+        "|E|"
     );
     for b in benchmarks::suite().into_iter().chain([benchmarks::demo()]) {
-        println!(
+        out!(
             "{:<14} {:>4} {:>4} {:>4}  {}x{}",
             b.name,
             b.op_count(),
@@ -190,13 +212,13 @@ fn cmd_show(name: Option<&str>) -> Result<(), CliError> {
     let name = name.ok_or(Usage("`show` needs a benchmark name".into()))?;
     let bench = builtin(name).ok_or_else(|| Usage(format!("no benchmark `{name}`")))?;
     let s = synthesize(&bench).map_err(|e| Runtime(format!("synthesis failed: {e}")))?;
-    println!("{}", bench.graph);
-    println!("{}", s.chip.grid());
+    out!("{}", bench.graph);
+    out!("{}", s.chip.grid());
     for d in s.chip.devices() {
-        println!("  {}", d);
+        out!("  {}", d);
     }
-    println!("\nwash-free schedule ({} s):", s.schedule.makespan());
-    print!("{}", pdw_viz::ascii::gantt(&s.schedule, 80));
+    out!("\nwash-free schedule ({} s):", s.schedule.makespan());
+    write_stdout(format_args!("{}", pdw_viz::ascii::gantt(&s.schedule, 80)))?;
     Ok(())
 }
 
@@ -335,25 +357,26 @@ fn parse_run(args: &[String]) -> Result<RunOptions, CliError> {
 
 /// Prints every ladder attempt with its wall time — served rungs and typed
 /// rejections alike.
-fn print_ladder(outcome: &pathdriver_wash::PlanOutcome) {
+fn print_ladder(outcome: &pathdriver_wash::PlanOutcome) -> Result<(), CliError> {
     for a in &outcome.attempts {
         match &a.rejection {
             None if outcome.rung == Some(a.rung) => {
-                println!("ladder: {} served in {:.3}s", a.rung, a.wall_s);
+                out!("ladder: {} served in {:.3}s", a.rung, a.wall_s);
             }
-            None => println!("ladder: {} in {:.3}s", a.rung, a.wall_s),
-            Some(r) => println!("ladder: {} rejected in {:.3}s: {r}", a.rung, a.wall_s),
+            None => out!("ladder: {} in {:.3}s", a.rung, a.wall_s),
+            Some(r) => out!("ladder: {} rejected in {:.3}s: {r}", a.rung, a.wall_s),
         }
     }
+    Ok(())
 }
 
 /// Prints the incremental-repair counters when the result came from a
 /// [`RepairSession`](pathdriver_wash::RepairSession) repair.
-fn print_repair_stats(ps: &pathdriver_wash::PipelineStats) {
+fn print_repair_stats(ps: &pathdriver_wash::PipelineStats) -> Result<(), CliError> {
     if ps.repairs == 0 {
-        return;
+        return Ok(());
     }
-    println!(
+    out!(
         "repair #{}: analyses {} invalidated / {} kept, front ends {} invalidated / {} kept, \
          reach fields {} recomputed / {} carried",
         ps.repairs,
@@ -364,7 +387,7 @@ fn print_repair_stats(ps: &pathdriver_wash::PipelineStats) {
         ps.repair_reach_recomputed,
         ps.repair_reach_carried,
     );
-    println!(
+    out!(
         "repair #{}: {} prefix task(s) certified frozen{}",
         ps.repairs,
         ps.repair_prefix_frozen,
@@ -374,6 +397,7 @@ fn print_repair_stats(ps: &pathdriver_wash::PipelineStats) {
             ""
         }
     );
+    Ok(())
 }
 
 struct RepairOptions {
@@ -478,11 +502,11 @@ fn cmd_repair(args: &[String]) -> Result<(), CliError> {
     let t = Instant::now();
     let first = session.plan();
     let cold_s = t.elapsed().as_secs_f64();
-    print_ladder(&first);
+    print_ladder(&first)?;
     let Some(initial) = &first.served else {
         return err("initial plan served nothing");
     };
-    println!(
+    out!(
         "{}: initial plan in {:.3}s ({} washes, makespan {}s)",
         bench.name,
         cold_s,
@@ -499,7 +523,7 @@ fn cmd_repair(args: &[String]) -> Result<(), CliError> {
             match pdw_gen::fault_delta(session.synthesis(), opts.seed ^ step) {
                 Some(fd) => PlanDelta::Fault(fd),
                 None => {
-                    println!("step {step}: chip offers nothing left to mutate; stopping");
+                    out!("step {step}: chip offers nothing left to mutate; stopping");
                     break;
                 }
             }
@@ -516,7 +540,7 @@ fn cmd_repair(args: &[String]) -> Result<(), CliError> {
         let t = Instant::now();
         let outcome = session.repair(delta);
         let repair_s = t.elapsed().as_secs_f64();
-        print_ladder(&outcome);
+        print_ladder(&outcome)?;
         let Some(repaired) = &outcome.served else {
             return err(format!("step {step} ({delta}): repair served nothing"));
         };
@@ -528,7 +552,7 @@ fn cmd_repair(args: &[String]) -> Result<(), CliError> {
             Some(c) => c.schedule == repaired.schedule && c.metrics == repaired.metrics,
             None => false,
         };
-        println!(
+        out!(
             "step {step}: {delta} — repaired in {:.4}s vs cold {:.4}s ({:.1}x), plan {}",
             repair_s,
             cold_s,
@@ -539,7 +563,7 @@ fn cmd_repair(args: &[String]) -> Result<(), CliError> {
                 "DIFFERS from cold solve"
             }
         );
-        print_repair_stats(&repaired.pipeline);
+        print_repair_stats(&repaired.pipeline)?;
         if !matches {
             return err(format!(
                 "step {step} ({delta}): repaired plan differs from a cold solve"
@@ -547,7 +571,7 @@ fn cmd_repair(args: &[String]) -> Result<(), CliError> {
         }
         applied += 1;
     }
-    println!("repair: {applied} delta(s) applied, all repaired plans matched cold solves");
+    out!("repair: {applied} delta(s) applied, all repaired plans matched cold solves");
     Ok(())
 }
 
@@ -607,7 +631,7 @@ fn cmd_serve_listen(args: &[String]) -> Result<(), CliError> {
     let store = open_memo_store(memo_path.as_deref())?;
     let listener = NetListener::bind(&addr).map_err(|e| Runtime(e.to_string()))?;
 
-    let server = Arc::new(PlanServer::start_with_store(
+    let server = Arc::new(PlanServer::start_with(
         ServeConfig {
             workers: workers.max(1),
             queue_cost_budget: shed_budget,
@@ -622,7 +646,7 @@ fn cmd_serve_listen(args: &[String]) -> Result<(), CliError> {
         net_cfg.idle_timeout = Duration::from_millis(ms.max(1));
     }
     let sock = SocketServer::start(Arc::clone(&server), listener, net_cfg);
-    println!(
+    out!(
         "pdw serve: listening on {} (codec v{}, {} planner worker(s)) — \
          stop with `pdw serve --drain {}`",
         sock.local_addr(),
@@ -637,7 +661,7 @@ fn cmd_serve_listen(args: &[String]) -> Result<(), CliError> {
     }
     sock.drain();
     let ns = sock.stats();
-    println!(
+    out!(
         "pdw serve: drained — {} connection(s) accepted, {} solve(s) ({} answered by key), \
          {} ping(s), {} bad request(s), {} idle-evicted, {} refused during drain",
         ns.accepted,
@@ -649,9 +673,11 @@ fn cmd_serve_listen(args: &[String]) -> Result<(), CliError> {
         ns.drain_refused
     );
     let stats = server.stats();
-    println!(
+    out!(
         "pdw serve: planner did {} solve(s), {} memo hit(s), {} repair(s)",
-        stats.solves, stats.memo_hits, stats.repairs
+        stats.solves,
+        stats.memo_hits,
+        stats.repairs
     );
     server.shutdown();
     Ok(())
@@ -683,7 +709,7 @@ fn cmd_serve_drain(args: &[String]) -> Result<(), CliError> {
     let in_flight = client
         .drain()
         .map_err(|e| Runtime(format!("drain failed: {e}")))?;
-    println!("drain acknowledged; {in_flight} request(s) still in flight");
+    out!("drain acknowledged; {in_flight} request(s) still in flight");
     Ok(())
 }
 
@@ -774,14 +800,14 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     });
     let timed = materialize(&events, &pool, deadline_ms.map(Duration::from_millis));
 
-    println!(
+    out!(
         "serve: {} requests over {} instance(s), {} worker(s), mean gap {}us",
         requests,
         pool.len(),
         workers,
         gap_us
     );
-    let server = PlanServer::start_with_store(
+    let server = PlanServer::start_with(
         ServeConfig {
             workers,
             queue_cost_budget: shed_budget,
@@ -795,17 +821,25 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     server.shutdown();
 
     let r = &run.report;
-    println!(
+    out!(
         "  served {}/{} ({} shed, {} errors) in {:.3}s — {:.0} plans/s",
-        r.served, r.requests, r.shed, r.errors, r.wall_s, r.plans_per_sec
+        r.served,
+        r.requests,
+        r.shed,
+        r.errors,
+        r.wall_s,
+        r.plans_per_sec
     );
-    println!("  latency p50 {:.3}ms  p99 {:.3}ms", r.p50_ms, r.p99_ms);
-    println!(
+    out!("  latency p50 {:.3}ms  p99 {:.3}ms", r.p50_ms, r.p99_ms);
+    out!(
         "  memo hits {} ({:.3}ms p50) vs cold solves ({:.3}ms p50): {:.1}x",
-        r.memo_hits, r.hit_service_p50_ms, r.cold_service_p50_ms, r.memo_hit_speedup
+        r.memo_hits,
+        r.hit_service_p50_ms,
+        r.cold_service_p50_ms,
+        r.memo_hit_speedup
     );
     let stats = server.stats();
-    println!(
+    out!(
         "  caches: {} solves, {} repairs, LRU {} warm / {} pool / {} miss / {} evicted",
         stats.solves,
         stats.repairs,
@@ -815,9 +849,11 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         stats.lru_evictions
     );
     if stats.persist_entries > 0 || stats.persist_hits > 0 || stats.persist_rejected > 0 {
-        println!(
+        out!(
             "  persistent memo: {} entries, {} hits, {} rejected",
-            stats.persist_entries, stats.persist_hits, stats.persist_rejected
+            stats.persist_entries,
+            stats.persist_hits,
+            stats.persist_rejected
         );
     }
     if let Some(path) = json {
@@ -826,7 +862,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             serde_json::to_string_pretty(r).expect("serializable"),
         )
         .map_err(|e| Runtime(format!("cannot write {path}: {e}")))?;
-        println!("  report written to {path}");
+        out!("  report written to {path}");
     }
     Ok(())
 }
@@ -847,7 +883,7 @@ fn cmd_run_connect(opts: &RunOptions, addr: &str) -> Result<(), CliError> {
         .solve(bench, &s, &config, opts.pipeline_budget)
         .map_err(|e| Runtime(format!("remote solve failed: {e}")))?;
     let result = &remote.artifact.result;
-    println!(
+    out!(
         "remote plan for {} via {}: rung {}, {} wash(es), makespan {} s",
         bench.name,
         client
@@ -858,7 +894,7 @@ fn cmd_run_connect(opts: &RunOptions, addr: &str) -> Result<(), CliError> {
         result.metrics.n_wash,
         result.metrics.t_assay
     );
-    println!(
+    out!(
         "  memo hit: {}, degraded: {}, retries: {} — certificate verified",
         remote.memo_hit,
         remote.degraded,
@@ -885,13 +921,11 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     // Both solvers share one PlanContext, so the necessity analysis and
     // routing state are computed once for the instance.
     let mut ctx = PlanContext::new(bench, &s);
-    let d = DawoPlanner
-        .plan(&mut ctx)
-        .map_err(|e| Runtime(format!("dawo failed: {e}")))?;
+    let d = dawo_ctx(&mut ctx).map_err(|e| Runtime(format!("dawo failed: {e}")))?;
     let p = if opts.partitions > 1 {
         let outcome = plan_partitioned_ctx(&mut ctx, &config, opts.partitions);
         // Every rung reports its wall time, the Partitioned one included.
-        print_ladder(&outcome);
+        print_ladder(&outcome)?;
         let rungs: Vec<String> = outcome
             .attempts
             .iter()
@@ -904,9 +938,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             ))
         })?
     } else {
-        PdwPlanner::new(config)
-            .plan(&mut ctx)
-            .map_err(|e| Runtime(format!("pdw failed: {e}")))?
+        pdw_ctx(&mut ctx, &config).map_err(|e| Runtime(format!("pdw failed: {e}")))?
     };
 
     if opts.validate {
@@ -920,74 +952,106 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
                 })
             })?;
         }
-        println!("validate: both schedules physically valid and oracle-clean");
+        out!("validate: both schedules physically valid and oracle-clean");
     }
 
-    println!(
+    out!(
         "benchmark {} (|O|={}, |D|={}, |E|={})",
         bench.name,
         bench.op_count(),
         bench.device_count(),
         bench.edge_count()
     );
-    println!(
+    out!(
         "{:<22} {:>10} {:>10} {:>10}",
-        "metric", "base", "DAWO", "PDW"
+        "metric",
+        "base",
+        "DAWO",
+        "PDW"
     );
-    println!(
+    out!(
         "{:<22} {:>10} {:>10} {:>10}",
-        "N_wash", 0, d.metrics.n_wash, p.metrics.n_wash
+        "N_wash",
+        0,
+        d.metrics.n_wash,
+        p.metrics.n_wash
     );
-    println!(
+    out!(
         "{:<22} {:>10.0} {:>10.0} {:>10.0}",
-        "L_wash (mm)", 0.0, d.metrics.l_wash_mm, p.metrics.l_wash_mm
+        "L_wash (mm)",
+        0.0,
+        d.metrics.l_wash_mm,
+        p.metrics.l_wash_mm
     );
-    println!(
+    out!(
         "{:<22} {:>10} {:>10} {:>10}",
-        "T_assay (s)", base.t_assay, d.metrics.t_assay, p.metrics.t_assay
+        "T_assay (s)",
+        base.t_assay,
+        d.metrics.t_assay,
+        p.metrics.t_assay
     );
-    println!(
+    out!(
         "{:<22} {:>10} {:>10} {:>10}",
         "T_delay (s)",
         0,
         d.metrics.delay_vs(&base),
         p.metrics.delay_vs(&base)
     );
-    println!(
+    out!(
         "{:<22} {:>10} {:>10} {:>10}",
-        "total wash time (s)", 0, d.metrics.total_wash_time, p.metrics.total_wash_time
+        "total wash time (s)",
+        0,
+        d.metrics.total_wash_time,
+        p.metrics.total_wash_time
     );
-    println!(
+    out!(
         "{:<22} {:>10.2} {:>10.2} {:>10.2}",
-        "avg op wait (s)", base.avg_wait, d.metrics.avg_wait, p.metrics.avg_wait
+        "avg op wait (s)",
+        base.avg_wait,
+        d.metrics.avg_wait,
+        p.metrics.avg_wait
     );
-    println!(
+    out!(
         "PDW: {} removals integrated, ILP used: {}",
-        p.integrated, p.solver.used_ilp
+        p.integrated,
+        p.solver.used_ilp
     );
     let ps = &p.pipeline;
-    println!(
+    out!(
         "pipeline: necessity {:.3}s, grouping {:.3}s, merge {:.3}s, greedy {:.3}s, \
          ilp {:.3}s (total {:.3}s, {} threads)",
-        ps.necessity_s, ps.grouping_s, ps.merge_s, ps.greedy_s, ps.ilp_s, ps.total_s, ps.threads
+        ps.necessity_s,
+        ps.grouping_s,
+        ps.merge_s,
+        ps.greedy_s,
+        ps.ilp_s,
+        ps.total_s,
+        ps.threads
     );
-    println!(
+    out!(
         "pipeline: {} groups, {} candidate paths, {} route calls ({} BFS legs, {} scratch reuses)",
-        ps.groups, ps.candidates, ps.route_calls, ps.bfs_runs, ps.scratch_reuses
+        ps.groups,
+        ps.candidates,
+        ps.route_calls,
+        ps.bfs_runs,
+        ps.scratch_reuses
     );
     if ps.partition_regions > 0 {
-        println!(
+        out!(
             "pipeline: partitioned into {} region(s) ({} skipped, {} refused), {} seam group(s)",
-            ps.partition_regions, ps.regions_skipped, ps.regions_refused, ps.seam_groups
+            ps.partition_regions,
+            ps.regions_skipped,
+            ps.regions_refused,
+            ps.seam_groups
         );
     }
-    print_repair_stats(ps);
+    print_repair_stats(ps)?;
     let events = ps.degradation_events();
     if !events.is_empty() {
-        println!("pipeline: degraded — {}", events.join("; "));
+        out!("pipeline: degraded — {}", events.join("; "));
     }
     if let Some(st) = &p.solver.stats {
-        println!(
+        out!(
             "solver: {}x{} model, {} nodes in {:.2}s ({:.0} nodes/s, {} threads), {} pivots, \
              warm/cold LPs {}/{} ({} fallbacks, {} rebuilds, {} repair pivots)",
             st.rows,
@@ -1004,8 +1068,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             st.basis_repair_pivots
         );
         if let Some(t) = st.time_to_first_incumbent_s {
-            println!(
-                "solver: first incumbent after {:.3}s, {} improvements, presolve removed {} rows / tightened {} bounds in {:.3}s",
+            out!("solver: first incumbent after {:.3}s, {} improvements, presolve removed {} rows / tightened {} bounds in {:.3}s",
                 t,
                 st.incumbent_timeline.len(),
                 st.presolve.rows_removed,
@@ -1025,7 +1088,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         let svg =
             pdw_viz::heatmap::contamination(&s.chip, analysis.events.iter().map(|e| (e.cell, 1)));
         std::fs::write(path, svg).map_err(|e| Runtime(format!("cannot write {path}: {e}")))?;
-        println!("wrote {path}");
+        out!("wrote {path}");
     }
 
     if opts.stats {
@@ -1040,7 +1103,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
                 .iter()
                 .max_by(|a, b| a.utilization.partial_cmp(&b.utilization).expect("finite"))
                 .expect("chips have devices");
-            println!(
+            out!(
                 "stats[{name}]: peak {} tasks, avg {:.2} tasks, busiest device {} at {:.0}%",
                 st.peak_parallel_tasks,
                 st.avg_parallel_tasks,
@@ -1058,9 +1121,11 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         ] {
             let program = pdw_control::compile(&s.chip, sched);
             let stats = pdw_control::ControlStats::measure(&program);
-            println!(
+            out!(
                 "valves[{name}]: {} switches, peak {} open, {} events",
-                stats.switches, stats.peak_open, stats.events
+                stats.switches,
+                stats.peak_open,
+                stats.events
             );
         }
     }
@@ -1086,7 +1151,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             serde_json::to_string_pretty(&out).expect("serializable"),
         )
         .map_err(|e| Runtime(format!("cannot write {path}: {e}")))?;
-        println!("wrote {path}");
+        out!("wrote {path}");
     }
 
     if let Some(dir) = &opts.svg {
@@ -1101,7 +1166,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             let path = format!("{dir}/{name}");
             std::fs::write(&path, content)
                 .map_err(|e| Runtime(format!("cannot write {path}: {e}")))?;
-            println!("wrote {path}");
+            out!("wrote {path}");
         }
     }
     Ok(())
@@ -1206,17 +1271,17 @@ fn cmd_chaos(cli: &VerifyCliOptions) -> Result<(), CliError> {
     if let Some(seed) = cli.single_seed {
         return match verify::chaos_seed(seed, &copts) {
             None => {
-                println!("chaos seed {seed}: skipped (infeasible instance)");
+                out!("chaos seed {seed}: skipped (infeasible instance)");
                 Ok(())
             }
             Some(report) if report.passed() => {
-                println!("{report}");
+                out!("{report}");
                 Ok(())
             }
             Some(report) => {
-                println!("{report}");
+                out!("{report}");
                 for f in &report.failures {
-                    println!("  {f}");
+                    out!("  {f}");
                 }
                 err(format!("chaos seed {seed} failed"))
             }
@@ -1238,7 +1303,7 @@ fn cmd_chaos(cli: &VerifyCliOptions) -> Result<(), CliError> {
         match verify::chaos_seed(seed, &copts) {
             None => skipped += 1,
             Some(report) => {
-                println!("{report}");
+                out!("{report}");
                 if !report.passed() {
                     for f in &report.failures {
                         failures.push(format!("chaos seed {seed}: {f}"));
@@ -1251,17 +1316,17 @@ fn cmd_chaos(cli: &VerifyCliOptions) -> Result<(), CliError> {
         }
     }
     if skipped > 0 {
-        println!("({skipped}/{n} chaos seeds skipped as infeasible)");
+        out!("({skipped}/{n} chaos seeds skipped as infeasible)");
     }
 
     if failures.is_empty() {
-        println!("verify --faults: all chaos instances passed");
+        out!("verify --faults: all chaos instances passed");
         Ok(())
     } else {
         let body = failures.join("\n");
         std::fs::write(&cli.repro, format!("{body}\n"))
             .map_err(|e| Runtime(format!("cannot write {}: {e}", cli.repro)))?;
-        eprintln!("{body}");
+        let _ = writeln!(io::stderr().lock(), "{body}");
         err(format!(
             "verify --faults: {} failure(s); details in {}",
             failures.len(),
@@ -1285,20 +1350,20 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
     if let Some(seed) = cli.single_seed {
         return match verify::verify_seed(seed, &cli.opts) {
             None => {
-                println!("seed {seed}: skipped (infeasible instance)");
+                out!("seed {seed}: skipped (infeasible instance)");
                 Ok(())
             }
             Some(report) if report.passed() => {
-                println!("{report}");
+                out!("{report}");
                 Ok(())
             }
             Some(report) => {
-                println!("{report}");
+                out!("{report}");
                 for f in report.failures() {
-                    println!("  {f}");
+                    out!("  {f}");
                 }
                 let (small, steps) = verify::shrink_failure(seed, &cli.opts);
-                println!("shrunk after {steps} step(s) to: {small:?}");
+                out!("shrunk after {steps} step(s) to: {small:?}");
                 err(format!("seed {seed} failed verification"))
             }
         };
@@ -1313,7 +1378,7 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
             }
         };
         let report = verify::verify_instance(&bench.name, &bench, &s, &cli.opts);
-        println!("{report}");
+        out!("{report}");
         failures.extend(
             report
                 .failures()
@@ -1327,7 +1392,7 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
         match verify::verify_seed(seed, &cli.opts) {
             None => skipped += 1,
             Some(report) => {
-                println!("{report}");
+                out!("{report}");
                 if !report.passed() {
                     for f in report.failures() {
                         failures.push(format!("seed {seed}: {f}"));
@@ -1342,17 +1407,17 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
         }
     }
     if skipped > 0 {
-        println!("({skipped}/{} seeds skipped as infeasible)", cli.seeds);
+        out!("({skipped}/{} seeds skipped as infeasible)", cli.seeds);
     }
 
     if failures.is_empty() {
-        println!("verify: all instances passed");
+        out!("verify: all instances passed");
         Ok(())
     } else {
         let body = failures.join("\n");
         std::fs::write(&cli.repro, format!("{body}\n"))
             .map_err(|e| Runtime(format!("cannot write {}: {e}", cli.repro)))?;
-        eprintln!("{body}");
+        let _ = writeln!(io::stderr().lock(), "{body}");
         err(format!(
             "verify: {} failure(s); details in {}",
             failures.len(),
@@ -1374,7 +1439,7 @@ fn cmd_export(args: &[String]) -> Result<(), CliError> {
         serde_json::to_string_pretty(&bench).expect("serializable"),
     )
     .map_err(|e| Runtime(format!("cannot write {path}: {e}")))?;
-    println!("wrote {path}");
+    out!("wrote {path}");
     Ok(())
 }
 

@@ -79,6 +79,25 @@ fn an_unwritable_stderr_still_exits_1() {
     assert_eq!(out.status.code(), Some(1), "a failed error write panics");
 }
 
+#[cfg(target_os = "linux")]
+#[test]
+fn an_unwritable_stdout_exits_1() {
+    for args in [&["list"][..], &["show", "demo"]] {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("open /dev/full");
+        let out = Command::new(env!("CARGO_BIN_EXE_pdw"))
+            .args(args)
+            .stdout(full)
+            .output()
+            .expect("run pdw");
+        assert_refused(&out, "cannot write to stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr: {stderr}");
+    }
+}
+
 #[test]
 fn region_worker_command_and_flags_are_gone() {
     assert_refused(&pdw(&["worker"]), "unknown command `worker`");

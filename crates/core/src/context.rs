@@ -4,9 +4,9 @@
 //! single wash: the contamination replay + necessity analysis of the base
 //! schedule, the chip's port-reachability fields, and warm routing scratch
 //! buffers. [`PlanContext`] owns that prefix for one `(benchmark,
-//! synthesis)` instance so that running several planners on it — as the
-//! differential verifier and the batch driver do — computes each piece
-//! once:
+//! synthesis)` instance so that running several solves on it — as the
+//! differential verifier and the degradation ladder do — computes each
+//! piece once:
 //!
 //! - necessity analyses are cached per [`NecessityOptions`] (DAWO's
 //!   reuse-only analysis and PDW's full analysis are distinct entries),
@@ -18,15 +18,14 @@
 //!   every candidate,
 //! - the chip's [`PortReach`](pdw_biochip::PortReach) cache is forced warm
 //!   on construction,
-//! - a [`ScratchPool`] keeps BFS scratch buffers warm across planners, and
-//!   across *instances* when the context is rebuilt around a batch worker's
-//!   long-lived pool ([`PlanContext::with_pool`] / [`into_pool`]).
+//! - a [`ScratchPool`] keeps BFS scratch buffers warm across solves, and
+//!   across *instances* when the context is rebuilt from harvested
+//!   [`ContextParts`] ([`PlanContext::into_parts`] /
+//!   [`PlanContext::from_parts`]).
 //!
-//! Everything cached here is a pure function of the instance, so a planner
+//! Everything cached here is a pure function of the instance, so a solve
 //! run against a warm context is bit-identical to a cold one-shot run —
 //! only the wall time changes.
-//!
-//! [`into_pool`]: PlanContext::into_pool
 
 use std::time::Instant;
 
@@ -200,21 +199,7 @@ pub struct PlanContext<'a> {
 impl<'a> PlanContext<'a> {
     /// Builds a context for one instance with a fresh scratch pool.
     pub fn new(bench: &'a Benchmark, synthesis: &'a Synthesis) -> Self {
-        Self::with_pool(bench, synthesis, ScratchPool::new())
-    }
-
-    /// Builds a context around an existing scratch pool — the batch driver
-    /// hands each worker's pool from instance to instance so warm scratch
-    /// buffers survive context turnover.
-    pub fn with_pool(bench: &'a Benchmark, synthesis: &'a Synthesis, pool: ScratchPool) -> Self {
-        Self::from_parts(
-            bench,
-            synthesis,
-            ContextParts {
-                pool,
-                ..ContextParts::default()
-            },
-        )
+        Self::from_parts(bench, synthesis, ContextParts::default())
     }
 
     /// Rebuilds a context around previously harvested
@@ -333,12 +318,6 @@ impl<'a> PlanContext<'a> {
     pub fn cached_front_ends(&self) -> usize {
         self.front_ends.len()
     }
-
-    /// Releases the context, handing its scratch pool back for reuse on the
-    /// next instance.
-    pub fn into_pool(self) -> ScratchPool {
-        self.pool
-    }
 }
 
 #[cfg(test)]
@@ -412,10 +391,14 @@ mod tests {
     fn pool_round_trips_through_the_context() {
         let bench = benchmarks::demo();
         let s = synthesize(&bench).unwrap();
-        let pool = ScratchPool::for_chip(&s.chip);
-        let ctx = PlanContext::with_pool(&bench, &s, pool);
-        let back = ctx.into_pool();
-        assert_eq!(back.available(), 1);
+        let parts = ContextParts {
+            pool: ScratchPool::for_chip(&s.chip),
+            ..ContextParts::default()
+        };
+        let ctx = PlanContext::from_parts(&bench, &s, parts);
+        assert_eq!(ctx.scratch_pool().available(), 1);
+        let back = ctx.into_parts();
+        assert_eq!(back.pool.available(), 1, "the warm pool survives");
     }
 
     #[test]

@@ -25,10 +25,9 @@ use crate::stats::StageTimer;
 
 /// Runs the DAWO baseline on a synthesized assay.
 ///
-/// This is the one-shot compatibility wrapper around a throwaway
-/// [`PlanContext`]; callers also running other planners on the instance
-/// should share one context via
-/// [`DawoPlanner`](crate::planner::DawoPlanner).
+/// This is the one-shot wrapper around a throwaway [`PlanContext`];
+/// callers also running other solves on the instance should share one
+/// context through [`dawo_ctx`].
 ///
 /// # Errors
 ///
@@ -37,11 +36,16 @@ use crate::stats::StageTimer;
 /// [`pdw_contam::verify_clean`].
 pub fn dawo(bench: &Benchmark, synthesis: &Synthesis) -> Result<WashResult, PdwError> {
     let mut ctx = PlanContext::new(bench, synthesis);
-    run_dawo(&mut ctx)
+    dawo_ctx(&mut ctx)
 }
 
-/// The DAWO baseline against a (possibly warm) [`PlanContext`].
-pub(crate) fn run_dawo(ctx: &mut PlanContext<'_>) -> Result<WashResult, PdwError> {
+/// The DAWO baseline against a (possibly warm) [`PlanContext`]; the plan
+/// is identical to [`dawo`]'s, context warmth only changes wall time.
+///
+/// # Errors
+///
+/// As [`dawo`].
+pub fn dawo_ctx(ctx: &mut PlanContext<'_>) -> Result<WashResult, PdwError> {
     let bench = ctx.bench();
     let synthesis = ctx.synthesis();
     let mut timer = StageTimer::start(0);

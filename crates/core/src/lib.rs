@@ -7,40 +7,40 @@
 //!
 //! # Engine architecture
 //!
-//! Every solve strategy is a [`Planner`] running against a shared
+//! The paper's two solvers are plain functions of a shared
 //! [`PlanContext`]:
 //!
-//! - [`PdwPlanner`] — the paper's method: wash-necessity analysis
+//! - [`pdw_ctx`] — the paper's method: wash-necessity analysis
 //!   (Types 1–3), wash/excess-removal integration (ψ), and ILP-optimized
 //!   wash paths and time windows minimizing
-//!   `α·N_wash + β·L_wash + γ·T_assay` (Eq. 26);
-//! - [`GreedyPlanner`] — the same pipeline stopped at its deterministic
-//!   greedy warm start (no ILP);
-//! - [`DawoPlanner`] — the delay-aware wash optimization baseline of TC'22
+//!   `α·N_wash + β·L_wash + γ·T_assay` (Eq. 26); with
+//!   [`ilp: false`](PdwConfig::ilp) it stops at its deterministic greedy
+//!   warm start;
+//! - [`dawo_ctx`] — the delay-aware wash optimization baseline of TC'22
 //!   \[10\]: per-spot washes with independently BFS-routed paths and
 //!   sweep-line time assignment.
 //!
 //! The context owns the instance's expensive common prefix — necessity
 //! analyses, port-reachability fields, warm routing scratch — so running
-//! several planners on one instance computes it once. [`plan_batch`] fans a
-//! corpus of instances across threads with per-worker context reuse;
-//! results are bit-identical to serial one-shot calls at any thread count.
-//! The free functions [`pdw`] and [`dawo`] remain as one-shot wrappers.
+//! both solvers on one instance computes it once; the plans are
+//! bit-identical to the one-shot wrappers [`pdw`] and [`dawo`].
+//! [`plan_resilient`] runs them as a degradation ladder (PDW → greedy →
+//! DAWO) and serves the first plan that passes the plan gate.
 //!
-//! Every planner returns a [`WashResult`] whose schedule is guaranteed
+//! Every solver returns a [`WashResult`] whose schedule is guaranteed
 //! physically valid ([`pdw_sim::validate`]) and contamination-free
 //! ([`pdw_contam::verify_clean`]).
 //!
 //! # Example
 //!
-//! Two planners sharing one context — the necessity analysis and routing
+//! DAWO and PDW sharing one context — the necessity analysis and routing
 //! state are computed once, and the results match one-shot calls exactly.
 //! The ILP runs here, on an instance small enough for it to prove its plan
 //! optimal: a search the budget stops is anytime, and two such runs may
 //! stop on different incumbents.
 //!
 //! ```
-//! use pathdriver_wash::{DawoPlanner, PdwConfig, PdwPlanner, PlanContext, Planner};
+//! use pathdriver_wash::{dawo_ctx, pdw_ctx, PdwConfig, PlanContext};
 //! use pdw_assay::synthetic::SyntheticSpec;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -56,8 +56,8 @@
 //! let config = PdwConfig { threads: 1, ..PdwConfig::default() };
 //!
 //! let mut ctx = PlanContext::new(&bench, &synthesis);
-//! let baseline = DawoPlanner.plan(&mut ctx)?;
-//! let optimized = PdwPlanner::new(config.clone()).plan(&mut ctx)?;
+//! let baseline = dawo_ctx(&mut ctx)?;
+//! let optimized = pdw_ctx(&mut ctx, &config)?;
 //!
 //! assert!(optimized.solver.used_ilp && optimized.solver.optimal);
 //! assert!(optimized.metrics.n_wash <= baseline.metrics.n_wash);
@@ -81,7 +81,6 @@ mod model;
 mod par;
 mod partition;
 mod pdw;
-mod planner;
 mod repair;
 mod resilient;
 mod stats;
@@ -95,7 +94,7 @@ pub use codec::{
 };
 pub use config::{CandidatePolicy, PdwConfig, Weights};
 pub use context::{ContextParts, FrontEndKey, PlanContext, RequirementOverrides};
-pub use dawo::dawo;
+pub use dawo::{dawo, dawo_ctx};
 pub use deadline::Deadline;
 pub use exact_path::exact_wash_path;
 pub use greedy::{insert_washes, insert_washes_protected, GreedyOutcome, Placement};
@@ -103,13 +102,12 @@ pub use groups::{
     build_groups, enumerate_candidates, merge_groups, spot_cluster_groups, Candidate, WashGroup,
     WashPart,
 };
-pub use pdw::{pdw, PdwError, SolverReport, WashResult};
+pub use pdw::{pdw, pdw_ctx, PdwError, SolverReport, WashResult};
 pub use pdw_ilp::{IncumbentEvent, SolverStats};
-pub use planner::{plan_batch, DawoPlanner, GreedyPlanner, PdwPlanner, Planner};
 pub use repair::{PlanDelta, RepairSession};
 pub use resilient::{
-    plan_partitioned, plan_partitioned_ctx, plan_resilient, plan_resilient_batch,
-    plan_resilient_ctx, PlanOutcome, RungAttempt, RungKind, RungRejection,
+    plan_partitioned, plan_partitioned_ctx, plan_resilient, plan_resilient_ctx, PlanOutcome,
+    RungAttempt, RungKind, RungRejection,
 };
 pub use stats::PipelineStats;
 pub use transport::{

@@ -54,7 +54,7 @@ use crate::deadline::Deadline;
 use crate::greedy::insert_washes_protected;
 use crate::groups::{merge_groups_pooled, spot_cluster_groups_pooled, WashGroup};
 use crate::par::try_par_map_ctx;
-use crate::pdw::{finish, run_pipeline, PdwError, SolverReport, WashResult};
+use crate::pdw::{finish, pdw_ctx, PdwError, SolverReport, WashResult};
 use crate::stats::StageTimer;
 
 /// The front end for one span bucket or the seam set: grouping,
@@ -89,7 +89,7 @@ fn region_front_end(
 /// The partitioned pipeline proper (see the [module docs](self)): the
 /// ladder's partitioned rung. Requires `partitions ≥ 2`; a partition that
 /// clamps to a single region falls back to the unpartitioned
-/// [`run_pipeline`].
+/// [`pdw_ctx`].
 pub(crate) fn run_partitioned_pipeline(
     ctx: &mut PlanContext<'_>,
     config: &PdwConfig,
@@ -121,7 +121,7 @@ pub(crate) fn run_partitioned_pipeline(
         // Every viable cut was clamped away: the "partition" is the whole
         // chip, so the unpartitioned pipeline is the correct (and cheaper)
         // path. The clamp is still surfaced via the returned stats.
-        let mut result = run_pipeline(ctx, config)?;
+        let mut result = pdw_ctx(ctx, config)?;
         result.pipeline.partition_regions = 1;
         result.pipeline.partition_clamped = true;
         return Ok(result);

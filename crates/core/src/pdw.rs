@@ -80,10 +80,6 @@ pub enum PdwError {
     /// The produced schedule still lets a delivery cross residue (internal
     /// invariant breach — please report).
     Dirty(CleanlinessViolation),
-    /// A planner worker panicked while solving this instance. The panic was
-    /// caught and isolated: other instances in the batch (and other rungs of
-    /// a resilient solve) are unaffected.
-    WorkerPanic(String),
     /// The chip could not be partitioned as requested (e.g. a cut would
     /// sever a device footprint, or zero regions were asked for).
     Partition(String),
@@ -94,7 +90,6 @@ impl fmt::Display for PdwError {
         match self {
             PdwError::Invalid(e) => write!(f, "optimized schedule is invalid: {e}"),
             PdwError::Dirty(v) => write!(f, "optimized schedule is contaminated: {v}"),
-            PdwError::WorkerPanic(msg) => write!(f, "planner worker panicked: {msg}"),
             PdwError::Partition(msg) => write!(f, "chip partitioning failed: {msg}"),
         }
     }
@@ -127,10 +122,10 @@ pub(crate) fn finish(
 /// Runs PathDriver-Wash: necessity analysis, wash grouping/merging, greedy
 /// warm start, and ILP refinement of wash paths and time windows.
 ///
-/// This is the one-shot compatibility wrapper: it builds a throwaway
-/// [`PlanContext`] for the instance. Callers solving an instance more than
-/// once — several planners, several configurations — should build one
-/// context and run [`Planner`](crate::Planner)s through it instead, so the
+/// This is the one-shot wrapper: it builds a throwaway [`PlanContext`] for
+/// the instance. Callers solving an instance more than once — DAWO beside
+/// PDW, several configurations — should build one context and call
+/// [`pdw_ctx`] (and [`dawo_ctx`](crate::dawo_ctx)) on it instead, so the
 /// necessity analysis and routing state are computed once.
 ///
 /// # Errors
@@ -144,17 +139,18 @@ pub fn pdw(
     config: &PdwConfig,
 ) -> Result<WashResult, PdwError> {
     let mut ctx = PlanContext::new(bench, synthesis);
-    run_pipeline(&mut ctx, config)
+    pdw_ctx(&mut ctx, config)
 }
 
-/// The PathDriver-Wash pipeline against a (possibly warm) [`PlanContext`].
-/// Backs both [`pdw`] and the `GreedyPlanner`/`PdwPlanner` implementations;
-/// the result is a pure function of `(instance, config)` — context warmth
-/// only changes wall time — except where a budget-bound ILP search stops.
-pub(crate) fn run_pipeline(
-    ctx: &mut PlanContext<'_>,
-    config: &PdwConfig,
-) -> Result<WashResult, PdwError> {
+/// The PathDriver-Wash pipeline against a (possibly warm) [`PlanContext`];
+/// `config.ilp: false` stops it at its greedy warm start. The result is a
+/// pure function of `(instance, config)` — context warmth only changes
+/// wall time — except where a budget-bound ILP search stops.
+///
+/// # Errors
+///
+/// As [`pdw`].
+pub fn pdw_ctx(ctx: &mut PlanContext<'_>, config: &PdwConfig) -> Result<WashResult, PdwError> {
     let bench = ctx.bench();
     let synthesis = ctx.synthesis();
     let mut timer = StageTimer::start(config.threads);
@@ -393,6 +389,38 @@ mod tests {
         let r = pdw(&bench, &s, &PdwConfig::default()).unwrap();
         assert!(r.metrics.n_wash > 0);
         assert!(r.metrics.l_wash_mm > 0.0);
+    }
+
+    #[test]
+    fn planners_share_a_context_without_changing_results() {
+        let bench = benchmarks::demo();
+        let s = synthesize(&bench).unwrap();
+        let config = PdwConfig {
+            ilp: false,
+            ..PdwConfig::default()
+        };
+
+        // Cold one-shot calls.
+        let cold_dawo = crate::dawo(&bench, &s).unwrap();
+        let cold_greedy = pdw(&bench, &s, &config).unwrap();
+
+        // The same solves through one shared context.
+        let mut ctx = PlanContext::new(&bench, &s);
+        let warm_dawo = crate::dawo_ctx(&mut ctx).unwrap();
+        let warm_greedy = pdw_ctx(&mut ctx, &config).unwrap();
+        // Re-running the greedy pipeline hits every cache; still identical.
+        let warm_greedy2 = pdw_ctx(&mut ctx, &config).unwrap();
+
+        assert_eq!(warm_dawo.schedule, cold_dawo.schedule);
+        assert_eq!(warm_dawo.metrics, cold_dawo.metrics);
+        assert_eq!(warm_greedy.schedule, cold_greedy.schedule);
+        assert_eq!(warm_greedy.metrics, cold_greedy.metrics);
+        assert_eq!(warm_greedy2.schedule, cold_greedy.schedule);
+        // Two distinct analyses were cached: reuse-only (DAWO) + full. The
+        // same goes for the front ends (DAWO's nearest-policy groups + the
+        // greedy pipeline's — the re-run was served from the cache).
+        assert_eq!(ctx.cached_analyses(), 2);
+        assert_eq!(ctx.cached_front_ends(), 2);
     }
 
     #[test]

@@ -48,11 +48,11 @@ use pdw_synth::Synthesis;
 use crate::codec::{gate, GateRejection, OracleReplay};
 use crate::config::PdwConfig;
 use crate::context::PlanContext;
-use crate::dawo::run_dawo;
+use crate::dawo::dawo_ctx;
 use crate::deadline::Deadline;
 use crate::par::panic_message;
 use crate::partition::run_partitioned_pipeline;
-use crate::pdw::{run_pipeline, PdwError, WashResult};
+use crate::pdw::{pdw_ctx, PdwError, WashResult};
 
 /// A rung of the degradation ladder, strongest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -227,8 +227,8 @@ fn ladder(ctx: &mut PlanContext<'_>, config: &PdwConfig, partitions: usize) -> P
         };
         let (gated, wall_s) = attempt_rung(ctx, |ctx| match rung {
             RungKind::Partitioned => run_partitioned_pipeline(ctx, &budgeted, partitions),
-            RungKind::Pdw => run_pipeline(ctx, &budgeted),
-            RungKind::Greedy => run_pipeline(
+            RungKind::Pdw => pdw_ctx(ctx, &budgeted),
+            RungKind::Greedy => pdw_ctx(
                 ctx,
                 &PdwConfig {
                     ilp: false,
@@ -236,7 +236,7 @@ fn ladder(ctx: &mut PlanContext<'_>, config: &PdwConfig, partitions: usize) -> P
                     ..budgeted
                 },
             ),
-            RungKind::Dawo => run_dawo(ctx),
+            RungKind::Dawo => dawo_ctx(ctx),
         });
         match gated {
             Ok((result, replay)) => {
@@ -306,47 +306,6 @@ pub fn plan_partitioned(
 ) -> PlanOutcome {
     let mut ctx = PlanContext::new(bench, synthesis);
     plan_partitioned_ctx(&mut ctx, config, partitions)
-}
-
-/// Solves a corpus of instances resiliently, fanning across `threads`
-/// workers (0 = all cores) with per-worker scratch-pool reuse, mirroring
-/// [`plan_batch`](crate::plan_batch). One [`PlanOutcome`] per instance, in
-/// input order. Never panics: per-rung panics become typed rejections, and
-/// a panic escaping the ladder machinery itself is isolated per instance
-/// as an all-rungs-[`Panicked`](RungRejection::Panicked) outcome.
-pub fn plan_resilient_batch(
-    instances: &[(&Benchmark, &Synthesis)],
-    config: &PdwConfig,
-    threads: usize,
-) -> Vec<PlanOutcome> {
-    crate::par::try_par_map_ctx(
-        instances,
-        threads,
-        pdw_biochip::ScratchPool::new,
-        |pool, _, &(bench, synthesis)| {
-            let mut ctx = PlanContext::with_pool(bench, synthesis, std::mem::take(pool));
-            let outcome = plan_resilient_ctx(&mut ctx, config);
-            *pool = ctx.into_pool();
-            outcome
-        },
-    )
-    .into_iter()
-    .map(|row| {
-        row.unwrap_or_else(|msg| PlanOutcome {
-            served: None,
-            replay: None,
-            rung: None,
-            attempts: [RungKind::Pdw, RungKind::Greedy, RungKind::Dawo]
-                .into_iter()
-                .map(|rung| RungAttempt {
-                    rung,
-                    rejection: Some(RungRejection::Panicked(msg.clone())),
-                    wall_s: 0.0,
-                })
-                .collect(),
-        })
-    })
-    .collect()
 }
 
 #[cfg(test)]
@@ -450,29 +409,6 @@ mod tests {
             let p = par.served.as_ref().unwrap();
             assert_eq!(p.schedule, served.schedule, "threads={threads}");
             assert_eq!(p.metrics, served.metrics);
-        }
-    }
-
-    #[test]
-    fn batch_outcomes_match_one_shot_calls() {
-        let bench = benchmarks::demo();
-        let s = synthesize(&bench).unwrap();
-        let config = PdwConfig {
-            ilp: false,
-            ..PdwConfig::default()
-        };
-        let one = plan_resilient(&bench, &s, &config);
-        let instances: Vec<(&benchmarks::Benchmark, &pdw_synth::Synthesis)> = vec![(&bench, &s); 3];
-        for threads in [1, 4] {
-            let batch = plan_resilient_batch(&instances, &config, threads);
-            assert_eq!(batch.len(), 3);
-            for outcome in &batch {
-                assert_eq!(outcome.rung, one.rung);
-                assert_eq!(
-                    outcome.served.as_ref().unwrap().schedule,
-                    one.served.as_ref().unwrap().schedule
-                );
-            }
         }
     }
 }

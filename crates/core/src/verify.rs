@@ -1,6 +1,6 @@
 //! Differential verification of complete wash plans.
 //!
-//! [`verify_instance`] runs every [`Planner`] the crate offers — the DAWO
+//! [`verify_instance`] runs every solver the crate offers — the DAWO
 //! baseline, the greedy PathDriver-Wash pipeline, and (optionally) the
 //! ILP-refined pipeline — through **one shared [`PlanContext`]** for the
 //! instance (so the necessity analyses and routing state are computed once,
@@ -54,8 +54,8 @@ use pdw_synth::Synthesis;
 use crate::codec::{gate, GateRejection};
 use crate::config::{PdwConfig, Weights};
 use crate::context::PlanContext;
-use crate::pdw::WashResult;
-use crate::planner::{DawoPlanner, GreedyPlanner, PdwPlanner, Planner};
+use crate::dawo::dawo_ctx;
+use crate::pdw::{pdw_ctx, WashResult};
 use crate::resilient::{plan_resilient, PlanOutcome};
 
 /// Knobs of a verification run.
@@ -269,14 +269,15 @@ pub fn verify_instance(
     let weights = Weights::default();
     let mut plans = Vec::new();
 
-    // One shared context: every planner below reuses its cached necessity
-    // analyses and routing scratch. Planner parity with cold one-shot calls
-    // is itself property-tested (tests/threads.rs), so sharing here does
-    // not weaken the differential check.
+    // One shared context: every solve below reuses its cached necessity
+    // analyses and routing scratch. Parity of `pdw_ctx`/`dawo_ctx` on a
+    // shared context with cold one-shot calls is itself property-tested
+    // (tests/threads.rs), so sharing here does not weaken the differential
+    // check.
     let mut ctx = PlanContext::new(bench, synthesis);
 
     // DAWO baseline.
-    let d = DawoPlanner.plan(&mut ctx).map_err(|e| e.to_string());
+    let d = dawo_ctx(&mut ctx).map_err(|e| e.to_string());
     plans.push(check_plan(
         "dawo",
         &synthesis.chip,
@@ -294,11 +295,12 @@ pub fn verify_instance(
     };
     let mut greedy_runs: Vec<(usize, Result<WashResult, String>)> = Vec::new();
     for &t in &threads {
-        let planner = GreedyPlanner::new(PdwConfig {
+        let config = PdwConfig {
+            ilp: false,
             threads: t,
             ..PdwConfig::default()
-        });
-        greedy_runs.push((t, planner.plan(&mut ctx).map_err(|e| e.to_string())));
+        };
+        greedy_runs.push((t, pdw_ctx(&mut ctx, &config).map_err(|e| e.to_string())));
     }
     plans.push(check_plan(
         "greedy",
@@ -328,11 +330,11 @@ pub fn verify_instance(
 
     // ILP-refined pipeline.
     if opts.ilp {
-        let planner = PdwPlanner::new(PdwConfig {
+        let config = PdwConfig {
             ilp_budget: opts.ilp_budget,
             ..PdwConfig::default()
-        });
-        let r = planner.plan(&mut ctx).map_err(|e| e.to_string());
+        };
+        let r = pdw_ctx(&mut ctx, &config).map_err(|e| e.to_string());
         plans.push(check_plan(
             "ilp",
             &synthesis.chip,

@@ -1,20 +1,22 @@
-//! `pdw-serve`: a long-running batching plan server for PathDriver-Wash.
+//! `pdw-serve`: a long-running plan server for PathDriver-Wash.
 //!
 //! The engine underneath ([`pathdriver_wash`]) already solves instances
-//! fast — batched fan-out, a graceful-degradation ladder, incremental
-//! repair. This crate is the serving layer on top: a [`PlanServer`] that
-//! takes heavy request traffic and turns it into as few ladder runs as
-//! possible, and a socket front end ([`SocketServer`], [`PlanClient`])
+//! fast — shared per-instance contexts, a graceful-degradation ladder,
+//! incremental repair. This crate is the serving layer on top: a
+//! [`PlanServer`] that takes heavy request traffic and turns it into as
+//! few ladder runs as possible, and a socket front end ([`SocketServer`], [`PlanClient`])
 //! that ships each plan with a certificate sealed from the ladder's own
 //! oracle replay.
 //!
-//! The request path is **queue → batcher → ladder → caches**:
+//! The request path is **queue → workers → ladder → caches**:
 //!
 //! - **Admission** ([`PlanServer::submit`]): a cost-budget gate sheds
 //!   excess load with typed [`Rejected::Saturated`] instead of letting the
 //!   queue grow without bound.
-//! - **Batching**: worker threads drain the queue in batches, each request
-//!   isolated behind its own panic boundary ([`ServeError::WorkerPanic`]).
+//! - **Workers**: worker threads take requests off the queue one at a
+//!   time, so an idle worker never leaves a queued request waiting; each
+//!   request is isolated behind its own panic boundary
+//!   ([`ServeError::WorkerPanic`]).
 //! - **Deadlines**: per-request budgets map onto the degradation ladder's
 //!   `pipeline_budget` — a tight deadline degrades a solve rather than
 //!   failing it, and an expired one returns a typed

@@ -1,23 +1,22 @@
-//! The plan server: queue → batcher → degradation ladder → caches.
+//! The plan server: queue → workers → degradation ladder → caches.
 //!
 //! [`PlanServer`] is a long-running planning service. [`submit`] enqueues a
 //! request behind a cost-budget admission gate (typed
 //! [`Rejected::Saturated`] shedding) and returns a [`Ticket`]; a pool of
-//! worker threads drains the queue in batches of up to
-//! [`max_batch`](ServeConfig::max_batch) — the [`plan_batch`] fan-out
-//! pattern applied to a live queue, with per-worker warm state carried by
-//! the [`ContextLru`] instead of a per-worker pool. Each request runs
-//! through:
+//! worker threads takes requests off the queue one at a time, so an idle
+//! worker always picks up the oldest waiting request. Per-instance warm
+//! state is carried by the [`ContextLru`]. Each request runs through:
 //!
 //! 1. **deadline check** — a request whose budget expired while queued
 //!    returns a typed [`ServeError::DeadlineExpired`] without touching the
-//!    planner, and without poisoning the rest of its batch;
+//!    planner;
 //! 2. **memo cache** — solves are keyed by the versioned
 //!    [`memo_key`]`(instance_hash, config_fingerprint)` with single-flight
 //!    deduplication ([`MemoCache`]): one oracle-checked solve is served to
-//!    every concurrent waiter. With a [`memo_path`](ServeConfig::memo_path)
-//!    configured, a second, persistent tier sits underneath: memo leaders
-//!    consult the [`MemoStore`] of [`PlanArtifact`]s before solving, and a
+//!    every concurrent waiter. With a [`MemoStore`] passed to
+//!    [`PlanServer::start_with`], a second, persistent tier sits
+//!    underneath: memo leaders consult the store of [`PlanArtifact`]s
+//!    before solving, and a
 //!    stored artifact is served **only** after its verification
 //!    certificate re-verifies against the requester's instance
 //!    ([`PlanArtifact::verify`]) — then promoted into the in-memory memo.
@@ -47,7 +46,6 @@
 //! server stays up, mirroring `try_par_map_ctx`'s guarantees.
 //!
 //! [`submit`]: PlanServer::submit
-//! [`plan_batch`]: pathdriver_wash::plan_batch
 //! [`MemoCache`]: crate::cache::MemoCache
 //! [`ContextLru`]: crate::cache::ContextLru
 //! [`plan_resilient_ctx`]: pathdriver_wash::plan_resilient_ctx
@@ -70,7 +68,7 @@ use pdw_synth::Synthesis;
 
 use crate::cache::{CertifiedPlan, ContextCheckout, ContextLru, MemoCache, MemoClaim, ServedPlan};
 use crate::clock::{Clock, WallClock};
-use crate::store::{FileMemoStore, MemoStore};
+use crate::store::MemoStore;
 
 /// A planning instance as the server sees it: the benchmark + synthesis
 /// with both canonical hashes and the admission-control cost precomputed.
@@ -321,7 +319,7 @@ impl Ticket {
 /// Where the chaos hook fires during request processing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HookPoint {
-    /// Right after a worker picks the request out of its batch.
+    /// Right after a worker takes the request off the queue.
     Dequeue,
     /// Right after the request became the memo leader, before the solve.
     Solve,
@@ -336,8 +334,6 @@ pub type Hook = Arc<dyn Fn(HookPoint, u64) + Send + Sync>;
 pub struct ServeConfig {
     /// Worker threads draining the queue (min 1).
     pub workers: usize,
-    /// Max requests a worker drains per batch (min 1).
-    pub max_batch: usize,
     /// Admission budget: total estimated cost allowed in the queue at
     /// once. `u64::MAX` disables shedding.
     pub queue_cost_budget: u64,
@@ -348,18 +344,12 @@ pub struct ServeConfig {
     pub planner: PdwConfig,
     /// Deadline applied to requests submitted without an explicit budget.
     pub default_budget: Option<Duration>,
-    /// Path of the persistent memo store (`None` = memory-only memo). The
-    /// file is an append-only log of certified [`PlanArtifact`] frames,
-    /// compacted on open; entries survive restarts and are served only
-    /// after certificate re-verification.
-    pub memo_path: Option<std::path::PathBuf>,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: 2,
-            max_batch: 8,
             queue_cost_budget: u64::MAX,
             context_lru: 8,
             planner: PdwConfig {
@@ -368,7 +358,6 @@ impl Default for ServeConfig {
                 ..PdwConfig::default()
             },
             default_budget: None,
-            memo_path: None,
         }
     }
 }
@@ -470,7 +459,7 @@ struct Inner {
     counters: Counters,
 }
 
-/// The long-running plan server: queue → batcher → degradation ladder →
+/// The long-running plan server: queue → workers → degradation ladder →
 /// caches (see the crate docs).
 pub struct PlanServer {
     inner: Arc<Inner>,
@@ -478,29 +467,19 @@ pub struct PlanServer {
 }
 
 impl PlanServer {
-    /// Starts the server with the production wall clock and no hooks.
+    /// Starts the server with the production wall clock, no hooks and a
+    /// memory-only memo.
     pub fn start(cfg: ServeConfig) -> Self {
-        Self::start_with(cfg, Arc::new(WallClock::new()), None)
+        Self::start_with(cfg, Arc::new(WallClock::new()), None, None)
     }
 
-    /// Starts the server with an injected clock and optional chaos hook —
-    /// the deterministic-test entry point.
-    ///
-    /// # Panics
-    /// Panics when [`ServeConfig::memo_path`] is set but the store file
-    /// cannot be opened or created.
-    pub fn start_with(cfg: ServeConfig, clock: Arc<dyn Clock>, hook: Option<Hook>) -> Self {
-        let store: Option<Arc<dyn MemoStore>> = cfg.memo_path.as_ref().map(|path| {
-            let (store, _report) = FileMemoStore::open(path).expect("open persistent memo store");
-            Arc::new(store) as Arc<dyn MemoStore>
-        });
-        Self::start_with_store(cfg, clock, hook, store)
-    }
-
-    /// Starts the server with an explicit persistent memo store (or
-    /// `None`), ignoring [`ServeConfig::memo_path`] — the injection point
-    /// for custom [`MemoStore`] implementations.
-    pub fn start_with_store(
+    /// Starts the server with an injected clock, an optional chaos hook —
+    /// the deterministic-test entry point — and an optional persistent
+    /// memo `store` under the in-memory memo (for example a
+    /// [`FileMemoStore`](crate::FileMemoStore): an append-only log of
+    /// certified [`PlanArtifact`] frames whose entries survive restarts
+    /// and are served only after certificate re-verification).
+    pub fn start_with(
         cfg: ServeConfig,
         clock: Arc<dyn Clock>,
         hook: Option<Hook>,
@@ -707,24 +686,22 @@ impl Drop for PlanServer {
 }
 
 fn worker_loop(inner: &Arc<Inner>) {
-    while let Some(batch) = inner.next_batch() {
-        for req in batch {
-            // One panic isolation boundary per request: a crash (real or
-            // injected) poisons neither the batch nor the worker.
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| inner.process(&req)));
-            let response = match outcome {
-                Ok(response) => response,
-                Err(payload) => {
-                    inner.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    Err(ServeError::WorkerPanic(panic_message(payload)))
-                }
-            };
-            if response.is_ok() {
-                inner.counters.served.fetch_add(1, Ordering::Relaxed);
+    while let Some(req) = inner.next_request() {
+        // One panic isolation boundary per request: a crash (real or
+        // injected) poisons neither the queue nor the worker.
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| inner.process(&req)));
+        let response = match outcome {
+            Ok(response) => response,
+            Err(payload) => {
+                inner.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
+                Err(ServeError::WorkerPanic(panic_message(payload)))
             }
-            let latency = inner.clock.now().saturating_sub(req.submitted_at);
-            req.slot.complete(response, latency);
+        };
+        if response.is_ok() {
+            inner.counters.served.fetch_add(1, Ordering::Relaxed);
         }
+        let latency = inner.clock.now().saturating_sub(req.submitted_at);
+        req.slot.complete(response, latency);
     }
 }
 
@@ -739,23 +716,19 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 impl Inner {
-    /// Blocks for the next batch of up to `max_batch` requests; `None`
-    /// once the queue is closed and drained.
-    fn next_batch(&self) -> Option<Vec<QueuedRequest>> {
+    /// Blocks for the oldest queued request; `None` once the queue is
+    /// closed and drained.
+    fn next_request(&self) -> Option<QueuedRequest> {
         let mut q = self.queue.lock().unwrap();
         loop {
             if !q.open && q.deque.is_empty() {
                 return None;
             }
-            if !q.paused && !q.deque.is_empty() {
-                let take = self.cfg.max_batch.max(1).min(q.deque.len());
-                let mut batch = Vec::with_capacity(take);
-                for _ in 0..take {
-                    let req = q.deque.pop_front().expect("len checked");
+            if !q.paused {
+                if let Some(req) = q.deque.pop_front() {
                     q.queued_cost -= req.cost;
-                    batch.push(req);
+                    return Some(req);
                 }
-                return Some(batch);
             }
             q = self.queue_cv.wait(q).unwrap();
         }

@@ -1,5 +1,6 @@
 //! Deterministic integration tests of the plan server: stampede
-//! single-flight, deadline expiry mid-batch, admission-control shedding,
+//! single-flight, deadline expiry in the queue, idle workers taking queued
+//! requests, admission-control shedding,
 //! LRU churn bit-identity, the 1k-request chaos soak, a paced seeded
 //! stream over the bundled corpus, and warm restarts from a persistent
 //! memo store.
@@ -15,8 +16,9 @@ use pathdriver_wash::{memo_key, plan_resilient, PlanArtifact, PlanDelta, RepairS
 use pdw_assay::benchmarks;
 use pdw_gen::{request_stream, StreamOptions};
 use pdw_serve::{
-    materialize, run_open_loop, HookPoint, InMemoryMemoStore, Instance, ManualClock, MemoStore,
-    PlanServer, Rejected, ServeConfig, ServeError, ServeRequest, Served, Submission, WallClock,
+    materialize, run_open_loop, FileMemoStore, HookPoint, InMemoryMemoStore, Instance, ManualClock,
+    MemoStore, PlanServer, Rejected, ServeConfig, ServeError, ServeRequest, Served, Submission,
+    WallClock,
 };
 use pdw_synth::synthesize;
 
@@ -140,10 +142,11 @@ fn deadline_expiry_mid_batch_does_not_poison_the_batch() {
             },
             clock.clone(),
             None,
+            None,
         );
         server.pause();
-        // Same batch: a request whose budget will expire in queue, then a
-        // healthy sibling.
+        // Queued together: a request whose budget will expire in queue,
+        // then a healthy sibling.
         let doomed = server
             .submit_with_budget(solve(&instance), Some(Duration::from_millis(5)))
             .expect("admitted");
@@ -162,6 +165,60 @@ fn deadline_expiry_mid_batch_does_not_poison_the_batch() {
         assert_eq!(stats.deadline_expired, 1);
         assert_eq!(stats.served, 1);
     }
+}
+
+/// Workers take one request at a time: while request 0's solve is blocked,
+/// the other worker picks up request 1 instead of leaving it queued behind
+/// request 0 in the blocked worker's hands.
+#[test]
+fn an_idle_worker_picks_up_the_request_queued_behind_a_blocked_solve() {
+    let demo = demo_instance();
+    let pcr = {
+        let bench = benchmarks::pcr();
+        let synthesis = synthesize(&bench).unwrap();
+        Arc::new(Instance::new(bench, synthesis))
+    };
+    let (release, blocked) = std::sync::mpsc::channel::<()>();
+    let blocked = std::sync::Mutex::new(blocked);
+    let hook: pdw_serve::Hook = Arc::new(move |point, id| {
+        if point == HookPoint::Solve && id == 0 {
+            let _ = blocked.lock().unwrap().recv();
+        }
+    });
+    let server = PlanServer::start_with(
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+        Arc::new(WallClock::new()),
+        Some(hook),
+        None,
+    );
+    server.pause();
+    let first = server.submit(solve(&demo)).expect("admitted");
+    let second = server.submit(solve(&pcr)).expect("admitted");
+    assert_eq!((first.id(), second.id()), (0, 1));
+    server.resume();
+
+    let cap = std::time::Instant::now() + Duration::from_secs(10);
+    let response = loop {
+        match second.try_response() {
+            Some(response) => break Some(response),
+            None if std::time::Instant::now() >= cap => break None,
+            None => std::thread::sleep(Duration::from_millis(5)),
+        }
+    };
+    let first_was_pending = first.try_response().is_none();
+    // Release request 0 before asserting, so a failure does not leave a
+    // worker blocked in the hook.
+    release.send(()).unwrap();
+    let served = response
+        .expect("request 1 waited behind the blocked solve of request 0")
+        .expect("request 1 served");
+    assert_verified(pcr.bench(), pcr.synthesis(), &served.plan.result);
+    assert!(first_was_pending, "request 0 finished before its release");
+    let served = first.wait().expect("request 0 served once released");
+    assert_verified(demo.bench(), demo.synthesis(), &served.plan.result);
 }
 
 #[test]
@@ -332,6 +389,7 @@ fn soak_1k_requests_with_injected_panics() {
             },
             Arc::new(pdw_serve::WallClock::new()),
             Some(hook),
+            None,
         );
         let run = run_open_loop(&server, &requests, false);
         assert_eq!(run.rows.len(), 1000);
@@ -480,20 +538,24 @@ fn bundled_stream_serves_verified_plans_and_fast_memo_hits() {
     }
 }
 
+/// A server on the production clock whose persistent memo tier is the
+/// store log at `path`.
+fn start_persistent(cfg: ServeConfig, path: &std::path::Path) -> PlanServer {
+    let (store, _) = FileMemoStore::open(path).expect("open the persistent memo store");
+    PlanServer::start_with(cfg, Arc::new(WallClock::new()), None, Some(Arc::new(store)))
+}
+
 #[test]
 fn warm_restart_serves_persisted_artifacts() {
     let path =
         std::env::temp_dir().join(format!("pdw-memo-{}-warm-restart.log", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let instance = demo_instance();
-    let cfg = ServeConfig {
-        memo_path: Some(path.clone()),
-        ..ServeConfig::default()
-    };
+    let cfg = ServeConfig::default();
 
     // Cold server: one fresh solve, persisted on the way out.
     let first = {
-        let server = PlanServer::start(cfg.clone());
+        let server = start_persistent(cfg.clone(), &path);
         let served = server
             .submit(solve(&instance))
             .expect("admitted")
@@ -511,7 +573,7 @@ fn warm_restart_serves_persisted_artifacts() {
     // Restarted server, same path: the memo cache is empty, so the request
     // becomes a memo leader — and is fulfilled from the persistent store
     // after its certificate re-verifies, with no fresh solve.
-    let server = PlanServer::start(cfg);
+    let server = start_persistent(cfg, &path);
     let served = server
         .submit(solve(&instance))
         .expect("admitted")
@@ -555,11 +617,10 @@ fn warm_restart_serves_persisted_artifacts() {
     let requests = materialize(&events, &pool, None);
     let cfg = ServeConfig {
         workers: 2,
-        memo_path: Some(path.clone()),
         ..ServeConfig::default()
     };
     let pass = |label: &str| {
-        let server = PlanServer::start(cfg.clone());
+        let server = start_persistent(cfg.clone(), &path);
         let run = run_open_loop(&server, &requests, true);
         let schedules: Vec<_> = run
             .rows
@@ -620,7 +681,7 @@ impl MemoStore for FullDiskStore {
 #[test]
 fn persisting_shares_the_certified_artifact_and_counts_failed_writes() {
     let store = Arc::new(FullDiskStore(InMemoryMemoStore::new()));
-    let server = PlanServer::start_with_store(
+    let server = PlanServer::start_with(
         ServeConfig::default(),
         Arc::new(WallClock::new()),
         None,

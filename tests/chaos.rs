@@ -13,9 +13,7 @@
 
 use std::time::Duration;
 
-use pathdriver_wash::{
-    plan_resilient, plan_resilient_batch, verify, PdwConfig, RungKind, RungRejection,
-};
+use pathdriver_wash::{plan_resilient, verify, PdwConfig, RungKind, RungRejection};
 use pdw_assay::benchmarks::{self, Benchmark};
 use pdw_gen::{faulted_instance, inject_faults, spec_from_seed};
 use pdw_synth::{synthesize, Synthesis};
@@ -122,14 +120,23 @@ fn resilient_batch_is_deterministic_across_threads_under_tiny_deadlines() {
         corpus.len() >= 3,
         "corpus too thin for the determinism sweep"
     );
-    let instances: Vec<(&Benchmark, &Synthesis)> = corpus.iter().map(|(b, s)| (b, s)).collect();
 
+    // Each instance is planned on its own at every thread count of the
+    // ladder's config; the outcome must not depend on it.
     for budget in [Some(Duration::ZERO), Some(Duration::from_nanos(1)), None] {
-        let config = greedy_config(budget);
-        let base = plan_resilient_batch(&instances, &config, 1);
-        assert_eq!(base.len(), instances.len());
+        let plan_at = |threads: usize| -> Vec<_> {
+            let config = PdwConfig {
+                threads,
+                ..greedy_config(budget)
+            };
+            corpus
+                .iter()
+                .map(|(b, s)| plan_resilient(b, s, &config))
+                .collect()
+        };
+        let base = plan_at(1);
         for threads in [2, 8] {
-            let got = plan_resilient_batch(&instances, &config, threads);
+            let got = plan_at(threads);
             for (i, (a, b)) in base.iter().zip(&got).enumerate() {
                 assert_eq!(
                     a.rung, b.rung,

@@ -13,8 +13,7 @@ use std::time::Duration;
 use pathdriver_wash::codec::canonical_digest;
 use pathdriver_wash::verify::objective_of;
 use pathdriver_wash::{
-    pdw, plan_resilient, DawoPlanner, PdwConfig, PdwPlanner, PlanContext, Planner, WashResult,
-    Weights,
+    dawo_ctx, pdw, pdw_ctx, plan_resilient, PdwConfig, PlanContext, WashResult, Weights,
 };
 use pdw_assay::synthetic::SyntheticSpec;
 
@@ -126,7 +125,7 @@ fn ilp_solves_are_optimal_and_repeat_exactly() {
     );
 }
 
-/// A `PdwPlanner` run with the ILP on through a `PlanContext` that DAWO
+/// A `pdw_ctx` run with the ILP on through a `PlanContext` that DAWO
 /// planned on first serves the plan a one-shot [`pdw`] call serves.
 #[test]
 fn shared_context_ilp_plans_match_one_shot_calls() {
@@ -135,10 +134,8 @@ fn shared_context_ilp_plans_match_one_shot_calls() {
         let spec = spec(ops, edges, seed);
         let (bench, synthesis) = pdw_gen::instance(&spec).expect("spec synthesizes");
         let mut ctx = PlanContext::new(&bench, &synthesis);
-        DawoPlanner.plan(&mut ctx).expect("DAWO plans");
-        let shared = PdwPlanner::new(config.clone())
-            .plan(&mut ctx)
-            .expect("PDW plans on the shared context");
+        dawo_ctx(&mut ctx).expect("DAWO plans");
+        let shared = pdw_ctx(&mut ctx, &config).expect("PDW plans on the shared context");
         let one_shot = pdw(&bench, &synthesis, &config).expect("PDW plans one-shot");
         for r in [&shared, &one_shot] {
             assert!(r.solver.used_ilp, "{}: ILP plan not adopted", spec.name);

@@ -23,8 +23,8 @@
 
 use pathdriver_wash::codec::canonical_bytes;
 use pathdriver_wash::{
-    plan_partitioned, CandidatePolicy, DawoPlanner, FrontEndKey, GreedyPlanner, PdwConfig,
-    PlanContext, Planner, RungKind,
+    dawo_ctx, pdw_ctx, plan_partitioned, CandidatePolicy, FrontEndKey, PdwConfig, PlanContext,
+    RungKind,
 };
 use pdw_assay::benchmarks::{self, Benchmark};
 use pdw_contam::NecessityOptions;
@@ -76,9 +76,7 @@ fn front_end_digest(ctx: &PlanContext<'_>, key: FrontEndKey) -> u64 {
 fn row(name: String, bench: &Benchmark, s: &Synthesis) -> Row {
     let config = config();
     let mut ctx = PlanContext::new(bench, s);
-    let pdw = GreedyPlanner::new(config.clone())
-        .plan(&mut ctx)
-        .expect("greedy PDW plans");
+    let pdw = pdw_ctx(&mut ctx, &config).expect("greedy PDW plans");
     let pdw_groups = front_end_digest(
         &ctx,
         FrontEndKey {
@@ -88,7 +86,7 @@ fn row(name: String, bench: &Benchmark, s: &Synthesis) -> Row {
             merged: true,
         },
     );
-    let dawo = DawoPlanner.plan(&mut ctx).expect("DAWO plans");
+    let dawo = dawo_ctx(&mut ctx).expect("DAWO plans");
     let dawo_groups = front_end_digest(
         &ctx,
         FrontEndKey {

@@ -9,9 +9,7 @@
 use proptest::prelude::*;
 
 use pathdriver_wash::verify::objective_of;
-use pathdriver_wash::{
-    dawo, pdw, DawoPlanner, GreedyPlanner, PdwConfig, PdwPlanner, PlanContext, Planner, Weights,
-};
+use pathdriver_wash::{dawo, dawo_ctx, pdw, pdw_ctx, PdwConfig, PlanContext, Weights};
 use pdw_contam::verify_clean;
 use pdw_gen::{instance, spec_strategy, Skip};
 use pdw_sim::{propagate, validate};
@@ -74,7 +72,7 @@ proptest! {
         );
     }
 
-    /// Planner parity on the same random-instance family: every planner's
+    /// Solver parity on the same random-instance family: every solver's
     /// schedule passes the validator, the cleanliness check, and the
     /// independent contamination-propagation oracle; the full pipeline never
     /// worsens the greedy objective; and a shared (warm) `PlanContext`
@@ -102,13 +100,9 @@ proptest! {
             ..PdwConfig::default()
         };
         let mut ctx = PlanContext::new(&bench, &s);
-        let d = DawoPlanner.plan(&mut ctx).expect("dawo planner succeeds");
-        let g = GreedyPlanner::new(greedy_config.clone())
-            .plan(&mut ctx)
-            .expect("greedy planner succeeds");
-        let p = PdwPlanner::new(full_config)
-            .plan(&mut ctx)
-            .expect("pdw planner succeeds");
+        let d = dawo_ctx(&mut ctx).expect("dawo succeeds");
+        let g = pdw_ctx(&mut ctx, &greedy_config).expect("greedy succeeds");
+        let p = pdw_ctx(&mut ctx, &full_config).expect("pdw succeeds");
 
         for (name, r) in [("dawo", &d), ("greedy", &g), ("pdw", &p)] {
             validate(&s.chip, &bench.graph, &r.schedule)

@@ -6,8 +6,8 @@
 //! any thread count.
 
 use pathdriver_wash::{
-    dawo, pdw, plan_batch, plan_partitioned, plan_resilient, spot_cluster_groups, CandidatePolicy,
-    DawoPlanner, GreedyPlanner, PdwConfig, PlanContext, Planner, WashGroup,
+    dawo, dawo_ctx, pdw, pdw_ctx, plan_partitioned, plan_resilient, spot_cluster_groups,
+    CandidatePolicy, PdwConfig, PlanContext, WashGroup,
 };
 use pdw_assay::benchmarks;
 use pdw_contam::{analyze, NecessityOptions};
@@ -100,13 +100,9 @@ fn shared_context_results_match_cold_calls_on_every_benchmark() {
         let cold_g = pdw(&bench, &s, &config).expect("pdw runs");
 
         let mut ctx = PlanContext::new(&bench, &s);
-        let warm_d = DawoPlanner.plan(&mut ctx).expect("dawo planner runs");
-        let warm_g = GreedyPlanner::new(config.clone())
-            .plan(&mut ctx)
-            .expect("greedy planner runs");
-        let warm_g2 = GreedyPlanner::new(config.clone())
-            .plan(&mut ctx)
-            .expect("greedy planner re-runs");
+        let warm_d = dawo_ctx(&mut ctx).expect("dawo runs");
+        let warm_g = pdw_ctx(&mut ctx, &config).expect("greedy runs");
+        let warm_g2 = pdw_ctx(&mut ctx, &config).expect("greedy re-runs");
 
         assert_eq!(warm_d.schedule, cold_d.schedule, "{}: dawo", bench.name);
         assert_eq!(warm_d.metrics, cold_d.metrics, "{}: dawo", bench.name);
@@ -121,54 +117,47 @@ fn shared_context_results_match_cold_calls_on_every_benchmark() {
 }
 
 #[test]
-fn plan_batch_is_thread_count_invariant_across_the_suite() {
-    // The batched driver fans instances across workers with per-worker
-    // context reuse; output must be bit-identical to cold one-shot calls at
-    // every thread count, in input order. The corpus is the bundled suite
-    // plus seeded `pdw-gen` instances, and the planners are the
-    // differential verifier's: DAWO plus two greedy configurations that
-    // differ only in their thread knob, so the second greedy solve reuses
-    // the first one's cached front-end groups.
-    let owned: Vec<_> = benchmarks::suite()
+fn shared_context_solves_are_thread_count_invariant_across_the_corpus() {
+    // Per instance, one shared context runs the differential verifier's
+    // solves: DAWO, then two greedy configurations that differ only in
+    // their thread knob, so the second greedy solve reuses the first one's
+    // cached front-end groups. Every plan must be bit-identical to its cold
+    // one-shot call. The corpus is the bundled suite, the demo and seeded
+    // `pdw-gen` instances.
+    let corpus = benchmarks::suite()
         .into_iter()
         .chain([benchmarks::demo()])
         .map(|b| {
             let s = synthesize(&b).expect("benchmark synthesizes");
             (b, s)
         })
-        .chain((0..24u64).filter_map(|seed| pdw_gen::instance(&pdw_gen::spec_from_seed(seed)).ok()))
-        .collect();
-    let instances: Vec<(&benchmarks::Benchmark, &pdw_synth::Synthesis)> =
-        owned.iter().map(|(b, s)| (b, s)).collect();
+        .chain(
+            (0..24u64).filter_map(|seed| pdw_gen::instance(&pdw_gen::spec_from_seed(seed)).ok()),
+        );
     let configs = [1, 2].map(|threads| PdwConfig {
         ilp: false,
         threads,
         ..PdwConfig::default()
     });
-    let cold: Vec<Vec<_>> = owned
-        .iter()
-        .map(|(b, s)| {
-            let mut row = vec![dawo(b, s).expect("dawo runs")];
-            row.extend(configs.iter().map(|c| pdw(b, s, c).expect("pdw runs")));
-            row
-        })
-        .collect();
-
-    let [greedy_1, greedy_2] = configs.map(GreedyPlanner::new);
-    let planners: Vec<&dyn Planner> = vec![&DawoPlanner, &greedy_1, &greedy_2];
-    for threads in [1, 2, 8] {
-        let batch = plan_batch(&instances, &planners, threads);
-        assert_eq!(batch.len(), owned.len());
-        for (i, (row, cold_row)) in batch.iter().zip(&cold).enumerate() {
-            let name = &owned[i].0.name;
-            for (planner, (r, c)) in row.iter().zip(cold_row).enumerate() {
-                let r = r.as_ref().expect("planner runs");
-                assert_eq!(
-                    r.schedule, c.schedule,
-                    "{name}: planner {planner} at {threads} threads"
-                );
-                assert_eq!(r.metrics, c.metrics, "{name}: planner {planner} metrics");
-            }
+    for (b, s) in corpus {
+        let name = &b.name;
+        let mut ctx = PlanContext::new(&b, &s);
+        let warm = dawo_ctx(&mut ctx).expect("dawo runs");
+        let cold = dawo(&b, &s).expect("dawo runs");
+        assert_eq!(warm.schedule, cold.schedule, "{name}: dawo");
+        assert_eq!(warm.metrics, cold.metrics, "{name}: dawo metrics");
+        for config in &configs {
+            let threads = config.threads;
+            let warm = pdw_ctx(&mut ctx, config).expect("greedy runs");
+            let cold = pdw(&b, &s, config).expect("greedy runs");
+            assert_eq!(
+                warm.schedule, cold.schedule,
+                "{name}: greedy at {threads} threads"
+            );
+            assert_eq!(
+                warm.metrics, cold.metrics,
+                "{name}: greedy metrics at {threads} threads"
+            );
         }
     }
 }
