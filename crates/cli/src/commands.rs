@@ -2,6 +2,9 @@
 
 use std::fmt;
 use std::io::{self, Write};
+use std::path::PathBuf;
+use std::str::FromStr;
+use std::sync::Arc;
 use std::time::Duration;
 
 use pathdriver_wash::codec::gate;
@@ -35,6 +38,9 @@ usage:
                                    (stop accepting, finish in-flight work)
   pdw verify [options]             differentially verify every solver
   pdw export <benchmark> <file>    write a benchmark as JSON (edit & re-run)
+
+A command refuses, as a usage error, any argument this text does not list
+for it.
 
 options for `run`:
   --budget <seconds>   ILP wall-clock budget per run (default 5)
@@ -102,7 +108,7 @@ options for `verify`:
                        on the faulted chip and bit-identical across threads
   --seeds <n>          number of seeded random instances (default 10)
   --seed <s>           verify one seed only; shrinks the instance on failure
-  --partitions <list>  with --faults: comma-separated partition counts to
+  --partitions <list>  needs --faults: comma-separated partition counts to
                        sweep (default 1; counts > 1 drive the partitioned
                        planner under the same chaos contract)
   --no-ilp             skip the budget-bound ILP pipeline
@@ -112,17 +118,22 @@ options for `verify`:
 /// A CLI-level error with a user-facing message.
 #[derive(Debug)]
 pub enum CliError {
-    /// The command line itself is wrong: an unknown command, or a missing
-    /// or unparsable argument. The usage text belongs after the message.
+    /// The command line itself is wrong: an unknown command, or a missing,
+    /// unparsable or unlisted argument. The usage text belongs after the
+    /// message.
     Usage(String),
     /// The command ran and failed; the message alone says why.
     Runtime(String),
+    /// Stdout's reader went away (a broken pipe, as in `pdw list | head
+    /// -1`): the command stops, and `pdw` exits 0 without a message.
+    StdoutClosed,
 }
 
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CliError::Usage(msg) | CliError::Runtime(msg) => f.write_str(msg),
+            CliError::StdoutClosed => f.write_str("stdout closed"),
         }
     }
 }
@@ -137,14 +148,18 @@ fn usage_err<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(Usage(msg.into()))
 }
 
-/// Writes `args` to stdout. A failed write (a closed pipe, a full disk)
-/// is a [`CliError::Runtime`] — exit code 1 — instead of `print!`'s panic.
+/// Writes `args` to stdout. A failed write (a full disk) is a
+/// [`CliError::Runtime`] — exit code 1 — instead of `print!`'s panic; a
+/// closed pipe is [`CliError::StdoutClosed`].
 fn write_stdout(args: fmt::Arguments<'_>) -> Result<(), CliError> {
     let mut stdout = io::stdout().lock();
     stdout
         .write_fmt(args)
         .and_then(|()| stdout.flush())
-        .map_err(|e| Runtime(format!("cannot write to stdout: {e}")))
+        .map_err(|e| match e.kind() {
+            io::ErrorKind::BrokenPipe => CliError::StdoutClosed,
+            _ => Runtime(format!("cannot write to stdout: {e}")),
+        })
 }
 
 /// `println!` through [`write_stdout`]: returns the write error from the
@@ -153,6 +168,55 @@ macro_rules! out {
     ($($arg:tt)*) => {
         write_stdout(format_args!("{}\n", format_args!($($arg)*)))?
     };
+}
+
+/// Reads one command's arguments front to back. Every parser drives it the
+/// same way: iteration yields each argument, [`ArgReader::value`] reads the
+/// operand of the flag just seen, parsed to its type, and [`refuse`] turns
+/// an argument the command does not list into a usage error.
+struct ArgReader<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Iterator for ArgReader<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+}
+
+impl<'a> ArgReader<'a> {
+    fn new(args: &'a [String]) -> Self {
+        ArgReader(args.iter())
+    }
+
+    /// The operand of `flag`, parsed as a `T`.
+    fn value<T: FromStr>(&mut self, flag: &str) -> Result<T, CliError> {
+        let v = self
+            .next()
+            .ok_or_else(|| Usage(format!("{flag} needs a value")))?;
+        v.parse()
+            .map_err(|_| Usage(format!("bad {flag} value `{v}`")))
+    }
+
+    /// The next positional operand, taken as written; `needs` is the usage
+    /// error when it is missing.
+    fn operand(&mut self, needs: &str) -> Result<&'a str, CliError> {
+        self.next().ok_or_else(|| Usage(needs.to_string()))
+    }
+
+    /// Refuses whatever argument is left.
+    fn end(mut self) -> Result<(), CliError> {
+        self.next().map_or(Ok(()), refuse)
+    }
+}
+
+/// The usage error for an argument the command does not list.
+fn refuse<T>(arg: &str) -> Result<T, CliError> {
+    if arg.starts_with('-') {
+        usage_err(format!("unknown option `{arg}`"))
+    } else {
+        usage_err(format!("unexpected argument `{arg}`"))
+    }
 }
 
 fn builtin(name: &str) -> Option<Benchmark> {
@@ -170,14 +234,15 @@ fn builtin(name: &str) -> Option<Benchmark> {
 /// Returns a [`CliError`] with a user-facing message on unknown commands,
 /// missing arguments, I/O failures, or pipeline failures.
 pub fn dispatch(args: &[String]) -> Result<(), CliError> {
+    let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("show") => cmd_show(args.get(1).map(String::as_str)),
-        Some("run") => cmd_run(&args[1..]),
-        Some("repair") => cmd_repair(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("verify") => cmd_verify(&args[1..]),
-        Some("export") => cmd_export(&args[1..]),
+        Some("list") => cmd_list(rest),
+        Some("show") => cmd_show(rest),
+        Some("run") => cmd_run(rest),
+        Some("repair") => cmd_repair(rest),
+        Some("serve") => cmd_serve(rest),
+        Some("verify") => cmd_verify(rest),
+        Some("export") => cmd_export(rest),
         Some("help") | None => {
             out!("{USAGE}");
             Ok(())
@@ -186,7 +251,8 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-fn cmd_list() -> Result<(), CliError> {
+fn cmd_list(args: &[String]) -> Result<(), CliError> {
+    ArgReader::new(args).end()?;
     out!(
         "{:<14} {:>4} {:>4} {:>4}  grid",
         "name",
@@ -208,8 +274,10 @@ fn cmd_list() -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_show(name: Option<&str>) -> Result<(), CliError> {
-    let name = name.ok_or(Usage("`show` needs a benchmark name".into()))?;
+fn cmd_show(args: &[String]) -> Result<(), CliError> {
+    let mut a = ArgReader::new(args);
+    let name = a.operand("`show` needs a benchmark name")?;
+    a.end()?;
     let bench = builtin(name).ok_or_else(|| Usage(format!("no benchmark `{name}`")))?;
     let s = synthesize(&bench).map_err(|e| Runtime(format!("synthesis failed: {e}")))?;
     out!("{}", bench.graph);
@@ -238,27 +306,64 @@ struct RunOptions {
     heatmap: Option<String>,
 }
 
+/// The arguments `run` and `repair` share: the benchmark and how to plan
+/// it.
+struct PlanFlags {
+    bench: Option<Benchmark>,
+    threads: usize,
+    partitions: usize,
+    pipeline_budget: Option<Duration>,
+}
+
+impl PlanFlags {
+    fn new() -> Self {
+        PlanFlags {
+            bench: None,
+            threads: 0,
+            partitions: 1,
+            pipeline_budget: None,
+        }
+    }
+
+    /// Takes `arg` (and its operand) when it is one of the shared flags or
+    /// the benchmark name; `false` when it is not.
+    fn take(&mut self, arg: &str, a: &mut ArgReader) -> Result<bool, CliError> {
+        match arg {
+            "--threads" => self.threads = a.value(arg)?,
+            "--partitions" => {
+                self.partitions = a.value(arg)?;
+                if self.partitions == 0 {
+                    return usage_err("--partitions needs at least 1");
+                }
+            }
+            "--pipeline-budget" => {
+                self.pipeline_budget = Some(Duration::from_millis(a.value(arg)?))
+            }
+            name if self.bench.is_none() && !name.starts_with('-') => {
+                let bench = builtin(name).ok_or_else(|| Usage(format!("no benchmark `{name}`")))?;
+                self.bench = Some(bench);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
 fn parse_run(args: &[String]) -> Result<RunOptions, CliError> {
-    let mut bench: Option<Benchmark> = None;
+    let mut plan = PlanFlags::new();
     let mut budget = 5;
-    let mut pipeline_budget = None;
-    let mut threads = 0usize;
-    let mut partitions = 1usize;
-    let mut connect: Option<String> = None;
+    let mut connect = None;
     let mut ilp = true;
     // Release runs are timing-sensitive; debug runs get the safety net.
     let mut validate = cfg!(debug_assertions);
-    let mut json = None;
-    let mut svg = None;
-    let mut valves = false;
-    let mut stats = false;
-    let mut heatmap = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let (mut json, mut svg, mut heatmap) = (None, None, None);
+    let (mut valves, mut stats) = (false, false);
+    let mut a = ArgReader::new(args);
+    while let Some(arg) = a.next() {
+        match arg {
             "--assay" => {
-                let path = it.next().ok_or(Usage("--assay needs a file".into()))?;
-                let text = std::fs::read_to_string(path)
+                let path: String = a.value(arg)?;
+                let text = std::fs::read_to_string(&path)
                     .map_err(|e| Runtime(format!("cannot read {path}: {e}")))?;
                 let b: Benchmark = serde_json::from_str(&text)
                     .map_err(|e| Runtime(format!("invalid assay JSON: {e}")))?;
@@ -266,84 +371,30 @@ fn parse_run(args: &[String]) -> Result<RunOptions, CliError> {
                 b.graph
                     .revalidate()
                     .map_err(|e| Runtime(format!("invalid assay graph: {e}")))?;
-                bench = Some(b);
+                plan.bench = Some(b);
             }
-            "--budget" => {
-                let v = it.next().ok_or(Usage("--budget needs seconds".into()))?;
-                budget = v.parse().map_err(|_| Usage(format!("bad budget `{v}`")))?;
-            }
-            "--pipeline-budget" => {
-                let v = it
-                    .next()
-                    .ok_or(Usage("--pipeline-budget needs milliseconds".into()))?;
-                pipeline_budget = Some(Duration::from_millis(
-                    v.parse()
-                        .map_err(|_| Usage(format!("bad pipeline budget `{v}`")))?,
-                ));
-            }
-            "--threads" => {
-                let v = it.next().ok_or(Usage("--threads needs a count".into()))?;
-                threads = v
-                    .parse()
-                    .map_err(|_| Usage(format!("bad thread count `{v}`")))?;
-            }
-            "--partitions" => {
-                let v = it
-                    .next()
-                    .ok_or(Usage("--partitions needs a count".into()))?;
-                partitions = v
-                    .parse()
-                    .map_err(|_| Usage(format!("bad partition count `{v}`")))?;
-                if partitions == 0 {
-                    return usage_err("--partitions needs at least 1");
-                }
-            }
-            "--connect" => {
-                connect = Some(
-                    it.next()
-                        .ok_or(Usage("--connect needs an address".into()))?
-                        .clone(),
-                )
-            }
+            "--budget" => budget = a.value(arg)?,
+            "--connect" => connect = Some(a.value(arg)?),
             "--no-ilp" => ilp = false,
             "--validate" => validate = true,
             "--no-validate" => validate = false,
-            "--json" => {
-                json = Some(
-                    it.next()
-                        .ok_or(Usage("--json needs a file".into()))?
-                        .clone(),
-                )
-            }
-            "--svg" => {
-                svg = Some(
-                    it.next()
-                        .ok_or(Usage("--svg needs a directory".into()))?
-                        .clone(),
-                )
-            }
+            "--json" => json = Some(a.value(arg)?),
+            "--svg" => svg = Some(a.value(arg)?),
             "--valves" => valves = true,
             "--stats" => stats = true,
-            "--heatmap" => {
-                heatmap = Some(
-                    it.next()
-                        .ok_or(Usage("--heatmap needs a file".into()))?
-                        .clone(),
-                )
-            }
-            name if bench.is_none() && !name.starts_with('-') => {
-                bench = Some(builtin(name).ok_or_else(|| Usage(format!("no benchmark `{name}`")))?);
-            }
-            other => return usage_err(format!("unknown option `{other}`")),
+            "--heatmap" => heatmap = Some(a.value(arg)?),
+            _ if plan.take(arg, &mut a)? => {}
+            other => return refuse(other),
         }
     }
-    let bench = bench.ok_or(Usage("`run` needs a benchmark name or --assay".into()))?;
     Ok(RunOptions {
-        bench,
+        bench: plan
+            .bench
+            .ok_or(Usage("`run` needs a benchmark name or --assay".into()))?,
         budget,
-        pipeline_budget,
-        threads,
-        partitions,
+        pipeline_budget: plan.pipeline_budget,
+        threads: plan.threads,
+        partitions: plan.partitions,
         connect,
         ilp,
         validate,
@@ -411,71 +462,28 @@ struct RepairOptions {
 }
 
 fn parse_repair(args: &[String]) -> Result<RepairOptions, CliError> {
-    let mut bench: Option<Benchmark> = None;
-    let mut steps = 3u64;
-    let mut seed = 0u64;
-    let mut delay = None;
-    let mut threads = 0usize;
-    let mut partitions = 1usize;
-    let mut pipeline_budget = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--steps" => {
-                let v = it.next().ok_or(Usage("--steps needs a count".into()))?;
-                steps = v
-                    .parse()
-                    .map_err(|_| Usage(format!("bad step count `{v}`")))?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or(Usage("--seed needs a value".into()))?;
-                seed = v.parse().map_err(|_| Usage(format!("bad seed `{v}`")))?;
-            }
-            "--delay" => {
-                let v = it.next().ok_or(Usage("--delay needs seconds".into()))?;
-                delay = Some(v.parse().map_err(|_| Usage(format!("bad delay `{v}`")))?);
-            }
-            "--threads" => {
-                let v = it.next().ok_or(Usage("--threads needs a count".into()))?;
-                threads = v
-                    .parse()
-                    .map_err(|_| Usage(format!("bad thread count `{v}`")))?;
-            }
-            "--partitions" => {
-                let v = it
-                    .next()
-                    .ok_or(Usage("--partitions needs a count".into()))?;
-                partitions = v
-                    .parse()
-                    .map_err(|_| Usage(format!("bad partition count `{v}`")))?;
-                if partitions == 0 {
-                    return usage_err("--partitions needs at least 1");
-                }
-            }
-            "--pipeline-budget" => {
-                let v = it
-                    .next()
-                    .ok_or(Usage("--pipeline-budget needs milliseconds".into()))?;
-                pipeline_budget = Some(Duration::from_millis(
-                    v.parse()
-                        .map_err(|_| Usage(format!("bad pipeline budget `{v}`")))?,
-                ));
-            }
-            name if bench.is_none() && !name.starts_with('-') => {
-                bench = Some(builtin(name).ok_or_else(|| Usage(format!("no benchmark `{name}`")))?);
-            }
-            other => return usage_err(format!("unknown option `{other}`")),
+    let mut plan = PlanFlags::new();
+    let (mut steps, mut seed, mut delay) = (3, 0, None);
+    let mut a = ArgReader::new(args);
+    while let Some(arg) = a.next() {
+        match arg {
+            "--steps" => steps = a.value(arg)?,
+            "--seed" => seed = a.value(arg)?,
+            "--delay" => delay = Some(a.value(arg)?),
+            _ if plan.take(arg, &mut a)? => {}
+            other => return refuse(other),
         }
     }
-    let bench = bench.ok_or(Usage("`repair` needs a benchmark name".into()))?;
     Ok(RepairOptions {
-        bench,
+        bench: plan
+            .bench
+            .ok_or(Usage("`repair` needs a benchmark name".into()))?,
         steps,
         seed,
         delay,
-        threads,
-        partitions,
-        pipeline_budget,
+        threads: plan.threads,
+        partitions: plan.partitions,
+        pipeline_budget: plan.pipeline_budget,
     })
 }
 
@@ -575,72 +583,138 @@ fn cmd_repair(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The flags `serve` and `serve --listen` share: how the plan server runs.
+struct ServerFlags {
+    workers: usize,
+    shed_budget: u64,
+    memo_path: Option<PathBuf>,
+}
+
+impl ServerFlags {
+    /// Takes `arg` and its operand when it is one of the shared flags;
+    /// `false` when it is not.
+    fn take(&mut self, arg: &str, a: &mut ArgReader) -> Result<bool, CliError> {
+        match arg {
+            "--workers" => self.workers = a.value::<usize>(arg)?.max(1),
+            "--shed-budget" => self.shed_budget = a.value(arg)?,
+            "--memo-path" => self.memo_path = Some(a.value(arg)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Starts the plan server. The `--memo-path` store opens first, so a
+    /// path that cannot be opened or created is an error naming it.
+    fn start(&self) -> Result<pdw_serve::PlanServer, CliError> {
+        use pdw_serve::{FileMemoStore, MemoStore, PlanServer, ServeConfig, WallClock};
+        let store = match &self.memo_path {
+            None => None,
+            Some(path) => {
+                let (store, _) = FileMemoStore::open(path).map_err(|e| {
+                    Runtime(format!("cannot open memo store {}: {e}", path.display()))
+                })?;
+                Some(Arc::new(store) as Arc<dyn MemoStore>)
+            }
+        };
+        Ok(PlanServer::start_with(
+            ServeConfig {
+                workers: self.workers,
+                queue_cost_budget: self.shed_budget,
+                ..ServeConfig::default()
+            },
+            Arc::new(WallClock::new()),
+            None,
+            store,
+        ))
+    }
+}
+
+/// What `pdw serve` was asked to do. `--listen` anywhere on the line picks
+/// the socket mode, else `--drain` the drain request, else the replay.
+enum ServeMode {
+    /// The stream to replay, the per-request deadline and the `--json` file.
+    Replay(pdw_gen::StreamOptions, Option<Duration>, Option<String>),
+    /// The address to listen on and the `--idle-ms` eviction timeout.
+    Listen(NetAddr, Option<u64>),
+    /// The address of the server to drain.
+    Drain(NetAddr),
+}
+
+fn parse_serve(args: &[String]) -> Result<(ServerFlags, ServeMode), CliError> {
+    let listen = args.iter().any(|a| a == "--listen");
+    let drain = !listen && args.iter().any(|a| a == "--drain");
+    let replay = !listen && !drain;
+    let mut server = ServerFlags {
+        workers: 2,
+        shed_budget: u64::MAX,
+        memo_path: None,
+    };
+    let mut stream = pdw_gen::StreamOptions {
+        seed: 0,
+        requests: 200,
+        pool: 4,
+        mean_gap_us: 500,
+        reuse: 0.70,
+        delta_ratio: 0.15,
+    };
+    let (mut addr, mut idle_ms, mut deadline, mut json) = (None, None, None, None);
+    let mut a = ArgReader::new(args);
+    while let Some(arg) = a.next() {
+        match arg {
+            "--listen" if listen => addr = Some(a.value::<String>(arg)?),
+            "--drain" if drain => addr = Some(a.value::<String>(arg)?),
+            "--idle-ms" if listen => idle_ms = Some(a.value(arg)?),
+            "--requests" if replay => stream.requests = a.value(arg)?,
+            "--pool" if replay => stream.pool = a.value::<usize>(arg)?.max(1),
+            "--seed" if replay => stream.seed = a.value(arg)?,
+            "--gap-us" if replay => stream.mean_gap_us = a.value::<u64>(arg)?.max(1),
+            "--reuse" if replay => stream.reuse = a.value::<u64>(arg)?.min(100) as f64 / 100.0,
+            "--deltas" if replay => {
+                stream.delta_ratio = a.value::<u64>(arg)?.min(100) as f64 / 100.0
+            }
+            "--deadline-ms" if replay => deadline = Some(Duration::from_millis(a.value(arg)?)),
+            "--json" if replay => json = Some(a.value(arg)?),
+            _ if !drain && server.take(arg, &mut a)? => {}
+            other => return refuse(other),
+        }
+    }
+    if replay {
+        return Ok((server, ServeMode::Replay(stream, deadline, json)));
+    }
+    let flag = if listen { "--listen" } else { "--drain" };
+    let addr = addr.ok_or_else(|| Usage(format!("{flag} needs a value")))?;
+    let addr = NetAddr::parse(&addr).map_err(Usage)?;
+    let mode = if listen {
+        ServeMode::Listen(addr, idle_ms)
+    } else {
+        ServeMode::Drain(addr)
+    };
+    Ok((server, mode))
+}
+
+fn cmd_serve(args: &[String]) -> Result<(), CliError> {
+    let (server, mode) = parse_serve(args)?;
+    match mode {
+        ServeMode::Replay(stream, deadline, json) => {
+            cmd_serve_replay(&server, &stream, deadline, json)
+        }
+        ServeMode::Listen(addr, idle_ms) => cmd_serve_listen(&server, &addr, idle_ms),
+        ServeMode::Drain(addr) => cmd_serve_drain(addr),
+    }
+}
+
 /// `pdw serve --listen`: put a [`pdw_serve::PlanServer`] on a socket and
 /// serve framed solve requests until a client sends the admin `Drain`
 /// frame, then finish in-flight work and exit cleanly.
-fn cmd_serve_listen(args: &[String]) -> Result<(), CliError> {
-    use pdw_serve::{NetConfig, PlanServer, ServeConfig, SocketServer, WallClock};
-    use std::sync::Arc;
+fn cmd_serve_listen(
+    flags: &ServerFlags,
+    addr: &NetAddr,
+    idle_ms: Option<u64>,
+) -> Result<(), CliError> {
+    use pdw_serve::{NetConfig, SocketServer};
 
-    let mut listen: Option<String> = None;
-    let mut workers = 2usize;
-    let mut shed_budget = u64::MAX;
-    let mut memo_path: Option<std::path::PathBuf> = None;
-    let mut idle_ms: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--listen" => {
-                listen = Some(
-                    it.next()
-                        .ok_or(Usage("--listen needs an address".into()))?
-                        .clone(),
-                )
-            }
-            "--workers" => {
-                workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(Usage("--workers needs a number".into()))?
-            }
-            "--shed-budget" => {
-                shed_budget = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(Usage("--shed-budget needs a number".into()))?
-            }
-            "--memo-path" => {
-                memo_path = Some(
-                    it.next()
-                        .map(std::path::PathBuf::from)
-                        .ok_or(Usage("--memo-path needs a file".into()))?,
-                )
-            }
-            "--idle-ms" => {
-                idle_ms = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or(Usage("--idle-ms needs milliseconds".into()))?,
-                )
-            }
-            other => return usage_err(format!("unknown option `{other}`")),
-        }
-    }
-    let listen = listen.ok_or(Usage("--listen needs an address".into()))?;
-    let addr = NetAddr::parse(&listen).map_err(Usage)?;
-    let store = open_memo_store(memo_path.as_deref())?;
-    let listener = NetListener::bind(&addr).map_err(|e| Runtime(e.to_string()))?;
-
-    let server = Arc::new(PlanServer::start_with(
-        ServeConfig {
-            workers: workers.max(1),
-            queue_cost_budget: shed_budget,
-            ..ServeConfig::default()
-        },
-        Arc::new(WallClock::new()),
-        None,
-        store,
-    ));
+    let server = Arc::new(flags.start()?);
+    let listener = NetListener::bind(addr).map_err(|e| Runtime(e.to_string()))?;
     let mut net_cfg = NetConfig::default();
     if let Some(ms) = idle_ms {
         net_cfg.idle_timeout = Duration::from_millis(ms.max(1));
@@ -651,7 +725,7 @@ fn cmd_serve_listen(args: &[String]) -> Result<(), CliError> {
          stop with `pdw serve --drain {}`",
         sock.local_addr(),
         SCHEMA_VERSION,
-        workers.max(1),
+        flags.workers,
         sock.local_addr()
     );
     // The accept loop owns the work; this thread just waits for the drain
@@ -683,28 +757,9 @@ fn cmd_serve_listen(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Opens `--memo-path`'s persistent store before the server starts, so a
-/// path that cannot be opened or created is an error naming it.
-fn open_memo_store(
-    path: Option<&std::path::Path>,
-) -> Result<Option<std::sync::Arc<dyn pdw_serve::MemoStore>>, CliError> {
-    let Some(path) = path else {
-        return Ok(None);
-    };
-    let (store, _) = pdw_serve::FileMemoStore::open(path)
-        .map_err(|e| Runtime(format!("cannot open memo store {}: {e}", path.display())))?;
-    Ok(Some(std::sync::Arc::new(store)))
-}
-
 /// `pdw serve --drain ADDR`: ask a listening server to drain and exit.
-fn cmd_serve_drain(args: &[String]) -> Result<(), CliError> {
+fn cmd_serve_drain(addr: NetAddr) -> Result<(), CliError> {
     use pdw_serve::{ClientConfig, PlanClient};
-    let addr = args
-        .iter()
-        .position(|a| a == "--drain")
-        .and_then(|i| args.get(i + 1))
-        .ok_or(Usage("--drain needs an address".into()))?;
-    let addr = NetAddr::parse(addr).map_err(Usage)?;
     let mut client = PlanClient::new(addr, ClientConfig::default());
     let in_flight = client
         .drain()
@@ -713,72 +768,25 @@ fn cmd_serve_drain(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    use pdw_serve::{materialize, run_open_loop, Instance, PlanServer, ServeConfig, WallClock};
-    use std::sync::Arc;
+/// `pdw serve`: replay a seeded open-loop request stream at an in-process
+/// plan server and report latency and cache behaviour.
+fn cmd_serve_replay(
+    flags: &ServerFlags,
+    stream: &pdw_gen::StreamOptions,
+    deadline: Option<Duration>,
+    json: Option<String>,
+) -> Result<(), CliError> {
+    use pdw_serve::{materialize, run_open_loop, Instance};
 
-    if args.iter().any(|a| a == "--listen") {
-        return cmd_serve_listen(args);
-    }
-    if args.iter().any(|a| a == "--drain") {
-        return cmd_serve_drain(args);
-    }
-
-    let mut requests = 200usize;
-    let mut pool_size = 4usize;
-    let mut workers = 2usize;
-    let mut seed = 0u64;
-    let mut gap_us = 500u64;
-    let mut reuse_pct = 70u64;
-    let mut deltas_pct = 15u64;
-    let mut deadline_ms: Option<u64> = None;
-    let mut shed_budget = u64::MAX;
-    let mut memo_path: Option<std::path::PathBuf> = None;
-    let mut json: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut num = |name: &str| -> Result<u64, CliError> {
-            it.next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| Usage(format!("{name} needs a number")))
-        };
-        match arg.as_str() {
-            "--requests" => requests = num("--requests")? as usize,
-            "--pool" => pool_size = (num("--pool")? as usize).max(1),
-            "--workers" => workers = (num("--workers")? as usize).max(1),
-            "--seed" => seed = num("--seed")?,
-            "--gap-us" => gap_us = num("--gap-us")?.max(1),
-            "--reuse" => reuse_pct = num("--reuse")?.min(100),
-            "--deltas" => deltas_pct = num("--deltas")?.min(100),
-            "--deadline-ms" => deadline_ms = Some(num("--deadline-ms")?),
-            "--shed-budget" => shed_budget = num("--shed-budget")?,
-            "--memo-path" => {
-                memo_path = Some(
-                    it.next()
-                        .map(std::path::PathBuf::from)
-                        .ok_or(Usage("--memo-path needs a file".into()))?,
-                )
-            }
-            "--json" => {
-                json = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or(Usage("--json needs a file".into()))?,
-                )
-            }
-            other => return usage_err(format!("unknown option `{other}`")),
-        }
-    }
-
-    let store = open_memo_store(memo_path.as_deref())?;
+    let server = flags.start()?;
 
     // The pool: the demo instance plus seeded fault-injected variants, so
     // the stream exercises distinct chip hashes through the context LRU.
     let bench = benchmarks::demo();
     let base = synthesize(&bench).map_err(|e| Runtime(format!("synthesis failed: {e}")))?;
     let mut pool = vec![Arc::new(Instance::new(bench.clone(), base.clone()))];
-    let mut fault_seed = seed;
-    while pool.len() < pool_size {
+    let mut fault_seed = stream.seed;
+    while pool.len() < stream.pool {
         fault_seed += 1;
         let variant = pdw_gen::inject_faults(&base, fault_seed);
         let instance = Instance::new(bench.clone(), variant);
@@ -790,32 +798,15 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         }
     }
 
-    let events = pdw_gen::request_stream(&pdw_gen::StreamOptions {
-        seed,
-        requests,
-        pool: pool.len(),
-        mean_gap_us: gap_us,
-        reuse: reuse_pct as f64 / 100.0,
-        delta_ratio: deltas_pct as f64 / 100.0,
-    });
-    let timed = materialize(&events, &pool, deadline_ms.map(Duration::from_millis));
+    let events = pdw_gen::request_stream(stream);
+    let timed = materialize(&events, &pool, deadline);
 
     out!(
         "serve: {} requests over {} instance(s), {} worker(s), mean gap {}us",
-        requests,
+        stream.requests,
         pool.len(),
-        workers,
-        gap_us
-    );
-    let server = PlanServer::start_with(
-        ServeConfig {
-            workers,
-            queue_cost_budget: shed_budget,
-            ..ServeConfig::default()
-        },
-        Arc::new(WallClock::new()),
-        None,
-        store,
+        flags.workers,
+        stream.mean_gap_us
     );
     let run = run_open_loop(&server, &timed, true);
     server.shutdown();
@@ -1184,28 +1175,25 @@ struct VerifyCliOptions {
 }
 
 fn parse_verify(args: &[String]) -> Result<VerifyCliOptions, CliError> {
-    let mut seeds = 10u64;
-    let mut seeds_explicit = false;
-    let mut single_seed = None;
-    let mut smoke = false;
-    let mut faults = false;
-    let mut partitions = vec![1usize];
-    let mut opts = verify::VerifyOptions::default();
-    let mut repro = "verify-repro.txt".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => {
-                smoke = true;
-                seeds = 25;
-                opts.ilp = false;
-            }
-            "--faults" => faults = true,
+    let mut o = VerifyCliOptions {
+        seeds: 10,
+        seeds_explicit: false,
+        single_seed: None,
+        smoke: false,
+        faults: false,
+        partitions: vec![1],
+        opts: verify::VerifyOptions::default(),
+        repro: "verify-repro.txt".to_string(),
+    };
+    let mut partitions_given = false;
+    let mut a = ArgReader::new(args);
+    while let Some(arg) = a.next() {
+        match arg {
+            "--smoke" => o.smoke = true,
+            "--faults" => o.faults = true,
             "--partitions" => {
-                let v = it
-                    .next()
-                    .ok_or(Usage("--partitions needs a comma-separated list".into()))?;
-                partitions = v
+                let list: String = a.value(arg)?;
+                o.partitions = list
                     .split(',')
                     .map(|p| {
                         p.trim()
@@ -1215,46 +1203,115 @@ fn parse_verify(args: &[String]) -> Result<VerifyCliOptions, CliError> {
                             .ok_or_else(|| Usage(format!("bad partition count `{p}`")))
                     })
                     .collect::<Result<Vec<usize>, CliError>>()?;
-                if partitions.is_empty() {
-                    return usage_err("--partitions needs at least one count");
-                }
+                partitions_given = true;
             }
             "--seeds" => {
-                let v = it.next().ok_or(Usage("--seeds needs a count".into()))?;
-                seeds = v
-                    .parse()
-                    .map_err(|_| Usage(format!("bad seed count `{v}`")))?;
-                seeds_explicit = true;
+                o.seeds = a.value(arg)?;
+                o.seeds_explicit = true;
             }
-            "--seed" => {
-                let v = it.next().ok_or(Usage("--seed needs a value".into()))?;
-                single_seed = Some(v.parse().map_err(|_| Usage(format!("bad seed `{v}`")))?);
-            }
-            "--no-ilp" => opts.ilp = false,
-            "--budget" => {
-                let v = it.next().ok_or(Usage("--budget needs seconds".into()))?;
-                opts.ilp_budget =
-                    Duration::from_secs(v.parse().map_err(|_| Usage(format!("bad budget `{v}`")))?);
-            }
-            "--repro" => {
-                repro = it
-                    .next()
-                    .ok_or(Usage("--repro needs a file".into()))?
-                    .clone();
-            }
-            other => return usage_err(format!("unknown option `{other}`")),
+            "--seed" => o.single_seed = Some(a.value(arg)?),
+            "--no-ilp" => o.opts.ilp = false,
+            "--budget" => o.opts.ilp_budget = Duration::from_secs(a.value(arg)?),
+            "--repro" => o.repro = a.value(arg)?,
+            other => return refuse(other),
         }
     }
-    Ok(VerifyCliOptions {
-        seeds,
-        seeds_explicit,
-        single_seed,
-        smoke,
-        faults,
-        partitions,
-        opts,
-        repro,
-    })
+    if partitions_given && !o.faults {
+        return usage_err("--partitions needs --faults");
+    }
+    if o.smoke {
+        o.opts.ilp = false;
+        if !o.seeds_explicit {
+            o.seeds = 25;
+        }
+    }
+    Ok(o)
+}
+
+/// A seeded sweep, the part `verify` and `verify --faults` share: the
+/// single-seed report, the skipped count, the failure list and the repro
+/// file. The two differ in what one seed runs and in their wording.
+struct SeedSweep<'a> {
+    /// `verify` or `verify --faults`: heads the summary and the repro line.
+    command: &'static str,
+    /// `seed` or `chaos seed`: names each seed in its lines.
+    label: &'static str,
+    /// The line printed when every instance passed.
+    passed: &'static str,
+    /// Runs one seed: its report and its failures (none on a pass), or
+    /// `None` when the seed's instance is infeasible.
+    run: &'a dyn Fn(u64) -> Option<(String, Vec<String>)>,
+    /// Shrinks a failing seed's instance: the smallest failing instance
+    /// and the steps taken.
+    shrink: Option<&'a dyn Fn(u64) -> (String, usize)>,
+}
+
+impl SeedSweep<'_> {
+    /// Runs and reports one seed; a failing seed is an error.
+    fn single(&self, seed: u64) -> Result<(), CliError> {
+        let Some((report, failures)) = (self.run)(seed) else {
+            out!("{} {seed}: skipped (infeasible instance)", self.label);
+            return Ok(());
+        };
+        out!("{report}");
+        if failures.is_empty() {
+            return Ok(());
+        }
+        for f in &failures {
+            out!("  {f}");
+        }
+        let failed = match self.shrink {
+            Some(shrink) => {
+                let (small, steps) = shrink(seed);
+                out!("shrunk after {steps} step(s) to: {small}");
+                "failed verification"
+            }
+            None => "failed",
+        };
+        err(format!("{} {seed} {failed}", self.label))
+    }
+
+    /// Runs seeds `0..n` on top of the `failures` found before. Any failure
+    /// is written to `repro`, echoed to stderr and returned as an error.
+    fn sweep(&self, n: u64, mut failures: Vec<String>, repro: &str) -> Result<(), CliError> {
+        let label = self.label;
+        let mut skipped = 0u64;
+        for seed in 0..n {
+            let Some((report, found)) = (self.run)(seed) else {
+                skipped += 1;
+                continue;
+            };
+            out!("{report}");
+            if found.is_empty() {
+                continue;
+            }
+            failures.extend(found.iter().map(|f| format!("{label} {seed}: {f}")));
+            let shrunk = self.shrink.map_or(String::new(), |shrink| {
+                let (small, steps) = shrink(seed);
+                format!("shrunk after {steps} step(s) to {small}; ")
+            });
+            failures.push(format!(
+                "{label} {seed}: {shrunk}repro: pdw {} --seed {seed}",
+                self.command
+            ));
+        }
+        if skipped > 0 {
+            out!("({skipped}/{n} {label}s skipped as infeasible)");
+        }
+        if failures.is_empty() {
+            out!("{}", self.passed);
+            return Ok(());
+        }
+        let body = failures.join("\n");
+        std::fs::write(repro, format!("{body}\n"))
+            .map_err(|e| Runtime(format!("cannot write {repro}: {e}")))?;
+        let _ = writeln!(io::stderr().lock(), "{body}");
+        err(format!(
+            "{}: {} failure(s); details in {repro}",
+            self.command,
+            failures.len()
+        ))
+    }
 }
 
 /// Chaos mode (`verify --faults`): replay the degradation ladder on seeded
@@ -1267,72 +1324,25 @@ fn cmd_chaos(cli: &VerifyCliOptions) -> Result<(), CliError> {
         partitions: cli.partitions.clone(),
         ..verify::ChaosOptions::default()
     };
-
+    let run = |seed| verify::chaos_seed(seed, &copts).map(|r| (r.to_string(), r.failures));
+    let sweep = SeedSweep {
+        command: "verify --faults",
+        label: "chaos seed",
+        passed: "verify --faults: all chaos instances passed",
+        run: &run,
+        shrink: None,
+    };
     if let Some(seed) = cli.single_seed {
-        return match verify::chaos_seed(seed, &copts) {
-            None => {
-                out!("chaos seed {seed}: skipped (infeasible instance)");
-                Ok(())
-            }
-            Some(report) if report.passed() => {
-                out!("{report}");
-                Ok(())
-            }
-            Some(report) => {
-                out!("{report}");
-                for f in &report.failures {
-                    out!("  {f}");
-                }
-                err(format!("chaos seed {seed} failed"))
-            }
-        };
+        return sweep.single(seed);
     }
-
     // The chaos sweep is budgets x threads per seed, so the smoke profile
     // trims the corpus rather than the sweep.
-    let n = if cli.seeds_explicit {
-        cli.seeds
-    } else if cli.smoke {
+    let n = if cli.smoke && !cli.seeds_explicit {
         8
     } else {
         cli.seeds
     };
-    let mut failures: Vec<String> = Vec::new();
-    let mut skipped = 0u64;
-    for seed in 0..n {
-        match verify::chaos_seed(seed, &copts) {
-            None => skipped += 1,
-            Some(report) => {
-                out!("{report}");
-                if !report.passed() {
-                    for f in &report.failures {
-                        failures.push(format!("chaos seed {seed}: {f}"));
-                    }
-                    failures.push(format!(
-                        "chaos seed {seed}: repro: pdw verify --faults --seed {seed}"
-                    ));
-                }
-            }
-        }
-    }
-    if skipped > 0 {
-        out!("({skipped}/{n} chaos seeds skipped as infeasible)");
-    }
-
-    if failures.is_empty() {
-        out!("verify --faults: all chaos instances passed");
-        Ok(())
-    } else {
-        let body = failures.join("\n");
-        std::fs::write(&cli.repro, format!("{body}\n"))
-            .map_err(|e| Runtime(format!("cannot write {}: {e}", cli.repro)))?;
-        let _ = writeln!(io::stderr().lock(), "{body}");
-        err(format!(
-            "verify --faults: {} failure(s); details in {}",
-            failures.len(),
-            cli.repro
-        ))
-    }
+    sweep.sweep(n, Vec::new(), &cli.repro)
 }
 
 /// Differential verification: every solver on every bundled benchmark plus a
@@ -1344,31 +1354,24 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
     if cli.faults {
         return cmd_chaos(&cli);
     }
-    let mut failures: Vec<String> = Vec::new();
-
+    let run = |seed| verify::verify_seed(seed, &cli.opts).map(|r| (r.to_string(), r.failures()));
+    let shrink = |seed| {
+        let (small, steps) = verify::shrink_failure(seed, &cli.opts);
+        (format!("{small:?}"), steps)
+    };
+    let sweep = SeedSweep {
+        command: "verify",
+        label: "seed",
+        passed: "verify: all instances passed",
+        run: &run,
+        shrink: Some(&shrink),
+    };
     // Single-seed repro mode: verify, and shrink on failure.
     if let Some(seed) = cli.single_seed {
-        return match verify::verify_seed(seed, &cli.opts) {
-            None => {
-                out!("seed {seed}: skipped (infeasible instance)");
-                Ok(())
-            }
-            Some(report) if report.passed() => {
-                out!("{report}");
-                Ok(())
-            }
-            Some(report) => {
-                out!("{report}");
-                for f in report.failures() {
-                    out!("  {f}");
-                }
-                let (small, steps) = verify::shrink_failure(seed, &cli.opts);
-                out!("shrunk after {steps} step(s) to: {small:?}");
-                err(format!("seed {seed} failed verification"))
-            }
-        };
+        return sweep.single(seed);
     }
 
+    let mut failures: Vec<String> = Vec::new();
     for bench in benchmarks::suite().into_iter().chain([benchmarks::demo()]) {
         let s = match synthesize(&bench) {
             Ok(s) => s,
@@ -1386,53 +1389,14 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
                 .map(|f| format!("{}: {f}", bench.name)),
         );
     }
-
-    let mut skipped = 0u64;
-    for seed in 0..cli.seeds {
-        match verify::verify_seed(seed, &cli.opts) {
-            None => skipped += 1,
-            Some(report) => {
-                out!("{report}");
-                if !report.passed() {
-                    for f in report.failures() {
-                        failures.push(format!("seed {seed}: {f}"));
-                    }
-                    let (small, steps) = verify::shrink_failure(seed, &cli.opts);
-                    failures.push(format!(
-                        "seed {seed}: shrunk after {steps} step(s) to {small:?}; \
-                         repro: pdw verify --seed {seed}"
-                    ));
-                }
-            }
-        }
-    }
-    if skipped > 0 {
-        out!("({skipped}/{} seeds skipped as infeasible)", cli.seeds);
-    }
-
-    if failures.is_empty() {
-        out!("verify: all instances passed");
-        Ok(())
-    } else {
-        let body = failures.join("\n");
-        std::fs::write(&cli.repro, format!("{body}\n"))
-            .map_err(|e| Runtime(format!("cannot write {}: {e}", cli.repro)))?;
-        let _ = writeln!(io::stderr().lock(), "{body}");
-        err(format!(
-            "verify: {} failure(s); details in {}",
-            failures.len(),
-            cli.repro
-        ))
-    }
+    sweep.sweep(cli.seeds, failures, &cli.repro)
 }
 
 fn cmd_export(args: &[String]) -> Result<(), CliError> {
-    let name = args
-        .first()
-        .ok_or(Usage("`export` needs a benchmark".into()))?;
-    let path = args
-        .get(1)
-        .ok_or(Usage("`export` needs a target file".into()))?;
+    let mut a = ArgReader::new(args);
+    let name = a.operand("`export` needs a benchmark")?;
+    let path = a.operand("`export` needs a target file")?;
+    a.end()?;
     let bench = builtin(name).ok_or_else(|| Usage(format!("no benchmark `{name}`")))?;
     std::fs::write(
         path,
@@ -1525,6 +1489,15 @@ mod tests {
         assert_eq!(o.single_seed, Some(42));
         assert_eq!(o.opts.ilp_budget, Duration::from_secs(7));
         assert_eq!(o.repro, "r.txt");
+    }
+
+    #[test]
+    fn verify_parsing_explicit_seeds_win_over_smoke() {
+        for args in [["--seeds", "3", "--smoke"], ["--smoke", "--seeds", "3"]] {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let o = parse_verify(&args).unwrap();
+            assert_eq!((o.seeds, o.opts.ilp), (3, false), "{args:?}");
+        }
     }
 
     #[test]

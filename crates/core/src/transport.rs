@@ -569,8 +569,8 @@ pub enum NetRequest {
     /// answers `Plan` at once; otherwise it answers `NeedInstance` and the
     /// client follows up with the full `Solve`. The server never memoizes
     /// under a key a client claims — only `Solve`, which it hashes itself,
-    /// writes the memo. Sent only to servers whose `HelloAck` sets
-    /// `key_first`.
+    /// writes the memo. Every server that speaks this schema answers it, so
+    /// a client always asks by key first.
     SolveKey {
         /// Client-chosen id echoed in the response.
         id: u64,
@@ -600,9 +600,10 @@ pub enum NetResponse {
         /// The heartbeat cadence the server expects (it evicts
         /// connections idle for several multiples of this).
         heartbeat_ms: u64,
-        /// `Some(true)` when the server answers `SolveKey`. Builds that
-        /// predate the key-first exchange leave the field out (it decodes
-        /// as `None`), and clients then send full `Solve`s.
+        /// `Some(true)`: the server answers `SolveKey`. Every server that
+        /// speaks this schema does, so clients ignore the field; it stays
+        /// on the wire because dropping it changes the frame shape. A
+        /// frame without it decodes as `None`.
         key_first: Option<bool>,
     },
     /// Heartbeat echo.

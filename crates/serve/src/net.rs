@@ -799,8 +799,6 @@ pub struct PlanClient {
     addr: NetAddr,
     cfg: ClientConfig,
     conn: Option<NetStream>,
-    /// The connected server answers `SolveKey`.
-    server_key_first: bool,
     rtt: Option<Duration>,
     next_id: u64,
     rng: u64,
@@ -814,7 +812,6 @@ impl PlanClient {
             addr,
             cfg,
             conn: None,
-            server_key_first: false,
             rtt: None,
             next_id: 1,
             rng: cfg.jitter_seed | 1,
@@ -874,11 +871,7 @@ impl PlanClient {
             self.cfg.max_frame_len,
             self.cfg.connect_timeout,
         )? {
-            Some(NetResponse::HelloAck {
-                codec_version,
-                key_first,
-                ..
-            }) => {
+            Some(NetResponse::HelloAck { codec_version, .. }) => {
                 if codec_version != SCHEMA_VERSION {
                     return Err(TransportError::VersionSkew {
                         found: codec_version,
@@ -886,7 +879,6 @@ impl PlanClient {
                     });
                 }
                 self.rtt = Some(t.elapsed());
-                self.server_key_first = key_first == Some(true);
                 self.conn = Some(stream);
                 Ok(())
             }
@@ -955,12 +947,12 @@ impl PlanClient {
     /// Solves an instance remotely under an optional deadline budget,
     /// with bounded retries on retryable transport faults.
     ///
-    /// The exchange is key-first when the server offers it: a `SolveKey`
-    /// carrying the instance hash (computed once per call) and the config
-    /// fingerprint, answered with the server's certified plan on a memo
-    /// hit; otherwise the server answers `NeedInstance` and the full
-    /// `Solve` follows. Either way a served artifact is verified against
-    /// this instance before it is accepted ([`ClientConfig::verify`]).
+    /// The exchange is key-first: a `SolveKey` carrying the instance hash
+    /// (computed once per call) and the config fingerprint, answered with
+    /// the server's certified plan on a memo hit; otherwise the server
+    /// answers `NeedInstance` and the full `Solve` follows. Either way a
+    /// served artifact is verified against this instance before it is
+    /// accepted ([`ClientConfig::verify`]).
     ///
     /// Deadline propagation: the client subtracts half its observed RTT
     /// (the forward-transit estimate) from the budget before sending, so
@@ -1014,8 +1006,9 @@ impl PlanClient {
         }
     }
 
-    /// One attempt: the key-first exchange when the server offers it,
-    /// then (on `NeedInstance`, or straight away) the full `Solve`.
+    /// One attempt: the key-first exchange, then (on `NeedInstance`) the
+    /// full `Solve`. Every server that passes the handshake's version check
+    /// answers `SolveKey`.
     fn solve_once(
         &mut self,
         hash: u64,
@@ -1025,18 +1018,16 @@ impl PlanClient {
         deadline: Option<Instant>,
     ) -> Result<RemotePlan, ClientError> {
         self.ensure_connected().map_err(ClientError::Transport)?;
-        if self.server_key_first {
-            let (budget_us, read_timeout) = self.request_budget(deadline, self.cfg.connect_timeout);
-            let id = self.take_id();
-            let req = NetRequest::SolveKey {
-                id,
-                budget_us,
-                instance_hash: hash,
-                config_fp: config_fingerprint(config),
-            };
-            if let Some(served) = self.exchange(&req, id, read_timeout)? {
-                return self.accept(served, hash, bench, synthesis);
-            }
+        let (budget_us, read_timeout) = self.request_budget(deadline, self.cfg.connect_timeout);
+        let id = self.take_id();
+        let req = NetRequest::SolveKey {
+            id,
+            budget_us,
+            instance_hash: hash,
+            config_fp: config_fingerprint(config),
+        };
+        if let Some(served) = self.exchange(&req, id, read_timeout)? {
+            return self.accept(served, hash, bench, synthesis);
         }
         let (budget_us, read_timeout) = self.request_budget(deadline, self.cfg.request_timeout);
         let id = self.take_id();

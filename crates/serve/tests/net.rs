@@ -10,9 +10,7 @@ use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pathdriver_wash::codec::{
-    canonical_bytes, decode_frame, encode_frame, frame_payload, read_frame, write_frame, FrameType,
-};
+use pathdriver_wash::codec::{canonical_bytes, encode_frame, frame_payload, FrameType};
 use pathdriver_wash::transport::{encode_plan_frame, hello, recv_response, send_request};
 use pathdriver_wash::{
     config_fingerprint, instance_hash, plan_resilient, CodecError, NetAddr, NetListener,
@@ -1059,77 +1057,6 @@ fn a_lying_key_is_served_a_plan_that_fails_verification() {
     assert_eq!(sock.stats().need_instance, 2, "A's and B's cold keys");
     sock.drain();
     plan.shutdown();
-}
-
-/// Against a server that predates the key-first exchange (its `HelloAck`
-/// has no `key_first` field), the client never sends a `SolveKey`: its
-/// requests are full `Solve`s, which such a server can decode.
-#[test]
-fn a_server_without_key_first_gets_full_solves() {
-    let (bench, synthesis) = wire_pool(1).swap_remove(0);
-    let plan = PlanServer::start(ServeConfig::default());
-    let instance = Arc::new(Instance::new(bench.clone(), synthesis.clone()));
-    let served = plan
-        .submit(ServeRequest::Solve {
-            instance: Arc::clone(&instance),
-        })
-        .expect("admitted")
-        .wait()
-        .expect("serves");
-    let artifact = (**plan.certify(&instance, &served.plan).artifact()).clone();
-    plan.shutdown();
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = NetAddr::Tcp(listener.local_addr().unwrap().to_string());
-    let (seen_tx, seen) = std::sync::mpsc::channel();
-    let certificate = artifact.certificate;
-    let stub = std::thread::spawn(move || {
-        let (mut conn, _) = listener.accept().unwrap();
-        let hello = read_frame(&mut conn).unwrap().unwrap();
-        let _: NetRequest = decode_frame(FrameType::NetRequest, &hello).unwrap();
-        // A `HelloAck` as builds before the key-first exchange encode it.
-        let old_ack = Value::Object(vec![(
-            "HelloAck".to_string(),
-            Value::Object(vec![
-                ("codec_version".to_string(), SCHEMA_VERSION.to_value()),
-                ("max_frame_len".to_string(), (1u64 << 26).to_value()),
-                ("heartbeat_ms".to_string(), 1000u64.to_value()),
-            ]),
-        )]);
-        write_frame(&mut conn, &encode_frame(FrameType::NetResponse, &old_ack)).unwrap();
-        for _ in 0..2 {
-            let frame = read_frame(&mut conn).unwrap().unwrap();
-            let req: NetRequest = decode_frame(FrameType::NetRequest, &frame).unwrap();
-            let NetRequest::Solve { id, .. } = req else {
-                seen_tx.send(req).unwrap();
-                return;
-            };
-            seen_tx.send(req).unwrap();
-            let answer = NetResponse::Plan {
-                id,
-                memo_hit: false,
-                degraded: false,
-                artifact: Box::new(artifact.clone()),
-            };
-            write_frame(&mut conn, &encode_frame(FrameType::NetResponse, &answer)).unwrap();
-        }
-    });
-    let mut client = PlanClient::new(addr, ClientConfig::default());
-    for _ in 0..2 {
-        let remote = client
-            .solve(&bench, &synthesis, &wire_config(), None)
-            .expect("the old server serves");
-        assert_eq!(remote.artifact.certificate, certificate);
-    }
-    for _ in 0..2 {
-        match seen.recv().unwrap() {
-            NetRequest::Solve { solve, .. } => {
-                let sent = instance_hash(&solve.bench, &solve.synthesis);
-                assert_eq!(sent, instance_hash(&bench, &synthesis));
-            }
-            other => panic!("expected a full Solve, got {other:?}"),
-        }
-    }
-    stub.join().unwrap();
 }
 
 /// A `SolveKey` whose budget expired in transit (`budget_us = 0`) comes
